@@ -72,10 +72,13 @@ def test_micro_chebyshev_center(mid_session_polytope, benchmark):
     assert radius >= 0
 
 
-def test_micro_hit_and_run(mid_session_polytope, benchmark):
-    poly = mid_session_polytope
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_micro_hit_and_run(benchmark, d):
+    """64 draws (370 chain steps) from a mid-session range; d=3 is the
+    ladder's EA workload."""
+    poly = _narrowed_polytope(d, answers=6)
     samples = benchmark(lambda: poly.sample(64, rng=0))
-    assert samples.shape == (64, 4)
+    assert samples.shape == (64, d)
 
 
 def test_micro_enclosing_sphere(mid_session_polytope, benchmark):

@@ -15,6 +15,8 @@ Two samplers are provided:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.errors import GeometryError
@@ -62,6 +64,11 @@ def hit_and_run(
     drawn uniformly on the chord.  The chain is uniform-ergodic on bounded
     full-dimensional polytopes.
 
+    Each step draws ``standard_normal(k)`` from ``rng`` and then, unless
+    the chord is degenerate, one ``uniform``.  The samples and the
+    generator's final state are part of every EA transcript, so this
+    order and the arithmetic are fixed bit for bit (``docs/geometry.md``).
+
     Parameters
     ----------
     a, b:
@@ -76,6 +83,15 @@ def hit_and_run(
     Returns
     -------
     ``(n_samples, k)`` array of points inside the polytope.
+
+    Raises
+    ------
+    ValueError
+        On a start point of the wrong dimension, ``n_samples < 0``,
+        ``burn_in < 0`` or ``thin < 1``.
+    GeometryError
+        If ``start`` is outside the polytope, or the polytope is unbounded
+        along a sampled direction.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -87,51 +103,51 @@ def hit_and_run(
         raise GeometryError("hit-and-run start point is outside the polytope")
     if n_samples < 0:
         raise ValueError(f"sample count must be >= 0, got {n_samples}")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    if thin < 1:
+        raise ValueError(f"thin must be >= 1, got {thin}")
     generator = ensure_rng(rng)
+    normal = generator.standard_normal
+    uniform = generator.uniform
     k = x.shape[0]
     samples = np.empty((n_samples, k))
     collected = 0
     step = 0
-    total_steps = burn_in + n_samples * max(thin, 1)
-    while collected < n_samples and step < total_steps:
-        step += 1
-        direction = generator.standard_normal(k)
-        norm = float(np.linalg.norm(direction))
-        if norm < _LINE_TOL:
-            continue
-        direction /= norm
-        t_low, t_high = _chord(a, b, x, direction)
-        if t_high - t_low < _LINE_TOL:
-            # Degenerate chord (flat polytope in this direction); retry.
-            continue
-        x = x + generator.uniform(t_low, t_high) * direction
-        if step > burn_in and (step - burn_in) % max(thin, 1) == 0:
-            samples[collected] = x
-            collected += 1
+    total_steps = burn_in + n_samples * thin
+    # Rows with a near-zero rate divide by ~0 below; they never pass the
+    # rate masks, so their inf/nan ratios are dropped unread.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while collected < n_samples and step < total_steps:
+            step += 1
+            direction = normal(k)
+            norm = math.sqrt(direction.dot(direction))
+            if norm < _LINE_TOL:
+                continue
+            direction /= norm
+            # Chord of the line x + t * direction: each constraint
+            # a_i . (x + t u) <= b_i bounds t on one side by slack / rate.
+            rates = a @ direction
+            ratios = (b - a @ x) / rates
+            upper = ratios[rates > _LINE_TOL]
+            lower = ratios[rates < -_LINE_TOL]
+            t_high = upper.min() if upper.size else math.inf
+            t_low = lower.max() if lower.size else -math.inf
+            if not (math.isfinite(t_low) and math.isfinite(t_high)):
+                raise GeometryError(
+                    "polytope is unbounded along a sampled direction"
+                )
+            t_low = min(t_low, 0.0)
+            t_high = max(t_high, 0.0)
+            if t_high - t_low < _LINE_TOL:
+                # Degenerate chord (flat polytope in this direction); retry.
+                continue
+            x += uniform(t_low, t_high) * direction
+            if step > burn_in and (step - burn_in) % thin == 0:
+                samples[collected] = x
+                collected += 1
     if collected < n_samples:
         # Flat or near-degenerate region: pad with the last chain state so
         # callers always receive the requested count.
         samples[collected:] = x
     return samples
-
-
-def _chord(
-    a: np.ndarray, b: np.ndarray, x: np.ndarray, direction: np.ndarray
-) -> tuple[float, float]:
-    """Feasible parameter interval of the line ``x + t * direction``.
-
-    For each constraint ``a_i . (x + t u) <= b_i`` the admissible ``t``
-    interval is one-sided; the chord is the intersection of all of them.
-    """
-    rates = a @ direction
-    slack = b - a @ x
-    t_low, t_high = -np.inf, np.inf
-    positive = rates > _LINE_TOL
-    negative = rates < -_LINE_TOL
-    if np.any(positive):
-        t_high = float(np.min(slack[positive] / rates[positive]))
-    if np.any(negative):
-        t_low = float(np.max(slack[negative] / rates[negative]))
-    if not np.isfinite(t_low) or not np.isfinite(t_high):
-        raise GeometryError("polytope is unbounded along a sampled direction")
-    return min(t_low, 0.0), max(t_high, 0.0)

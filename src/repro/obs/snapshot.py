@@ -11,7 +11,8 @@ stable document to consume:
       "schema_version": 1,
       "name": "serve",
       "created_at": "2026-08-05T12:00:00+00:00",
-      "machine": {"platform": "...", "python": "...", "numpy": "..."},
+      "machine": {"platform": "...", "cpu_count": 2, "affinity": [0, 1],
+                  "python": "...", "numpy": "..."},
       "config":   {"...workload parameters..."},
       "timings":  {"...wall-clock measurements, seconds..."},
       "counters": {"...deterministic counts and rates..."},
@@ -31,6 +32,7 @@ only; consumers must ignore them when diffing.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import sys
 from datetime import datetime, timezone
@@ -43,13 +45,21 @@ SCHEMA_VERSION = 1
 
 
 def machine_info() -> dict[str, Any]:
-    """Provenance of the machine that produced a snapshot."""
+    """Provenance of the machine that produced a snapshot.
+
+    ``cpu_count`` is the host's logical CPUs; ``affinity`` the CPUs this
+    process may run on (``None`` where the OS cannot say), which is what
+    bounds a multi-process speedup.
+    """
     import numpy
     import scipy
 
+    getaffinity = getattr(os, "sched_getaffinity", None)
     return {
         "platform": platform.platform(),
         "processor": platform.processor() or "unknown",
+        "cpu_count": os.cpu_count(),
+        "affinity": sorted(getaffinity(0)) if getaffinity else None,
         "python": sys.version.split()[0],
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -205,3 +206,15 @@ class TestSnapshots:
     def test_machine_info_fields(self):
         info = machine_info()
         assert set(info) >= {"platform", "python", "numpy", "scipy"}
+
+    def test_machine_info_records_cores(self):
+        info = machine_info()
+        assert info["cpu_count"] == os.cpu_count()
+        if hasattr(os, "sched_getaffinity"):
+            assert info["affinity"] == sorted(os.sched_getaffinity(0))
+        else:
+            assert info["affinity"] is None
+
+    def test_machine_info_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert machine_info()["affinity"] is None
