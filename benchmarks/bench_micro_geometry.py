@@ -9,6 +9,7 @@ are caught independently of end-to-end session times:
 * hit-and-run sampling (EA's anchor discovery),
 * minimum enclosing sphere (EA's state encoding),
 * ambient inner sphere + bounds (AA: once per round),
+* AA's split-margin probes, one LP at a time vs one stacked call,
 * incremental range clipping vs from-scratch re-enumeration (the
   :class:`~repro.geometry.range.ExactRange` fast path),
 * skyline preprocessing (dataset construction).
@@ -233,6 +234,41 @@ def test_micro_bounds_batched(wave_bounds_systems, benchmark):
             system.a_eq, system.b_eq, system.bounds,
         )
         assert outcome.value == expected.value
+
+
+@pytest.fixture(scope="module")
+def aa_round_margins():
+    """One ``aa-highd`` round's split-margin probes: ``[n, -n]`` for
+    ``m_h = 5`` candidate planes over a mid-session d=8 range."""
+    d = 8
+    rng = np.random.default_rng(12)
+    spaces = _session_halfspaces(d, answers=10, seed=12)
+    points = rng.uniform(0.05, 1.0, size=(10, d))
+    normals = points[0::2] - points[1::2]
+    return spaces, d, np.stack([normals, -normals], axis=1).reshape(-1, d)
+
+
+def test_micro_split_margin_sequential(aa_round_margins, benchmark):
+    """Ten margins, one ``linprog`` call each (the pre-stacking path)."""
+    spaces, d, normals = aa_round_margins
+    a_ub, b_ub, a_eq, b_eq = lp._ambient_system(spaces, d)
+    backend = lp.ScipyHighsBackend()
+
+    def sequential():
+        return np.array([
+            -backend.solve_raw(-n, a_ub, b_ub, a_eq, b_eq, lp._FREE).value
+            for n in normals
+        ])
+
+    margins = benchmark(sequential)
+    assert margins.shape == (10,)
+
+
+def test_micro_split_margin_stacked(aa_round_margins, benchmark):
+    """The same ten margins through one ``ambient_split_margins`` call."""
+    spaces, d, normals = aa_round_margins
+    margins = benchmark(lambda: lp.ambient_split_margins(spaces, d, normals))
+    assert margins.shape == (10,)
 
 
 def test_micro_skyline(benchmark):

@@ -25,12 +25,16 @@ import numpy as np
 from repro.core.session import InteractiveAlgorithm, Question, validate_epsilon
 from repro.data.datasets import Dataset
 from repro.errors import ConfigurationError
-from repro.geometry.range import AmbientRange, RangeConfig, UpdatePreview
+from repro.geometry.range import (
+    SPLIT_TOL,
+    AmbientRange,
+    RangeConfig,
+    UpdatePreview,
+)
 from repro.geometry.vectors import top_point_index
 from repro.utils import rng as rng_state
 from repro.utils.rng import RngLike, ensure_rng
 
-_SPLIT_TOL = 1e-7
 _CANDIDATE_POOL = 96
 
 
@@ -160,9 +164,8 @@ class AdaptiveSession(InteractiveAlgorithm):
             distance = abs(float(self._center @ normal)) / norm
             if distance >= best_distance:
                 continue
-            if self._range.split_margin(normal) <= _SPLIT_TOL:
-                continue
-            if self._range.split_margin(-normal) <= _SPLIT_TOL:
+            margins = self._range.split_margin(np.stack([normal, -normal]))
+            if not np.all(margins > SPLIT_TOL):
                 continue
             best_distance = distance
             best_pair = (i, j)

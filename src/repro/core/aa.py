@@ -45,14 +45,16 @@ from repro.errors import (
     PersistenceError,
 )
 from repro.geometry.hyperplane import PreferenceHalfspace, preference_halfspace
-from repro.geometry.range import AmbientRange, RangeConfig, UpdatePreview
+from repro.geometry.range import (
+    SPLIT_TOL,
+    AmbientRange,
+    RangeConfig,
+    UpdatePreview,
+)
 from repro.geometry.vectors import top_point_index
 from repro.rl.dqn import DQNAgent, DQNConfig
 from repro.utils import rng as rng_state
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
-
-#: Margin an LP optimum must clear to certify a non-empty intersection.
-_SPLIT_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -275,18 +277,26 @@ class AAEnvironment(InteractiveEnvironment):
             distance = abs(float(center @ normal)) / norm
             scored.append((distance, (i, j)))
         scored.sort(key=lambda item: item[0])
+        # Keep the nearest pairs whose plane cuts R on both sides.  Each
+        # chunk holds no more candidates than are still needed, so
+        # checking a whole chunk in one stacked LP call accepts exactly
+        # the pairs a one-by-one scan would; the only extra work is the
+        # negative probe of a pair whose positive side already failed.
         accepted: list[tuple[int, int]] = []
-        for _, (i, j) in scored:
-            normal = points[i] - points[j]
-            positive = self._range.split_margin(normal)
-            if positive <= _SPLIT_TOL:
-                continue
-            negative = self._range.split_margin(-normal)
-            if negative <= _SPLIT_TOL:
-                continue
-            accepted.append((i, j))
-            if len(accepted) >= config.m_h:
-                break
+        start = 0
+        while start < len(scored) and len(accepted) < config.m_h:
+            stop = start + config.m_h - len(accepted)
+            chunk = [pair for _, pair in scored[start:stop]]
+            start = stop
+            normals = np.array([points[i] - points[j] for i, j in chunk])
+            # Rows n_0, -n_0, n_1, -n_1, ...
+            probes = np.stack([normals, -normals], axis=1)
+            margins = self._range.split_margin(
+                probes.reshape(-1, points.shape[1])
+            ).reshape(-1, 2)
+            for pair, (positive, negative) in zip(chunk, margins):
+                if positive > SPLIT_TOL and negative > SPLIT_TOL:
+                    accepted.append(pair)
         return accepted
 
     def _pair_pool(self, center: np.ndarray, n: int) -> list[tuple[int, int]]:

@@ -9,7 +9,7 @@ Two families of helpers live here:
   :class:`~repro.geometry.hyperplane.PreferenceHalfspace` plus the simplex
   equality ``sum(u) = 1`` used by algorithm AA, which never materialises
   the polytope (Section IV-C): inner sphere, outer rectangle, and the
-  split-margin feasibility check for candidate questions.
+  stacked split-margin checks for candidate questions.
 
 All solves go through :func:`solve`, which normalises scipy statuses into
 the package exception hierarchy.
@@ -1144,22 +1144,44 @@ def ambient_inner_sphere(
     return result.x[:d], float(result.x[-1])
 
 
-def ambient_split_margin(
-    halfspaces: Sequence[PreferenceHalfspace], d: int, normal: np.ndarray
-) -> float:
-    """How far the utility range extends into ``{u : u . normal >= 0}``.
+def ambient_split_margins(
+    halfspaces: Sequence[PreferenceHalfspace], d: int, normals: np.ndarray
+) -> np.ndarray:
+    """How far the utility range extends into each ``{u : u . n >= 0}``.
 
-    Returns ``max {u . normal : u in R}``; a value ``> tol`` certifies that
-    the positive side of the candidate hyper-plane intersects ``R`` (the
+    ``normals`` is a ``(k, d)`` stack; entry ``i`` of the result is
+    ``max {u . normals[i] : u in R}``.  A value ``> tol`` certifies that
+    the positive side of that candidate hyper-plane intersects ``R`` (the
     LP check of Section IV-C used to guarantee strict narrowing, Lemma 8).
-    Returns ``-inf`` if ``R`` is empty.
+    Entries are ``-inf`` if ``R`` is empty.
+
+    All ``k`` probes go through one :func:`solve_many` call, so the
+    uncached ones stack into a single HiGHS solve.  Margins are
+    value-only consumers, but a stacked solve may still land on an
+    alternative optimal vertex whose ``c . x`` differs from the
+    one-at-a-time value in the last ulp; callers compare margins with a
+    tolerance far above that, so their decisions do not change.
+
+    Raises
+    ------
+    LPError
+        The first failure other than :class:`InfeasibleLP`, in row order.
     """
+    normals = np.asarray(normals, dtype=float)
     a_ub, b_ub, a_eq, b_eq = _ambient_system(halfspaces, d)
-    try:
-        return maximize(
-            np.asarray(normal, dtype=float),
-            a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
-            kind="ambient.margin",
-        ).value
-    except InfeasibleLP:
-        return float("-inf")
+    outcomes = solve_many(
+        [
+            LPSystem(c=-normal, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+            for normal in normals
+        ],
+        kind="ambient.margin",
+    )
+    margins = np.empty(len(outcomes))
+    for row, outcome in enumerate(outcomes):
+        if isinstance(outcome, InfeasibleLP):
+            margins[row] = -np.inf
+        elif isinstance(outcome, LPError):
+            raise outcome
+        else:
+            margins[row] = -outcome.value
+    return margins

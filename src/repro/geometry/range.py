@@ -565,6 +565,11 @@ class ExactRange(UtilityRange):
         )
 
 
+#: Margin an :meth:`AmbientRange.split_margin` optimum must clear to
+#: certify that a plane's side intersects the range (AA and Adaptive).
+SPLIT_TOL = 1e-7
+
+
 class AmbientRange(UtilityRange):
     """Half-space-list range summarised by LP surrogates (Section IV-C).
 
@@ -630,11 +635,16 @@ class AmbientRange(UtilityRange):
         with self._measured():
             return lp.ambient_bounds(self._halfspaces, self._dimension)
 
-    def split_margin(self, normal: np.ndarray) -> float:
-        """``max {u . normal : u in R}`` — how far ``R`` crosses the plane."""
+    def split_margin(self, normals: np.ndarray) -> np.ndarray:
+        """``max {u . n : u in R}`` for each row ``n`` of a ``(k, d)`` stack.
+
+        How far ``R`` crosses each candidate plane; one stacked LP call
+        (:func:`~repro.geometry.lp.ambient_split_margins`).  A plane cuts
+        ``R`` on its positive side when its margin is ``> SPLIT_TOL``.
+        """
         with self._measured():
-            return lp.ambient_split_margin(
-                self._halfspaces, self._dimension, normal
+            return lp.ambient_split_margins(
+                self._halfspaces, self._dimension, normals
             )
 
     def interior_point(self) -> np.ndarray:
@@ -702,12 +712,17 @@ def prefetch_updates(previews: Sequence[UpdatePreview]) -> None:
       stack into a second; results land in the active
       :class:`~repro.geometry.lp.LPCache` (required — without one the
       results would be discarded, so these previews are skipped).
-      Inner-sphere and split-margin probes are deliberately *not*
-      prefetched: their consumers read the optimiser ``x``, and a
-      stacked solve may return a different-but-equally-optimal vertex,
-      breaking bit-identity with the sequential path.  Feasibility
-      (status-only) and bounds (value-only) probes are immune: the
-      stacked optimum decomposes exactly per system.
+      Inner-sphere probes are deliberately *not* prefetched: their
+      consumers read the optimiser ``x``, and a stacked solve may
+      return a different-but-equally-optimal vertex, breaking
+      bit-identity with the sequential path.  Feasibility (status-only)
+      and bounds (value-only) probes are immune: the stacked optimum
+      decomposes exactly per system.  Split-margin probes are not
+      prefetched either, though only their values are read: their
+      systems are unknown until the session has computed its own
+      post-update inner sphere, whose centre ranks the candidate
+      planes.  Each session stacks its own margins per round instead
+      (:meth:`AmbientRange.split_margin`).
     * :class:`ExactRange` previews — the kept/cut classification and
       the edge-crossing kernel of every clip run in one NumPy pass
       (:func:`_pair_crossings`), stashed as a one-shot memo the

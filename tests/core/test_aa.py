@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import AAConfig, run_session, train_aa
 from repro.core.aa import AAEnvironment
+from repro.data import synthetic_dataset
 from repro.errors import ConfigurationError
 from repro.eval.metrics import session_regret
 from repro.users import OracleUser
@@ -54,8 +55,10 @@ class TestAAEnvironment:
         d = small_anti_3d.dimension
         for i, j in obs.pairs:
             normal = small_anti_3d.points[i] - small_anti_3d.points[j]
-            assert lp.ambient_split_margin([], d, normal) > 0
-            assert lp.ambient_split_margin([], d, -normal) > 0
+            margins = lp.ambient_split_margins(
+                [], d, np.stack([normal, -normal])
+            )
+            assert np.all(margins > 0)
 
     def test_episode_terminates(self, small_anti_3d):
         env = AAEnvironment(small_anti_3d, AAConfig(epsilon=0.15), rng=2)
@@ -146,3 +149,131 @@ class TestAATrainingAndInference:
         user = OracleUser(sample_training_utilities(8, 1, rng=9)[0])
         result = run_session(agent.new_session(rng=2), user, max_rounds=300)
         assert result.rounds > 0
+
+
+@pytest.fixture(scope="module")
+def anti_5d():
+    """A small 5-d anti-correlated skyline dataset."""
+    return synthetic_dataset("anti", 500, 5, rng=505)
+
+
+def _scalar_margin(halfspaces, d: int, normal: np.ndarray) -> float:
+    """One ``max u . normal`` LP over the ambient range; -inf if empty."""
+    from repro.geometry import lp
+
+    a_ub, b_ub, a_eq, b_eq = lp._ambient_system(halfspaces, d)
+    try:
+        return lp.maximize(
+            normal, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq
+        ).value
+    except lp.InfeasibleLP:
+        return float("-inf")
+
+
+def _reference_candidate_pairs(env: AAEnvironment, center: np.ndarray):
+    """The one-candidate-at-a-time scan with scalar margin LPs.
+
+    Returns the accepted pairs and how many scored candidates the scan
+    rejected before it stopped.
+    """
+    from repro.geometry.range import SPLIT_TOL
+
+    points = env.dataset.points
+    d = points.shape[1]
+    pool = env._pair_pool(center, points.shape[0])
+    scored = []
+    for i, j in pool:
+        normal = points[i] - points[j]
+        norm = float(np.linalg.norm(normal))
+        if norm < 1e-12:
+            continue
+        scored.append((abs(float(center @ normal)) / norm, (i, j)))
+    scored.sort(key=lambda item: item[0])
+    halfspaces = env.halfspaces
+    accepted, rejected = [], 0
+    for _, (i, j) in scored:
+        normal = points[i] - points[j]
+        if (
+            _scalar_margin(halfspaces, d, normal) <= SPLIT_TOL
+            or _scalar_margin(halfspaces, d, -normal) <= SPLIT_TOL
+        ):
+            rejected += 1
+            continue
+        accepted.append((i, j))
+        if len(accepted) >= env.config.m_h:
+            break
+    return accepted, rejected, len(scored)
+
+
+def _checked_session(env: AAEnvironment, utility: np.ndarray, max_rounds=60):
+    """Drive one oracle session, checking every round's candidate list.
+
+    Each ``_candidate_pairs`` call is replayed through the reference
+    scan from the same generator state (the pool draws random pairs).
+    Returns per-round ``(rejected, scored)`` counts of the reference.
+    """
+    from repro.utils import rng as rng_state
+
+    stacked = env._candidate_pairs
+    rounds = []
+
+    def checked(center):
+        saved = rng_state.get_state(env._rng)
+        expected, rejected, scored = _reference_candidate_pairs(env, center)
+        rng_state.set_state(env._rng, saved)
+        actual = stacked(center)
+        assert actual == expected
+        rounds.append((rejected, scored))
+        return actual
+
+    env._candidate_pairs = checked
+    points = env.dataset.points
+    obs = env.reset()
+    step = 0
+    while not obs.terminal and step < max_rounds:
+        choice = step % len(obs.pairs)
+        i, j = obs.pairs[choice]
+        obs, _ = env.step(choice, float(utility @ points[i]) >= float(
+            utility @ points[j]
+        ))
+        step += 1
+    return rounds
+
+
+class TestStackedCandidateScan:
+    """Stacked split-margin chunks accept exactly what the scalar scan did."""
+
+    @pytest.mark.parametrize(
+        "fixture, utility",
+        [
+            ("small_anti_3d", [0.2, 0.3, 0.5]),
+            ("anti_5d", [0.4, 0.1, 0.2, 0.2, 0.1]),
+            ("highd_anti_8d", [0.05, 0.2, 0.1, 0.15, 0.1, 0.05, 0.25, 0.1]),
+        ],
+    )
+    def test_same_pairs_every_round(self, request, fixture, utility):
+        dataset = request.getfixturevalue(fixture)
+        env = AAEnvironment(dataset, AAConfig(epsilon=0.02), rng=5)
+        rounds = _checked_session(env, np.array(utility))
+        assert len(rounds) > 3
+
+    def test_rejections_force_a_second_chunk(self, small_anti_3d):
+        # A tight epsilon runs the session until R is narrow enough that
+        # centre-near planes miss it: some rounds reject candidates
+        # before m_h are accepted, so the stacked scan needs more chunks.
+        env = AAEnvironment(small_anti_3d, AAConfig(epsilon=0.002), rng=6)
+        rounds = _checked_session(
+            env, np.array([0.3, 0.3, 0.4]), max_rounds=80
+        )
+        m_h = env.config.m_h
+        assert any(
+            rejected > 0 and scored > m_h for rejected, scored in rounds
+        )
+
+    def test_pool_smaller_than_m_h(self, small_anti_3d):
+        # top_k=3 and no random pairs: at most three candidates per round.
+        config = AAConfig(epsilon=0.05, top_k=3, random_pool=0)
+        env = AAEnvironment(small_anti_3d, config, rng=7)
+        rounds = _checked_session(env, np.array([0.5, 0.2, 0.3]))
+        assert rounds
+        assert all(scored < config.m_h for _, scored in rounds)

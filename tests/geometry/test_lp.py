@@ -139,13 +139,14 @@ class TestAmbientHelpers:
     def test_split_margin_signs(self):
         # Empty H: the range is the whole simplex; both directions reachable.
         w = np.array([1.0, -1.0])
-        assert lp.ambient_split_margin([], 2, w) > 0
-        assert lp.ambient_split_margin([], 2, -w) > 0
+        margins = lp.ambient_split_margins([], 2, np.stack([w, -w]))
+        assert margins.shape == (2,)
+        assert np.all(margins > 0)
 
     def test_split_margin_blocked_direction(self):
         h = preference_halfspace(np.array([1.0, 0.01]), np.array([0.01, 1.0]))
         # R now requires u . h.normal >= 0; the opposite direction's max is ~0.
-        margin = lp.ambient_split_margin([h], 2, -h.normal)
+        (margin,) = lp.ambient_split_margins([h], 2, -h.normal[None, :])
         assert margin <= 1e-9
 
     def test_bounds_empty_region_raises(self):
@@ -172,7 +173,8 @@ class TestAmbientHighDimensions:
     def test_split_margin_d20(self):
         rng = np.random.default_rng(0)
         w = rng.normal(size=20)
-        assert lp.ambient_split_margin([], 20, w) >= -1e-9
+        (margin,) = lp.ambient_split_margins([], 20, w[None, :])
+        assert margin >= -1e-9
 
     def test_constraints_accumulate_d20(self):
         rng = np.random.default_rng(1)
@@ -611,3 +613,125 @@ class TestSolveCounter:
         for worker in workers:
             worker.join()
         assert backend.solves == per_thread * threads
+
+
+def _narrowed_halfspaces(rng: np.random.Generator, d: int, answers: int):
+    """A feasible answer set: random preferences, contradictions skipped."""
+    spaces: list = []
+    for _ in range(answers):
+        a, b = rng.uniform(0.05, 1.0, size=(2, d))
+        trial = spaces + [preference_halfspace(a, b)]
+        if lp.ambient_is_feasible(trial, d):
+            spaces = trial
+    return spaces
+
+
+def _one_at_a_time_margins(spaces, d: int, normals: np.ndarray) -> np.ndarray:
+    """Per-row ``max u . n`` through separate ``solve_raw`` calls."""
+    a_ub, b_ub, a_eq, b_eq = lp._ambient_system(spaces, d)
+    backend = lp.ScipyHighsBackend()
+    margins = []
+    for normal in normals:
+        try:
+            result = backend.solve_raw(
+                -normal, a_ub, b_ub, a_eq, b_eq, lp._FREE
+            )
+        except lp.InfeasibleLP:
+            margins.append(-np.inf)
+        else:
+            margins.append(-result.value)
+    return np.array(margins)
+
+
+class _FailingBackend(lp.ScipyHighsBackend):
+    """Solves one system at a time; the listed calls raise instead."""
+
+    name = "failing-test-backend"
+
+    def __init__(self, failures: dict[int, lp.LPError]) -> None:
+        super().__init__()
+        self.failures = failures
+        self.calls = 0
+
+    def solve_raw(self, c, a_ub, b_ub, a_eq, b_eq, bounds):
+        index = self.calls
+        self.calls += 1
+        if index in self.failures:
+            raise self.failures[index]
+        return super().solve_raw(c, a_ub, b_ub, a_eq, b_eq, bounds)
+
+
+class TestAmbientSplitMargins:
+    """The stacked margin probes against one-at-a-time solves."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(2, 8),
+        k=st.integers(1, 12),
+        answers=st.integers(0, 10),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_property_matches_one_at_a_time(self, seed, d, k, answers):
+        from repro.geometry.range import SPLIT_TOL
+
+        rng = np.random.default_rng(seed)
+        spaces = _narrowed_halfspaces(rng, d, answers)
+        normals = rng.uniform(-1.0, 1.0, size=(k, d))
+        # Learned normals flipped point out of R: margin ~0, rejected.
+        for row, halfspace in zip(range(0, k, 3), spaces):
+            normals[row] = -halfspace.normal
+        stacked = lp.ambient_split_margins(spaces, d, normals)
+        reference = _one_at_a_time_margins(spaces, d, normals)
+        assert stacked.shape == (k,)
+        np.testing.assert_array_equal(
+            stacked > SPLIT_TOL, reference > SPLIT_TOL
+        )
+        np.testing.assert_allclose(stacked, reference, rtol=0, atol=1e-12)
+
+    def test_empty_range_gives_minus_inf_rows(self):
+        # u1 >= 2 u2 and u2 >= u1 leave only u = 0, off the simplex.
+        spaces = [
+            preference_halfspace(np.array([2.0, 0.0]), np.array([1.0, 2.0])),
+            preference_halfspace(np.array([0.0, 1.0]), np.array([1.0, 0.0])),
+        ]
+        assert not lp.ambient_is_feasible(spaces, 2)
+        normals = np.array([[1.0, -1.0], [-1.0, 1.0], [0.5, 0.25]])
+        margins = lp.ambient_split_margins(spaces, 2, normals)
+        assert margins.shape == (3,)
+        assert np.all(margins == -np.inf)
+
+    def test_first_failure_in_row_order_is_raised(self):
+        normals = np.random.default_rng(3).uniform(-1.0, 1.0, size=(6, 4))
+        backend = _FailingBackend(
+            {
+                1: lp.InfeasibleLP("row 1 infeasible"),
+                3: lp.LPError("row 3 failed"),
+                4: lp.UnboundedLP("row 4 unbounded"),
+            }
+        )
+        with lp.use_backend(backend):
+            with pytest.raises(lp.LPError, match="row 3 failed"):
+                lp.ambient_split_margins([], 4, normals)
+
+    def test_infeasible_row_alone_is_minus_inf(self):
+        normals = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
+        backend = _FailingBackend({1: lp.InfeasibleLP("row 1 infeasible")})
+        with lp.use_backend(backend):
+            margins = lp.ambient_split_margins([], 3, normals)
+        assert margins[0] > 0
+        assert margins[1] == -np.inf
+
+    def test_second_call_served_from_cache(self):
+        k, d = 7, 5
+        rng = np.random.default_rng(8)
+        spaces = _narrowed_halfspaces(rng, d, 6)
+        normals = rng.uniform(-1.0, 1.0, size=(k, d))
+        cache = lp.LPCache()
+        with lp.use_cache(cache):
+            first = lp.ambient_split_margins(spaces, d, normals)
+            assert (cache.hits, cache.misses) == (0, k)
+            solves = lp.active_backend().solves
+            second = lp.ambient_split_margins(spaces, d, normals)
+            assert (cache.hits, cache.misses) == (k, k)
+            assert lp.active_backend().solves == solves
+        np.testing.assert_array_equal(second, first)

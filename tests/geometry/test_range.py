@@ -288,9 +288,11 @@ class TestAmbientRange:
         e_min, e_max = urange.bounds()
         ref_min, ref_max = lp.ambient_bounds(kept, 6)
         assert np.array_equal(e_min, ref_min) and np.array_equal(e_max, ref_max)
-        normal = np.arange(6, dtype=float) - 2.5
-        assert urange.split_margin(normal) == lp.ambient_split_margin(
-            kept, 6, normal
+        normals = np.stack([np.arange(6, dtype=float) - 2.5, np.ones(6)])
+        margins = urange.split_margin(normals)
+        assert margins.shape == (2,)
+        assert np.array_equal(
+            margins, lp.ambient_split_margins(kept, 6, normals)
         )
 
     def test_interior_point_is_sphere_center(self):

@@ -167,8 +167,10 @@ class TestLemma8:
         d = small_anti_4d.dimension
         for i, j in obs.pairs:
             normal = small_anti_4d.points[i] - small_anti_4d.points[j]
-            assert lp.ambient_split_margin([], d, normal) > 0
-            assert lp.ambient_split_margin([], d, -normal) > 0
+            margins = lp.ambient_split_margins(
+                [], d, np.stack([normal, -normal])
+            )
+            assert np.all(margins > 0)
 
 
 class TestLemma9:
