@@ -6,6 +6,8 @@ are caught independently of end-to-end session times:
 
 * polytope vertex enumeration (EA, UH-*: once per round),
 * Chebyshev centre LP (every polytope operation),
+* one raw LP solve through ``linprog`` vs the direct HiGHS call
+  ``repro.geometry.lp`` makes (the per-call wrapper overhead),
 * hit-and-run sampling (EA's anchor discovery),
 * minimum enclosing sphere (EA's state encoding),
 * ambient inner sphere + bounds (AA: once per round),
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import _common as C
 from repro.data.skyline import skyline_indices
@@ -71,6 +74,38 @@ def test_micro_chebyshev_center(mid_session_polytope, benchmark):
 
     center, radius = benchmark(chebyshev)
     assert radius >= 0
+
+
+@pytest.fixture(scope="module")
+def chebyshev_system(mid_session_polytope):
+    """The mid-session polytope's Chebyshev LP, as ``chebyshev_center``
+    builds it: ``max r`` over ``(x, r)`` with ``A x + ||A_i|| r <= b``."""
+    a, b = mid_session_polytope.constraints
+    a_ext = np.hstack([a, np.linalg.norm(a, axis=1)[:, None]])
+    c = np.zeros(a.shape[1] + 1)
+    c[-1] = -1.0
+    bounds = [lp._FREE] * a.shape[1] + [(0.0, None)]
+    return c, a_ext, b, bounds
+
+
+def test_micro_lp_solve_raw_linprog(chebyshev_system, benchmark):
+    """One raw Chebyshev solve through ``scipy.optimize.linprog``."""
+    c, a_ext, b, bounds = chebyshev_system
+    result = benchmark(
+        lambda: linprog(c, A_ub=a_ext, b_ub=b, bounds=bounds, method="highs")
+    )
+    assert result.status == 0
+
+
+def test_micro_lp_solve_raw_direct(chebyshev_system, benchmark):
+    """The same solve through the direct HiGHS call; byte-equal ``x``."""
+    c, a_ext, b, bounds = chebyshev_system
+    backend = lp.ScipyHighsBackend()
+    result = benchmark(
+        lambda: backend.solve_raw(c, a_ext, b, None, None, bounds)
+    )
+    reference = linprog(c, A_ub=a_ext, b_ub=b, bounds=bounds, method="highs")
+    assert result.x.tobytes() == reference.x.tobytes()
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -249,7 +284,7 @@ def aa_round_margins():
 
 
 def test_micro_split_margin_sequential(aa_round_margins, benchmark):
-    """Ten margins, one ``linprog`` call each (the pre-stacking path)."""
+    """Ten margins, one raw HiGHS solve each (the pre-stacking path)."""
     spaces, d, normals = aa_round_margins
     a_ub, b_ub, a_eq, b_eq = lp._ambient_system(spaces, d)
     backend = lp.ScipyHighsBackend()

@@ -18,7 +18,8 @@ Public surface:
 * :mod:`~repro.geometry.range` — the incremental :class:`UtilityRange`
   abstraction (:class:`ExactRange` / :class:`AmbientRange`) every
   algorithm maintains its learned information behind.
-* :mod:`~repro.geometry.lp` — typed wrappers over ``scipy.optimize.linprog``
+* :mod:`~repro.geometry.lp` — typed wrappers over scipy's bundled HiGHS
+  (the model and options of ``linprog(method="highs")``, called directly)
   plus the pluggable :class:`LPBackend` seam.
 """
 

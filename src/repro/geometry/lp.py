@@ -1,4 +1,4 @@
-"""Typed linear-programming helpers over ``scipy.optimize.linprog`` (HiGHS).
+"""Typed linear-programming helpers over scipy's bundled HiGHS solver.
 
 Two families of helpers live here:
 
@@ -11,8 +11,17 @@ Two families of helpers live here:
   the polytope (Section IV-C): inner sphere, outer rectangle, and the
   stacked split-margin checks for candidate questions.
 
-All solves go through :func:`solve`, which normalises scipy statuses into
+All solves go through :func:`solve`, which normalises HiGHS statuses into
 the package exception hierarchy.
+
+The solver call: :func:`_highs_solve` hands HiGHS
+(``scipy.optimize._highspy._core``) the same model, with the same
+options, that ``scipy.optimize.linprog(method="highs")`` builds, on a
+fresh solver instance, and keeps ``linprog``'s status mapping and
+post-solve feasibility check.  Solutions are byte-equal to ``linprog``'s
+(``tests/geometry/test_lp.py`` compares them), without ``linprog``'s
+per-call Python overhead: one raw solve of a mid-session Chebyshev LP
+costs about 0.85 ms instead of 2.3-2.8 ms on a 2-vCPU host.
 
 Memoisation: identical constraint systems recur heavily when many
 interactive sessions run over one dataset (every fresh session starts
@@ -26,7 +35,7 @@ decisions — it only skips redundant solver work.
 
 Backends: the actual solver behind :func:`solve` is an injectable
 :class:`LPBackend`.  The default is :class:`ScipyHighsBackend`
-(``scipy.optimize.linprog`` with ``method="highs"``); :func:`use_backend`
+(:func:`_highs_solve`); :func:`use_backend`
 installs an alternative for a ``with`` block, and range objects in
 :mod:`repro.geometry.range` accept a per-instance backend.  The seam
 composes with :class:`LPCache`: the cache sits *in front* of the backend
@@ -46,9 +55,9 @@ call.  Cache hits are peeled off individually first; the remaining
 misses are stacked into block-diagonal HiGHS calls when the active
 backend supports it (:class:`BatchLPBackend`, the default) and stored
 back individually, so later per-system :func:`solve` calls replay them
-as ordinary hits.  Stacking amortises the substantial per-``linprog``
-Python/scipy overhead that dominates these tiny systems (each one is a
-handful of rows); see ``benchmarks/bench_micro_geometry.py``.
+as ordinary hits.  Stacking amortises the per-solve model set-up that
+rivals the simplex work on these tiny systems (each one is a handful of
+rows); see ``benchmarks/bench_micro_geometry.py``.
 """
 
 from __future__ import annotations
@@ -61,10 +70,10 @@ from collections.abc import Iterator, Sequence
 from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
 
 from repro.errors import EmptyRegionError, LPError
 from repro.geometry.hyperplane import PreferenceHalfspace
@@ -136,6 +145,20 @@ def expand_bounds(
     ]
 
 
+def _bounds_array(
+    bounds: Sequence[tuple[float | None, float | None]] | tuple | None,
+    n: int,
+) -> np.ndarray:
+    """:func:`expand_bounds` as a ``(pairs, 2)`` float64 array, ``±inf``
+    standing in for ``None``."""
+    pairs = expand_bounds(bounds, n)
+    array = np.empty((len(pairs), 2), dtype=np.float64)
+    for row, (lo, hi) in enumerate(pairs):
+        array[row, 0] = -np.inf if lo is None else lo
+        array[row, 1] = np.inf if hi is None else hi
+    return array
+
+
 def _bounds_bytes(
     bounds: Sequence[tuple[float | None, float | None]] | tuple | None,
     n: int,
@@ -147,11 +170,7 @@ def _bounds_bytes(
     scalar pair and its expanded per-variable form, ``np.float64`` and
     Python floats, and list vs tuple containers all key identically.
     """
-    pairs = expand_bounds(bounds, n)
-    array = np.empty((len(pairs), 2), dtype=np.float64)
-    for row, (lo, hi) in enumerate(pairs):
-        array[row, 0] = -np.inf if lo is None else lo
-        array[row, 1] = np.inf if hi is None else hi
+    array = _bounds_array(bounds, n)
     return repr(array.shape).encode() + array.tobytes()
 
 
@@ -396,8 +415,235 @@ class LPBackend(abc.ABC):
         """Solve ``min c . x`` over the system; raise ``LPError`` kinds."""
 
 
+def _default_highs_options() -> Any:
+    """The HiGHS options ``linprog(method="highs")`` sets by default.
+
+    Exactly the non-``None`` entries of the option dict scipy's HiGHS
+    wrapper builds: presolve on, the dual simplex strategy, no output,
+    no debug checks.  Every other option keeps its HiGHS default there
+    as here.
+    """
+    options = _highs.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = (
+        _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    )
+    options.output_flag = False
+    options.log_to_console = False
+    options.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    return options
+
+
+#: Built once at import and only read afterwards: ``passOptions`` copies
+#: it into each solver instance, so engine worker threads and forked
+#: workers can share it.
+_HIGHS_OPTIONS = _default_highs_options()
+
+#: ``linprog``'s post-solve feasibility tolerance, ``sqrt(tol) * 10`` at
+#: its default ``tol = 1e-9``.
+_CHECK_TOL = float(np.sqrt(1e-9) * 10)
+
+
+def _highs_inf(values: np.ndarray) -> np.ndarray:
+    """``values`` with ``±inf`` replaced by ``±kHighsInf``."""
+    return np.where(
+        np.isinf(values), np.copysign(_highs.kHighsInf, values), values
+    )
+
+
+class _Block(NamedTuple):
+    """One system's constraints, ready to stack.
+
+    The matrix ``[A_ub; A_eq]`` is in CSC form: ``counts`` nonzeros per
+    column, then each nonzero's local row and value, column by column
+    with rows ascending and zeros dropped (what ``csc_array`` stores).
+    """
+
+    b_ub: np.ndarray
+    b_eq: np.ndarray
+    #: ``(n, 2)``, ``±inf`` for missing sides.
+    bounds: np.ndarray
+    counts: np.ndarray
+    rows: np.ndarray
+    values: np.ndarray
+
+
+def _csc_block(system: LPSystem, n: int) -> _Block:
+    """``system``'s constraints as a :class:`_Block`.
+
+    Absent constraint families have no rows.  Shapes are checked the way
+    ``linprog`` checks them, with the same exception type.
+    """
+    matrices: list[np.ndarray] = []
+    rhs: list[np.ndarray] = []
+    for a, b, family in (
+        (system.a_ub, system.b_ub, "ub"), (system.a_eq, system.b_eq, "eq"),
+    ):
+        if a is None:
+            matrices.append(np.zeros((0, n)))
+            rhs.append(np.zeros(0))
+            continue
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float).ravel()
+        if a.ndim != 2 or a.shape != (b.size, n):
+            raise ValueError(
+                f"A_{family} must be {b.size} x {n}, got shape {a.shape}"
+            )
+        matrices.append(a)
+        rhs.append(b)
+    bounds = _bounds_array(system.bounds, n)
+    if bounds.shape != (n, 2):
+        raise ValueError(f"bounds must give {n} (lo, hi) pairs")
+    # Transposed, so boolean indexing walks column by column with row
+    # indices ascending: the CSC order.
+    columns = np.vstack(matrices).T
+    nonzero = columns != 0
+    return _Block(
+        rhs[0], rhs[1], bounds, nonzero.sum(axis=1),
+        np.nonzero(nonzero)[1], columns[nonzero],
+    )
+
+
+def _highs_solve(systems: Sequence[LPSystem]) -> np.ndarray:
+    """Solve the block-diagonal stack of ``systems`` in one HiGHS run.
+
+    HiGHS gets the model and options ``linprog(method="highs")`` builds
+    for the same input, so the returned ``x`` is byte-equal to
+    ``linprog``'s (the tests compare the two directly):
+
+    * rows ``[A_ub; A_eq]`` with ``lhs = [-inf; b_eq]`` and
+      ``rhs = [b_ub; b_eq]``; for a stack, every system's ``A_ub`` rows
+      come first, then every ``A_eq`` row, as ``linprog`` over
+      ``scipy.sparse.block_diag`` of each family orders them;
+    * the matrix in CSC form with zeros dropped and row indices
+      ascending within each column, as ``csc_array`` stores it;
+    * column bounds from :func:`expand_bounds`, ``±inf`` mapped to
+      ``±kHighsInf``;
+    * :data:`_HIGHS_OPTIONS`, on a fresh solver instance per call, so
+      no basis or solution state carries from one solve to the next.
+
+    Statuses map as ``linprog`` maps them, and an optimal solution
+    passes ``linprog``'s post-check before it is returned: no NaNs, ``x``
+    within its bounds and every row within ``_CHECK_TOL``.
+
+    Raises
+    ------
+    InfeasibleLP
+        HiGHS proved the stack infeasible or rejected the model.
+    UnboundedLP
+        HiGHS proved the stack unbounded.
+    LPError
+        Any other HiGHS status, or an optimum that fails the post-check.
+    ValueError
+        Malformed or non-finite input.
+    """
+    costs: list[np.ndarray] = []
+    blocks: list[_Block] = []
+    converted: dict[tuple[int, ...], _Block] = {}
+    for system in systems:
+        c = np.asarray(system.c, dtype=float).ravel()
+        # Probe stacks over one range share their constraint arrays, so
+        # each distinct set is converted once.  Every system outlives
+        # the call, so no id is reused while the dict exists.
+        key = (
+            c.size, id(system.a_ub), id(system.b_ub), id(system.a_eq),
+            id(system.b_eq), id(system.bounds),
+        )
+        block = converted.get(key)
+        if block is None:
+            block = converted[key] = _csc_block(system, c.size)
+        costs.append(c)
+        blocks.append(block)
+    n_ub = sum(block.b_ub.size for block in blocks)
+    ub_row, eq_row = 0, n_ub
+    index: list[np.ndarray] = []
+    for block in blocks:
+        m_ub = block.b_ub.size
+        index.append(
+            block.rows + np.where(block.rows < m_ub, ub_row, eq_row - m_ub)
+        )
+        ub_row += m_ub
+        eq_row += block.b_eq.size
+    c = np.concatenate(costs)
+    b_eq = np.concatenate([block.b_eq for block in blocks])
+    rhs = np.concatenate([block.b_ub for block in blocks] + [b_eq])
+    bounds = np.concatenate([block.bounds for block in blocks])
+    start = np.zeros(c.size + 1, dtype=np.int32)
+    counts = np.concatenate([block.counts for block in blocks])
+    np.cumsum(counts, out=start[1:])
+    values = np.concatenate([block.values for block in blocks])
+    # The stored nonzeros carry every non-finite entry of the matrices.
+    if not (
+        np.isfinite(c).all()
+        and np.isfinite(rhs).all()
+        and np.isfinite(values).all()
+    ):
+        raise ValueError("LP data must not contain inf or nan")
+
+    model = _highs.HighsLp()
+    model.num_col_ = c.size
+    model.num_row_ = rhs.size
+    model.a_matrix_.num_col_ = c.size
+    model.a_matrix_.num_row_ = rhs.size
+    model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    model.col_cost_ = c
+    model.col_lower_ = _highs_inf(bounds[:, 0])
+    model.col_upper_ = _highs_inf(bounds[:, 1])
+    model.row_lower_ = _highs_inf(
+        np.concatenate((np.full(n_ub, -np.inf), b_eq))
+    )
+    model.row_upper_ = rhs
+    model.a_matrix_.start_ = start
+    model.a_matrix_.index_ = np.concatenate(index).astype(np.int32)
+    model.a_matrix_.value_ = values
+
+    highs = _highs._Highs()
+    highs.passOptions(_HIGHS_OPTIONS)
+    if highs.passModel(model) == _highs.HighsStatus.kError:
+        status = _highs.HighsModelStatus.kModelError
+    else:
+        highs.run()
+        status = highs.getModelStatus()
+    if status != _highs.HighsModelStatus.kOptimal:
+        if status in (
+            _highs.HighsModelStatus.kInfeasible,
+            _highs.HighsModelStatus.kModelError,
+        ):
+            raise InfeasibleLP("LP constraint set is empty")
+        if status == _highs.HighsModelStatus.kUnbounded:
+            raise UnboundedLP("LP objective is unbounded")
+        name = highs.modelStatusToString(status)
+        raise LPError(f"LP solve failed: HiGHS status {name}")
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    slack = rhs - np.array(solution.row_value)
+    tol = _CHECK_TOL
+    if (
+        np.isnan(x).any()
+        or np.isnan(highs.getObjectiveValue())
+        or np.isnan(slack).any()
+        or (x < bounds[:, 0] - tol).any()
+        or (x > bounds[:, 1] + tol).any()
+        or (slack[:n_ub] < -tol).any()
+        or (np.abs(slack[n_ub:]) > tol).any()
+    ):
+        raise LPError(
+            f"LP solution violates its constraints beyond {tol:.2e}"
+        )
+    return x
+
+
 class ScipyHighsBackend(LPBackend):
-    """The default backend: ``scipy.optimize.linprog`` with HiGHS."""
+    """The default backend: scipy's bundled HiGHS, called directly.
+
+    :func:`_highs_solve` passes HiGHS the same model, with the same
+    options and post-checks, that ``scipy.optimize.linprog(method=
+    "highs")`` would, so its solutions are byte-equal to ``linprog``'s
+    and cache entries stay interchangeable with ones ``linprog``
+    produced; the ``name`` is unchanged for that reason.  Skipping
+    ``linprog``'s Python wrapper cuts one raw Chebyshev solve from
+    2.3-2.8 ms to about 0.85 ms (``benchmarks/bench_micro_geometry.py``).
+    """
 
     name = "scipy-highs"
 
@@ -410,70 +656,31 @@ class ScipyHighsBackend(LPBackend):
         b_eq: np.ndarray | None,
         bounds: Sequence[tuple[float | None, float | None]] | tuple | None,
     ) -> LPResult:
-        """One raw ``linprog`` call with statuses normalised to exceptions."""
-        result = linprog(
-            c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-            method="highs",
-        )
-        if result.status == 2:
-            raise InfeasibleLP("LP constraint set is empty")
-        if result.status == 3:
-            raise UnboundedLP("LP objective is unbounded")
-        if not result.success:
-            raise LPError(f"LP solve failed: {result.message}")
-        x = np.asarray(result.x, dtype=float)
-        # The objective is recomputed as c.x rather than read from
-        # result.fun: HiGHS's reported objective can differ from c.x in
-        # the last ulp, and solve_many() can only recover per-system
-        # values from the stacked solution as c_i.x_i.  Computing both
-        # paths' values with the same expression keeps batched and
-        # sequential solves bit-identical whenever their optima agree.
-        return LPResult(
-            x=x, value=float(np.dot(np.asarray(c, dtype=float), x))
-        )
-
-
-def _stacked_block(
-    blocks: Sequence[np.ndarray | None],
-    rhs: Sequence[np.ndarray | None],
-    sizes: Sequence[int],
-) -> tuple[object, np.ndarray] | tuple[None, None]:
-    """Block-diagonal constraint matrix + concatenated right-hand side.
-
-    Systems without this constraint family contribute a zero-row block,
-    keeping the column offsets aligned with the stacked variable vector.
-    Returns ``(None, None)`` when no system has any rows.
-    """
-    mats: list[np.ndarray] = []
-    vecs: list[np.ndarray] = []
-    rows = 0
-    for a, b, n in zip(blocks, rhs, sizes):
-        if a is None:
-            mats.append(np.zeros((0, n)))
-            vecs.append(np.zeros(0))
-        else:
-            block = np.asarray(a, dtype=float)
-            mats.append(block)
-            vecs.append(np.atleast_1d(np.asarray(b, dtype=float)))
-            rows += block.shape[0]
-    if rows == 0:
-        return None, None
-    return sparse.block_diag(mats, format="csc"), np.concatenate(vecs)
+        """One raw HiGHS solve with statuses normalised to exceptions."""
+        c = np.asarray(c, dtype=float)
+        x = _highs_solve([LPSystem(c, a_ub, b_ub, a_eq, b_eq, bounds)])
+        # The objective is recomputed as c.x rather than read from HiGHS:
+        # its reported objective can differ from c.x in the last ulp, and
+        # solve_many() can only recover per-system values from the
+        # stacked solution as c_i.x_i.  Computing both paths' values with
+        # the same expression keeps batched and sequential solves
+        # bit-identical whenever their optima agree.
+        return LPResult(x=x, value=float(np.dot(c, x)))
 
 
 class BatchLPBackend(ScipyHighsBackend):
     """HiGHS backend that can additionally solve many systems in one call.
 
     :meth:`solve_many_raw` stacks up to ``max_batch`` systems into one
-    block-diagonal ``linprog`` call: the systems share no variables, so
+    block-diagonal HiGHS solve: the systems share no variables, so
     the stacked optimum decomposes exactly into per-system optima.
     Per-system solutions are sliced back out and per-system objectives
     recovered as ``c_i . x_i`` — the same expression
     :meth:`ScipyHighsBackend.solve_raw` uses, so a batched solve of a
     system and a sequential solve of the same system produce the same
     value whenever their optima agree.  The win is amortisation: each
-    of these systems is a handful of rows, and the per-call
-    Python/scipy overhead dominates the actual simplex work.
+    of these systems is a handful of rows, and the per-solve model
+    set-up rivals the actual simplex work.
 
     A single failing member poisons the whole stack (HiGHS reports one
     status for the stacked problem, with no per-block attribution), so
@@ -525,29 +732,10 @@ class BatchLPBackend(ScipyHighsBackend):
                 ]
             except LPError as error:
                 return [error]
-        sizes = [system.size for system in systems]
-        c = np.concatenate(
-            [np.asarray(system.c, dtype=float) for system in systems]
-        )
-        a_ub, b_ub = _stacked_block(
-            [system.a_ub for system in systems],
-            [system.b_ub for system in systems],
-            sizes,
-        )
-        a_eq, b_eq = _stacked_block(
-            [system.a_eq for system in systems],
-            [system.b_eq for system in systems],
-            sizes,
-        )
-        bounds: list[tuple[float | None, float | None]] = []
-        for system, n in zip(systems, sizes):
-            bounds.extend(expand_bounds(system.bounds, n))
         self.count_solves()
-        result = linprog(
-            c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-            method="highs",
-        )
-        if result.status != 0 or not result.success:
+        try:
+            x = _highs_solve(systems)
+        except LPError:
             # At least one member is infeasible or unbounded (or HiGHS
             # hit a limit); bisect to isolate which.
             mid = len(systems) // 2
@@ -555,10 +743,10 @@ class BatchLPBackend(ScipyHighsBackend):
                 self._solve_stack(systems[:mid])
                 + self._solve_stack(systems[mid:])
             )
-        x = np.asarray(result.x, dtype=float)
         outcomes: list[LPResult | LPError] = []
         offset = 0
-        for system, n in zip(systems, sizes):
+        for system in systems:
+            n = system.size
             xi = x[offset:offset + n].copy()
             ci = np.asarray(system.c, dtype=float)
             outcomes.append(LPResult(x=xi, value=float(np.dot(ci, xi))))
@@ -567,8 +755,8 @@ class BatchLPBackend(ScipyHighsBackend):
 
 
 #: Per-pool-process batching backend, built lazily on first chunk.  One
-#: instance per solver process, reused across chunks so HiGHS model
-#: setup state stays warm.
+#: instance per solver process, reused across chunks (every solve still
+#: gets a fresh HiGHS instance).
 _POOL_WORKER_BACKEND: BatchLPBackend | None = None
 
 
@@ -938,10 +1126,10 @@ def solve_many(
 def chebyshev_center(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Centre and radius of the largest ball inscribed in ``{A x <= b}``.
 
-    Solves ``max r  s.t.  A x + ||A_i|| r <= b`` — the classic Chebyshev
-    centre LP.  The radius is negative-infeasible handling: if the polytope
-    is empty the LP itself is infeasible and :class:`InfeasibleLP` is
-    raised; a radius of (near) zero means the polytope is flat.
+    Solves ``max r  s.t.  A x + ||A_i|| r <= b`` with ``r >= 0`` — the
+    classic Chebyshev centre LP.  If the polytope is empty the LP itself
+    is infeasible and :class:`InfeasibleLP` is raised; a radius of (near)
+    zero means the polytope is flat.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
+from scipy.optimize import linprog
 
 from repro.errors import EmptyRegionError
 from repro.geometry import lp, simplex
@@ -735,3 +739,248 @@ class TestAmbientSplitMargins:
             assert (cache.hits, cache.misses) == (k, k)
             assert lp.active_backend().solves == solves
         np.testing.assert_array_equal(second, first)
+
+
+# ---------------------------------------------------------------------------
+# The direct HiGHS call against scipy.optimize.linprog
+# ---------------------------------------------------------------------------
+
+_BOUND_KINDS = ("none", "free", "nonnegative", "boxes", "scalar-pair")
+
+
+def _random_system(
+    seed: int, n: int, m: int, equality: bool, bound_kind: str,
+    feasible: bool,
+) -> lp.LPSystem:
+    """A dense LP with ~20% zero entries.
+
+    ``feasible`` places a simplex point inside every row, which every
+    bound kind admits; otherwise the right-hand sides are random and the
+    system is often infeasible or, with free variables, unbounded.
+    """
+    rng = np.random.default_rng(seed)
+    a_ub = rng.normal(size=(m, n))
+    a_ub[rng.random((m, n)) < 0.2] = 0.0
+    point = rng.dirichlet(np.ones(n))
+    if feasible:
+        b_ub = a_ub @ point + rng.uniform(0.0, 1.0, size=m)
+    else:
+        b_ub = rng.normal(size=m) + rng.uniform(0.0, 2.0)
+    bounds = {
+        "none": None,
+        "free": [(None, None)] * n,
+        "nonnegative": [(0.0, None)] * n,
+        "boxes": [(lo, lo + 2.0) for lo in rng.uniform(-1.0, 0.0, size=n)],
+        "scalar-pair": (-1.0, 1.0),
+    }[bound_kind]
+    return lp.LPSystem(
+        c=rng.normal(size=n),
+        a_ub=a_ub if m else None,
+        b_ub=b_ub if m else None,
+        a_eq=np.ones((1, n)) if equality else None,
+        b_eq=np.ones(1) if equality else None,
+        bounds=bounds,
+    )
+
+
+def _outcome_from_linprog(result) -> np.ndarray | type[lp.LPError]:
+    """``linprog``'s result in :func:`lp.solve`'s terms."""
+    if result.status == 2:
+        return lp.InfeasibleLP
+    if result.status == 3:
+        return lp.UnboundedLP
+    if not result.success:
+        return lp.LPError
+    return np.asarray(result.x, dtype=float)
+
+
+def _linprog_single(system: lp.LPSystem):
+    return _outcome_from_linprog(linprog(
+        system.c, A_ub=system.a_ub, b_ub=system.b_ub, A_eq=system.a_eq,
+        b_eq=system.b_eq, bounds=system.bounds, method="highs",
+    ))
+
+
+def _linprog_stack(systems: list[lp.LPSystem]) -> list:
+    """Per-system outcomes of ``linprog`` over ``block_diag`` stacks.
+
+    Bisects a failed stack down to singletons, as
+    :class:`lp.BatchLPBackend` does, so each member's reference is the
+    ``linprog`` solve of the stack it ends up in.
+    """
+    if len(systems) == 1:
+        return [_linprog_single(systems[0])]
+    families = []
+    for a_name, b_name in (("a_ub", "b_ub"), ("a_eq", "b_eq")):
+        if all(getattr(system, a_name) is None for system in systems):
+            families += [None, None]
+            continue
+        families.append(sparse.block_diag([
+            np.zeros((0, system.size)) if getattr(system, a_name) is None
+            else getattr(system, a_name)
+            for system in systems
+        ], format="csc"))
+        families.append(np.concatenate([
+            np.zeros(0) if getattr(system, b_name) is None
+            else getattr(system, b_name)
+            for system in systems
+        ]))
+    bounds = []
+    for system in systems:
+        bounds += lp.expand_bounds(system.bounds, system.size)
+    outcome = _outcome_from_linprog(linprog(
+        np.concatenate([system.c for system in systems]),
+        A_ub=families[0], b_ub=families[1],
+        A_eq=families[2], b_eq=families[3],
+        bounds=bounds, method="highs",
+    ))
+    if not isinstance(outcome, np.ndarray):
+        mid = len(systems) // 2
+        return _linprog_stack(systems[:mid]) + _linprog_stack(systems[mid:])
+    offsets = np.cumsum([0] + [system.size for system in systems])
+    return [outcome[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+
+def _assert_same_outcome(got, expected) -> None:
+    """Same exception class, or byte-equal ``x``."""
+    if isinstance(expected, np.ndarray):
+        assert isinstance(got, lp.LPResult), got
+        assert got.x.tobytes() == expected.tobytes()
+    else:
+        assert type(got) is expected
+
+
+def _direct_single(system: lp.LPSystem):
+    try:
+        return lp.ScipyHighsBackend().solve_raw(
+            system.c, system.a_ub, system.b_ub,
+            system.a_eq, system.b_eq, system.bounds,
+        )
+    except lp.LPError as error:
+        return error
+
+
+class TestHighsMatchesLinprog:
+    """``_highs_solve`` is ``linprog(method="highs")`` without the wrapper."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 10),
+        m=st.integers(0, 35),
+        equality=st.booleans(),
+        bound_kind=st.sampled_from(_BOUND_KINDS),
+        feasible=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_dense_systems_byte_equal(
+        self, seed, n, m, equality, bound_kind, feasible
+    ):
+        system = _random_system(seed, n, m, equality, bound_kind, feasible)
+        _assert_same_outcome(_direct_single(system), _linprog_single(system))
+
+    @pytest.mark.parametrize(
+        "system",
+        [_infeasible_system(), _infeasible_system(4), _unbounded_system()],
+        ids=["infeasible-2", "infeasible-4", "unbounded"],
+    )
+    def test_failures_match(self, system):
+        expected = _linprog_single(system)
+        assert expected in (lp.InfeasibleLP, lp.UnboundedLP)
+        _assert_same_outcome(_direct_single(system), expected)
+
+    def test_value_is_c_dot_x(self):
+        system = _random_system(3, 6, 12, True, "boxes", True)
+        result = _direct_single(system)
+        assert result.value == float(np.dot(system.c, result.x))
+
+    @given(
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=39),
+        equality=st.booleans(),
+        bound_kind=st.sampled_from(_BOUND_KINDS),
+        shared=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_stacks_byte_equal(self, seeds, equality, bound_kind, shared):
+        systems = [
+            _random_system(seed, 9, 30, equality, bound_kind, True)
+            for seed in seeds
+        ]
+        if shared:
+            # Probe stacks over one range share its constraint arrays.
+            systems = [
+                dataclasses.replace(systems[0], c=system.c)
+                for system in systems
+            ]
+        outcomes = lp.BatchLPBackend().solve_many_raw(systems)
+        for got, expected in zip(outcomes, _linprog_stack(systems)):
+            _assert_same_outcome(got, expected)
+
+    def test_stack_with_infeasible_member_bisects(self):
+        systems = [
+            _random_system(seed, 9, 30, seed % 2 == 0, "nonnegative", True)
+            for seed in range(7)
+        ]
+        infeasible = _random_system(99, 9, 30, True, "nonnegative", False)
+        systems.insert(4, infeasible)
+        expected = _linprog_stack(systems)
+        assert expected[4] is lp.InfeasibleLP
+        backend = lp.BatchLPBackend()
+        outcomes = backend.solve_many_raw(systems)
+        assert backend.solves > 1
+        for got, want in zip(outcomes, expected):
+            _assert_same_outcome(got, want)
+
+    def test_post_check_rejects_violated_rows(self, monkeypatch):
+        real_highs = lp._highs._Highs
+
+        class ViolatingHighs:
+            """A real solver that reports every row 1.0 above its value."""
+
+            def __init__(self) -> None:
+                self._inner = real_highs()
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+            def getSolution(self):
+                solution = self._inner.getSolution()
+                solution.row_value = [v + 1.0 for v in solution.row_value]
+                return solution
+
+        a, b = square_constraints()
+        monkeypatch.setattr(lp._highs, "_Highs", ViolatingHighs)
+        with pytest.raises(lp.LPError) as caught:
+            lp.solve(np.array([1.0, 1.0]), a_ub=a, b_ub=b)
+        assert type(caught.value) is lp.LPError
+        assert "violates" in str(caught.value)
+
+    def test_undecided_status_is_plain_lp_error(self, monkeypatch):
+        real_highs = lp._highs._Highs
+        undecided = lp._highs.HighsModelStatus.kUnboundedOrInfeasible
+
+        class UndecidedHighs:
+            """A real solver that reports infeasible-or-unbounded."""
+
+            def __init__(self) -> None:
+                self._inner = real_highs()
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+            def getModelStatus(self):
+                return undecided
+
+        a, b = square_constraints()
+        monkeypatch.setattr(lp._highs, "_Highs", UndecidedHighs)
+        with pytest.raises(lp.LPError) as caught:
+            lp.solve(np.array([1.0, 1.0]), a_ub=a, b_ub=b)
+        assert type(caught.value) is lp.LPError
+        assert "infeasible or unbounded" in str(caught.value)
+
+    def test_no_state_crosses_solves(self):
+        first = _random_system(5, 8, 20, True, "free", True)
+        second = _random_system(6, 8, 20, False, "boxes", True)
+        a_then_b = [_direct_single(first), _direct_single(second)]
+        b_then_a = [_direct_single(second), _direct_single(first)]
+        assert a_then_b[0].x.tobytes() == b_then_a[1].x.tobytes()
+        assert a_then_b[1].x.tobytes() == b_then_a[0].x.tobytes()
