@@ -539,21 +539,10 @@ def _highs_solve(systems: Sequence[LPSystem]) -> np.ndarray:
     """
     costs: list[np.ndarray] = []
     blocks: list[_Block] = []
-    converted: dict[tuple[int, ...], _Block] = {}
     for system in systems:
         c = np.asarray(system.c, dtype=float).ravel()
-        # Probe stacks over one range share their constraint arrays, so
-        # each distinct set is converted once.  Every system outlives
-        # the call, so no id is reused while the dict exists.
-        key = (
-            c.size, id(system.a_ub), id(system.b_ub), id(system.a_eq),
-            id(system.b_eq), id(system.bounds),
-        )
-        block = converted.get(key)
-        if block is None:
-            block = converted[key] = _csc_block(system, c.size)
         costs.append(c)
-        blocks.append(block)
+        blocks.append(_csc_block(system, c.size))
     n_ub = sum(block.b_ub.size for block in blocks)
     ub_row, eq_row = 0, n_ub
     index: list[np.ndarray] = []
