@@ -61,6 +61,7 @@ def _wait_healthy(host: str, port: int, deadline: float) -> None:
 def main() -> int:
     sys.path.insert(0, str(REPO / "src"))
     from repro.data import synthetic_dataset
+    from repro.persist.snapshot import SNAPSHOT_SUFFIX
     from repro.server import run_http_bench
 
     port = _free_port()
@@ -97,7 +98,7 @@ def main() -> int:
                 print(line)
             for error in report.errors:
                 print(f"  error: {error}", file=sys.stderr)
-            checkpoints = len(list(Path(store).glob("*.npz")))
+            checkpoints = len(list(Path(store).glob(f"*{SNAPSHOT_SUFFIX}")))
             print(f"  checkpoints on disk: {checkpoints}")
             if report.failed or report.completed != SESSIONS:
                 print("server smoke FAILED", file=sys.stderr)

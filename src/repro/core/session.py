@@ -329,8 +329,8 @@ class InteractiveAlgorithm(abc.ABC):
         """The session's full mutable state as a nested dict.
 
         Leaves are numpy arrays and JSON-able scalars only, so the dict
-        serialises through :mod:`repro.persist`'s npz format without
-        pickling.  The protocol fields (round counter, stopping flag,
+        serialises through :mod:`repro.persist`'s snapshot format
+        without pickling.  The protocol fields (round counter, stopping flag,
         pending question) live in the base dict; everything
         family-specific — utility range, RNG stream, candidate
         book-keeping — comes from the :meth:`_extra_state` hook.

@@ -10,10 +10,15 @@ storable object:
   vertices and half-spaces, RNG stream, transcript, round counter, and
   an opaque agent reference for the RL families.
 * :func:`save_snapshot` / :func:`load_snapshot` /
-  :func:`snapshot_to_bytes` / :func:`snapshot_from_bytes` — a compact
-  versioned npz codec (schema header in a JSON ``meta`` entry, arrays
-  alongside), following the :mod:`repro.rl.serialization` pattern:
-  ``allow_pickle=False`` end to end, format-version gated.
+  :func:`snapshot_to_bytes` / :func:`snapshot_from_bytes` — a
+  single-buffer codec (format version 2): a magic, a CRC32 of the
+  body, a UTF-8 JSON header with the session fields, the transcript
+  and one ``[dtype, shape, offset]`` descriptor per array, then every
+  array's raw C-order bytes in one buffer.  Decoding checks the magic,
+  the CRC, ``kind`` and ``format_version``, rejects object dtypes and
+  out-of-range descriptors, and copies each array out of the blob.
+  Every damaged or foreign blob — version-1 npz snapshots included —
+  raises :class:`~repro.errors.PersistenceError`.
 * :func:`capture_session` / :func:`restore_session` — between an
   algorithm instance and a snapshot.  Restoration builds a fresh
   session through the registry, then overwrites every mutable field, so
@@ -21,8 +26,9 @@ storable object:
   transcript, same recommendation.
 * :class:`SessionStore` — the storage seam, with
   :class:`MemorySessionStore` (both implementations exercise the same
-  byte codec) and :class:`FileSessionStore` (one ``<id>.npz`` per
-  session, safe across processes).
+  byte codec) and :class:`FileSessionStore` (one ``<id>.snap`` per
+  session, atomic temp-file + :func:`os.replace` writes, safe across
+  processes).
 * :func:`resumed_spec` — wraps a snapshot as a
   :class:`~repro.serve.spec.SessionSpec` that both serving engines
   admit mid-session (``resumed=True`` bypasses the fresh-algorithm

@@ -1,28 +1,36 @@
 """The versioned session-snapshot format and capture/restore logic.
 
-A snapshot is one ``.npz`` archive (or its in-memory bytes) holding:
+A snapshot encodes to one byte string (format version 2), kept as is by
+:class:`~repro.persist.store.MemorySessionStore` and written to one
+``<id>`` + :data:`SNAPSHOT_SUFFIX` file by
+:class:`~repro.persist.store.FileSessionStore`::
 
-``meta``
-    A JSON document in a zero-dimensional string array: format version,
-    session identity (id, family, epsilon, round counter, agent
-    reference), the dataset header, and the *state tree* — the nested
-    dict produced by
-    :meth:`repro.core.session.InteractiveAlgorithm.get_state` with every
-    numpy array replaced by an ``{"__array__": "a<k>"}`` placeholder.
-``a0`` .. ``a<n>``
-    The arrays lifted out of the state tree, bit-exact.
-``transcript_round`` / ``transcript_i`` / ``transcript_j`` /
-``transcript_answer``
-    The dialogue history as parallel arrays.
-``dataset_points``
-    The dataset itself, for the self-contained baseline families.  RL
-    snapshots store only the dataset header plus ``agent_ref`` and
-    require the trained agent at restore time (the agent npz already
-    carries the dataset; duplicating it per session would bloat every
-    checkpoint).
+    magic        8 bytes   b"\\x89RSNAP\\r\\n"
+    crc32        uint32 LE of everything after this field
+    header_len   uint32 LE
+    header       header_len bytes of UTF-8 JSON
+    buffer       every array's raw C-order bytes, back to back
 
-Everything is loaded with ``allow_pickle=False`` and gated on
-``format_version``, mirroring :mod:`repro.rl.serialization`.
+The JSON header holds the format version and ``kind``, the session
+identity (id, family, epsilon, round counter, agent reference), the
+dataset header, the transcript as ``[round, i, j, answer]`` rows, the
+*state tree* — the nested dict produced by
+:meth:`repro.core.session.InteractiveAlgorithm.get_state` with every
+numpy array replaced by an ``{"__array__": "a<k>"}`` placeholder — and
+an ``arrays`` table mapping each array key to ``[dtype.str, shape,
+offset]`` in the buffer.  Arrays round-trip bit-exact, byte order
+included.  The self-contained baseline families also carry the dataset
+(``dataset_points``).  RL snapshots store only the dataset header plus
+``agent_ref`` and require the trained agent at restore time (the agent
+npz already carries the dataset; duplicating it per session would bloat
+every checkpoint).
+
+Decoding checks the magic, the CRC, ``kind`` and ``format_version``
+before it trusts anything else, then rejects object dtypes and any
+descriptor that points outside the buffer.  Every damaged or foreign
+input — a flipped byte, a truncated file, a version-1 npz snapshot —
+raises :class:`~repro.errors.PersistenceError`.  Each array is copied
+out of the blob, so restored state is writable and does not alias it.
 
 Restoration never replays construction: :func:`restore_session` builds a
 fresh session through the registry (constructor side effects — RNG
@@ -33,8 +41,10 @@ bit-identically to the uninterrupted one.
 
 from __future__ import annotations
 
-import io
 import json
+import math
+import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, BinaryIO
@@ -43,14 +53,20 @@ import numpy as np
 
 from repro.core.session import InteractiveAlgorithm, TranscriptEntry
 from repro.data.datasets import Dataset
-from repro.errors import PersistenceError
+from repro.errors import DataError, PersistenceError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.serve.spec import SessionSpec
     from repro.users.oracle import User
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _KIND = "session-snapshot"
+#: Leading bytes of every encoded snapshot.
+_MAGIC = b"\x89RSNAP\r\n"
+#: The CRC32 and the header length: little-endian uint32 each.
+_LENGTH = struct.Struct("<I")
+#: File-name suffix of a stored snapshot.
+SNAPSHOT_SUFFIX = ".snap"
 
 #: Session classes shipped by this package -> registry family names.
 #: Custom registered families must pass ``family=`` to
@@ -105,9 +121,7 @@ class SessionSnapshot:
         captured when the user supports checkpointing (see
         :mod:`repro.users.models`).  Applied by :func:`resumed_spec`
         so a resumed run replays against the *same* human.  ``None``
-        for stateless callers and for snapshots written before the
-        user-model zoo (the format version is unchanged: the key is
-        simply absent from older archives).
+        for stateless callers.
     """
 
     session_id: str
@@ -319,7 +333,7 @@ def _flatten(node: Any, arrays: dict[str, np.ndarray]) -> Any:
 
 
 def _unflatten(node: Any, archive: Any) -> Any:
-    """Inverse of :func:`_flatten` against a loaded npz archive."""
+    """Inverse of :func:`_flatten` against the decoded arrays."""
     if isinstance(node, dict):
         if set(node) == {"__array__"}:
             return np.array(archive[node["__array__"]])
@@ -329,28 +343,112 @@ def _unflatten(node: Any, archive: Any) -> Any:
     return node
 
 
-# -- npz codec ----------------------------------------------------------------
+# -- single-buffer codec -----------------------------------------------------
 
 
-def save_snapshot(
-    snapshot: SessionSnapshot, target: str | Path | BinaryIO
-) -> Path | None:
-    """Write ``snapshot`` to a path (``.npz`` appended) or binary stream.
+def _descriptor(array: np.ndarray, offset: int) -> list[Any]:
+    """``[dtype.str, shape, offset]`` for one packed array."""
+    dtype = array.dtype
+    if dtype.hasobject or np.dtype(dtype.str) != dtype:
+        raise PersistenceError(
+            f"snapshot arrays must have a plain dtype, got {dtype}"
+        )
+    return [dtype.str, list(array.shape), offset]
 
-    Returns the path written, or ``None`` for stream targets.
-    """
+
+def _encode(header: dict[str, Any], arrays: dict[str, np.ndarray]) -> bytes:
+    """Pack ``header`` and ``arrays`` into one checksummed blob."""
+    chunks: list[bytes] = []
+    descriptors: dict[str, list[Any]] = {}
+    offset = 0
+    for key, array in arrays.items():
+        descriptors[key] = _descriptor(array, offset)
+        raw = array.tobytes()  # C order, whatever the array's strides
+        chunks.append(raw)
+        offset += len(raw)
+    header = {**header, "arrays": descriptors}
+    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    body = b"".join([_LENGTH.pack(len(header_bytes)), header_bytes, *chunks])
+    return _MAGIC + _LENGTH.pack(zlib.crc32(body)) + body
+
+
+def _array_view(key: str, descriptor: Any, buffer: memoryview) -> np.ndarray:
+    """Validate one descriptor; a read-only view of its bytes."""
+    dtype_str, shape, offset = descriptor
+    dtype = np.dtype(dtype_str)
+    if dtype.hasobject:
+        raise PersistenceError(f"array {key!r} has an object dtype")
+    # type() rather than isinstance(): JSON true/false are bools.
+    if type(offset) is not int or any(
+        type(dim) is not int or dim < 0 for dim in shape
+    ):
+        raise PersistenceError(f"array {key!r} has a malformed descriptor")
+    count = math.prod(shape)
+    if offset < 0 or offset + count * dtype.itemsize > len(buffer):
+        raise PersistenceError(
+            f"array {key!r} points outside the snapshot's buffer"
+        )
+    return np.frombuffer(
+        buffer, dtype=dtype, count=count, offset=offset
+    ).reshape(shape)
+
+
+def _decode(blob: bytes) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
+    """Check ``blob``; its header and read-only views of its arrays."""
+    prefix = len(_MAGIC) + 2 * _LENGTH.size
+    if len(blob) < prefix or not blob.startswith(_MAGIC):
+        raise PersistenceError("not a session snapshot (bad magic)")
+    (crc,) = _LENGTH.unpack_from(blob, len(_MAGIC))
+    body = memoryview(blob)[len(_MAGIC) + _LENGTH.size :]
+    if zlib.crc32(body) != crc:
+        raise PersistenceError("session snapshot is damaged (CRC mismatch)")
+    (header_length,) = _LENGTH.unpack_from(body)
+    header_end = _LENGTH.size + header_length
+    if header_end > len(body):
+        raise PersistenceError("session snapshot header is truncated")
+    try:
+        header = json.loads(bytes(body[_LENGTH.size : header_end]))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise PersistenceError(f"not a session snapshot: {error}") from error
+    if not isinstance(header, dict):
+        raise PersistenceError("not a session snapshot (header is not a dict)")
+    if header.get("kind") != _KIND:
+        raise PersistenceError(
+            f"not a session snapshot (kind={header.get('kind')!r})"
+        )
+    version = header.get("format_version")
+    if version != _FORMAT_VERSION:
+        raise PersistenceError(
+            f"snapshot format version {version} is not supported "
+            f"(expected {_FORMAT_VERSION})"
+        )
+    buffer = body[header_end:]
+    try:
+        arrays = {
+            key: _array_view(key, descriptor, buffer)
+            for key, descriptor in header["arrays"].items()
+        }
+    except (KeyError, TypeError, ValueError, AttributeError) as error:
+        raise PersistenceError(
+            f"session snapshot has malformed array descriptors: {error}"
+        ) from error
+    return header, arrays
+
+
+def snapshot_to_bytes(snapshot: SessionSnapshot) -> bytes:
+    """Encode ``snapshot`` (what every :class:`SessionStore` keeps)."""
     arrays: dict[str, np.ndarray] = {}
     state_tree = _flatten(snapshot.state, arrays)
     # Flattened into the same arrays dict, after the state tree, so
-    # array keys stay unique.  Absent for stateless users; old readers
-    # that predate the key never look for it, so the format version is
-    # unchanged.
+    # array keys stay unique.  None for stateless users.
     user_tree = (
         None
         if snapshot.user_state is None
         else _flatten(snapshot.user_state, arrays)
     )
-    meta = {
+    if snapshot.dataset is not None:
+        arrays["dataset_points"] = snapshot.dataset.points
+    header = {
         "format_version": _FORMAT_VERSION,
         "kind": _KIND,
         "session_id": snapshot.session_id,
@@ -369,113 +467,105 @@ def save_snapshot(
                 else []
             ),
         },
+        "transcript": [
+            [
+                int(entry.round_number),
+                int(entry.index_i),
+                int(entry.index_j),
+                bool(entry.prefers_first),
+            ]
+            for entry in snapshot.transcript
+        ],
     }
-    transcript = snapshot.transcript
-    payload: dict[str, np.ndarray] = {
-        "meta": np.array(json.dumps(meta)),
-        "transcript_round": np.array(
-            [entry.round_number for entry in transcript], dtype=np.int64
-        ),
-        "transcript_i": np.array(
-            [entry.index_i for entry in transcript], dtype=np.int64
-        ),
-        "transcript_j": np.array(
-            [entry.index_j for entry in transcript], dtype=np.int64
-        ),
-        "transcript_answer": np.array(
-            [entry.prefers_first for entry in transcript], dtype=bool
-        ),
-        **arrays,
-    }
-    if snapshot.dataset is not None:
-        payload["dataset_points"] = snapshot.dataset.points
-    if isinstance(target, (str, Path)):
-        path = Path(target)
-        if path.suffix != ".npz":
-            path = path.with_suffix(path.suffix + ".npz")
-        np.savez_compressed(path, **payload)
-        return path
-    np.savez_compressed(target, **payload)
-    return None
+    return _encode(header, arrays)
 
 
-def load_snapshot(source: str | Path | BinaryIO) -> SessionSnapshot:
-    """Load a snapshot written by :func:`save_snapshot`."""
+def snapshot_from_bytes(blob: bytes) -> SessionSnapshot:
+    """Decode a blob written by :func:`snapshot_to_bytes`.
+
+    Every damaged or foreign input raises :class:`PersistenceError`.
+    """
+    header, arrays = _decode(blob)
     try:
-        archive_cm = np.load(source, allow_pickle=False)
-    except (ValueError, OSError, EOFError) as error:
+        return _snapshot_from_header(header, arrays)
+    except (
+        KeyError, TypeError, ValueError, AttributeError, DataError
+    ) as error:
         raise PersistenceError(
-            f"not a session snapshot: {error}"
+            f"session snapshot header is malformed: {error!r}"
         ) from error
-    with archive_cm as archive:
-        try:
-            meta = json.loads(str(archive["meta"]))
-        except (KeyError, json.JSONDecodeError) as error:
-            raise PersistenceError(
-                f"not a session snapshot: {error}"
-            ) from error
-        if meta.get("kind") != _KIND:
-            raise PersistenceError(
-                f"not a session snapshot (kind={meta.get('kind')!r})"
-            )
-        version = meta.get("format_version")
-        if version != _FORMAT_VERSION:
-            raise PersistenceError(
-                f"snapshot format version {version} is not supported "
-                f"(expected {_FORMAT_VERSION})"
-            )
-        state = _unflatten(meta["state"], archive)
-        # Written by zoo-aware captures only; meta.get keeps older
-        # version-1 archives loading unchanged.
-        user_tree = meta.get("user_state")
-        user_state = (
-            None if user_tree is None else _unflatten(user_tree, archive)
+
+
+def _snapshot_from_header(
+    header: dict[str, Any], arrays: dict[str, np.ndarray]
+) -> SessionSnapshot:
+    """The snapshot a checked header and its array views describe."""
+    # _unflatten copies each view out of the blob: restored state is
+    # writable and never aliases the caller's bytes.
+    state = _unflatten(header["state"], arrays)
+    user_tree = header["user_state"]
+    user_state = None if user_tree is None else _unflatten(user_tree, arrays)
+    transcript = tuple(
+        TranscriptEntry(
+            round_number=int(round_number),
+            index_i=int(index_i),
+            index_j=int(index_j),
+            prefers_first=bool(answer),
         )
-        transcript = tuple(
-            TranscriptEntry(
-                round_number=int(round_number),
-                index_i=int(index_i),
-                index_j=int(index_j),
-                prefers_first=bool(answer),
-            )
-            for round_number, index_i, index_j, answer in zip(
-                archive["transcript_round"],
-                archive["transcript_i"],
-                archive["transcript_j"],
-                archive["transcript_answer"],
-            )
+        for round_number, index_i, index_j, answer in header["transcript"]
+    )
+    dataset_meta = dict(header["dataset"])
+    stored = bool(dataset_meta.pop("stored", False))
+    attribute_names = dataset_meta.pop("attribute_names", [])
+    dataset = None
+    if stored:
+        dataset = Dataset(
+            np.array(arrays["dataset_points"], dtype=float),
+            name=str(dataset_meta["name"]),
+            attribute_names=tuple(str(n) for n in attribute_names),
         )
-        dataset_meta = dict(meta["dataset"])
-        stored = bool(dataset_meta.pop("stored", False))
-        attribute_names = dataset_meta.pop("attribute_names", [])
-        dataset = None
-        if stored:
-            dataset = Dataset(
-                np.array(archive["dataset_points"], dtype=float),
-                name=str(dataset_meta["name"]),
-                attribute_names=tuple(str(n) for n in attribute_names),
-            )
     return SessionSnapshot(
-        session_id=str(meta["session_id"]),
-        family=str(meta["family"]),
-        epsilon=float(meta["epsilon"]),
-        rounds=int(meta["rounds"]),
+        session_id=str(header["session_id"]),
+        family=str(header["family"]),
+        epsilon=float(header["epsilon"]),
+        rounds=int(header["rounds"]),
         state=state,
         transcript=transcript,
-        agent_ref=meta["agent_ref"],
+        agent_ref=header["agent_ref"],
         dataset=dataset,
         dataset_meta=dataset_meta,
         user_state=user_state,
     )
 
 
-def snapshot_to_bytes(snapshot: SessionSnapshot) -> bytes:
-    """The snapshot as npz bytes (what :class:`MemorySessionStore` keeps)."""
-    buffer = io.BytesIO()
-    save_snapshot(snapshot, buffer)
-    return buffer.getvalue()
+def save_snapshot(
+    snapshot: SessionSnapshot, target: str | Path | BinaryIO
+) -> Path | None:
+    """Write ``snapshot`` to a path or a binary stream.
+
+    A path gets :data:`SNAPSHOT_SUFFIX` appended unless it already ends
+    in it.  Returns the path written, or ``None`` for stream targets.
+    """
+    blob = snapshot_to_bytes(snapshot)
+    if isinstance(target, (str, Path)):
+        path = Path(target)
+        if path.suffix != SNAPSHOT_SUFFIX:
+            path = path.with_suffix(path.suffix + SNAPSHOT_SUFFIX)
+        path.write_bytes(blob)
+        return path
+    target.write(blob)
+    return None
 
 
-def snapshot_from_bytes(blob: bytes) -> SessionSnapshot:
-    """Inverse of :func:`snapshot_to_bytes`."""
-    return load_snapshot(io.BytesIO(blob))
+def load_snapshot(source: str | Path | BinaryIO) -> SessionSnapshot:
+    """Load a snapshot written by :func:`save_snapshot`."""
+    if isinstance(source, (str, Path)):
+        try:
+            blob = Path(source).read_bytes()
+        except OSError as error:
+            raise PersistenceError(
+                f"cannot read session snapshot: {error}"
+            ) from error
+    else:
+        blob = source.read()
+    return snapshot_from_bytes(blob)

@@ -4,14 +4,17 @@ A :class:`SessionStore` maps session ids to
 :class:`~repro.persist.snapshot.SessionSnapshot` payloads.  Two
 implementations ship:
 
-* :class:`MemorySessionStore` — a dict of npz bytes.  It still routes
-  through the byte codec (not a dict of live objects), so everything a
-  file-backed deployment would hit — array dtype round trips, JSON
-  scalar coercion, format versioning — is exercised in fast tests.
-* :class:`FileSessionStore` — one ``<id>.npz`` per session under a
-  root directory.  Writes go through a temp file + :func:`os.replace`
-  so a crash mid-checkpoint leaves the previous snapshot intact, and a
-  fresh process pointed at the same directory resumes every session.
+* :class:`MemorySessionStore` — a dict of encoded snapshot bytes.  It
+  still routes through the byte codec (not a dict of live objects), so
+  everything a file-backed deployment would hit — array dtype round
+  trips, JSON scalar coercion, format and checksum gates — is
+  exercised in fast tests.
+* :class:`FileSessionStore` — one ``<id>.snap`` per session under a
+  root directory (the suffix is
+  :data:`~repro.persist.snapshot.SNAPSHOT_SUFFIX`).  Writes go through
+  a temp file + :func:`os.replace` so a crash mid-checkpoint leaves the
+  previous snapshot intact, and a fresh process pointed at the same
+  directory resumes every session.
 
 Ids are restricted to ``[A-Za-z0-9._-]`` (no separators), so an id can
 never escape the store's root directory.
@@ -28,6 +31,7 @@ from pathlib import Path
 
 from repro.errors import PersistenceError
 from repro.persist.snapshot import (
+    SNAPSHOT_SUFFIX,
     SessionSnapshot,
     snapshot_from_bytes,
     snapshot_to_bytes,
@@ -37,7 +41,7 @@ _ID_PATTERN = re.compile(r"^[A-Za-z0-9._-]{1,128}$")
 
 #: Staging-name sequence shared by every FileSessionStore in this
 #: process: two handles pointed at one directory must not both stage
-#: as "<id>.npz.<pid>.0.tmp".  ``next()`` on a C-implemented count is
+#: as "<id>.snap.<pid>.0.tmp".  ``next()`` on a C-implemented count is
 #: atomic under the GIL.
 _TEMP_SEQ = itertools.count()
 
@@ -106,9 +110,14 @@ class MemorySessionStore(SessionStore):
         with self._lock:
             return tuple(sorted(self._blobs))
 
+    def __contains__(self, session_id: str) -> bool:
+        # put() admits checked ids only, so a rejected id is never a key.
+        with self._lock:
+            return str(session_id) in self._blobs
+
 
 class FileSessionStore(SessionStore):
-    """One ``<id>.npz`` per session under ``root`` (created on demand).
+    """One ``<id>.snap`` per session under ``root`` (created on demand).
 
     Safe for concurrent writers across *processes*, not just threads:
     every :meth:`put` stages its bytes in a temp file whose name embeds
@@ -117,7 +126,7 @@ class FileSessionStore(SessionStore):
     file, then atomically :func:`os.replace`\\ d over the target.  Two
     dispatcher workers checkpointing the same id simultaneously each
     publish a complete snapshot; the later replace wins whole, never a
-    torn mix.  (A shared ``<id>.npz.tmp`` name would let writer B's
+    torn mix.  (A shared ``<id>.snap.tmp`` name would let writer B's
     bytes land in the file writer A is about to rename.)
     """
 
@@ -127,7 +136,7 @@ class FileSessionStore(SessionStore):
         self._lock = threading.Lock()
 
     def _path(self, session_id: str) -> Path:
-        return self.root / f"{_check_id(str(session_id))}.npz"
+        return self.root / f"{_check_id(str(session_id))}{SNAPSHOT_SUFFIX}"
 
     def put(self, snapshot: SessionSnapshot) -> None:
         path = self._path(snapshot.session_id)
@@ -169,5 +178,15 @@ class FileSessionStore(SessionStore):
 
     def ids(self) -> tuple[str, ...]:
         return tuple(
-            sorted(p.name[: -len(".npz")] for p in self.root.glob("*.npz"))
+            sorted(
+                p.name[: -len(SNAPSHOT_SUFFIX)]
+                for p in self.root.glob(f"*{SNAPSHOT_SUFFIX}")
+            )
         )
+
+    def __contains__(self, session_id: str) -> bool:
+        try:
+            path = self._path(session_id)
+        except PersistenceError:
+            return False
+        return path.exists()

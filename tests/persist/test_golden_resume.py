@@ -2,7 +2,7 @@
 
 For each (family, user kind, seed) case a *reference* session runs
 uninterrupted while an identically-seeded *replay* session is stopped at
-round ``k``, checkpointed through a file-backed store (real npz bytes on
+round ``k``, checkpointed through a file-backed store (real snapshot bytes on
 disk, as a crashed process would leave behind), restored, and driven to
 completion.  The resumed session must produce exactly the reference's
 remaining transcript and recommendation — covering all five baseline

@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.session import TranscriptEntry
 from repro.data import synthetic_dataset
@@ -21,6 +26,7 @@ from repro.persist import (
     snapshot_from_bytes,
     snapshot_to_bytes,
 )
+from repro.persist.snapshot import SNAPSHOT_SUFFIX
 from repro.registry import make_session
 from repro.users import OracleUser
 
@@ -104,11 +110,14 @@ class TestByteCodec:
 
         assert_equal(original_state, resumed_state)
 
-    def test_file_round_trip_appends_npz(self, dataset, utility, tmp_path):
+    def test_file_round_trip_appends_suffix(
+        self, dataset, utility, tmp_path
+    ):
         session, _ = _mid_session(dataset, utility)
         snapshot = capture_session(session, session_id="t-3")
         written = save_snapshot(snapshot, tmp_path / "snap")
-        assert str(written).endswith(".npz")
+        assert written == tmp_path / f"snap{SNAPSHOT_SUFFIX}"
+        assert save_snapshot(snapshot, written) == written
         loaded = load_snapshot(written)
         assert loaded.session_id == "t-3"
         assert loaded.rounds == snapshot.rounds
@@ -122,36 +131,245 @@ class TestByteCodec:
         assert load_snapshot(buffer).session_id == "t-4"
 
 
+_PREFIX = struct.Struct("<8sII")  # magic, CRC32 of the body, header length
+
+
+def _split(blob: bytes) -> tuple[bytes, dict, bytes]:
+    """An encoded snapshot as (magic, JSON header, array buffer)."""
+    magic, _crc, length = _PREFIX.unpack_from(blob)
+    header = json.loads(blob[_PREFIX.size : _PREFIX.size + length])
+    return magic, header, blob[_PREFIX.size + length :]
+
+
+def _join(magic: bytes, header: dict, buffer: bytes) -> bytes:
+    """Inverse of :func:`_split`, with a freshly computed CRC."""
+    header_bytes = json.dumps(header).encode("utf-8")
+    body = struct.pack("<I", len(header_bytes)) + header_bytes + buffer
+    return magic + struct.pack("<I", zlib.crc32(body)) + body
+
+
 def _tamper_meta(blob: bytes, **overrides) -> bytes:
-    """Rewrite the ``meta`` JSON inside an encoded snapshot."""
-    with np.load(io.BytesIO(blob), allow_pickle=False) as archive:
-        entries = {name: archive[name] for name in archive.files}
-    meta = json.loads(str(entries["meta"][()]))
-    meta.update(overrides)
-    entries["meta"] = np.array(json.dumps(meta))
-    out = io.BytesIO()
-    np.savez(out, **entries)
-    return out.getvalue()
+    """Rewrite header fields of an encoded snapshot; the CRC still holds."""
+    magic, header, buffer = _split(blob)
+    header.update(overrides)
+    return _join(magic, header, buffer)
+
+
+def _tamper_array(blob: bytes, key: str, descriptor: list) -> bytes:
+    """Replace the descriptor of array ``key``; the CRC still holds."""
+    magic, header, buffer = _split(blob)
+    assert key in header["arrays"]
+    header["arrays"][key] = descriptor
+    return _join(magic, header, buffer)
+
+
+@pytest.fixture(scope="module")
+def blob(dataset, utility):
+    """An encoded mid-session uh-random snapshot with a transcript."""
+    session, transcript = _mid_session(dataset, utility)
+    return snapshot_to_bytes(
+        capture_session(session, session_id="b", transcript=tuple(transcript))
+    )
 
 
 class TestFormatGates:
-    def test_future_version_is_rejected(self, dataset, utility):
-        session, _ = _mid_session(dataset, utility)
-        blob = snapshot_to_bytes(capture_session(session, session_id="v"))
+    def test_future_version_is_rejected(self, blob):
         bad = _tamper_meta(blob, format_version=999)
         with pytest.raises(PersistenceError, match="version"):
             snapshot_from_bytes(bad)
 
-    def test_wrong_kind_is_rejected(self, dataset, utility):
-        session, _ = _mid_session(dataset, utility)
-        blob = snapshot_to_bytes(capture_session(session, session_id="k"))
+    def test_wrong_kind_is_rejected(self, blob):
         bad = _tamper_meta(blob, kind="not-a-snapshot")
-        with pytest.raises(PersistenceError):
+        with pytest.raises(PersistenceError, match="kind"):
             snapshot_from_bytes(bad)
 
     def test_garbage_bytes_are_rejected(self):
         with pytest.raises(PersistenceError):
-            snapshot_from_bytes(b"definitely not an npz archive")
+            snapshot_from_bytes(b"definitely not a session snapshot")
+
+    def test_untampered_rewrite_still_loads(self, blob):
+        # A rewrite that changes nothing decodes, so every rejection
+        # below is the tampered field's doing alone.
+        assert snapshot_from_bytes(_tamper_meta(blob)).session_id == "b"
+
+    def test_version_one_npz_blob_is_rejected(self, blob):
+        # The layout format_version 1 wrote: a compressed npz archive
+        # with a JSON ``meta`` entry.
+        _, header, _ = _split(blob)
+        old = io.BytesIO()
+        np.savez_compressed(
+            old,
+            meta=np.array(json.dumps({**header, "format_version": 1})),
+            transcript_round=np.zeros(0, dtype=np.int64),
+        )
+        with pytest.raises(PersistenceError, match="magic"):
+            snapshot_from_bytes(old.getvalue())
+
+    def test_object_dtype_descriptor_is_rejected(self, blob):
+        bad = _tamper_array(blob, "a0", ["|O", [1], 0])
+        with pytest.raises(PersistenceError, match="object"):
+            snapshot_from_bytes(bad)
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            ["<f8", [1], -8],
+            ["<f8", [10**12], 0],
+            ["<f8", [-1], 0],
+            ["<f8", [1], 0.5],
+            ["<f8", 3, 0],
+            ["not-a-dtype", [1], 0],
+            ["<f8", [1]],
+        ],
+        ids=[
+            "negative-offset",
+            "length-past-end",
+            "negative-dim",
+            "float-offset",
+            "scalar-shape",
+            "bad-dtype",
+            "short-descriptor",
+        ],
+    )
+    def test_malformed_descriptor_is_rejected(self, blob, descriptor):
+        with pytest.raises(PersistenceError):
+            snapshot_from_bytes(_tamper_array(blob, "a0", descriptor))
+
+    def test_malformed_dataset_is_rejected(self, blob):
+        # In range, but a single attribute: Dataset refuses it.
+        bad = _tamper_array(blob, "dataset_points", ["<f8", [3, 1], 0])
+        with pytest.raises(PersistenceError):
+            snapshot_from_bytes(bad)
+
+    def test_object_arrays_are_refused_at_encode(self):
+        snapshot = SessionSnapshot(
+            session_id="obj",
+            family="uh-random",
+            epsilon=0.1,
+            rounds=0,
+            state={"bad": np.array([{"a": 1}], dtype=object)},
+        )
+        with pytest.raises(PersistenceError, match="dtype"):
+            snapshot_to_bytes(snapshot)
+
+    def test_offset_just_past_the_buffer_is_rejected(self, blob):
+        _, header, buffer = _split(blob)
+        dtype, shape, _ = header["arrays"]["a0"]
+        size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+        assert size > 0
+        last = len(buffer) - size
+        snapshot_from_bytes(_tamper_array(blob, "a0", [dtype, shape, last]))
+        outside = _tamper_array(blob, "a0", [dtype, shape, last + 1])
+        with pytest.raises(PersistenceError, match="outside"):
+            snapshot_from_bytes(outside)
+
+
+class TestDamagedBlobs:
+    """Every damaged blob raises PersistenceError, never a raw error."""
+
+    @pytest.mark.parametrize("damage", ["flip", "truncate"])
+    def test_every_damage_raises_persistence_error(self, blob, damage):
+        if damage == "flip":
+            cases = [
+                blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1 :]
+                for at in range(len(blob))
+            ]
+        else:
+            cases = [blob[:length] for length in range(len(blob))]
+        escaped = []
+        for at, damaged in enumerate(cases):
+            try:
+                snapshot_from_bytes(damaged)
+            except PersistenceError:
+                continue
+            except Exception as error:  # noqa: BLE001
+                escaped.append((at, repr(error)))
+            else:
+                escaped.append((at, "loaded without error"))
+        assert escaped == []
+
+
+# -- property: arrays of every shape and layout round-trip bit-exact ---------
+
+_DTYPES = st.sampled_from(
+    [np.dtype(name) for name in ("?", "<i8", ">i8", "<f8", ">f8")]
+)
+
+
+@st.composite
+def _arrays(draw):
+    array = draw(
+        hnp.arrays(
+            _DTYPES,
+            hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+        )
+    )
+    if array.ndim and draw(st.booleans()):
+        array = array[::-1, ...][::2]  # a strided, non-contiguous view
+    if array.ndim > 1 and draw(st.booleans()):
+        array = array.T
+    return array
+
+
+_KEYS = st.text("abcdefgh", min_size=1, max_size=3)
+_TREES = st.recursive(
+    _arrays() | st.integers(-(2**70), 2**70) | st.booleans() | st.none(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(_KEYS, children, max_size=3),
+    max_leaves=8,
+)
+
+
+def _assert_same_tree(original, decoded):
+    if isinstance(original, np.ndarray):
+        assert isinstance(decoded, np.ndarray)
+        assert decoded.dtype == original.dtype
+        assert decoded.shape == original.shape
+        assert decoded.tobytes() == original.tobytes()
+        assert decoded.flags.writeable
+    elif isinstance(original, dict):
+        assert decoded.keys() == original.keys()
+        for key in original:
+            _assert_same_tree(original[key], decoded[key])
+    elif isinstance(original, list):
+        assert len(decoded) == len(original)
+        for a, b in zip(original, decoded):
+            _assert_same_tree(a, b)
+    else:
+        assert decoded == original and type(decoded) is type(original)
+
+
+class TestArrayRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(state=st.dictionaries(_KEYS, _TREES, max_size=4))
+    def test_state_trees_round_trip_bit_exact(self, state):
+        snapshot = SessionSnapshot(
+            session_id="prop",
+            family="uh-random",
+            epsilon=0.1,
+            rounds=0,
+            state=state,
+            user_state={"nested": [state]},
+        )
+        blob = snapshot_to_bytes(snapshot)
+        decoded = snapshot_from_bytes(blob)
+        _assert_same_tree(state, decoded.state)
+        _assert_same_tree({"nested": [state]}, decoded.user_state)
+
+    def test_decoded_arrays_do_not_alias_the_blob(self):
+        blob = snapshot_to_bytes(
+            SessionSnapshot(
+                session_id="alias",
+                family="uh-random",
+                epsilon=0.1,
+                rounds=0,
+                state={"points": np.arange(6.0).reshape(2, 3)},
+            )
+        )
+        decoded = snapshot_from_bytes(blob).state["points"]
+        assert decoded.flags.owndata
+        decoded[0, 0] = 99.0
+        assert snapshot_from_bytes(blob).state["points"][0, 0] == 0.0
 
 
 class TestRestoreGuards:

@@ -12,6 +12,7 @@ from repro.persist import (
     MemorySessionStore,
     capture_session,
 )
+from repro.persist.snapshot import SNAPSHOT_SUFFIX
 from repro.registry import make_session
 from repro.users import OracleUser
 
@@ -70,6 +71,24 @@ class TestStoreContract:
         store.delete("gone")
         assert store.ids() == ()
 
+    def test_contains_never_lists_the_store(
+        self, store, dataset, monkeypatch
+    ):
+        store.put(_snapshot(dataset, "here"))
+
+        def no_listing():
+            raise AssertionError("membership must not list the store")
+
+        monkeypatch.setattr(store, "ids", no_listing)
+        assert "here" in store
+        assert "absent" not in store
+        store.delete("here")
+        assert "here" not in store
+
+    @pytest.mark.parametrize("bad_id", ["", "a/b", "../escape", ".."])
+    def test_contains_is_false_for_invalid_ids(self, store, bad_id):
+        assert bad_id not in store
+
     @pytest.mark.parametrize(
         "bad_id",
         ["", "a/b", "../escape", "a" * 129, "sp ace", ".", ".."],
@@ -88,14 +107,14 @@ class TestFileStore:
         reopened = FileSessionStore(root)
         assert reopened.get("persist-me").session_id == "persist-me"
 
-    def test_one_npz_per_session(self, tmp_path, dataset):
+    def test_one_file_per_session(self, tmp_path, dataset):
         root = tmp_path / "sessions"
         store = FileSessionStore(root)
         store.put(_snapshot(dataset, "one"))
         store.put(_snapshot(dataset, "two"))
         assert sorted(p.name for p in root.glob("*")) == [
-            "one.npz",
-            "two.npz",
+            f"one{SNAPSHOT_SUFFIX}",
+            f"two{SNAPSHOT_SUFFIX}",
         ]
 
     def test_traversal_cannot_escape_root(self, tmp_path, dataset):
@@ -149,7 +168,7 @@ class TestConcurrentWriters:
         import repro.persist.store as store_module
 
         # Two writers racing on one id must stage under distinct names:
-        # a shared "<id>.npz.tmp" would let writer B's bytes land in the
+        # a shared "<id>.snap.tmp" would let writer B's bytes land in the
         # file writer A is about to publish.
         staged: list[str] = []
         real_open = os_module.open
@@ -177,5 +196,5 @@ class TestConcurrentWriters:
         leftovers = [p.name for p in root.glob("*.tmp")]
         assert leftovers == []
         # A stray .tmp from a crashed writer is invisible to ids().
-        (root / "clean.npz.999.0.tmp").write_bytes(b"partial")
+        (root / f"clean{SNAPSHOT_SUFFIX}.999.0.tmp").write_bytes(b"partial")
         assert store.ids() == ("clean",)
