@@ -14,11 +14,11 @@ Two subcommands, wired into ``.github/workflows/ci.yml``, each taking
       ambient-bounds probes solved per-probe and block-diagonally
       (``batch_mismatches`` must be 0, ``batch_speedup`` is
       ratio-gated);
-    * the continuous-scheduler workload — ``serve-bench --engine
-      continuous`` at 1024 concurrent sessions — recording its batch
-      occupancy *and* replaying the identical specs through the wave
-      engine to count per-session result mismatches (the scheduler's
-      equivalence guarantee);
+    * the continuous-scheduler workload — ``serve-bench`` at 1024
+      concurrent sessions — recording its batch occupancy *and*
+      replaying the identical specs through sequential ``run_session``
+      (the scalar reference) to count per-session result mismatches
+      (the engine's equivalence guarantee);
     * the dispatch workload — 256 sessions served through
       ``ShardedDispatcher(procs=2)`` and replayed single-process —
       counting per-session mismatches and failures (both must be 0:
@@ -27,13 +27,13 @@ Two subcommands, wired into ``.github/workflows/ci.yml``, each taking
 ``check``
     Compare a freshly produced snapshot against the committed baseline
     ``benchmarks/baselines/ci.json``.  Deterministic counters (LP cache
-    hit rate, range clip rate, rounds, waves/ticks, occupancy,
+    hit rate, range clip rate, rounds, ticks, occupancy,
     equivalence mismatches) must match the baseline *exactly* — a fixed
     seed makes them machine-independent, so any drift is a behaviour
     change, not noise.  Two absolute gates ride on top: continuous
     occupancy must stay above :data:`OCCUPANCY_FLOOR` and
     ``equiv_mismatches`` must be zero.  Wall-clock timings are only
-    ratio-gated: a wave-latency or end-to-end slowdown beyond
+    ratio-gated: a tick-latency or end-to-end slowdown beyond
     ``--max-slowdown`` (default 2.0x) fails, as does the incremental
     clip path losing more than half of its speedup over from-scratch
     re-enumeration.
@@ -79,11 +79,11 @@ GATE_CONFIG = {
 }
 
 #: The continuous-scheduler workload: 1024 concurrent sessions served
-#: through ``ContinuousEngine``, then replayed through the wave engine
-#: for the per-session equivalence count.  ``max_in_flight=32`` keeps
-#: the tail (the last in-flight cohort draining with no queue behind
-#: it) a small fraction of total ticks, so steady-state occupancy
-#: clears the floor with margin.
+#: through ``ContinuousEngine``, then replayed through sequential
+#: ``run_session`` for the per-session equivalence count.
+#: ``max_in_flight=32`` keeps the tail (the last in-flight cohort
+#: draining with no queue behind it) a small fraction of total ticks,
+#: so steady-state occupancy clears the floor with margin.
 CONTINUOUS_CONFIG = {
     "algorithm": "ea",
     "dataset": "anti:200:3",
@@ -152,7 +152,7 @@ EXACT_COUNTERS = (
     "lp_hit_rate",
     "range_clip_rate",
     "rounds_total",
-    "waves",
+    "ticks",
     "lp_solves",
     "range_clips",
     "range_rebuilds",
@@ -176,7 +176,7 @@ SPEEDUP_FLOORS = (
 #: Timings gated by ratio only (candidate may be up to ``max_slowdown``
 #: times the baseline).
 RATIO_TIMINGS = (
-    "wave_latency_seconds",
+    "tick_latency_seconds",
     "wall_seconds",
     "continuous_wall_seconds",
     "dispatch_wall_seconds",
@@ -319,13 +319,17 @@ def _continuous_gate() -> tuple[dict, dict]:
     """Counters/timings for the continuous-scheduler workload.
 
     Serves :data:`CONTINUOUS_CONFIG` through ``ContinuousEngine``, then
-    replays the identical fixed-seed spec set through the wave engine
-    and counts per-session outcome mismatches — ``(recommendation
-    index, rounds, truncated, status)`` must agree session by session.
-    Both the occupancy and the mismatch count are seed-deterministic.
+    rebuilds the identical fixed-seed spec set with
+    :func:`~repro.serve.bench.bench_workload` and replays it through
+    sequential ``run_session``, counting per-session outcome mismatches
+    — ``(recommendation index, rounds, truncated, status)`` must agree
+    session by session.  Both the occupancy and the mismatch count are
+    seed-deterministic.
     """
     from repro.cli import _resolve_dataset
+    from repro.core.session import run_session
     from repro.serve import run_serve_bench
+    from repro.serve.bench import bench_workload
 
     cfg = CONTINUOUS_CONFIG
     dataset = _resolve_dataset(cfg["dataset"])
@@ -335,18 +339,28 @@ def _continuous_gate() -> tuple[dict, dict]:
         epsilon=cfg["epsilon"],
         episodes=cfg["episodes"],
         seed=cfg["seed"],
-        max_rounds=cfg["max_rounds"],
     )
     continuous = run_serve_bench(
         dataset,
-        engine="continuous",
+        max_rounds=cfg["max_rounds"],
         max_in_flight=cfg["max_in_flight"],
         **common,
     )
-    wave = run_serve_bench(dataset, engine="wave", **common)
+    workload = bench_workload(dataset, **common)
+    started = time.perf_counter()
+    sequential = [
+        run_session(
+            spec.build(),
+            spec.user,
+            max_rounds=cfg["max_rounds"],
+            on_error="capture",
+        )
+        for spec in workload.specs
+    ]
+    sequential_seconds = time.perf_counter() - started
     mismatches = sum(
         1
-        for ours, ref in zip(continuous.results, wave.results)
+        for ours, ref in zip(continuous.results, sequential, strict=True)
         if (ours.recommendation_index, ours.rounds, ours.truncated, ours.status)
         != (ref.recommendation_index, ref.rounds, ref.truncated, ref.status)
     )
@@ -360,7 +374,7 @@ def _continuous_gate() -> tuple[dict, dict]:
     }
     timings = {
         "continuous_wall_seconds": m.wall_seconds,
-        "equiv_wave_wall_seconds": wave.metrics.wall_seconds,
+        "equiv_sequential_wall_seconds": sequential_seconds,
     }
     return counters, timings
 
@@ -390,7 +404,7 @@ def _dispatch_gate() -> tuple[dict, dict]:
         max_rounds=cfg["max_rounds"],
         max_in_flight=cfg["max_in_flight"],
     )
-    single = run_serve_bench(dataset, engine="continuous", **common)
+    single = run_serve_bench(dataset, **common)
     dispatched = run_serve_bench(dataset, procs=cfg["procs"], **common)
     mismatches = sum(
         1
@@ -564,7 +578,7 @@ def check_gate(
     mismatches = got_counters.get("equiv_mismatches")
     if mismatches != 0:
         failures.append(
-            f"continuous engine diverged from the wave engine on "
+            f"continuous engine diverged from sequential run_session on "
             f"{mismatches} of {CONTINUOUS_CONFIG['sessions']} sessions"
         )
     batch_mismatches = got_counters.get("batch_mismatches")

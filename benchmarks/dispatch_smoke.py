@@ -63,7 +63,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--procs", type=int, default=2)
     parser.add_argument("--sessions", type=int, default=64)
-    parser.add_argument("--lp-procs", type=int, default=0)
     parser.add_argument(
         "--out",
         default=None,
@@ -81,10 +80,8 @@ def main(argv: list[str] | None = None) -> int:
         seed=SEED,
         max_rounds=MAX_ROUNDS,
     )
-    single = run_serve_bench(dataset, engine="continuous", **common)
-    dispatched = run_serve_bench(
-        dataset, procs=args.procs, lp_procs=args.lp_procs, **common
-    )
+    single = run_serve_bench(dataset, **common)
+    dispatched = run_serve_bench(dataset, procs=args.procs, **common)
 
     mismatches = 0
     for ours, ref in zip(dispatched.results, single.results):

@@ -12,10 +12,11 @@ Commands
               dataset and print the table.
 ``serve-bench``  Drive many concurrent simulated users through one
               trained agent and report throughput, LP cache hit rate
-              and batch occupancy.  ``--engine`` picks the scheduler:
-              lock-step ``wave`` (the deterministic reference) or
-              ``continuous`` (continuous batching with a bounded
-              in-flight set; same per-session results).  ``--snapshot``
+              and batch occupancy.  Sessions are served in-process by
+              the continuous-batching engine (a bounded in-flight set,
+              ``--max-in-flight``) or, with ``--procs N``, by ``N``
+              worker processes; per-session results are identical to
+              sequential ``run_session`` either way.  ``--snapshot``
               additionally writes a versioned ``BENCH_*.json`` perf
               snapshot.  With ``--http`` the benchmark instead drives
               real HTTP sessions through :mod:`repro.server` and
@@ -37,7 +38,7 @@ Commands
 ``profile``   Run the serve-bench workload under a
               :class:`~repro.obs.tracer.Tracer` and export a Chrome
               ``trace_event`` file (plus an optional aggregate JSON):
-              per-wave Q-scoring, LP solves split by kind and cache
+              per-tick Q-scoring, LP solves split by kind and cache
               hit/miss, and range clip/rebuild breakdowns.
 
 Examples
@@ -50,7 +51,7 @@ Examples
     python -m repro compare --dataset anti:2000:3 --epsilon 0.1
     python -m repro serve-bench --dataset anti:2000:3 --sessions 64
     python -m repro serve-bench --dataset anti:2000:3 --sessions 1024 \
-        --engine continuous --max-in-flight 64
+        --max-in-flight 64
     python -m repro serve-bench --dataset anti:2000:3 --http \
         --sessions 64 --mode oracle
     python -m repro robustness --dataset anti:500:3 --seeds 4 \
@@ -212,11 +213,9 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         noise=args.noise,
         user_model=args.user_model,
         recover=args.recover,
-        engine=args.engine,
         max_in_flight=args.max_in_flight,
         workers=args.workers,
         procs=args.procs,
-        lp_procs=args.lp_procs,
     )
     for line in report.lines():
         print(line)
@@ -460,14 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="retry EmptyRegionError sessions once under majority voting",
     )
     serve.add_argument(
-        "--engine",
-        choices=("wave", "continuous", "dispatch"),
-        default="wave",
-        help="scheduler: lock-step waves (deterministic reference), "
-        "continuous batching (bounded in-flight set, higher occupancy) "
-        "or the multi-process dispatcher (implied by --procs)",
-    )
-    serve.add_argument(
         "--procs",
         type=int,
         default=0,
@@ -475,24 +466,18 @@ def build_parser() -> argparse.ArgumentParser:
         "processes (default 0: single process)",
     )
     serve.add_argument(
-        "--lp-procs",
-        type=int,
-        default=0,
-        help="per-worker LP solver process-pool size (with --procs; "
-        "default 0: in-process batched solving)",
-    )
-    serve.add_argument(
         "--max-in-flight",
         type=int,
         default=64,
-        help="continuous engine: max sessions live at once (default 64)",
+        help="max sessions live at once, per worker with --procs "
+        "(default 64)",
     )
     serve.add_argument(
         "--workers",
         type=int,
         default=0,
-        help="continuous engine: thread-pool size for per-session agent "
-        "work (default 0: inline)",
+        help="thread-pool size for per-session agent work "
+        "(default 0: inline)",
     )
     serve.add_argument(
         "--snapshot",

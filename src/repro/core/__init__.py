@@ -24,6 +24,7 @@ from repro.core.robust import (
     EpsilonInflationPolicy,
     MajorityVotePolicy,
     MajorityVoteSession,
+    RecoveryPolicy,
     RobustPolicy,
     inflate_epsilon,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "ConfidenceWeightedSession",
     "ConfidenceWeightedPolicy",
     "EpsilonInflationPolicy",
+    "RecoveryPolicy",
     "RobustPolicy",
     "inflate_epsilon",
     "Question",

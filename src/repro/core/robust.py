@@ -18,9 +18,13 @@ the defenses:
   stale constraints empty the region.
 
 The :class:`RobustPolicy` seam packages each defense as a retry
-strategy the serving engines' ``RecoveryPolicy`` can be configured
-with; :class:`MajorityVotePolicy` is the default and reproduces the
-historical recovery behaviour exactly.
+strategy a :class:`RecoveryPolicy` can be configured with;
+:class:`MajorityVotePolicy` is the default and reproduces the
+historical recovery behaviour exactly.  :class:`RecoveryPolicy` itself
+is what the serving engine
+(:class:`~repro.serve.scheduler.ContinuousEngine`, and every
+:class:`~repro.serve.dispatch.ShardedDispatcher` worker) consults when
+a session dies mid-run.
 
 Both wrappers wrap *any* interactive algorithm in this package without
 modifying it: they re-issue the inner algorithm's pending question until
@@ -36,7 +40,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from repro.core.session import InteractiveAlgorithm, Question
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, EmptyRegionError
 
 
 class _RepeatedAskSession(InteractiveAlgorithm):
@@ -244,7 +248,7 @@ SessionSource = Callable[[], InteractiveAlgorithm]
 class RobustPolicy(abc.ABC):
     """How a serving engine rebuilds a session for recovery retry ``attempt``.
 
-    The seam :class:`~repro.serve.RecoveryPolicy` is parameterised by:
+    The seam :class:`RecoveryPolicy` is parameterised by:
     given the failed session's factory and the 1-based retry attempt,
     return the session to run next.  :class:`MajorityVotePolicy` is the
     default (and the historical behaviour); alternatives trade question
@@ -317,3 +321,59 @@ class EpsilonInflationPolicy(RobustPolicy):
         if self.repeats > 1:
             return MajorityVoteSession(session, repeats=self.repeats)
         return session
+
+
+@dataclass(frozen=True)
+class RecoveryPolicy:
+    """What the serving engine does when a session dies mid-run.
+
+    A failed session whose error is an instance of one of ``retry_on``
+    is rebuilt from its spec's factory and re-driven from round zero,
+    wrapped in :class:`MajorityVoteSession` with ``majority_repeats``
+    votes per question.  Repetition is the provably-helpful defence
+    against the inconsistent answers that raise
+    :class:`~repro.errors.EmptyRegionError` in the first place;
+    ``majority_repeats=1`` degenerates to a plain re-run (useful when
+    the factory draws a fresh seed).  After ``max_retries`` failed
+    attempts the session is returned as ``"failed"``.
+    """
+
+    retry_on: tuple[type[BaseException], ...] = (EmptyRegionError,)
+    max_retries: int = 1
+    majority_repeats: int = 3
+    #: Optional :class:`RobustPolicy` deciding *how* the retry session
+    #: is built.  ``None`` keeps the historical behaviour: a majority
+    #: vote with ``majority_repeats`` votes.
+    policy: RobustPolicy | None = None
+
+    def __post_init__(self) -> None:
+        if self.max_retries < 1:
+            raise ConfigurationError(
+                f"max_retries must be >= 1, got {self.max_retries}"
+            )
+        if self.majority_repeats < 1 or self.majority_repeats % 2 == 0:
+            raise ConfigurationError(
+                "majority_repeats must be a positive odd number, "
+                f"got {self.majority_repeats}"
+            )
+        if not self.retry_on:
+            raise ConfigurationError("retry_on must name at least one error")
+
+    def should_retry(self, error: BaseException, attempt: int) -> bool:
+        """Whether ``error`` on attempt number ``attempt`` warrants a retry."""
+        return attempt < self.max_retries and isinstance(
+            error, tuple(self.retry_on)
+        )
+
+    def build_retry(
+        self, source: SessionSource, attempt: int
+    ) -> InteractiveAlgorithm:
+        """Build the session for retry number ``attempt`` (1-based).
+
+        Delegates to :attr:`policy` when one is configured; the default
+        reproduces the historical behaviour exactly — a fresh session
+        from ``source`` under a ``majority_repeats``-vote majority.
+        """
+        if self.policy is not None:
+            return self.policy.build(source, attempt)
+        return MajorityVoteSession(source(), repeats=self.majority_repeats)

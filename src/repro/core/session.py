@@ -47,8 +47,8 @@ def ask_user(
 ) -> tuple[bool, int]:
     """Ask one question, consuming abstentions; returns ``(answer, abstained)``.
 
-    The single seam every driver (:func:`run_session`, both serving
-    engines) funnels user interaction through.  If the user exposes the
+    The single seam every driver (:func:`run_session`, the serving
+    engine) funnels user interaction through.  If the user exposes the
     optional three-valued ``compare`` (see the
     :class:`~repro.users.oracle.User` protocol), it is called up to
     ``1 + max_reasks`` times; each ``None`` counts one abstention and
@@ -160,8 +160,9 @@ class SessionResult:
     """Outcome of one full interactive session.
 
     ``metrics`` is populated only by engine-driven sessions
-    (:class:`repro.serve.SessionEngine`); plain :func:`run_session` calls
-    leave it ``None``, and old pickles without the field load unchanged.
+    (:class:`repro.serve.ContinuousEngine`); plain :func:`run_session`
+    calls leave it ``None``, and old pickles without the field load
+    unchanged.
 
     ``status`` is one of :data:`SESSION_STATUSES`: ``"completed"``
     (stopping condition reached), ``"truncated"`` (round cap hit),
@@ -314,7 +315,7 @@ class InteractiveAlgorithm(abc.ABC):
         """Peek the range update that answering the pending question triggers.
 
         Engines call this after computing the user's answer but before
-        :meth:`observe`; a whole wave's previews feed
+        :meth:`observe`; a whole tick's previews feed
         :func:`repro.geometry.range.prefetch_updates`, which batches the
         solver work so each session's own update replays it from cache
         bit-identically.  Purely an optimisation hint — the default
@@ -473,8 +474,8 @@ def _failed_session_result(
     still useful to a caller serving degraded traffic.  If even
     :meth:`~InteractiveAlgorithm.recommend` raises, index ``-1`` and an
     empty point are returned.  Shared by sequential
-    :func:`run_session` and :class:`repro.serve.SessionEngine` so both
-    paths fail identically.
+    :func:`run_session` and :class:`repro.serve.ContinuousEngine` so
+    both paths fail identically.
     """
     try:
         index = algorithm.recommend()

@@ -7,7 +7,7 @@ reports per-cell rounds, regret, failure/recovery/retry/abstention
 counts.  Every counter is seed-deterministic — the CI
 ``robustness-smoke`` job gates them exactly, the same way the perf gate
 pins LP and round counters — and the oracle column is bit-identical to
-sequential golden sessions (the engines' standing determinism
+sequential golden sessions (the engine's standing determinism
 guarantee).
 
 ``python -m repro robustness`` is the CLI front door; the report writes
@@ -24,6 +24,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.robust import RecoveryPolicy
 from repro.core.session import DEFAULT_MAX_ROUNDS, SessionResult, validate_epsilon
 from repro.data.datasets import Dataset
 from repro.data.utility import sample_training_utilities
@@ -38,7 +39,7 @@ from repro.registry import (
     make_trainer,
     session_needs_agent,
 )
-from repro.serve.engine import RecoveryPolicy, SessionEngine
+from repro.serve.scheduler import ContinuousEngine
 from repro.serve.spec import SessionSpec
 from repro.users import canonical_user_model, make_user
 
@@ -349,8 +350,10 @@ def run_robustness_matrix(
                 for i in range(seeds)
             ]
             cell_started = time.perf_counter()
-            engine = SessionEngine(max_rounds=max_rounds, recovery=policy)
-            results = engine.run(specs)
+            with ContinuousEngine(
+                max_rounds=max_rounds, recovery=policy
+            ) as engine:
+                results = engine.run(specs)
             metrics = engine.last_metrics
             assert metrics is not None
             regrets = [

@@ -20,7 +20,6 @@ from repro.eval.metrics import session_regret
 from repro.users.oracle import OracleUser
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.serve.engine import SessionEngine
     from repro.serve.scheduler import ContinuousEngine
 
 #: A fresh algorithm instance per user session.
@@ -52,7 +51,7 @@ def evaluate_algorithm(
     utilities: np.ndarray,
     name: str = "",
     max_rounds: int = 2_000,
-    engine: "SessionEngine | ContinuousEngine | None" = None,
+    engine: "ContinuousEngine | None" = None,
 ) -> EvaluationSummary:
     """Run one session per hidden utility vector and aggregate.
 
@@ -70,11 +69,10 @@ def evaluate_algorithm(
         Per-session safety cap (ignored when ``engine`` is given: the
         engine's own ``max_rounds`` applies).
     engine:
-        Optional :class:`~repro.serve.engine.SessionEngine` or
-        :class:`~repro.serve.scheduler.ContinuousEngine`.  When given,
-        all user sessions are driven concurrently through it (batched
-        Q-scoring, LP memoisation) instead of sequentially; results are
-        bit-identical to the sequential path.
+        Optional :class:`~repro.serve.scheduler.ContinuousEngine`.  When
+        given, all user sessions are driven concurrently through it
+        (batched Q-scoring, LP memoisation) instead of sequentially;
+        results are bit-identical to the sequential path.
     """
     users = [
         OracleUser(utility)

@@ -743,150 +743,6 @@ class BatchLPBackend(ScipyHighsBackend):
         return outcomes
 
 
-#: Per-pool-process batching backend, built lazily on first chunk.  One
-#: instance per solver process, reused across chunks (every solve still
-#: gets a fresh HiGHS instance).
-_POOL_WORKER_BACKEND: BatchLPBackend | None = None
-
-
-def _pool_solve_chunk(
-    systems: list[LPSystem],
-) -> tuple[list[LPResult | LPError], int]:
-    """Solve one chunk in a pool process; returns (outcomes, raw solves).
-
-    Module-level so a ``spawn``-context pool can import it by name; the
-    raw-solve count travels back so the parent backend's ``solves``
-    counter stays exact across the process boundary.
-    """
-    global _POOL_WORKER_BACKEND
-    backend = _POOL_WORKER_BACKEND
-    if backend is None:
-        backend = _POOL_WORKER_BACKEND = BatchLPBackend()
-    before = backend.solves
-    return backend.solve_many_raw(systems), backend.solves - before
-
-
-class ProcessPoolLPBackend(BatchLPBackend):
-    """Batched HiGHS backend that fans large stacks to a process pool.
-
-    ``solve_many_raw`` splits the miss set into up to ``procs``
-    contiguous chunks and solves them in parallel solver processes,
-    sidestepping the GIL that serialises
-    :class:`~repro.serve.scheduler.ContinuousEngine` tick work and LP
-    solving in one process (ROADMAP item 1a).  Each pool process runs a
-    plain :class:`BatchLPBackend` over its chunk, so per-system values
-    are bit-identical to in-process batching — the ``name`` therefore
-    stays ``scipy-highs`` (the same sanctioned sharing as
-    :class:`BatchLPBackend`: identical solver, interchangeable
-    results), and results land in the same cache partition.
-
-    Costs, honestly: every system and every result crosses a process
-    boundary as a pickle, and these systems are a handful of rows each.
-    The pool only pays off when a batch's *solver* time outweighs its
-    *serialisation* time — large batches, higher dimensions, or a
-    driver process whose GIL is the bottleneck.  Batches smaller than
-    ``min_batch`` (and everything on a 1-process pool) are solved
-    in-process by the inherited block-diagonal path; a broken pool
-    degrades to in-process solving rather than failing the batch.
-    Single-system :func:`solve` calls always stay in-process.
-
-    Construction is cheap: the pool is created lazily on first use and
-    released by :meth:`close` (also a context manager).  Prefers the
-    ``fork`` start context where available (no import-time re-execution
-    in children).
-    """
-
-    def __init__(
-        self,
-        procs: int = 2,
-        max_batch: int = 256,
-        min_batch: int = 16,
-    ) -> None:
-        super().__init__(max_batch=max_batch)
-        if procs < 1:
-            raise ValueError(f"procs must be >= 1, got {procs}")
-        if min_batch < 2:
-            raise ValueError(f"min_batch must be >= 2, got {min_batch}")
-        self.procs = int(procs)
-        self.min_batch = int(min_batch)
-        self._pool: object | None = None
-        self._pool_lock = threading.Lock()
-
-    # -- pool lifecycle ------------------------------------------------------
-
-    def __enter__(self) -> "ProcessPoolLPBackend":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def _ensure_pool(self) -> object:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with self._pool_lock:
-            if self._pool is None:
-                import multiprocessing
-
-                context = (
-                    multiprocessing.get_context("fork")
-                    if "fork" in multiprocessing.get_all_start_methods()
-                    else None
-                )
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.procs, mp_context=context
-                )
-            return self._pool
-
-    def close(self) -> None:
-        """Shut the solver pool down (idempotent; pool restarts lazily)."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)  # type: ignore[attr-defined]
-
-    # -- solving -------------------------------------------------------------
-
-    def solve_many_raw(
-        self, systems: Sequence[LPSystem]
-    ) -> list[LPResult | LPError]:
-        """Solve every system, chunked across the pool; input order.
-
-        Falls back to the inherited in-process stacking when the batch
-        is below ``min_batch``, the pool is one process, or the pool
-        breaks mid-flight (counting only the in-process solves then).
-        """
-        systems = list(systems)
-        if len(systems) < self.min_batch or self.procs == 1:
-            return super().solve_many_raw(systems)
-        chunk_count = min(self.procs, len(systems))
-        bounds_idx = np.linspace(0, len(systems), chunk_count + 1).astype(int)
-        chunks = [
-            systems[start:stop]
-            for start, stop in zip(bounds_idx[:-1], bounds_idx[1:])
-            if stop > start
-        ]
-        pool = self._ensure_pool()
-        try:
-            futures = [
-                pool.submit(_pool_solve_chunk, chunk)  # type: ignore[attr-defined]
-                for chunk in chunks
-            ]
-            parts = [future.result() for future in futures]
-        except Exception:  # noqa: BLE001 -- pool death is recoverable
-            # A dead pool (killed child, exhausted fds) must not fail
-            # the LP layer; solve in-process and rebuild the pool on
-            # the next batch.
-            self.close()
-            return super().solve_many_raw(systems)
-        outcomes: list[LPResult | LPError] = []
-        raw_solves = 0
-        for chunk_outcomes, chunk_solves in parts:
-            outcomes.extend(chunk_outcomes)
-            raw_solves += chunk_solves
-        self.count_solves(raw_solves)
-        return outcomes
-
-
 #: Process-wide default backend; :func:`use_backend` overrides it per
 #: context.  The default batches: single-system behaviour is inherited
 #: from :class:`ScipyHighsBackend` unchanged, and :func:`solve_many`
@@ -1028,8 +884,8 @@ def solve_many(
     :func:`solve` calls: hits are peeled off individually before any
     solver work, and misses are stored individually after — so a later
     :func:`solve` of the same system replays the batched result as an
-    ordinary hit.  That is the hand-off the serving engines use to
-    prime a wave's probes in one stacked call.
+    ordinary hit.  That is the hand-off the serving engine uses to
+    prime a tick's probes in one stacked call.
 
     The remaining misses go through the active backend's
     ``solve_many_raw`` when it provides one (:class:`BatchLPBackend`,

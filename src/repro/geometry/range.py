@@ -706,7 +706,7 @@ def prefetch_updates(previews: Sequence[UpdatePreview]) -> None:
     changes nothing but speed.
 
     * :class:`AmbientRange` previews — the trial-set feasibility probes
-      of the whole wave stack into one
+      of the whole tick stack into one
       :func:`~repro.geometry.lp.solve_many` call, then the ``2d``
       outer-rectangle probes of every feasible trial marked ``bounds``
       stack into a second; results land in the active
@@ -758,7 +758,7 @@ def prefetch_updates(previews: Sequence[UpdatePreview]) -> None:
 
 
 def _prefetch_ambient(previews: Sequence[UpdatePreview]) -> None:
-    """Stack the wave's feasibility probes, then feasible trials' bounds."""
+    """Stack the tick's feasibility probes, then feasible trials' bounds."""
     trials = []
     systems = []
     for preview in previews:
@@ -785,7 +785,7 @@ def _prefetch_ambient(previews: Sequence[UpdatePreview]) -> None:
 
 
 def _prefetch_exact(previews: Sequence[UpdatePreview]) -> None:
-    """One NumPy pass over the wave's clips; stash per-range memos."""
+    """One NumPy pass over the tick's clips; stash per-range memos."""
     staged: list[tuple[ExactRange, dict[str, Any], int, np.ndarray,
                        np.ndarray]] = []
     expanded: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
@@ -968,7 +968,7 @@ def _clip_face(
 
     The crossing computation is the shared :func:`_pair_crossings`
     kernel — the same code path :func:`prefetch_updates` batches across
-    a whole wave — so a prefetched clip is bit-identical to an inline
+    a whole tick — so a prefetched clip is bit-identical to an inline
     one by construction.
     """
     crossings = _pair_crossings(

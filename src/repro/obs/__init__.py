@@ -15,8 +15,8 @@ against.  It has three parts:
   performance-snapshot schema consumed by the CI regression gate.
 
 Instrumented hot paths: :class:`~repro.rl.dqn.DQNAgent` scoring and
-training steps, :class:`~repro.serve.engine.SessionEngine` waves and
-per-slot interactions, every LP solve (tagged by kind and cache
+training steps, :class:`~repro.serve.scheduler.ContinuousEngine` ticks
+and per-slot interactions, every LP solve (tagged by kind and cache
 hit/miss), :class:`~repro.geometry.range.ExactRange` clips/rebuilds and
 :class:`~repro.geometry.range.AmbientRange` feasibility probes.  Enable
 with::

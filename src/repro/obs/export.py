@@ -9,7 +9,7 @@ Two formats:
 * **Chrome ``trace_event``** — the ``{"traceEvents": [...]}`` JSON
   consumed by ``chrome://tracing`` and https://ui.perfetto.dev: one
   complete (``"ph": "X"``) event per span, micro-second timestamps,
-  span tags as ``args``.  Load the file and the per-wave Q-scoring /
+  span tags as ``args``.  Load the file and the per-tick Q-scoring /
   LP-solve / range-clip breakdown is visible as nested slices.
 
 Both exporters are read-only over the tracer and sort keys, so output

@@ -1,6 +1,6 @@
 """Context-local hierarchical tracing: spans, counters, phase totals.
 
-The tracer answers "where does the time go?" inside a wave: Q-scoring
+The tracer answers "where does the time go?" inside a tick: Q-scoring
 vs LP solves vs vertex clipping.  Design constraints, in order:
 
 1. **Free when off.**  No tracer is installed by default.  Hot paths

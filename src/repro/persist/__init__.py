@@ -30,15 +30,15 @@ storable object:
   session, atomic temp-file + :func:`os.replace` writes, safe across
   processes).
 * :func:`resumed_spec` — wraps a snapshot as a
-  :class:`~repro.serve.spec.SessionSpec` that both serving engines
-  admit mid-session (``resumed=True`` bypasses the fresh-algorithm
+  :class:`~repro.serve.spec.SessionSpec` that the serving engine
+  admits mid-session (``resumed=True`` bypasses the fresh-algorithm
   check).
 
-The engines integrate through
+The serving layer integrates through
 :meth:`repro.serve.scheduler.ContinuousEngine.checkpoint` /
 :meth:`~repro.serve.scheduler.ContinuousEngine.resume` and
-:class:`repro.serve.engine.SessionEngine`'s ``store``/
-``checkpoint_every`` hooks; the HTTP front end
+:class:`repro.serve.dispatch.ShardedDispatcher`'s ``store``/
+``checkpoint_every`` crash-resume; the HTTP front end
 (:mod:`repro.server`) checkpoints after every answer.
 """
 

@@ -3,27 +3,28 @@
 The paper's harness answers one user at a time through
 :func:`~repro.core.session.run_session`; a production deployment serves
 many users against one trained agent.  This subsystem provides that
-layer:
+layer, with ``run_session`` as its scalar reference: every served
+session is bit-identical to a sequential ``run_session`` over the same
+algorithm, user and seed.
 
-* :class:`SessionSpec` — the canonical unit of serving work (session
-  factory, user, seed, tags), accepted by both engines;
-* :class:`SessionEngine` — multiplexes sessions in lock-step waves,
-  batching Q-network scoring across sessions and memoising LP solves
-  through a per-engine :class:`~repro.geometry.lp.LPCache`, with a
-  bit-for-bit determinism guarantee w.r.t. sequential ``run_session``
-  and per-slot fault isolation (one dying session cannot abort the
-  run).  It is the deterministic *reference* scheduler;
-* :class:`ContinuousEngine` — the scaling scheduler: continuous
-  (iteration-level) batching with admission control, backpressure and a
+* :class:`SessionSpec` — the unit of serving work (session factory,
+  user, seed, tags), the only form the engine accepts;
+* :class:`ContinuousEngine` — the engine: continuous (iteration-level)
+  batching with admission control, backpressure and a
   ``submit()``/``as_completed()``/``drain()`` streaming lifecycle,
-  producing per-session results identical to the wave engine;
-* :class:`Runtime` — the structural protocol both schedulers satisfy;
-  service layers and benchmarks depend on it, not on a concrete engine;
+  batching Q-network scoring across sessions, memoising LP solves
+  through a per-engine :class:`~repro.geometry.lp.LPCache`, and
+  isolating faults per session (one dying session cannot abort the
+  run);
+* :class:`Runtime` — the structural protocol the engine and the
+  dispatcher satisfy; service layers and benchmarks depend on it, not
+  on a concrete runtime;
 * :class:`ShardedDispatcher` — multi-process serving: shards specs
   across worker processes (one ``ContinuousEngine``, LP cache and
   tracer per worker), with checkpoint-based crash-resume when a worker
   dies;
-* :class:`RecoveryPolicy` — optional retry of failed sessions under
+* :class:`~repro.core.robust.RecoveryPolicy` (re-exported here) —
+  optional retry of failed sessions under
   :class:`~repro.core.robust.MajorityVoteSession`;
 * :class:`EngineMetrics` / :class:`SessionMetrics` /
   :class:`SessionError` — lightweight instrumentation of the whole
@@ -31,17 +32,17 @@ layer:
 * :func:`run_serve_bench` — the end-to-end many-users benchmark behind
   ``python -m repro serve-bench``.
 
-Everything else in the submodules (slot/task book-keeping, result
-helpers) is private API.
+Everything else in the submodules (task book-keeping, result helpers)
+is private API.
 """
 
+from repro.core.robust import RecoveryPolicy
 from repro.serve.bench import ServeBenchReport, run_serve_bench
 from repro.serve.dispatch import ShardedDispatcher
-from repro.serve.engine import RecoveryPolicy, SessionEngine
 from repro.serve.metrics import EngineMetrics, SessionError, SessionMetrics
 from repro.serve.runtime import Runtime
 from repro.serve.scheduler import ContinuousEngine
-from repro.serve.spec import SessionSpec, reset_tuple_deprecation_warnings
+from repro.serve.spec import SessionSpec
 
 __all__ = [
     "ContinuousEngine",
@@ -49,11 +50,9 @@ __all__ = [
     "RecoveryPolicy",
     "Runtime",
     "ServeBenchReport",
-    "SessionEngine",
     "SessionError",
     "SessionMetrics",
     "SessionSpec",
     "ShardedDispatcher",
-    "reset_tuple_deprecation_warnings",
     "run_serve_bench",
 ]

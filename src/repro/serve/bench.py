@@ -2,12 +2,15 @@
 
 Trains a small RL agent on a dataset, fans out ``--sessions`` simulated
 users with independent hidden utilities and seeds, drives them all
-through one engine — the lock-step
-:class:`~repro.serve.engine.SessionEngine` or, with
-``engine="continuous"``, the continuous-batching
-:class:`~repro.serve.scheduler.ContinuousEngine` — and reports the
-aggregate metrics (throughput, LP cache hit rate, batch occupancy, and
-— when sessions die — failure/retry counts).  With ``noise > 0`` the
+through the continuous-batching
+:class:`~repro.serve.scheduler.ContinuousEngine` (or, with ``procs >=
+1``, a :class:`~repro.serve.dispatch.ShardedDispatcher` running one
+engine per worker process) and reports the aggregate metrics
+(throughput, LP cache hit rate, batch occupancy, and — when sessions
+die — failure/retry counts).  :func:`bench_workload` builds the trained
+agent and the fixed-seed :class:`~repro.serve.spec.SessionSpec` list on
+its own, so a caller can replay the identical sessions through
+:func:`~repro.core.session.run_session`.  With ``noise > 0`` the
 users are :class:`~repro.users.NoisyUser` instances, the workload the
 fault-isolation and recovery machinery exists for; ``recover=True``
 retries failed sessions under majority voting.  This is the smallest
@@ -21,7 +24,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
+from repro.core.robust import RecoveryPolicy
 from repro.core.session import DEFAULT_MAX_ROUNDS, SessionResult, validate_epsilon
 from repro.data.datasets import Dataset
 from repro.data.utility import sample_training_utilities
@@ -31,7 +36,6 @@ from repro.obs.snapshot import write_snapshot
 from repro.obs.tracer import active_tracer
 from repro.registry import make_config, make_session, make_trainer
 from repro.serve.dispatch import ShardedDispatcher
-from repro.serve.engine import RecoveryPolicy, SessionEngine
 from repro.serve.metrics import EngineMetrics
 from repro.serve.scheduler import ContinuousEngine
 from repro.serve.spec import SessionSpec
@@ -53,11 +57,15 @@ class ServeBenchReport:
     results: list[SessionResult]
     noise: float = 0.0
     max_rounds: int = DEFAULT_MAX_ROUNDS
-    engine: str = "wave"
     procs: int = 0
     user_model: str = "oracle"
     #: Per-worker tracer aggregate reports (dispatch engine only).
     worker_obs: list[dict] = field(default_factory=list)
+
+    @property
+    def engine(self) -> str:
+        """Which runtime served the run: ``continuous`` or ``dispatch``."""
+        return "dispatch" if self.procs else "continuous"
 
     def lines(self) -> list[str]:
         """Report lines printed by the CLI command."""
@@ -87,7 +95,7 @@ class ServeBenchReport:
         BENCH snapshot (see :mod:`repro.obs.snapshot`).
 
         ``counters`` holds only seed-deterministic quantities (round and
-        wave counts, LP cache and range-clip rates) so a CI gate can
+        tick counts, LP cache and range-clip rates) so a CI gate can
         compare them exactly; wall-clock measurements live in
         ``timings`` and are only ever ratio-checked.  ``obs`` carries
         the active tracer's aggregate report when tracing was on during
@@ -105,15 +113,14 @@ class ServeBenchReport:
             "sessions": self.sessions,
             "user_model": self.user_model,
         }
-        steps = m.ticks if m.ticks else m.waves
         timings = {
             "rounds_per_second": m.rounds_per_second,
             "sessions_per_second": m.sessions_per_second,
+            "tick_latency_seconds": (
+                m.wall_seconds / m.ticks if m.ticks else 0.0
+            ),
             "train_seconds": self.train_seconds,
             "wall_seconds": m.wall_seconds,
-            "wave_latency_seconds": (
-                m.wall_seconds / steps if steps else 0.0
-            ),
         }
         counters = {
             "abstentions": m.abstentions,
@@ -134,7 +141,6 @@ class ServeBenchReport:
             "rounds_total": m.rounds_total,
             "ticks": m.ticks,
             "truncated": m.truncated,
-            "waves": m.waves,
         }
         if self.worker_obs:
             # Dispatch runs trace inside the workers; the merged
@@ -165,101 +171,38 @@ class ServeBenchReport:
         )
 
 
-def run_serve_bench(
+@dataclass
+class BenchWorkload:
+    """The trained agent and fixed-seed session specs of one bench run."""
+
+    agent: Any
+    specs: list[SessionSpec]
+    train_seconds: float
+    #: The canonical user model the specs' users were built from.
+    user_model: str
+
+
+def bench_workload(
     dataset: Dataset,
     sessions: int = 64,
     algorithm: str = "aa",
     epsilon: float = 0.1,
     episodes: int = 8,
     seed: RngLike = 0,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
     noise: float = 0.0,
-    recover: bool = False,
-    recovery: RecoveryPolicy | None = None,
-    engine: str = "wave",
-    max_in_flight: int = 64,
-    workers: int = 0,
-    procs: int = 0,
-    lp_procs: int = 0,
     user_model: str = "oracle",
-) -> ServeBenchReport:
-    """Train one agent, serve ``sessions`` concurrent users, measure.
+) -> BenchWorkload:
+    """Train the bench agent and build its ``sessions`` fixed-seed specs.
 
-    Parameters
-    ----------
-    dataset:
-        The (skyline-preprocessed) dataset to search.
-    sessions:
-        Number of concurrent simulated users.
-    algorithm:
-        ``"ea"`` or ``"aa"`` (registry names; display aliases accepted).
-    epsilon:
-        Regret-ratio threshold served to every user.
-    episodes:
-        Training episodes for the shared agent — kept small by default;
-        the bench measures serving, not learning.
-    seed:
-        Master seed; training, hidden users and per-session streams are
-        spawned independently from it.
-    max_rounds:
-        Per-session safety cap.
-    noise:
-        Error rate of the simulated users: 0 (default) serves truthful
-        :class:`~repro.users.OracleUser` instances, anything greater
-        serves :class:`~repro.users.NoisyUser` fleets whose mistakes can
-        drive individual sessions into failure.
-    recover:
-        Enable the default :class:`~repro.serve.engine.RecoveryPolicy`
-        (retry :class:`~repro.errors.EmptyRegionError` failures once
-        under majority voting).
-    recovery:
-        An explicit policy; overrides ``recover``.
-    engine:
-        ``"wave"`` (default) serves through the lock-step
-        :class:`~repro.serve.engine.SessionEngine`; ``"continuous"``
-        through the continuous-batching
-        :class:`~repro.serve.scheduler.ContinuousEngine`.  Per-session
-        results are identical; occupancy and throughput differ.
-    max_in_flight:
-        Admission cap for the continuous engine (ignored by ``wave``).
-    workers:
-        Thread-pool size for the continuous engine's per-session agent
-        work (ignored by ``wave``; 0 = inline).
-    procs:
-        ``> 0`` serves through a
-        :class:`~repro.serve.dispatch.ShardedDispatcher` with this many
-        worker processes (each running its own continuous engine at
-        ``max_in_flight``); the ``engine`` argument is superseded and
-        the report's engine reads ``"dispatch"``.  Per-worker tracer
-        reports are collected and merged into the snapshot's ``obs``
-        section.
-    lp_procs:
-        Per-worker :class:`~repro.geometry.lp.ProcessPoolLPBackend`
-        pool size (dispatch only; 0 = in-process batched solving).
-    user_model:
-        Which :func:`repro.users.make_user` model answers the
-        questions (``oracle``, ``noisy``, ``persona``, ``fatigue``,
-        ``drifting``, ``abstaining``).  ``oracle`` with ``noise > 0``
-        upgrades to ``noisy``, preserving the historical behaviour;
-        ``noise`` feeds each model's headline error knob.
+    The parameters mean what they mean for :func:`run_serve_bench`,
+    which serves exactly these specs.  Every call with the same
+    arguments trains the same agent and builds specs with the same
+    session seeds and freshly built users, so the sessions can be
+    replayed through any runtime or through sequential
+    :func:`~repro.core.session.run_session`.
     """
     if sessions < 1:
         raise ConfigurationError(f"sessions must be >= 1, got {sessions}")
-    if procs < 0:
-        raise ConfigurationError(f"procs must be >= 0, got {procs}")
-    if procs == 0 and lp_procs > 0:
-        raise ConfigurationError(
-            "lp_procs needs the dispatch engine; pass procs >= 1"
-        )
-    if engine not in ("wave", "continuous", "dispatch"):
-        raise ConfigurationError(
-            "engine must be 'wave', 'continuous' or 'dispatch', "
-            f"got {engine!r}"
-        )
-    if engine == "dispatch" and procs == 0:
-        procs = 2
-    if procs > 0:
-        engine = "dispatch"
     if not 0.0 <= noise < 1.0:
         raise ConfigurationError(f"noise must be in [0, 1), got {noise}")
     user_model = canonical_user_model(user_model)
@@ -267,9 +210,6 @@ def run_serve_bench(
         # Historical behaviour: --noise alone serves NoisyUser fleets.
         user_model = "noisy"
     epsilon = validate_epsilon(epsilon)
-    policy = recovery if recovery is not None else (
-        RecoveryPolicy() if recover else None
-    )
     trainer = make_trainer(algorithm)
     train_rng, user_rng, session_rng = spawn_rngs(seed, 3)
     utilities = sample_training_utilities(
@@ -311,51 +251,135 @@ def run_serve_bench(
         )
         for i in range(sessions)
     ]
+    return BenchWorkload(
+        agent=agent,
+        specs=specs,
+        train_seconds=train_seconds,
+        user_model=user_model,
+    )
+
+
+def run_serve_bench(
+    dataset: Dataset,
+    sessions: int = 64,
+    algorithm: str = "aa",
+    epsilon: float = 0.1,
+    episodes: int = 8,
+    seed: RngLike = 0,
+    max_rounds: int = DEFAULT_MAX_ROUNDS,
+    noise: float = 0.0,
+    recover: bool = False,
+    recovery: RecoveryPolicy | None = None,
+    max_in_flight: int = 64,
+    workers: int = 0,
+    procs: int = 0,
+    user_model: str = "oracle",
+) -> ServeBenchReport:
+    """Train one agent, serve ``sessions`` concurrent users, measure.
+
+    Parameters
+    ----------
+    dataset:
+        The (skyline-preprocessed) dataset to search.
+    sessions:
+        Number of concurrent simulated users.
+    algorithm:
+        ``"ea"`` or ``"aa"`` (registry names; display aliases accepted).
+    epsilon:
+        Regret-ratio threshold served to every user.
+    episodes:
+        Training episodes for the shared agent — kept small by default;
+        the bench measures serving, not learning.
+    seed:
+        Master seed; training, hidden users and per-session streams are
+        spawned independently from it.
+    max_rounds:
+        Per-session safety cap.
+    noise:
+        Error rate of the simulated users: 0 (default) serves truthful
+        :class:`~repro.users.OracleUser` instances, anything greater
+        serves :class:`~repro.users.NoisyUser` fleets whose mistakes can
+        drive individual sessions into failure.
+    recover:
+        Enable the default :class:`~repro.core.robust.RecoveryPolicy`
+        (retry :class:`~repro.errors.EmptyRegionError` failures once
+        under majority voting).
+    recovery:
+        An explicit policy; overrides ``recover``.
+    max_in_flight:
+        Admission cap of the engine (per worker with ``procs``).
+    workers:
+        Thread-pool size for the engine's per-session agent work
+        (0 = inline).
+    procs:
+        ``0`` (default) serves in-process through one
+        :class:`~repro.serve.scheduler.ContinuousEngine`; ``> 0``
+        serves through a :class:`~repro.serve.dispatch.ShardedDispatcher`
+        with this many worker processes (each running its own engine
+        at ``max_in_flight``), and the report's engine reads
+        ``"dispatch"``.  Per-worker tracer reports are collected and
+        merged into the snapshot's ``obs`` section.
+    user_model:
+        Which :func:`repro.users.make_user` model answers the
+        questions (``oracle``, ``noisy``, ``persona``, ``fatigue``,
+        ``drifting``, ``abstaining``).  ``oracle`` with ``noise > 0``
+        upgrades to ``noisy``, preserving the historical behaviour;
+        ``noise`` feeds each model's headline error knob.
+    """
+    if procs < 0:
+        raise ConfigurationError(f"procs must be >= 0, got {procs}")
+    policy = recovery if recovery is not None else (
+        RecoveryPolicy() if recover else None
+    )
+    workload = bench_workload(
+        dataset,
+        sessions=sessions,
+        algorithm=algorithm,
+        epsilon=epsilon,
+        episodes=episodes,
+        seed=seed,
+        noise=noise,
+        user_model=user_model,
+    )
     worker_obs: list[dict] = []
-    if engine == "dispatch":
+    if procs > 0:
         with ShardedDispatcher(
             procs=procs,
             max_rounds=max_rounds,
             max_in_flight=max_in_flight,
             workers=workers,
             recovery=policy,
-            agents={algorithm: agent},
+            agents={algorithm: workload.agent},
             dataset=dataset,
-            lp_procs=lp_procs,
             collect_obs=True,
         ) as dispatcher:
-            for spec in specs:
+            for spec in workload.specs:
                 dispatcher.submit(spec)
             results = dispatcher.drain()
             metrics = dispatcher.last_metrics
             worker_obs = list(dispatcher.worker_reports)
-    elif engine == "continuous":
+    else:
         with ContinuousEngine(
             max_rounds=max_rounds,
             recovery=policy,
             max_in_flight=max_in_flight,
             workers=workers,
         ) as served:
-            results = served.run(specs)
+            results = served.run(workload.specs)
             metrics = served.last_metrics
-    else:
-        wave_engine = SessionEngine(max_rounds=max_rounds, recovery=policy)
-        results = wave_engine.run(specs)
-        metrics = wave_engine.last_metrics
     if metrics is None:
         raise ConfigurationError("engine.run() did not populate last_metrics")
     return ServeBenchReport(
         algorithm=algorithm,
         dataset=dataset.name,
         sessions=sessions,
-        epsilon=epsilon,
-        train_seconds=train_seconds,
+        epsilon=validate_epsilon(epsilon),
+        train_seconds=workload.train_seconds,
         metrics=metrics,
         results=results,
         noise=noise,
         max_rounds=max_rounds,
-        engine=engine,
         procs=procs,
-        user_model=user_model,
+        user_model=workload.user_model,
         worker_obs=worker_obs,
     )

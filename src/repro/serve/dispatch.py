@@ -7,9 +7,8 @@ solves and result book-keeping all contend for the same interpreter
 :class:`~repro.serve.spec.SessionSpec`\\ s across ``procs`` worker
 *processes*, each running its own
 :class:`~repro.serve.scheduler.ContinuousEngine` with its own
-:class:`~repro.geometry.lp.LPCache`, its own LP backend (the batching
-default, or a :class:`~repro.geometry.lp.ProcessPoolLPBackend` when
-``lp_procs`` is set) and, optionally, its own
+:class:`~repro.geometry.lp.LPCache`, its own
+:class:`~repro.geometry.lp.BatchLPBackend` and, optionally, its own
 :class:`~repro.obs.tracer.Tracer` whose aggregate report rides home for
 cross-process observability.
 
@@ -70,21 +69,17 @@ import numpy as np
 
 from repro.core.session import DEFAULT_MAX_ROUNDS, SessionResult
 from repro.errors import ConfigurationError, InteractionError, PersistenceError
-from repro.geometry.lp import (
-    BatchLPBackend,
-    ProcessPoolLPBackend,
-    use_backend,
-)
+from repro.geometry.lp import BatchLPBackend, use_backend
 from repro.obs.export import aggregate_report
 from repro.obs.tracer import Tracer, use_tracer
 from repro.serve.metrics import EngineMetrics, SessionError, SessionMetrics
 from repro.serve.scheduler import ContinuousEngine
-from repro.serve.spec import SessionSource, coerce_spec
+from repro.serve.spec import SessionSpec, require_spec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.robust import RecoveryPolicy
     from repro.persist import SessionSnapshot
     from repro.persist.store import SessionStore
-    from repro.serve.engine import RecoveryPolicy
     from repro.users.oracle import User
 
 
@@ -113,7 +108,6 @@ class _WorkerOptions:
     recovery: "RecoveryPolicy | None"
     store: "SessionStore | None"
     checkpoint_every: int
-    lp_procs: int
     collect_obs: bool
     agents: Mapping[str, Any]
     dataset: Any
@@ -177,14 +171,9 @@ def _worker_main(
     """
     from repro.persist import resumed_spec
 
-    # A fresh backend per worker: its own solve counter, and — when
-    # lp_procs is set — its own HiGHS process pool.  Either way the
-    # worker's cache keys stay in the default "scipy-highs" partition.
-    backend: BatchLPBackend = (
-        ProcessPoolLPBackend(procs=options.lp_procs)
-        if options.lp_procs > 0
-        else BatchLPBackend()
-    )
+    # A fresh backend per worker: its own solve counter, with cache
+    # keys in the default "scipy-highs" partition.
+    backend = BatchLPBackend()
     tracer = Tracer() if options.collect_obs else None
     tracer_ctx = use_tracer(tracer) if tracer is not None else nullcontext()
     engine = ContinuousEngine(
@@ -238,8 +227,6 @@ def _worker_main(
         report = aggregate_report(tracer) if tracer is not None else None
         conn.send(("done", shard, metrics, report))
     finally:
-        if isinstance(backend, ProcessPoolLPBackend):
-            backend.close()
         conn.close()
 
 
@@ -269,10 +256,6 @@ class ShardedDispatcher:
         Context for rebuilding crash-resumed sessions
         (:func:`~repro.persist.restore_session` needs the trained agent
         for RL families and the dataset when snapshots omit points).
-    lp_procs:
-        Per-worker :class:`~repro.geometry.lp.ProcessPoolLPBackend`
-        pool size (0 = in-process batched solving, the default — see
-        the backend's docstring for when the pool actually pays off).
     collect_obs:
         Install a per-worker :class:`~repro.obs.tracer.Tracer` and
         aggregate the workers' span reports into
@@ -303,7 +286,6 @@ class ShardedDispatcher:
         max_restarts: int = 2,
         agents: Mapping[str, Any] | None = None,
         dataset: Any | None = None,
-        lp_procs: int = 0,
         collect_obs: bool = False,
     ) -> None:
         if procs < 1:
@@ -311,6 +293,10 @@ class ShardedDispatcher:
         if checkpoint_every < 0:
             raise ConfigurationError(
                 f"checkpoint_every must be >= 0, got {checkpoint_every}"
+            )
+        if checkpoint_every > 0 and store is None:
+            raise ConfigurationError(
+                "checkpoint_every needs a store to checkpoint into"
             )
         if max_restarts < 0:
             raise ConfigurationError(
@@ -333,7 +319,6 @@ class ShardedDispatcher:
             recovery=recovery,
             store=store,
             checkpoint_every=int(checkpoint_every),
-            lp_procs=int(lp_procs),
             collect_obs=bool(collect_obs),
             agents=dict(agents or {}),
             dataset=dataset,
@@ -396,15 +381,17 @@ class ShardedDispatcher:
 
     # -- submission ----------------------------------------------------------
 
-    def submit(self, session: SessionSource, trace: bool = False) -> int:
+    def submit(self, session: SessionSpec, trace: bool = False) -> int:
         """Queue one session; return its dispatcher-wide ticket.
 
-        Work is held in the parent until the next wave
+        Accepts only a :class:`~repro.serve.spec.SessionSpec`; anything
+        else raises :class:`~repro.errors.ConfigurationError`.  Work is
+        held in the parent until the next wave
         (:meth:`drain`/:meth:`as_completed`) forks workers for it.
         """
         with self._lock:
             self._check_open()
-            spec = coerce_spec(session)
+            spec = require_spec(session)
             ticket = self._next_ticket
             self._next_ticket += 1
             tagged = spec.tags.get("session_id")

@@ -1,4 +1,4 @@
-"""Lightweight metrics for the concurrent session engine.
+"""Lightweight metrics for the serving engine.
 
 Two layers of measurement, both cheap enough to stay on by default:
 
@@ -6,10 +6,12 @@ Two layers of measurement, both cheap enough to stay on by default:
   session's :class:`~repro.core.session.SessionResult` (``.metrics``):
   rounds, completion latency, agent-side compute seconds and how many of
   the session's rounds were scored through a shared network batch.
-* :class:`EngineMetrics` — one per :meth:`SessionEngine.run
-  <repro.serve.engine.SessionEngine.run>` call: wave counts, batched-
-  scoring occupancy, aggregate LP solver work and cache effectiveness,
-  and end-to-end throughput.
+* :class:`EngineMetrics` — one per
+  :class:`~repro.serve.scheduler.ContinuousEngine` (accumulated over
+  its lifetime) or :class:`~repro.serve.dispatch.ShardedDispatcher`
+  (merged across workers): tick counts, batched-scoring occupancy,
+  aggregate LP solver work and cache effectiveness, and end-to-end
+  throughput.
 
 This module is deliberately dependency-free (no imports from
 :mod:`repro.core`) so result types can reference it without cycles.
@@ -27,11 +29,11 @@ class SessionMetrics:
     Attributes
     ----------
     session_id:
-        Position of the session in the engine's input sequence.
+        The session's submission ticket.
     rounds:
         Questions answered before the session stopped.
     wall_seconds:
-        Latency from engine start to this session's completion (what an
+        Latency from submission to this session's completion (what an
         interactive user would experience, minus answer time which is
         simulated instantaneously).
     agent_seconds:
@@ -87,7 +89,7 @@ class SessionError:
     Attributes
     ----------
     session_id:
-        Position of the failed session in the engine's input sequence.
+        The failed session's submission ticket.
     round:
         Rounds the session had answered when the error surfaced.
     error_type:
@@ -111,7 +113,7 @@ class SessionError:
 
 @dataclass
 class EngineMetrics:
-    """Aggregate measurements for one engine run.
+    """Aggregate measurements for one engine (or dispatcher).
 
     Attributes
     ----------
@@ -131,31 +133,25 @@ class EngineMetrics:
     errors:
         One :class:`SessionError` record per observed failure (a session
         retried ``n`` times contributes up to ``n + 1`` records).
-    waves:
-        Lock-step iterations executed (each wave advances every active
-        session by at most one round).  Zero for the continuous engine,
-        which counts ``ticks`` instead.
     ticks:
-        Scheduler iterations executed by the continuous engine (each
-        tick advances every *in-flight* session by at most one round).
-        Zero for the wave engine.
+        Scheduler iterations executed (each tick advances every
+        *in-flight* session by at most one round).
     in_flight_cap:
-        The continuous engine's admission cap (``max_in_flight``) —
-        the per-tick capacity ``occupancy`` is measured against.  Zero
-        for the wave engine.
+        The engine's admission cap (``max_in_flight``) — the per-tick
+        capacity ``occupancy`` is measured against.
     rounds_total:
         Questions answered across all sessions.
     abstentions:
         Withheld answers consumed across all sessions (see
         :attr:`SessionMetrics.abstentions`).
     batches:
-        Shared scoring batches issued (one per scorer per wave).
+        Shared scoring batches issued (one per scorer per tick).
     batched_rows:
-        Candidate sets scored through shared batches, summed over waves.
+        Candidate sets scored through shared batches, summed over ticks.
     peak_batch:
         Largest number of candidate sets in any single batch.
     lp_solves:
-        LP solves routed through the engine's cache (0 with caching off).
+        LP solves routed through the engine's cache.
     lp_cache_hits:
         Routed solves answered from the cache.
     range_updates:
@@ -181,7 +177,6 @@ class EngineMetrics:
     retries: int = 0
     recovered: int = 0
     errors: list[SessionError] = field(default_factory=list)
-    waves: int = 0
     ticks: int = 0
     in_flight_cap: int = 0
     rounds_total: int = 0
@@ -221,7 +216,6 @@ class EngineMetrics:
         self.retries += other.retries
         self.recovered += other.recovered
         self.errors.extend(other.errors)
-        self.waves += other.waves
         self.ticks += other.ticks
         self.in_flight_cap = max(self.in_flight_cap, other.in_flight_cap)
         self.rounds_total += other.rounds_total
@@ -249,31 +243,18 @@ class EngineMetrics:
         return self.batched_rows / self.batches if self.batches else 0.0
 
     @property
-    def batch_occupancy(self) -> float:
-        """Mean batch size relative to the admitted session count.
-
-        1.0 means every session was scored together in every wave; the
-        value decays as sessions finish and waves thin out.  0.0 when no
-        shared batches ran (e.g. a run of baseline-only sessions).
-        """
-        if not self.sessions or not self.batches:
-            return 0.0
-        return self.mean_batch_size / self.sessions
-
-    @property
     def occupancy(self) -> float:
         """Fraction of provisioned batch capacity actually filled.
 
-        For the continuous engine this is ``batched_rows`` over the
-        total capacity it provisioned — ``ticks × in_flight_cap`` — so
-        an engine that keeps its in-flight slots full of batchable work
-        scores close to 1.0 regardless of how many sessions were queued
-        behind the cap.  For the wave engine (which has no fixed
-        capacity) this falls back to :attr:`batch_occupancy`.
+        ``batched_rows`` over the total capacity the engine provisioned
+        — ``ticks × in_flight_cap`` — so an engine that keeps its
+        in-flight slots full of batchable work scores close to 1.0
+        regardless of how many sessions were queued behind the cap.
+        0.0 before the first tick.
         """
         if self.ticks and self.in_flight_cap:
             return self.batched_rows / (self.ticks * self.in_flight_cap)
-        return self.batch_occupancy
+        return 0.0
 
     @property
     def lp_hit_rate(self) -> float:
@@ -302,10 +283,7 @@ class EngineMetrics:
 
     def summary_lines(self) -> list[str]:
         """Human-readable report lines (used by ``serve-bench``)."""
-        if self.ticks:
-            steps = f"ticks: {self.ticks} (cap {self.in_flight_cap})"
-        else:
-            steps = f"waves: {self.waves}"
+        steps = f"ticks: {self.ticks} (cap {self.in_flight_cap})"
         lines = [
             f"sessions: {self.sessions} "
             f"({self.completed} completed, {self.truncated} truncated, "

@@ -43,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.session import SessionResult
     from repro.persist import SessionSnapshot
     from repro.serve.metrics import EngineMetrics
-    from repro.serve.spec import SessionSource
+    from repro.serve.spec import SessionSpec
     from repro.users.oracle import User
 
 
@@ -63,7 +63,7 @@ class Runtime(Protocol):
     #: Metrics snapshot taken at the most recent drain (or close).
     last_metrics: "EngineMetrics | None"
 
-    def submit(self, session: "SessionSource", trace: bool = False) -> int:
+    def submit(self, session: "SessionSpec", trace: bool = False) -> int:
         """Queue one session for service; return its ticket."""
         ...
 

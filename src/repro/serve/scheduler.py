@@ -1,11 +1,7 @@
-"""Continuous-batching session scheduler: :class:`ContinuousEngine`.
+"""The serving engine: :class:`ContinuousEngine`.
 
-The wave-based :class:`~repro.serve.engine.SessionEngine` steps *every*
-admitted session in lock-step, so batch occupancy decays as sessions
-finish at different rounds: a wave's stacked Q-scoring pass shrinks to
-whatever stragglers remain, and the slowest session gates everyone.
-This module schedules the way LLM inference servers do — iteration-level
-("continuous") batching:
+Sessions are scheduled the way LLM inference servers schedule requests
+— iteration-level ("continuous") batching:
 
 * Sessions join and leave the in-flight set independently.  A bounded
   number (``max_in_flight``) run at once; the moment one finishes, the
@@ -16,8 +12,7 @@ This module schedules the way LLM inference servers do — iteration-level
   one :class:`~repro.serve.spec.SessionSpec` and returns a ticket,
   :meth:`as_completed` yields results as sessions finish, and
   :meth:`drain` blocks for everything, returning results in submission
-  order.  The batch :meth:`run` facade keeps ``SessionEngine.run``'s
-  shape for drop-in use.
+  order.  The batch :meth:`run` facade submits a sequence and drains.
 * Per-session agent work (candidate selection, ``observe``,
   per-round ``recommend``) can be fanned out to a thread pool
   (``workers``).  The pool inherits the driver's ContextVar
@@ -35,18 +30,20 @@ Each session's next question depends only on its own state, its own
 answers, Q-scores that are bit-identical per candidate set (dense
 layers are row-independent, so batch composition cannot perturb them)
 and LP results that cache hits replay exactly.  A session therefore
-produces the same recommendation, rounds, and trace under this engine,
-the wave engine, or sequential ``run_session`` — the property the
-wave-vs-continuous equivalence gate in ``benchmarks/ci_gate.py``
-asserts.  This also holds with ``workers > 0``: each session's state is
-only ever touched by one thread at a time, and racing cache misses cost
-duplicate solves, never different answers.
+produces the same recommendation, rounds, and trace under this engine
+as under sequential :func:`~repro.core.session.run_session`, the
+scalar reference — the property the equivalence gate in
+``benchmarks/ci_gate.py`` asserts.  This also holds with
+``workers > 0``: each session's state is only ever touched by one
+thread at a time, and racing cache misses cost duplicate solves, never
+different answers.
 
-Fault isolation matches the wave engine, extended to admission: a
-factory that raises, a stale (already-driven) session, or any per-slot
-interaction error marks only that ticket ``"failed"`` — the scheduler
-keeps serving, and a :class:`~repro.serve.engine.RecoveryPolicy` can
-re-drive factory-built failures under majority voting.
+Fault isolation: a factory that raises, a stale (already-driven)
+session, or any per-session interaction error (question selection,
+``user.prefers``, ``observe``, ``recommend``) marks only that ticket
+``"failed"`` — the scheduler keeps serving, and a
+:class:`~repro.core.robust.RecoveryPolicy` can re-drive matching
+failures under majority voting.
 """
 
 from __future__ import annotations
@@ -63,6 +60,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.core.robust import RecoveryPolicy
 from repro.core.session import (
     DEFAULT_MAX_ROUNDS,
     CandidateBatch,
@@ -76,11 +74,10 @@ from repro.core.session import (
 )
 from repro.errors import ConfigurationError, InteractionError, PersistenceError
 from repro.geometry.lp import LPCache, use_cache
+from repro.geometry.range import UpdatePreview, prefetch_updates
 from repro.obs.tracer import Tracer, active_tracer
-from repro.geometry.range import prefetch_updates
-from repro.serve.engine import RecoveryPolicy, _preview_of
 from repro.serve.metrics import EngineMetrics, SessionError, SessionMetrics
-from repro.serve.spec import SessionSource, SessionSpec, coerce_spec
+from repro.serve.spec import SessionSpec, require_spec
 from repro.utils.timing import Stopwatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -117,6 +114,21 @@ class _Task:
         return self.watch.elapsed + self.shared_seconds
 
 
+def _preview_of(
+    algorithm: InteractiveAlgorithm, answer: bool
+) -> UpdatePreview | None:
+    """One session's update preview, or ``None``.
+
+    Previews are a pure optimisation hint; a hook that raises must
+    never fail the session, so any error degrades to "no preview" and
+    the session's own update surfaces it (or not) on its normal path.
+    """
+    try:
+        return algorithm.probe_preview(answer)
+    except Exception:  # noqa: BLE001 -- previews must never fail a session
+        return None
+
+
 def _resolve_future(
     future: "asyncio.Future[SessionResult]", result: SessionResult
 ) -> None:
@@ -132,15 +144,10 @@ class ContinuousEngine:
     ----------
     max_rounds:
         Per-session safety cap, as in ``run_session``.
-    lp_cache:
-        ``True`` (default) installs a fresh per-engine
-        :class:`~repro.geometry.lp.LPCache` shared by every session
-        (and every worker thread); pass an existing cache to share
-        across engines, or ``False``/``None`` to disable memoisation.
     recovery:
         ``None`` (default) returns failed sessions as ``"failed"``.
-        Pass a :class:`~repro.serve.engine.RecoveryPolicy` to re-drive
-        matching factory-built failures under
+        Pass a :class:`~repro.core.robust.RecoveryPolicy` to re-drive
+        matching failures under
         :class:`~repro.core.robust.MajorityVoteSession`.
     max_in_flight:
         Admission cap: at most this many sessions are live per tick.
@@ -174,7 +181,6 @@ class ContinuousEngine:
     def __init__(
         self,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
-        lp_cache: LPCache | bool | None = True,
         recovery: RecoveryPolicy | None = None,
         max_in_flight: int = 64,
         max_pending: int | None = None,
@@ -196,12 +202,7 @@ class ContinuousEngine:
         self.max_rounds = int(max_rounds)
         self.max_in_flight = int(max_in_flight)
         self.max_pending = None if max_pending is None else int(max_pending)
-        if isinstance(lp_cache, LPCache):
-            self.lp_cache: LPCache | None = lp_cache
-        elif lp_cache:
-            self.lp_cache = LPCache()
-        else:
-            self.lp_cache = None
+        self.lp_cache = LPCache()
         self.recovery = recovery
         self.workers = int(workers)
         self._executor: ThreadPoolExecutor | None = (
@@ -225,9 +226,6 @@ class ContinuousEngine:
         self.metrics = EngineMetrics()
         self.metrics.in_flight_cap = self.max_in_flight
         self.last_metrics: EngineMetrics | None = None
-        cache = self.lp_cache
-        self._cache_hits0 = cache.hits if cache else 0
-        self._cache_misses0 = cache.misses if cache else 0
         self._tracer: Tracer | None = None
         self.store = store
         # -- async front door (asubmit) --
@@ -278,26 +276,27 @@ class ContinuousEngine:
             except RuntimeError:  # pragma: no cover - loop already closed
                 pass
 
-    def submit(self, session: SessionSource, trace: bool = False) -> int:
+    def submit(self, session: SessionSpec, trace: bool = False) -> int:
         """Queue one session for service; return its ticket.
 
-        Accepts a :class:`~repro.serve.spec.SessionSpec` (or the
-        deprecated ``(algorithm, user)`` tuple).  The factory is *not*
-        invoked here — construction happens at admission, inside the
-        engine's LP-cache context, so start-up solves are memoised.
-        If the pending queue exceeds ``max_pending``, scheduler ticks
-        run inline until it no longer does (backpressure).
+        Accepts only a :class:`~repro.serve.spec.SessionSpec`; anything
+        else raises :class:`~repro.errors.ConfigurationError`.  The
+        factory is *not* invoked here — construction happens at
+        admission, inside the engine's LP-cache context, so start-up
+        solves are memoised.  If the pending queue exceeds
+        ``max_pending``, scheduler ticks run inline until it no longer
+        does (backpressure).
         """
         with self._lock:
             self._check_open()
-            ticket = self._submit_spec(coerce_spec(session), trace)
+            ticket = self._submit_spec(require_spec(session), trace)
             if self.max_pending is not None:
                 while len(self._pending) > self.max_pending:
                     self._tick()
             return ticket
 
     def _submit_spec(self, spec: SessionSpec, trace: bool) -> int:
-        """Queue a coerced spec (caller holds the lock); no backpressure."""
+        """Queue a checked spec (caller holds the lock); no backpressure."""
         ticket = self._next_ticket
         self._next_ticket += 1
         task = _Task(
@@ -315,7 +314,7 @@ class ContinuousEngine:
         return ticket
 
     def asubmit(
-        self, session: SessionSource, trace: bool = False
+        self, session: SessionSpec, trace: bool = False
     ) -> "asyncio.Future[SessionResult]":
         """Submit from asyncio; the returned future resolves to the result.
 
@@ -336,7 +335,7 @@ class ContinuousEngine:
         future: "asyncio.Future[SessionResult]" = loop.create_future()
         with self._lock:
             self._check_open()
-            ticket = self._submit_spec(coerce_spec(session), trace)
+            ticket = self._submit_spec(require_spec(session), trace)
             self._epoch.remove(ticket)
             self._waiters[ticket] = (loop, future)
             self._ensure_driver()
@@ -538,16 +537,17 @@ class ContinuousEngine:
 
     def run(
         self,
-        sessions: Sequence[SessionSource],
+        sessions: Sequence[SessionSpec],
         trace: bool = False,
     ) -> list[SessionResult]:
         """Submit ``sessions`` and drain: the batch facade.
 
-        Mirrors :meth:`SessionEngine.run
-        <repro.serve.engine.SessionEngine.run>`: one result per input,
-        in input order, with per-session fault isolation.  Aggregate
-        metrics accumulate on ``self.metrics`` across the engine's
-        lifetime and are snapshotted to ``last_metrics`` at each drain.
+        One result per input, in input order, with per-session fault
+        isolation.  Aggregate metrics accumulate on ``self.metrics``
+        across the engine's lifetime and are snapshotted to
+        ``last_metrics`` at each drain.  With ``trace=True`` per-round
+        records are collected into each result's ``trace`` exactly as
+        ``run_session(..., trace=True)`` would.
         """
         for session in sessions:
             self.submit(session, trace=trace)
@@ -575,7 +575,6 @@ class ContinuousEngine:
         if not (self._pending or self._in_flight):
             return
         cache = self.lp_cache
-        context = use_cache(cache) if cache is not None else nullcontext()
         tracer = active_tracer()
         self._tracer = tracer
         phases_before = tracer.phase_snapshot() if tracer else None
@@ -592,19 +591,13 @@ class ContinuousEngine:
             )
         )
         try:
-            with context, tick_span:
+            with use_cache(cache), tick_span:
                 self._admit()
                 self._in_flight = self._advance(self._in_flight)
         finally:
             self.metrics.wall_seconds += time.perf_counter() - started
-            if cache is not None:
-                self.metrics.lp_cache_hits = cache.hits - self._cache_hits0
-                self.metrics.lp_solves = (
-                    cache.hits
-                    + cache.misses
-                    - self._cache_hits0
-                    - self._cache_misses0
-                )
+            self.metrics.lp_cache_hits = cache.hits
+            self.metrics.lp_solves = cache.hits + cache.misses
             if tracer is not None and phases_before is not None:
                 phases = self.metrics.phase_seconds
                 for phase, seconds in tracer.phases_since(
@@ -616,10 +609,8 @@ class ContinuousEngine:
     def _admit(self) -> None:
         """Fill free in-flight slots from the pending queue.
 
-        Unlike the wave engine — whose ``run()`` propagates admission
-        errors, aborting the whole batch — a streaming engine contains
-        them: a factory that raises or hands over an already-driven
-        session fails only its own ticket.
+        Admission errors are contained: a factory that raises or hands
+        over an already-driven session fails only its own ticket.
         """
         replacements: list[_Task] = []
         while self._pending and len(self._in_flight) < self.max_in_flight:
@@ -743,7 +734,14 @@ class ContinuousEngine:
 
     @contextmanager
     def _task_op(self, task: _Task, op: str) -> Iterator[None]:
-        """Trace one slot interaction, like ``SessionEngine._slot_op``.
+        """Trace one slot interaction and attribute its phase time.
+
+        With tracing off (``self._tracer is None``) this yields
+        immediately.  With tracing on, the block runs inside an
+        ``engine.slot`` span (session and operation tagged) and the
+        per-phase self-seconds it accumulates (``lp``, ``score``,
+        ``range``, and the span's own residual as ``interact``) are
+        added to the task's :class:`SessionMetrics.phase_seconds`.
 
         Per-slot *phase attribution* (reading the tracer's global phase
         totals before/after) is only meaningful when ops run serially,
@@ -812,14 +810,16 @@ class ContinuousEngine:
     def _prefetch(self, tasks: list[_Task]) -> None:
         """Batch-prime the tick's imminent range updates (best-effort).
 
-        Same contract as ``SessionEngine._prefetch``: the answered
-        tasks' previews feed
-        :func:`repro.geometry.range.prefetch_updates` in one call —
-        stacked ``solve_many`` LPs plus one NumPy clip pass — and each
-        session's own ``observe`` replays the results bit-identically.
-        Runs on the driver thread (it is shared solver work, the thing
-        batching amortises); the wall time is split evenly across the
-        participating sessions like batched scoring.
+        The answered tasks'
+        :meth:`~repro.core.session.InteractiveAlgorithm.probe_preview`
+        results feed :func:`repro.geometry.range.prefetch_updates` in
+        one call — stacked ``solve_many`` LPs plus one NumPy clip pass
+        — and each session's own ``observe`` replays the results from
+        cache/memo bit-identically.  Runs on the driver thread (it is
+        shared solver work, the thing batching amortises); the wall
+        time is split evenly across the participating sessions like
+        batched scoring.  Skipping this changes nothing but speed, so
+        any failure is swallowed.
         """
         primed = [
             (task, preview)
@@ -877,9 +877,12 @@ class ContinuousEngine:
     ) -> None:
         """Resolve parked candidate batches, stacked per scorer.
 
-        Same contract as ``SessionEngine._score``: tasks sharing a
-        ``q_values_many`` scorer are scored in one stacked pass; others
-        fall back to their own sequential selection.  Scoring runs on
+        Tasks whose algorithm exposes a ``dqn`` with ``q_values_many``
+        (the RL policies) are grouped by scorer identity and scored in
+        one stacked pass; others fall back to their own sequential
+        selection.  A scorer that raises (or violates the
+        one-score-row-per-session contract) fails every task in its
+        group.  Scoring runs on
         the driver thread — it is one matmul chain, the thing batching
         exists to amortise — while the per-task question resolution
         that follows is pool-eligible per-session work.
@@ -1010,7 +1013,6 @@ class ContinuousEngine:
         retryable = (
             recovery is not None
             and recovery.should_retry(error, task.attempt)
-            and task.spec.retryable
             and task.algorithm is not None
         )
         self.metrics.errors.append(
@@ -1027,7 +1029,7 @@ class ContinuousEngine:
             self.metrics.retries += 1
             # The replacement starts fresh metrics; bank the failed
             # attempt's abstentions now (driver thread) so the engine
-            # total matches the wave engine's live count.
+            # total counts every abstention the user made.
             self.metrics.abstentions += task.metrics.abstentions
             replacements.append(self._retry_task(task))
             return

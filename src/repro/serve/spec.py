@@ -1,75 +1,29 @@
 """The canonical unit of serving work: :class:`SessionSpec`.
 
-Both engines (:class:`~repro.serve.engine.SessionEngine` and
-:class:`~repro.serve.scheduler.ContinuousEngine`) admit work as
-*specs*: a zero-argument session factory paired with the user who will
-answer its questions, plus caller-side bookkeeping (``seed``, ``tags``)
-that the engines carry through untouched.  Factories — not constructed
-sessions — are the canonical form for two reasons the engine layer
-relies on:
+The serving engine (:class:`~repro.serve.scheduler.ContinuousEngine`,
+and through it every :class:`~repro.serve.dispatch.ShardedDispatcher`
+worker) admits work only as *specs*: a zero-argument session factory
+paired with the user who will answer its questions, plus caller-side
+bookkeeping (``seed``, ``tags``) that the engine carries through
+untouched.  Factories — not constructed sessions — are the unit for two
+reasons the engine relies on:
 
 * they are invoked *inside* the engine's LP-cache context, so the heavy
   constraint solves of session start-up (identical across sessions that
   share a dataset) are memoised;
-* only a factory-built session can be rebuilt by a
-  :class:`~repro.serve.engine.RecoveryPolicy` — an already-driven
-  session holds poisoned state and cannot be replayed.
-
-The legacy ``(algorithm, user)`` tuple form is still accepted
-everywhere a spec sequence is (``SessionEngine.run``,
-``ContinuousEngine.run``) through :func:`coerce_spec`, which emits a
-:class:`DeprecationWarning` and wraps eager instances in a one-shot
-factory the engines recognise as non-retryable.
+* a :class:`~repro.core.robust.RecoveryPolicy` rebuilds a failed
+  session by calling its factory again — an already-driven session
+  holds poisoned state and cannot be replayed.
 """
 
 from __future__ import annotations
 
-import sys
-import warnings
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from typing import Union
 
 from repro.core.session import InteractiveAlgorithm
 from repro.errors import ConfigurationError
 from repro.users.oracle import User
-
-#: What the engines accept where a spec is expected: the spec itself or
-#: the deprecated ``(algorithm_or_factory, user)`` tuple.
-SessionSource = Union[
-    "SessionSpec",
-    tuple[
-        "InteractiveAlgorithm | Callable[[], InteractiveAlgorithm]",
-        User,
-    ],
-]
-
-
-class OneShotFactory:
-    """Adapter presenting an eagerly-built session as a factory.
-
-    Produced by :func:`coerce_spec` for legacy ``(algorithm, user)``
-    pairs whose first element is a constructed session rather than a
-    factory.  The engines detect this wrapper and mark the slot
-    non-retryable: the wrapped instance holds real session state, so a
-    second ``__call__`` would re-drive a poisoned session.
-    """
-
-    __slots__ = ("_algorithm", "_consumed")
-
-    def __init__(self, algorithm: InteractiveAlgorithm) -> None:
-        self._algorithm = algorithm
-        self._consumed = False
-
-    def __call__(self) -> InteractiveAlgorithm:
-        """Return the wrapped session; refuses to hand it out twice."""
-        if self._consumed:
-            raise ConfigurationError(
-                "an eagerly-constructed session can only be admitted "
-                "once; submit a zero-argument factory to allow rebuilds"
-            )
-        self._consumed = True
-        return self._algorithm
 
 
 @dataclass(frozen=True)
@@ -87,25 +41,25 @@ class SessionSpec:
         Anything with a ``prefers(p_i, p_j) -> bool`` method — an
         oracle, or any model from :mod:`repro.users.models` (tag the
         spec with ``tags["user_model"]`` for provenance).  Users with
-        the optional three-valued ``compare`` may abstain; engines
-        consume abstentions through
+        the optional three-valued ``compare`` may abstain; the engine
+        consumes abstentions through
         :func:`repro.core.session.ask_user`.
     seed:
         Optional seed recorded for provenance (e.g. the per-session RNG
-        stream the factory closes over).  The engines never interpret
+        stream the factory closes over).  The engine never interprets
         it; it exists so results can be traced back to their stream.
     tags:
         Free-form caller metadata (tenant, experiment arm, priority
-        class, ...) carried through unchanged.  The engines never
-        interpret tags either.
+        class, ...) carried through unchanged.  The engine never
+        interprets tags either.
     resumed:
         The factory restores a mid-flight session from a
         :class:`~repro.persist.SessionSnapshot` (see
-        :func:`repro.persist.resumed_spec`).  Engines normally reject
-        algorithms that arrive with ``rounds != 0`` — the tell-tale of
-        an accidentally re-submitted instance — but a resumed spec is
-        *supposed* to arrive mid-session, so this flag relaxes that
-        admission check.
+        :func:`repro.persist.resumed_spec`).  The engine normally
+        rejects algorithms that arrive with ``rounds != 0`` — the
+        tell-tale of an accidentally re-submitted instance — but a
+        resumed spec is *supposed* to arrive mid-session, so this flag
+        relaxes that admission check.
     """
 
     factory: Callable[[], InteractiveAlgorithm]
@@ -119,75 +73,23 @@ class SessionSpec:
             raise ConfigurationError(
                 "SessionSpec.factory must be a zero-argument callable "
                 f"producing a fresh session, got {type(self.factory).__name__}"
-                " — wrap constructed sessions via the legacy tuple form"
             )
-
-    @property
-    def retryable(self) -> bool:
-        """Whether a recovery policy may rebuild this session."""
-        return not isinstance(self.factory, OneShotFactory)
 
     def build(self) -> InteractiveAlgorithm:
         """Invoke the factory, returning a fresh session instance."""
         return self.factory()
 
 
-#: Call sites (filename, lineno) that already received the legacy-tuple
-#: DeprecationWarning.  A loop submitting 10k tuples would otherwise
-#: emit 10k identical warnings from one source line, drowning real ones.
-_WARNED_SITES: set[tuple[str, int]] = set()
+def require_spec(session: object) -> SessionSpec:
+    """Return ``session`` if it is a :class:`SessionSpec`, else raise.
 
-
-def _warn_legacy_tuple(stacklevel: int) -> None:
-    """Emit the legacy-tuple warning once per caller source line."""
-    try:
-        frame = sys._getframe(stacklevel)
-        site = (frame.f_code.co_filename, frame.f_lineno)
-    except ValueError:  # stack shallower than stacklevel
-        site = None
-    if site is not None:
-        if site in _WARNED_SITES:
-            return
-        _WARNED_SITES.add(site)
-    warnings.warn(
-        "passing (algorithm, user) tuples to engine.run() is deprecated; "
-        "submit repro.serve.SessionSpec instances instead",
-        DeprecationWarning,
-        stacklevel=stacklevel + 1,
-    )
-
-
-def reset_tuple_deprecation_warnings() -> None:
-    """Forget which call sites were warned (test isolation hook)."""
-    _WARNED_SITES.clear()
-
-
-def coerce_spec(source: SessionSource, *, stacklevel: int = 3) -> SessionSpec:
-    """Normalise one submission into a :class:`SessionSpec`.
-
-    Specs pass through unchanged.  Legacy ``(algorithm_or_factory,
-    user)`` tuples are converted — factories directly, eager instances
-    via :class:`OneShotFactory` — after emitting a
-    :class:`DeprecationWarning` pointing callers at the spec form.  The
-    warning fires once per call *site*, not once per tuple, so batch
-    submissions surface a single actionable line.
+    The engine and the dispatcher accept nothing else: a bare algorithm
+    or an ``(algorithm, user)`` tuple raises
+    :class:`~repro.errors.ConfigurationError`.
     """
-    if isinstance(source, SessionSpec):
-        return source
-    if not (isinstance(source, tuple) and len(source) == 2):
+    if not isinstance(session, SessionSpec):
         raise ConfigurationError(
-            "each session must be a SessionSpec or a legacy "
-            f"(algorithm, user) tuple, got {type(source).__name__}"
+            "sessions must be submitted as repro.serve.SessionSpec, "
+            f"got {type(session).__name__}"
         )
-    _warn_legacy_tuple(stacklevel)
-    head, user = source
-    if callable(head):
-        return SessionSpec(factory=head, user=user)
-    return SessionSpec(factory=OneShotFactory(head), user=user)
-
-
-def coerce_specs(
-    sources: Sequence[SessionSource], *, stacklevel: int = 4
-) -> list[SessionSpec]:
-    """Normalise a submission sequence; see :func:`coerce_spec`."""
-    return [coerce_spec(source, stacklevel=stacklevel) for source in sources]
+    return session

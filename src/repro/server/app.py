@@ -50,6 +50,7 @@ from repro.core.session import (
     DEFAULT_MAX_ROUNDS,
     InteractiveAlgorithm,
     TranscriptEntry,
+    validate_epsilon,
 )
 from repro.data.datasets import Dataset
 from repro.errors import PersistenceError, ReproError
@@ -71,6 +72,23 @@ from repro.server.http import (
     render_response,
 )
 from repro.users.oracle import OracleUser
+
+
+def _seed_field(body: dict[str, Any]) -> int | None:
+    """The request's ``seed``: absent/null, or a non-negative JSON integer."""
+    seed = body.get("seed")
+    if seed is None:
+        return None
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise BadRequestError(
+            f"seed must be a non-negative JSON integer, got {seed!r}"
+        )
+    return seed
+
+
+def _is_number(value: Any) -> bool:
+    """Whether ``value`` decoded from a JSON number (bools excluded)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _resolve_collected(future: "asyncio.Future[Any]", result: Any) -> None:
@@ -392,8 +410,13 @@ class SessionService:
         if "resume" in body:
             return self._resume(str(body["resume"]))
         family = canonical_session_name(body.get("algorithm", "uh-random"))
-        epsilon = float(body.get("epsilon", self.epsilon))
-        seed = None if body.get("seed") is None else int(body["seed"])
+        epsilon = body.get("epsilon", self.epsilon)
+        if not _is_number(epsilon):
+            raise BadRequestError(
+                f"epsilon must be a JSON number, got {epsilon!r}"
+            )
+        epsilon = validate_epsilon(epsilon)
+        seed = _seed_field(body)
         if body.get("mode") == "oracle" or "utility" in body:
             return self._create_oracle(body, family, epsilon, seed)
         with span("server.create", family=family):
@@ -432,13 +455,17 @@ class SessionService:
                 "oracle mode needs the user's utility vector: "
                 '{"mode": "oracle", "utility": [...]}'
             )
-        vector = np.asarray(utility, dtype=float)
-        if vector.shape != (self.dataset.dimension,):
+        dimension = self.dataset.dimension
+        if (
+            not isinstance(utility, list)
+            or len(utility) != dimension
+            or not all(_is_number(weight) for weight in utility)
+        ):
             raise BadRequestError(
-                f"utility must have {self.dataset.dimension} weights, "
-                f"got shape {vector.shape}"
+                f"utility must be a list of {dimension} numeric weights, "
+                f"got {utility!r}"
             )
-        user = OracleUser(vector)
+        user = OracleUser(np.asarray(utility, dtype=float))
         session_id = self._new_id()
         with span("server.create", family=family, mode="oracle"):
             spec = SessionSpec(
@@ -553,7 +580,11 @@ class SessionService:
             raise BadRequestError(
                 'answer body must be {"prefers_first": true|false}'
             )
-        answer = bool(body["prefers_first"])
+        answer = body["prefers_first"]
+        if not isinstance(answer, bool):
+            raise BadRequestError(
+                f"prefers_first must be a JSON boolean, got {answer!r}"
+            )
         live = self._live(session_id)
         async with live.lock:
             algorithm = live.algorithm

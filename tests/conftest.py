@@ -11,15 +11,6 @@ import pytest
 
 from repro.data import synthetic_dataset, toy_database
 from repro.data.utility import sample_training_utilities
-from repro.serve import reset_tuple_deprecation_warnings
-
-
-@pytest.fixture(autouse=True)
-def _fresh_tuple_deprecation_sites():
-    """Each test sees the once-per-call-site warning state fresh."""
-    reset_tuple_deprecation_warnings()
-    yield
-    reset_tuple_deprecation_warnings()
 
 
 @pytest.fixture

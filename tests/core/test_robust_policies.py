@@ -13,11 +13,11 @@ from repro.core.robust import (
     EpsilonInflationPolicy,
     MajorityVotePolicy,
     MajorityVoteSession,
+    RecoveryPolicy,
     inflate_epsilon,
     session_epsilon,
 )
 from repro.errors import ConfigurationError
-from repro.serve.engine import RecoveryPolicy
 from repro.users import NoisyUser, OracleUser
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from repro.data.utility import sample_training_utilities
 from repro.obs.tracer import Tracer, use_tracer
-from repro.serve import SessionEngine, SessionSpec
+from repro.serve import ContinuousEngine, SessionSpec
 from repro.users import OracleUser
 
 
@@ -33,12 +33,12 @@ def _pairs(agent, dimension: int, n_users: int = 3):
 
 
 def _run(agent, dimension: int, tracer: Tracer | None):
-    engine = SessionEngine()
-    if tracer is None:
-        results = engine.run(_pairs(agent, dimension))
-    else:
-        with use_tracer(tracer):
+    with ContinuousEngine() as engine:
+        if tracer is None:
             results = engine.run(_pairs(agent, dimension))
+        else:
+            with use_tracer(tracer):
+                results = engine.run(_pairs(agent, dimension))
     return engine, results
 
 
@@ -66,8 +66,7 @@ class TestTracedEngineRun:
     def test_engine_spans_present(self, traced):
         tracer, _, _ = traced
         names = set(tracer.aggregate())
-        assert "engine.run" in names
-        assert "engine.wave" in names
+        assert "engine.tick" in names
         assert "engine.slot" in names
         assert "engine.score" in names
 

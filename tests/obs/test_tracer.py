@@ -1,7 +1,7 @@
 """Tracer semantics: free when off, correct tree/aggregates when on.
 
 The disabled path is the load-bearing one — tracing ships enabled in no
-default configuration, so the hot loops (engine waves, LP solves, DQN
+default configuration, so the hot loops (engine ticks, LP solves, DQN
 scoring) must pay nothing beyond a single ContextVar read.
 """
 
@@ -57,16 +57,16 @@ class TestDisabledByDefault:
     def test_engine_hot_loop_records_nothing_without_install(
         self, trained_ea_3d
     ):
-        # The full serving hot path — waves, slot ops, LP solves, range
+        # The full serving hot path — ticks, slot ops, LP solves, range
         # updates, Q-scoring — runs with a tracer constructed but never
         # installed: nothing may reach it.
         import numpy as np
 
-        from repro.serve import SessionEngine
+        from repro.serve import ContinuousEngine
         from repro.users import OracleUser
 
         tracer = Tracer()
-        engine = SessionEngine()
+        engine = ContinuousEngine()
         users = [
             OracleUser(u)
             for u in np.random.default_rng(7).dirichlet(np.ones(3), size=2)
@@ -96,7 +96,7 @@ class TestPhaseMapping:
         assert phase_of("lp.solve/chebyshev/hit") == "lp"
         assert phase_of("dqn.q_values_many") == "score"
         assert phase_of("range.clip") == "range"
-        assert phase_of("engine.wave") == "interact"
+        assert phase_of("engine.tick") == "interact"
         assert phase_of("train.episode") == "train"
 
     def test_unknown_prefix_falls_back(self):
@@ -108,19 +108,19 @@ class TestSpanTree:
     def test_nesting_and_ordering(self):
         tracer = Tracer()
         with tracer.span("engine.run"):
-            with tracer.span("engine.wave", wave=1):
+            with tracer.span("engine.tick", tick=1):
                 with tracer.span("lp.solve/chebyshev/miss"):
                     pass
-            with tracer.span("engine.wave", wave=2):
+            with tracer.span("engine.tick", tick=2):
                 pass
         assert len(tracer.roots) == 1
         run = tracer.roots[0]
         assert run.name == "engine.run"
         assert [child.name for child in run.children] == [
-            "engine.wave",
-            "engine.wave",
+            "engine.tick",
+            "engine.tick",
         ]
-        assert run.children[0].tags == {"wave": 1}
+        assert run.children[0].tags == {"tick": 1}
         assert run.children[0].children[0].name == "lp.solve/chebyshev/miss"
         assert run.children[1].children == []
         assert tracer.spans_recorded == 4

@@ -17,7 +17,7 @@ from repro.core.session import ask_user
 from repro.data.utility import sample_training_utilities
 from repro.persist import FileSessionStore, capture_session, restore_session
 from repro.registry import make_session
-from repro.serve.engine import SessionEngine
+from repro.serve.scheduler import ContinuousEngine
 from repro.users import make_user
 
 ZOO = ("noisy", "persona", "fatigue", "drifting", "abstaining")
@@ -99,8 +99,8 @@ def test_resumed_spec_restores_the_user_through_the_engine(
             user=user,
         )
 
-    engine = SessionEngine(max_rounds=ROUND_CAP)
-    [reference] = engine.run([spec(_fresh_user(model, seed))])
+    with ContinuousEngine(max_rounds=ROUND_CAP) as engine:
+        [reference] = engine.run([spec(_fresh_user(model, seed))])
 
     interrupted = make_session(
         "uh-random", small_anti_3d, EPSILON, rng=100 + seed
@@ -113,7 +113,8 @@ def test_resumed_spec_restores_the_user_through_the_engine(
     snapshot = store.get("mid")
     resumed_user = _fresh_user(model, seed)
     resumed = resumed_spec(snapshot, resumed_user)
-    [finished] = SessionEngine(max_rounds=ROUND_CAP).run([resumed])
+    with ContinuousEngine(max_rounds=ROUND_CAP) as engine:
+        [finished] = engine.run([resumed])
 
     assert finished.recommendation_index == reference.recommendation_index
     assert finished.status == reference.status

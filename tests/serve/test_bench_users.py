@@ -43,11 +43,15 @@ class TestUserModelWiring:
         counters = report.snapshot_sections()["counters"]
         assert counters["abstentions"] == report.metrics.abstentions
 
-    @pytest.mark.parametrize("engine", ["wave", "continuous"])
+    @pytest.mark.parametrize("engine", ["continuous", "dispatch"])
     def test_zoo_models_run_on_both_engines(self, small_anti_3d, engine):
         report = bench(
-            small_anti_3d, user_model="drifting", engine=engine
+            small_anti_3d,
+            user_model="drifting",
+            procs=1 if engine == "dispatch" else 0,
         )
+        assert report.engine == engine
+        assert report.snapshot_sections()["config"]["engine"] == engine
         assert report.metrics.failed == 0 or report.metrics.recovered >= 0
         assert len(report.results) == 4
 

@@ -1,13 +1,12 @@
 """Engine-level checkpoint/resume and the async front door.
 
-Covers the :mod:`repro.persist` integration of both engines:
+Covers the :mod:`repro.persist` integration of the serving layer:
 
 * ``ContinuousEngine.checkpoint(ticket)`` / ``.resume(...)`` — a
   session interrupted mid-flight (even across engine instances, i.e. a
   simulated process restart) finishes bit-identically;
-* ``SessionEngine(store=..., checkpoint_every=N)`` — periodic
-  checkpoints during ``run()``, with transcripts contiguous across a
-  resume gap;
+* ``ShardedDispatcher(store=..., checkpoint_every=N)`` — periodic
+  checkpoints inside each wave's workers, resumable by a fresh engine;
 * ``ContinuousEngine.asubmit`` — many concurrent asyncio submissions
   ride one scheduler and resolve to correct results, excluded from
   ``drain()``.
@@ -16,6 +15,7 @@ Covers the :mod:`repro.persist` integration of both engines:
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -24,11 +24,16 @@ from repro.baselines import UHRandomSession
 from repro.core.session import run_session
 from repro.data.utility import sample_training_utilities
 from repro.errors import ConfigurationError, PersistenceError
-from repro.persist import MemorySessionStore, resumed_spec
-from repro.serve import ContinuousEngine, SessionEngine, SessionSpec
+from repro.persist import FileSessionStore, MemorySessionStore, resumed_spec
+from repro.serve import ContinuousEngine, SessionSpec, ShardedDispatcher
 from repro.users import OracleUser
 
 EPSILON = 0.1
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="ShardedDispatcher needs the fork start method",
+)
 
 
 def _user(seed=0):
@@ -105,30 +110,42 @@ class TestContinuousCheckpoint:
 
 
 class TestWaveCheckpoint:
+    """A dispatcher wave's workers checkpoint every ``checkpoint_every``
+    ticks into the shared store."""
+
     def test_checkpoint_every_needs_store(self):
         with pytest.raises(ConfigurationError, match="store"):
-            SessionEngine(checkpoint_every=2)
+            ShardedDispatcher(procs=1, checkpoint_every=2)
 
-    def test_periodic_checkpoints_are_written(self, small_anti_3d):
-        store = MemorySessionStore()
-        engine = SessionEngine(store=store, checkpoint_every=1)
-        engine.run([_spec(small_anti_3d, session_id="wave-1")])
+    @needs_fork
+    def test_periodic_checkpoints_are_written(self, small_anti_3d, tmp_path):
+        store = FileSessionStore(tmp_path / "ckpts")
+        with ShardedDispatcher(
+            procs=1, store=store, checkpoint_every=1
+        ) as dispatcher:
+            dispatcher.submit(_spec(small_anti_3d, session_id="wave-1"))
+            dispatcher.drain()
         snapshot = store.get("wave-1")
         assert snapshot.rounds > 0
         assert snapshot.family == "uh-random"
 
-    def test_truncated_run_resumes_identically(self, small_anti_3d):
+    @needs_fork
+    def test_truncated_run_resumes_identically(self, small_anti_3d, tmp_path):
         reference = run_session(
             UHRandomSession(small_anti_3d, EPSILON, rng=9), _user()
         )
 
-        store = MemorySessionStore()
-        short = SessionEngine(max_rounds=3, store=store, checkpoint_every=1)
-        (truncated,) = short.run([_spec(small_anti_3d, session_id="wave-2")])
+        store = FileSessionStore(tmp_path / "ckpts")
+        with ShardedDispatcher(
+            procs=1, max_rounds=3, store=store, checkpoint_every=1
+        ) as short:
+            short.submit(_spec(small_anti_3d, session_id="wave-2"))
+            (truncated,) = short.drain()
         assert truncated.truncated
 
         snapshot = store.get("wave-2")
-        (result,) = SessionEngine().run([resumed_spec(snapshot, _user())])
+        with ContinuousEngine() as engine:
+            (result,) = engine.run([resumed_spec(snapshot, _user())])
         assert result.rounds == reference.rounds
         assert result.recommendation_index == reference.recommendation_index
 

@@ -1,4 +1,4 @@
-"""SessionEngine: determinism vs the sequential path, plus metrics.
+"""ContinuousEngine: determinism vs the sequential path, plus metrics.
 
 The engine's contract is that sharing work across sessions (batched
 Q-scoring, LP memoisation) must not perturb any individual session:
@@ -9,16 +9,13 @@ runs over the same algorithm/user/seed.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.baselines import UHRandomSession
 from repro.core.session import run_session
 from repro.data.utility import sample_training_utilities
-from repro.errors import InteractionError
-from repro.geometry.lp import LPCache
 from repro.serve import (
+    ContinuousEngine,
     EngineMetrics,
-    SessionEngine,
     SessionSpec,
     run_serve_bench,
 )
@@ -63,8 +60,8 @@ class TestDeterminism:
             run_session(make_algorithm(seed), user)
             for seed, user in enumerate(users)
         ]
-        engine = SessionEngine()
-        engine_results = engine.run(_specs(make_algorithm, users))
+        with ContinuousEngine() as engine:
+            engine_results = engine.run(_specs(make_algorithm, users))
         _assert_identical(sequential, engine_results)
         return engine
 
@@ -99,11 +96,11 @@ class TestDeterminism:
             run_session(trained_ea_3d.new_session(rng=seed), user, trace=True)
             for seed, user in enumerate(users)
         ]
-        engine = SessionEngine()
-        engine_results = engine.run(
-            _specs(lambda seed: trained_ea_3d.new_session(rng=seed), users),
-            trace=True,
-        )
+        with ContinuousEngine() as engine:
+            engine_results = engine.run(
+                _specs(lambda seed: trained_ea_3d.new_session(rng=seed), users),
+                trace=True,
+            )
         for seq, eng in zip(sequential, engine_results):
             assert [r.round_number for r in seq.trace] == [
                 r.round_number for r in eng.trace
@@ -112,37 +109,26 @@ class TestDeterminism:
                 r.recommendation_index for r in eng.trace
             ]
 
-    def test_cache_disabled_still_identical(self, trained_aa_3d, small_anti_3d):
-        users = _hidden_users(small_anti_3d.dimension)
-        sequential = [
-            run_session(trained_aa_3d.new_session(rng=seed), user)
-            for seed, user in enumerate(users)
-        ]
-        engine = SessionEngine(lp_cache=False)
-        engine_results = engine.run(
-            _specs(lambda seed: trained_aa_3d.new_session(rng=seed), users)
-        )
-        _assert_identical(sequential, engine_results)
-        assert engine.lp_cache is None
-        assert engine.last_metrics.lp_solves == 0
-
 
 class TestMetrics:
     """Engine and per-session metrics are populated and consistent."""
 
     def test_session_results_carry_metrics(self, trained_ea_3d, small_anti_3d):
         users = _hidden_users(small_anti_3d.dimension)
-        engine = SessionEngine()
-        results = engine.run(
-            _specs(lambda seed: trained_ea_3d.new_session(rng=seed), users)
-        )
+        with ContinuousEngine() as engine:
+            results = engine.run(
+                _specs(lambda seed: trained_ea_3d.new_session(rng=seed), users)
+            )
         metrics = engine.last_metrics
         assert isinstance(metrics, EngineMetrics)
         assert metrics.sessions == len(users)
         assert metrics.completed + metrics.truncated == len(users)
         assert metrics.rounds_total == sum(r.rounds for r in results)
-        assert 0.0 < metrics.batch_occupancy <= 1.0
-        assert metrics.per_session == [r.metrics for r in results]
+        assert 0.0 < metrics.occupancy <= 1.0
+        # per_session is in completion order; results in submission order.
+        assert sorted(
+            metrics.per_session, key=lambda m: m.session_id
+        ) == [r.metrics for r in results]
         for result in results:
             assert result.metrics is not None
             assert result.metrics.rounds == result.rounds
@@ -150,10 +136,10 @@ class TestMetrics:
 
     def test_range_counters_collected(self, trained_ea_3d, small_anti_3d):
         users = _hidden_users(small_anti_3d.dimension)
-        engine = SessionEngine()
-        results = engine.run(
-            _specs(lambda seed: trained_ea_3d.new_session(rng=seed), users)
-        )
+        with ContinuousEngine() as engine:
+            results = engine.run(
+                _specs(lambda seed: trained_ea_3d.new_session(rng=seed), users)
+            )
         metrics = engine.last_metrics
         assert metrics.range_updates >= metrics.rounds_total
         assert metrics.range_clips + metrics.range_rebuilds > 0
@@ -170,30 +156,38 @@ class TestMetrics:
         )
 
     def test_shared_cache_accumulates(self, trained_aa_3d, small_anti_3d):
-        cache = LPCache()
         users = _hidden_users(small_anti_3d.dimension)
-        for _ in range(2):
-            engine = SessionEngine(lp_cache=cache)
-            engine.run(
-                _specs(lambda seed: trained_aa_3d.new_session(rng=seed), users)
-            )
-        # Second run replays the first run's LP systems from the shared
-        # cache: (nearly) every solve is a hit.
-        assert engine.last_metrics.lp_hit_rate > 0.9
+        make = lambda seed: trained_aa_3d.new_session(rng=seed)  # noqa: E731
+        with ContinuousEngine() as engine:
+            engine.run(_specs(make, users))
+            hits, solves = engine.metrics.lp_cache_hits, engine.metrics.lp_solves
+            engine.run(_specs(make, users))
+            hits = engine.metrics.lp_cache_hits - hits
+            solves = engine.metrics.lp_solves - solves
+        # The engine's cache lives as long as the engine: the second run
+        # replays the first run's LP systems, so (nearly) every solve is
+        # a hit.
+        assert solves > 0
+        assert hits / solves > 0.9
 
     def test_rejects_used_sessions(self, trained_ea_3d, small_anti_3d):
         session = trained_ea_3d.new_session(rng=0)
         user = _hidden_users(small_anti_3d.dimension)[0]
         run_session(session, user)
-        with pytest.warns(DeprecationWarning), pytest.raises(InteractionError):
-            SessionEngine().run([(session, user)])
+        with ContinuousEngine() as engine:
+            (result,) = engine.run(
+                [SessionSpec(factory=lambda: session, user=user)]
+            )
+        assert result.failed
+        assert "InteractionError" in result.error
+        assert "already been driven" in result.error
 
     def test_max_rounds_truncates(self, trained_ea_3d, small_anti_3d):
         users = _hidden_users(small_anti_3d.dimension)
-        engine = SessionEngine(max_rounds=1)
-        results = engine.run(
-            _specs(lambda seed: trained_ea_3d.new_session(rng=seed), users)
-        )
+        with ContinuousEngine(max_rounds=1) as engine:
+            results = engine.run(
+                _specs(lambda seed: trained_ea_3d.new_session(rng=seed), users)
+            )
         assert all(r.truncated for r in results)
         assert all(r.rounds == 1 for r in results)
         assert engine.last_metrics.truncated == len(users)
@@ -209,6 +203,6 @@ class TestServeBench:
         assert len(report.results) == 6
         metrics = report.metrics
         assert metrics.lp_hit_rate > 0
-        assert metrics.batch_occupancy > 0
+        assert metrics.occupancy > 0
         assert metrics.sessions_per_second > 0
         assert any("occupancy" in line for line in report.lines())

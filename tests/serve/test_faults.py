@@ -1,4 +1,4 @@
-"""Fault isolation and recovery in the session engine.
+"""Fault isolation and recovery in the serving engine.
 
 One bad session must never kill an engine run: a slot whose question
 selection, user callback, update or recommendation raises is returned
@@ -23,7 +23,7 @@ from repro.core.session import (
     run_session,
 )
 from repro.errors import ConfigurationError, EmptyRegionError
-from repro.serve import RecoveryPolicy, SessionEngine, SessionSpec
+from repro.serve import ContinuousEngine, RecoveryPolicy, SessionSpec
 from repro.users import NoisyUser, OracleUser
 
 
@@ -96,7 +96,7 @@ class StrictConsistencySession(ScriptedSession):
 
 
 class SlowSession(ScriptedSession):
-    """Sleeps in question selection so wave timing is observable."""
+    """Sleeps in question selection so tick timing is observable."""
 
     def __init__(self, dataset, total: int, delay: float) -> None:
         super().__init__(dataset, total=total)
@@ -174,7 +174,7 @@ class TestFaultIsolation:
             _spec(lambda: ExplodingSession(toy, fail_at=2), _always_true_user()),
             _spec(lambda: ScriptedSession(toy, total=5), _always_true_user()),
         ]
-        engine = SessionEngine()
+        engine = ContinuousEngine()
         results = engine.run(pairs)
         assert len(results) == 3
         assert [r.metrics.session_id for r in results] == [0, 1, 2]
@@ -195,7 +195,7 @@ class TestFaultIsolation:
         assert not record.retried
 
     def test_failed_result_keeps_best_effort_recommendation(self, toy):
-        engine = SessionEngine()
+        engine = ContinuousEngine()
         results = engine.run(
             [_spec(lambda: ExplodingSession(toy, fail_at=1), _always_true_user())]
         )
@@ -204,7 +204,7 @@ class TestFaultIsolation:
         np.testing.assert_array_equal(results[0].recommendation, toy.points[0])
 
     def test_broken_recommend_degrades_to_sentinel(self, toy):
-        engine = SessionEngine()
+        engine = ContinuousEngine()
         results = engine.run(
             [_spec(lambda: NoRecommendSession(toy, fail_at=1), _always_true_user())]
         )
@@ -213,7 +213,7 @@ class TestFaultIsolation:
         assert results[0].recommendation.size == 0
 
     def test_crashing_user_fails_only_its_slot(self, toy):
-        engine = SessionEngine()
+        engine = ContinuousEngine()
         results = engine.run(
             [
                 _spec(lambda: ScriptedSession(toy, total=2), _always_true_user()),
@@ -228,7 +228,7 @@ class TestFaultIsolation:
         # Under ``python -O`` a bare assert would vanish and a None
         # question would reach user.prefers; the guard must be a real
         # InteractionError that the fault boundary then contains.
-        engine = SessionEngine()
+        engine = ContinuousEngine()
         results = engine.run(
             [_spec(lambda: NoneProposingSession(toy, total=3), _always_true_user())]
         )
@@ -247,7 +247,7 @@ class TestFaultIsolation:
             run_session(trained_ea_3d.new_session(rng=seed), user)
             for seed, user in enumerate(users)
         ]
-        engine = SessionEngine()
+        engine = ContinuousEngine()
         pairs = [
             _spec(lambda: trained_ea_3d.new_session(rng=0), users[0]),
             _spec(
@@ -294,7 +294,7 @@ class TestFaultIsolation:
                 bad_user,
             )
         )
-        engine = SessionEngine()
+        engine = ContinuousEngine()
         results = engine.run(pairs)
         assert len(results) == 4
         for result in results[:3]:
@@ -307,7 +307,7 @@ class TestFaultIsolation:
 
     def test_scorer_row_mismatch_fails_group_with_identity(self, toy):
         scorer = BrokenScorer()
-        engine = SessionEngine()
+        engine = ContinuousEngine()
         results = engine.run(
             [
                 _spec(lambda: BatchableSession(toy, scorer), _always_true_user()),
@@ -340,7 +340,7 @@ class TestRecovery:
         # Every 4th answer is flipped: the strict session dies on the
         # plain run, but under 3-vote majority each flip is outvoted.
         user = PeriodicFlipUser(period=4)
-        engine = SessionEngine(recovery=RecoveryPolicy())
+        engine = ContinuousEngine(recovery=RecoveryPolicy())
         results = engine.run(
             [_spec(lambda: StrictConsistencySession(toy, total=5), user)]
         )
@@ -370,7 +370,7 @@ class TestRecovery:
         assert result.status == "completed"
 
     def test_retries_exhaust_to_failed(self, toy):
-        engine = SessionEngine(recovery=RecoveryPolicy(max_retries=1))
+        engine = ContinuousEngine(recovery=RecoveryPolicy(max_retries=1))
         results = engine.run(
             [_spec(lambda: ExplodingSession(toy, fail_at=1), _always_true_user())]
         )
@@ -383,7 +383,7 @@ class TestRecovery:
         assert metrics.errors[0].retried and not metrics.errors[1].retried
 
     def test_non_matching_errors_are_not_retried(self, toy):
-        engine = SessionEngine(recovery=RecoveryPolicy())
+        engine = ContinuousEngine(recovery=RecoveryPolicy())
         results = engine.run(
             [
                 _spec(
@@ -395,24 +395,12 @@ class TestRecovery:
         assert results[0].failed
         assert engine.last_metrics.retries == 0
 
-    def test_eager_sessions_cannot_be_retried(self, toy):
-        # Only factory-submitted pairs can be rebuilt; an eagerly
-        # constructed session holds poisoned state.
-        engine = SessionEngine(recovery=RecoveryPolicy())
-        with pytest.warns(DeprecationWarning):
-            results = engine.run(
-                [(ExplodingSession(toy, fail_at=1), _always_true_user())]
-            )
-        assert results[0].failed
-        assert engine.last_metrics.retries == 0
-        assert not engine.last_metrics.errors[0].retried
 
-
-# -- wave-latency regression ----------------------------------------------------
+# -- tick-latency regression ----------------------------------------------------
 
 
 class TestWaveLatency:
-    """A finished session is finalized in the wave it finishes in."""
+    """A finished session is finalized in the tick it finishes in."""
 
     def test_finalized_in_same_wave(self, toy):
         delay = 0.1
@@ -423,17 +411,17 @@ class TestWaveLatency:
             ),
             _spec(lambda: ScriptedSession(toy, total=1), _always_true_user()),
         ]
-        engine = SessionEngine()
+        engine = ContinuousEngine()
         results = engine.run(pairs)
-        # Every session is finalized in the wave its last answer lands
-        # in, so the run needs exactly max(rounds) waves — the old
-        # top-of-next-wave detection needed one more.
-        assert engine.last_metrics.waves == 3
+        # Every session is finalized in the tick its last answer lands
+        # in, so the run needs exactly max(rounds) ticks — top-of-next-
+        # tick detection would need one more.
+        assert engine.last_metrics.ticks == 3
         fast = results[1]
         assert fast.status == "completed"
-        # The fast session's completion latency covers wave 1 only
+        # The fast session's completion latency covers tick 1 only
         # (~one slow question); the regression would charge it a second
-        # slow wave (>= 2 * delay).
+        # slow tick (>= 2 * delay).
         assert fast.metrics.wall_seconds < 1.7 * delay
         slow = results[0]
         assert slow.metrics.wall_seconds >= 3 * delay
@@ -446,8 +434,8 @@ class TestWaveLatency:
             )
             for total in (4, 1, 3, 2)
         ]
-        engine = SessionEngine()
+        engine = ContinuousEngine()
         results = engine.run(pairs)
         assert [r.rounds for r in results] == [4, 1, 3, 2]
         assert [r.metrics.session_id for r in results] == [0, 1, 2, 3]
-        assert engine.last_metrics.waves == 4
+        assert engine.last_metrics.ticks == 4

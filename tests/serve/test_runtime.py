@@ -12,12 +12,7 @@ import multiprocessing
 
 import pytest
 
-from repro.serve import (
-    ContinuousEngine,
-    Runtime,
-    SessionEngine,
-    ShardedDispatcher,
-)
+from repro.serve import ContinuousEngine, Runtime, ShardedDispatcher
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -34,11 +29,6 @@ class TestConformance:
     def test_dispatcher_is_a_runtime(self):
         with ShardedDispatcher(procs=2) as dispatcher:
             assert isinstance(dispatcher, Runtime)
-
-    def test_wave_engine_is_not_a_runtime(self):
-        # SessionEngine has no streaming lifecycle; the protocol must
-        # not degrade into "any object with a run() method".
-        assert not isinstance(SessionEngine(), Runtime)
 
     def test_protocol_surface(self):
         for name in (

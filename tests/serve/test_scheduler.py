@@ -1,15 +1,15 @@
-"""ContinuousEngine: equivalence with the wave engine, plus scheduling.
+"""ContinuousEngine: equivalence with ``run_session``, plus scheduling.
 
 The continuous scheduler's contract has three parts:
 
-* **Equivalence** — per-session results are identical to the wave
-  engine's (and therefore to sequential ``run_session``) over the same
-  specs: scheduling order, admission timing and batch composition must
-  never perturb a session's transcript.
+* **Equivalence** — per-session results are identical to sequential
+  ``run_session`` (the scalar reference) over the same specs:
+  scheduling order, admission timing and batch composition must never
+  perturb a session's transcript.
 * **Streaming lifecycle** — ``submit()`` / ``as_completed()`` /
   ``drain()`` with input-order drain results, admission control
   (``max_in_flight``) and backpressure (``max_pending``).
-* **Fault isolation and recovery** — the wave engine's guarantees,
+* **Fault isolation and recovery** — per-session failure boundaries,
   extended to admission (a crashing factory fails only its ticket).
 """
 
@@ -29,13 +29,7 @@ from repro.errors import (
     EmptyRegionError,
     InteractionError,
 )
-from repro.serve import (
-    ContinuousEngine,
-    RecoveryPolicy,
-    SessionEngine,
-    SessionSpec,
-)
-from repro.serve.spec import OneShotFactory, coerce_spec
+from repro.serve import ContinuousEngine, RecoveryPolicy, SessionSpec
 from repro.users import OracleUser
 from tests.serve.test_faults import (
     BatchableSession,
@@ -78,7 +72,7 @@ def _outcome(result):
 
 
 class TestSessionSpec:
-    """The canonical unit of work and its legacy-tuple coercion."""
+    """The unit of work, and the engine's refusal of anything else."""
 
     def test_factory_must_be_callable(self, toy):
         with pytest.raises(ConfigurationError):
@@ -96,61 +90,54 @@ class TestSessionSpec:
         )
         assert spec.seed == 41
         assert spec.tags["tenant"] == "acme"
-        assert spec.retryable
 
-    def test_tuple_coercion_warns_and_wraps_eager_sessions(self, toy):
-        session = ScriptedSession(toy, total=1)
-        with pytest.warns(DeprecationWarning):
-            spec = coerce_spec((session, _always_true_user()))
-        assert isinstance(spec.factory, OneShotFactory)
-        assert not spec.retryable
-        assert spec.build() is session
-        # The wrapped instance holds real state: a second build must
-        # refuse rather than re-drive a poisoned session.
-        with pytest.raises(ConfigurationError):
-            spec.build()
-
-    def test_tuple_coercion_keeps_factories_retryable(self, toy):
-        with pytest.warns(DeprecationWarning):
-            spec = coerce_spec(
-                (lambda: ScriptedSession(toy, total=1), _always_true_user())
-            )
-        assert spec.retryable
-        assert spec.build().rounds == 0
+    def test_tuple_submission_rejected(self, toy):
+        with ContinuousEngine() as engine:
+            with pytest.raises(ConfigurationError, match="SessionSpec"):
+                engine.submit(
+                    (ScriptedSession(toy, total=1), _always_true_user())  # type: ignore[arg-type]
+                )
+            with pytest.raises(ConfigurationError, match="SessionSpec"):
+                engine.run(
+                    [(lambda: ScriptedSession(toy, total=1),
+                      _always_true_user())]  # type: ignore[list-item]
+                )
+            assert not engine.has_work
 
     def test_non_tuple_rejected(self):
-        with pytest.raises(ConfigurationError):
-            coerce_spec("not a session")  # type: ignore[arg-type]
+        with ContinuousEngine() as engine:
+            with pytest.raises(ConfigurationError):
+                engine.submit("not a session")  # type: ignore[arg-type]
 
 
 class TestEquivalence:
-    """Same specs ⇒ same per-session results, wave or continuous."""
+    """Same specs ⇒ same per-session results as sequential run_session."""
 
     def _run_both(self, make_algorithm, dimension, **continuous_kwargs):
         users = _hidden_users(dimension)
-        wave = SessionEngine()
-        wave_results = wave.run(_specs(make_algorithm, users))
+        sequential = [
+            run_session(make_algorithm(seed), user)
+            for seed, user in enumerate(users)
+        ]
         continuous_kwargs.setdefault("max_in_flight", 3)
         with ContinuousEngine(**continuous_kwargs) as engine:
             continuous_results = engine.run(_specs(make_algorithm, users))
-        assert [_outcome(r) for r in wave_results] == [
+        assert [_outcome(r) for r in sequential] == [
             _outcome(r) for r in continuous_results
         ]
-        for wave_result, cont_result in zip(
-            wave_results, continuous_results
-        ):
+        for seq_result, cont_result in zip(sequential, continuous_results):
             np.testing.assert_array_equal(
-                wave_result.recommendation, cont_result.recommendation
+                seq_result.recommendation, cont_result.recommendation
             )
-        return wave_results, continuous_results
+        return sequential, continuous_results
 
-    def test_ea_equivalent_to_wave(self, trained_ea_3d):
+    def test_ea_equivalent_to_sequential(self, trained_ea_3d):
         self._run_both(lambda seed: trained_ea_3d.new_session(rng=seed), 3)
 
-    def test_aa_equivalent_to_wave(self, trained_aa_3d):
+    def test_aa_equivalent_to_sequential(self, trained_aa_3d):
         self._run_both(lambda seed: trained_aa_3d.new_session(rng=seed), 3)
 
-    def test_baseline_equivalent_to_wave(self, small_anti_3d):
+    def test_baseline_equivalent_to_sequential(self, small_anti_3d):
         self._run_both(
             lambda seed: UHRandomSession(
                 small_anti_3d, epsilon=0.1, rng=seed
@@ -159,19 +146,12 @@ class TestEquivalence:
         )
 
     def test_equivalent_to_sequential(self, trained_ea_3d):
-        users = _hidden_users(3)
-        sequential = [
-            run_session(trained_ea_3d.new_session(rng=seed), user)
-            for seed, user in enumerate(users)
-        ]
-        with ContinuousEngine(max_in_flight=2) as engine:
-            results = engine.run(
-                _specs(lambda seed: trained_ea_3d.new_session(rng=seed), users)
-            )
-        for seq, cont in zip(sequential, results):
-            assert seq.recommendation_index == cont.recommendation_index
-            assert seq.rounds == cont.rounds
-            assert seq.truncated == cont.truncated
+        # Two in flight: admission staggers, and the results still match.
+        self._run_both(
+            lambda seed: trained_ea_3d.new_session(rng=seed),
+            3,
+            max_in_flight=2,
+        )
 
     def test_workers_do_not_change_results(self, trained_ea_3d):
         users = _hidden_users(3)
@@ -184,18 +164,19 @@ class TestEquivalence:
             _outcome(r) for r in pooled_results
         ]
 
-    def test_trace_equivalent_to_wave(self, trained_ea_3d):
+    def test_trace_equivalent_to_sequential(self, trained_ea_3d):
         users = _hidden_users(3, n=3)
         make = lambda seed: trained_ea_3d.new_session(rng=seed)  # noqa: E731
-        wave_results = SessionEngine().run(_specs(make, users), trace=True)
+        sequential = [
+            run_session(make(seed), user, trace=True)
+            for seed, user in enumerate(users)
+        ]
         with ContinuousEngine(max_in_flight=2) as engine:
             continuous_results = engine.run(_specs(make, users), trace=True)
-        for wave_result, cont_result in zip(
-            wave_results, continuous_results
-        ):
+        for seq_result, cont_result in zip(sequential, continuous_results):
             assert [
                 (r.round_number, r.recommendation_index)
-                for r in wave_result.trace
+                for r in seq_result.trace
             ] == [
                 (r.round_number, r.recommendation_index)
                 for r in cont_result.trace
@@ -442,12 +423,10 @@ class TestFaultIsolation:
     def test_stale_session_fails_only_its_ticket(self, toy):
         stale = ScriptedSession(toy, total=2)
         run_session(stale, _always_true_user())
-        with pytest.warns(DeprecationWarning):
-            specs = [
-                _spec(lambda: ScriptedSession(toy, total=2),
-                      _always_true_user()),
-                coerce_spec((stale, _always_true_user())),
-            ]
+        specs = [
+            _spec(lambda: ScriptedSession(toy, total=2), _always_true_user()),
+            _spec(lambda: stale, _always_true_user()),
+        ]
         with ContinuousEngine(max_in_flight=2) as engine:
             results = engine.run(specs)
         assert results[0].status == "completed"
@@ -485,18 +464,8 @@ class TestRecovery:
         assert engine.metrics.retries == 1
         assert [e.attempt for e in engine.metrics.errors] == [0, 1]
 
-    def test_eager_sessions_cannot_be_retried(self, toy):
-        with pytest.warns(DeprecationWarning):
-            spec = coerce_spec(
-                (ExplodingSession(toy, fail_at=1), _always_true_user())
-            )
-        with ContinuousEngine(recovery=RecoveryPolicy()) as engine:
-            results = engine.run([spec])
-        assert results[0].failed
-        assert engine.metrics.retries == 0
-
-    def test_recovery_equivalent_to_wave(self, toy):
-        def build(engine_cls, **kwargs):
+    def test_recovery_independent_of_admission_cap(self, toy):
+        def build(max_in_flight):
             user = PeriodicFlipUser(period=4)
             specs = [
                 _spec(lambda: StrictConsistencySession(toy, total=5), user),
@@ -505,16 +474,18 @@ class TestRecovery:
                 _spec(lambda: ScriptedSession(toy, total=3),
                       _always_true_user()),
             ]
-            engine = engine_cls(recovery=RecoveryPolicy(), **kwargs)
-            results = engine.run(specs)
-            if isinstance(engine, ContinuousEngine):
-                engine.close()
-            return results
+            with ContinuousEngine(
+                recovery=RecoveryPolicy(), max_in_flight=max_in_flight
+            ) as engine:
+                return engine.run(specs)
 
-        wave = build(SessionEngine)
-        continuous = build(ContinuousEngine, max_in_flight=2)
-        assert [r.status for r in wave] == [r.status for r in continuous]
-        assert [r.rounds for r in wave] == [r.rounds for r in continuous]
+        wide = build(64)
+        narrow = build(2)
+        assert [r.status for r in wide] == [
+            "recovered", "failed", "completed"
+        ]
+        assert [r.status for r in wide] == [r.status for r in narrow]
+        assert [r.rounds for r in wide] == [r.rounds for r in narrow]
 
 
 class TestRecoveryRaisesOnMissing:

@@ -363,6 +363,79 @@ class TestFaultMapping:
         assert "store" in body["error"]
 
 
+#: One row per request: which endpoint, the JSON body, the expected
+#: status, and whether the target session's dialogue advances.  Every
+#: non-2xx row must leave the target's round and open question intact
+#: and create no session.
+VALIDATION_CASES = [
+    pytest.param("answer", {"prefers_first": "false"}, 400, False,
+                 id="answer-string-false"),
+    pytest.param("answer", {"prefers_first": None}, 400, False,
+                 id="answer-null"),
+    pytest.param("answer", {"prefers_first": 0}, 400, False,
+                 id="answer-zero"),
+    pytest.param("answer", {"prefers_first": 1}, 400, False,
+                 id="answer-one"),
+    pytest.param("answer", {"prefers_first": False}, 200, True,
+                 id="answer-false"),
+    pytest.param("create", {"seed": "abc"}, 400, False, id="seed-string"),
+    pytest.param("create", {"seed": [1]}, 400, False, id="seed-list"),
+    pytest.param("create", {"seed": True}, 400, False, id="seed-bool"),
+    pytest.param("create", {"seed": 1.5}, 400, False, id="seed-float"),
+    pytest.param("create", {"seed": -1}, 400, False, id="seed-negative"),
+    pytest.param("create", {"epsilon": "x"}, 400, False,
+                 id="epsilon-string"),
+    pytest.param("create", {"epsilon": [0.1]}, 400, False,
+                 id="epsilon-list"),
+    pytest.param("create", {"epsilon": True}, 400, False,
+                 id="epsilon-bool"),
+    pytest.param("create", {"epsilon": 2.0}, 400, False,
+                 id="epsilon-out-of-range"),
+    pytest.param("create", {"mode": "oracle", "utility": "abc"}, 400,
+                 False, id="utility-string"),
+    pytest.param("create", {"mode": "oracle", "utility": [[0.3]] * 3},
+                 400, False, id="utility-nested"),
+    pytest.param("create", {"mode": "oracle", "utility": [0.3, "x", 0.4]},
+                 400, False, id="utility-non-numeric"),
+    pytest.param("create", {"seed": 7, "epsilon": 0.2}, 201, False,
+                 id="create-valid"),
+]
+
+
+class TestRequestValidation:
+    @pytest.mark.parametrize("endpoint, body, status, advances",
+                             VALIDATION_CASES)
+    def test_malformed_fields_are_400_and_change_nothing(
+        self, small_anti_3d, endpoint, body, status, advances
+    ):
+        async def main():
+            async with serving(small_anti_3d) as (_, host, port):
+                _, created = await request(
+                    host, port, "POST", "/sessions", {"seed": 4}
+                )
+                base = f"/sessions/{created['session_id']}"
+                _, before = await request(host, port, "GET", f"{base}/question")
+                _, health = await request(host, port, "GET", "/healthz")
+                path = f"{base}/answer" if endpoint == "answer" else "/sessions"
+                got, reply = await request(host, port, "POST", path, body)
+                _, after = await request(host, port, "GET", f"{base}/question")
+                _, health_after = await request(host, port, "GET", "/healthz")
+                return before, health, got, reply, after, health_after
+
+        before, health, got, reply, after, health_after = asyncio.run(main())
+        assert got == status, reply
+        sessions = ("interactive_sessions", "oracle_sessions")
+        grown = sum(health_after[k] - health[k] for k in sessions)
+        assert grown == (1 if status == 201 else 0)
+        if advances:
+            assert after["round"] == before["round"] + 1
+        else:
+            assert after == before
+        if status == 400:
+            field = next(key for key in body if key != "mode")
+            assert field in reply["error"]
+
+
 class TestCrashResume:
     def test_dialogue_survives_a_service_restart(self, small_anti_3d):
         """Answer k rounds against one service instance, kill it, resume

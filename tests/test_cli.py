@@ -135,7 +135,7 @@ class TestProfileCommand:
         assert "phase breakdown (traced):" in out
         trace = json.loads(trace_path.read_text())
         names = {event["name"] for event in trace["traceEvents"]}
-        assert "engine.wave" in names
+        assert "engine.tick" in names
         assert any(name.startswith("lp.solve/") for name in names)
         assert any(name.startswith("range.") for name in names)
         aggregate = json.loads(aggregate_path.read_text())
@@ -166,6 +166,7 @@ class TestServeBenchSnapshot:
         )
         assert snapshot["counters"]["rounds_total"] > 0
         assert snapshot["config"]["sessions"] == 2
+        assert snapshot["config"]["engine"] == "continuous"
         # No tracer installed: the obs section is empty, by design.
         assert snapshot["obs"] == {}
 
