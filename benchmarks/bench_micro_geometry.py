@@ -100,10 +100,8 @@ def test_micro_lp_solve_raw_linprog(chebyshev_system, benchmark):
 def test_micro_lp_solve_raw_direct(chebyshev_system, benchmark):
     """The same solve through the direct HiGHS call; byte-equal ``x``."""
     c, a_ext, b, bounds = chebyshev_system
-    backend = lp.ScipyHighsBackend()
-    result = benchmark(
-        lambda: backend.solve_raw(c, a_ext, b, None, None, bounds)
-    )
+    system = lp.LPSystem(c, a_ext, b, None, None, bounds)
+    result = benchmark(lambda: lp.solve_raw(system))
     reference = linprog(c, A_ub=a_ext, b_ub=b, bounds=bounds, method="highs")
     assert result.x.tobytes() == reference.x.tobytes()
 
@@ -233,26 +231,19 @@ def wave_bounds_systems():
 
 def test_micro_bounds_sequential(wave_bounds_systems, benchmark):
     """Per-probe HiGHS calls: the pre-batching per-LP path."""
-    backend = lp.ScipyHighsBackend()
 
     def sequential():
-        return [
-            backend.solve_raw(
-                s.c, s.a_ub, s.b_ub, s.a_eq, s.b_eq, s.bounds
-            )
-            for s in wave_bounds_systems
-        ]
+        return [lp.solve_raw(s) for s in wave_bounds_systems]
 
     results = benchmark.pedantic(sequential, rounds=2, iterations=1)
     assert len(results) == len(wave_bounds_systems)
 
 
 def test_micro_bounds_batched(wave_bounds_systems, benchmark):
-    """Block-diagonal stacking via ``BatchLPBackend.solve_many_raw``."""
-    backend = lp.BatchLPBackend()
+    """Block-diagonal stacking via ``lp.solve_stacked``."""
 
     def batched():
-        return backend.solve_many_raw(wave_bounds_systems)
+        return lp.solve_stacked(wave_bounds_systems)
 
     results = benchmark.pedantic(batched, rounds=2, iterations=1)
     assert len(results) == len(wave_bounds_systems)
@@ -261,14 +252,9 @@ def test_micro_bounds_batched(wave_bounds_systems, benchmark):
     # per-LP path's.  The optimiser point ``x`` may legitimately differ
     # on degenerate systems (alternative optima) — which is exactly why
     # only status- and value-consumed probe kinds are ever batched.
-    reference = lp.ScipyHighsBackend()
     for system, outcome in zip(wave_bounds_systems[:20], results[:20]):
         assert isinstance(outcome, lp.LPResult)
-        expected = reference.solve_raw(
-            system.c, system.a_ub, system.b_ub,
-            system.a_eq, system.b_eq, system.bounds,
-        )
-        assert outcome.value == expected.value
+        assert outcome.value == lp.solve_raw(system).value
 
 
 @pytest.fixture(scope="module")
@@ -287,11 +273,10 @@ def test_micro_split_margin_sequential(aa_round_margins, benchmark):
     """Ten margins, one raw HiGHS solve each (the pre-stacking path)."""
     spaces, d, normals = aa_round_margins
     a_ub, b_ub, a_eq, b_eq = lp._ambient_system(spaces, d)
-    backend = lp.ScipyHighsBackend()
 
     def sequential():
         return np.array([
-            -backend.solve_raw(-n, a_ub, b_ub, a_eq, b_eq, lp._FREE).value
+            -lp.solve_raw(lp.LPSystem(-n, a_ub, b_ub, a_eq, b_eq)).value
             for n in normals
         ])
 

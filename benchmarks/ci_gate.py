@@ -118,7 +118,7 @@ DISPATCH_CONFIG = {
 
 #: The batched-LP workload: the stacked ambient-bounds probes of 256
 #: concurrent sessions (``2d`` probes each), solved once per probe and
-#: once block-diagonally via ``BatchLPBackend.solve_many_raw``.  The
+#: once block-diagonally via ``lp.solve_stacked``.  The
 #: optimal values must agree bitwise probe by probe
 #: (``batch_mismatches == 0``); the wall-clock ratio is the
 #: ``batch_speedup`` gate.
@@ -243,7 +243,7 @@ def _micro_batched_bounds(repeats: int) -> tuple[dict, dict]:
 
     Builds the ambient-bounds probe stack of 256 concurrent sessions
     and solves it twice — one HiGHS call per probe, then block-
-    diagonally through ``BatchLPBackend.solve_many_raw`` — counting
+    diagonally through ``lp.solve_stacked`` — counting
     probes whose optimal value (or status) is not bitwise identical.
     Bound probes are value-consumed, so value bit-equality is the
     contract the serving engines rely on; the optimiser point may
@@ -273,17 +273,11 @@ def _micro_batched_bounds(repeats: int) -> tuple[dict, dict]:
         systems.extend(
             lp.ambient_bounds_systems(base_sets[i % len(base_sets)], d)
         )
-    solo = lp.ScipyHighsBackend()
-    stacked = lp.BatchLPBackend()
-
     def sequential() -> list:
-        return [
-            solo.solve_raw(s.c, s.a_ub, s.b_ub, s.a_eq, s.b_eq, s.bounds)
-            for s in systems
-        ]
+        return [lp.solve_raw(s) for s in systems]
 
     def batched() -> list:
-        return stacked.solve_many_raw(systems)
+        return lp.solve_stacked(systems)
 
     def best_of(work):
         best, result = float("inf"), None

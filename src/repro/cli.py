@@ -214,7 +214,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         user_model=args.user_model,
         recover=args.recover,
         max_in_flight=args.max_in_flight,
-        workers=args.workers,
         procs=args.procs,
     )
     for line in report.lines():
@@ -247,10 +246,7 @@ def _serve_bench_http(args: argparse.Namespace, dataset) -> int:
         mode=args.mode,
         algorithm=args.family,
         epsilon=args.epsilon,
-        service_kwargs={
-            "max_in_flight": args.max_in_flight,
-            "workers": args.workers,
-        }
+        service_kwargs={"max_in_flight": args.max_in_flight}
         if not (args.host and args.port)
         else None,
     )
@@ -326,7 +322,6 @@ def _cmd_server(args: argparse.Namespace) -> int:
             procs=args.procs,
             max_rounds=args.max_rounds,
             max_in_flight=args.max_in_flight,
-            workers=args.workers,
             store=store,
             checkpoint_every=1 if store is not None else 0,
             agents=agents,
@@ -341,7 +336,6 @@ def _cmd_server(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
         max_rounds=args.max_rounds,
         max_in_flight=args.max_in_flight,
-        workers=args.workers,
         runtime=runtime,
     )
     print(
@@ -473,13 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 64)",
     )
     serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="thread-pool size for per-session agent work "
-        "(default 0: inline)",
-    )
-    serve.add_argument(
         "--snapshot",
         default=None,
         help="write a BENCH_*.json perf snapshot (directory or .json path)",
@@ -596,12 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=64,
         help="oracle-mode scheduler: max sessions live at once",
-    )
-    server.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="oracle-mode scheduler: thread-pool size (default 0: inline)",
     )
     server.add_argument(
         "--procs",

@@ -19,17 +19,11 @@ Public surface:
   abstraction (:class:`ExactRange` / :class:`AmbientRange`) every
   algorithm maintains its learned information behind.
 * :mod:`~repro.geometry.lp` — typed wrappers over scipy's bundled HiGHS
-  (the model and options of ``linprog(method="highs")``, called directly)
-  plus the pluggable :class:`LPBackend` seam.
+  (the model and options of ``linprog(method="highs")``, called directly),
+  with the LP cache and block-diagonal batching in front of the solver.
 """
 
 from repro.geometry.hyperplane import PreferenceHalfspace, preference_halfspace
-from repro.geometry.lp import (
-    LPBackend,
-    ScipyHighsBackend,
-    active_backend,
-    use_backend,
-)
 from repro.geometry.polytope import UtilityPolytope
 from repro.geometry.range import (
     AmbientRange,
@@ -55,10 +49,6 @@ __all__ = [
     "AmbientRange",
     "RangeConfig",
     "RangeStats",
-    "LPBackend",
-    "ScipyHighsBackend",
-    "active_backend",
-    "use_backend",
     "Sphere",
     "inner_sphere",
     "minimum_enclosing_sphere",

@@ -33,14 +33,11 @@ block through it.  Cache hits return the *exact* result of the original
 solve (failures included), so caching never perturbs downstream
 decisions — it only skips redundant solver work.
 
-Backends: the actual solver behind :func:`solve` is an injectable
-:class:`LPBackend`.  The default is :class:`ScipyHighsBackend`
-(:func:`_highs_solve`); :func:`use_backend`
-installs an alternative for a ``with`` block, and range objects in
-:mod:`repro.geometry.range` accept a per-instance backend.  The seam
-composes with :class:`LPCache`: the cache sits *in front* of the backend
-(hits never reach it), and cache keys are tagged with the backend's
-``name`` so two backends never serve each other's results.
+Raw solves: behind the cache sit two module functions, both on
+:func:`_highs_solve` — :func:`solve_raw` (one system) and
+:func:`solve_stacked` (many systems, block-diagonally).  Every HiGHS
+run they make bumps one process-wide counter, :func:`solve_count`, so
+``cache.hits`` over a run is exactly the solver work the cache spared.
 
 Observability: when a :class:`~repro.obs.tracer.Tracer` is installed
 (:func:`repro.obs.use_tracer`), every :func:`solve` records a span named
@@ -52,17 +49,16 @@ the only cost is one ``ContextVar`` read per solve.
 
 Batching: :func:`solve_many` solves a list of :class:`LPSystem` in one
 call.  Cache hits are peeled off individually first; the remaining
-misses are stacked into block-diagonal HiGHS calls when the active
-backend supports it (:class:`BatchLPBackend`, the default) and stored
-back individually, so later per-system :func:`solve` calls replay them
-as ordinary hits.  Stacking amortises the per-solve model set-up that
-rivals the simplex work on these tiny systems (each one is a handful of
-rows); see ``benchmarks/bench_micro_geometry.py``.
+misses are stacked into block-diagonal HiGHS calls
+(:func:`solve_stacked`) and stored back individually, so later
+per-system :func:`solve` calls replay them as ordinary hits.  Stacking
+amortises the per-solve model set-up that rivals the simplex work on
+these tiny systems (each one is a handful of rows); see
+``benchmarks/bench_micro_geometry.py``.
 """
 
 from __future__ import annotations
 
-import abc
 import hashlib
 import threading
 from collections import OrderedDict
@@ -181,14 +177,12 @@ def constraint_system_key(
     a_eq: np.ndarray | None = None,
     b_eq: np.ndarray | None = None,
     bounds: Sequence[tuple[float | None, float | None]] | tuple | None = _FREE,
-    tag: bytes = b"",
 ) -> bytes:
     """Canonical hash of an LP: objective, constraint blocks and bounds.
 
     Two calls produce the same key iff every array is byte-for-byte equal
-    (same shapes, same floats) and ``tag`` matches, so a cache hit is
-    guaranteed to stand in for an actual re-solve of the *identical*
-    system by the *same* backend (``tag`` carries the backend name).
+    (same shapes, same floats), so a cache hit is guaranteed to stand in
+    for an actual re-solve of the *identical* system.
     Bounds are canonicalised numerically before hashing (see
     :func:`expand_bounds`): container type, numpy-vs-Python scalars and
     scalar-pair-vs-expanded spellings of the same bounds all produce the
@@ -202,8 +196,8 @@ def constraint_system_key(
         digest.update(_array_bytes(block))
     digest.update(b"|")
     digest.update(_bounds_bytes(bounds, int(c.shape[-1])))
+    # The closing separator keeps keys byte-identical across releases.
     digest.update(b"|")
-    digest.update(tag)
     return digest.digest()
 
 
@@ -223,11 +217,10 @@ class LPSystem:
     b_eq: np.ndarray | None = None
     bounds: Sequence[tuple[float | None, float | None]] | tuple | None = _FREE
 
-    def key(self, tag: bytes = b"") -> bytes:
-        """This system's :func:`constraint_system_key` under ``tag``."""
+    def key(self) -> bytes:
+        """This system's :func:`constraint_system_key`."""
         return constraint_system_key(
-            self.c, self.a_ub, self.b_ub, self.a_eq, self.b_eq,
-            self.bounds, tag=tag,
+            self.c, self.a_ub, self.b_ub, self.a_eq, self.b_eq, self.bounds
         )
 
     @property
@@ -254,13 +247,12 @@ class LPCache:
 
     Thread safety: :meth:`lookup` and :meth:`store` — the two operations
     :func:`solve` uses — take an internal lock, so one cache can be
-    shared by the LP worker threads of
-    :class:`~repro.serve.scheduler.ContinuousEngine` (the ContextVar
-    installation is *copied* to each worker task, all pointing at this
-    one object).  Two threads racing the same uncached system may both
-    miss and both solve — a small duplicated effort, never a wrong
-    answer, because entries are immutable once derived from the keyed
-    system.
+    shared by several threads, e.g. the ``asubmit`` driver thread of
+    :class:`~repro.serve.scheduler.ContinuousEngine` and a caller
+    ticking the same engine synchronously.  Two threads racing the same
+    uncached system may both miss and both solve — a small duplicated
+    effort, never a wrong answer, because entries are immutable once
+    derived from the keyed system.
     """
 
     def __init__(self, max_entries: int = 100_000) -> None:
@@ -370,51 +362,6 @@ def use_cache(cache: LPCache) -> Iterator[LPCache]:
         _active_cache.reset(token)
 
 
-class LPBackend(abc.ABC):
-    """One injectable LP solver implementation behind :func:`solve`.
-
-    Subclasses implement :meth:`solve_raw` — one uncached solve of the
-    given system, raising the package exception hierarchy on failure.
-    The ``solves`` counter records raw solver invocations (cache hits
-    never reach the backend), so ``cache.hits`` over a run is exactly
-    the solver work the backend was spared.  Increments go through
-    :meth:`count_solves`, which takes an internal lock, so the counter
-    stays exact even when one backend is shared by the worker threads of
-    :class:`~repro.serve.scheduler.ContinuousEngine` (``workers > 0``).
-
-    ``name`` must be unique per backend implementation: it is mixed into
-    :func:`constraint_system_key`, so results produced by one backend are
-    never replayed as another backend's answer.  (The one sanctioned
-    exception is :class:`BatchLPBackend`, which shares
-    :class:`ScipyHighsBackend`'s name because it *is* the same solver —
-    see its docstring.)
-    """
-
-    #: Unique identifier mixed into cache keys.
-    name: str = "abstract"
-
-    def __init__(self) -> None:
-        self.solves = 0
-        self._solves_lock = threading.Lock()
-
-    def count_solves(self, n: int = 1) -> None:
-        """Record ``n`` raw solver invocations (thread-safe)."""
-        with self._solves_lock:
-            self.solves += n
-
-    @abc.abstractmethod
-    def solve_raw(
-        self,
-        c: np.ndarray,
-        a_ub: np.ndarray | None,
-        b_ub: np.ndarray | None,
-        a_eq: np.ndarray | None,
-        b_eq: np.ndarray | None,
-        bounds: Sequence[tuple[float | None, float | None]] | tuple | None,
-    ) -> LPResult:
-        """Solve ``min c . x`` over the system; raise ``LPError`` kinds."""
-
-
 def _default_highs_options() -> Any:
     """The HiGHS options ``linprog(method="highs")`` sets by default.
 
@@ -435,8 +382,8 @@ def _default_highs_options() -> Any:
 
 
 #: Built once at import and only read afterwards: ``passOptions`` copies
-#: it into each solver instance, so engine worker threads and forked
-#: workers can share it.
+#: it into each solver instance, so threads and forked workers can share
+#: it.
 _HIGHS_OPTIONS = _default_highs_options()
 
 #: ``linprog``'s post-solve feasibility tolerance, ``sqrt(tol) * 10`` at
@@ -622,174 +569,106 @@ def _highs_solve(systems: Sequence[LPSystem]) -> np.ndarray:
     return x
 
 
-class ScipyHighsBackend(LPBackend):
-    """The default backend: scipy's bundled HiGHS, called directly.
+#: Most systems :func:`solve_stacked` hands HiGHS in one run; longer
+#: lists are solved in consecutive chunks of this size.
+_MAX_STACK = 256
+
+#: Raw HiGHS runs in this process (see :func:`solve_count`).
+_solves = 0
+_solves_lock = threading.Lock()
+
+
+def _count_solve() -> None:
+    """Record one raw HiGHS run (thread-safe)."""
+    global _solves
+    with _solves_lock:
+        _solves += 1
+
+
+def solve_count() -> int:
+    """Raw HiGHS runs so far in this process, stacked runs counting once.
+
+    Cache hits never reach the solver, so over a run ``cache.hits`` is
+    exactly the solver work the cache spared.  The counter is shared by
+    every thread; callers measure their own work as a before/after
+    delta.
+    """
+    return _solves
+
+
+def solve_raw(system: LPSystem) -> LPResult:
+    """One uncached HiGHS solve of ``system``; raises ``LPError`` kinds.
 
     :func:`_highs_solve` passes HiGHS the same model, with the same
     options and post-checks, that ``scipy.optimize.linprog(method=
-    "highs")`` would, so its solutions are byte-equal to ``linprog``'s
-    and cache entries stay interchangeable with ones ``linprog``
-    produced; the ``name`` is unchanged for that reason.  Skipping
-    ``linprog``'s Python wrapper cuts one raw Chebyshev solve from
-    2.3-2.8 ms to about 0.85 ms (``benchmarks/bench_micro_geometry.py``).
+    "highs")`` would, so solutions are byte-equal to ``linprog``'s.
+    Skipping ``linprog``'s Python wrapper cuts one raw Chebyshev solve
+    from 2.3-2.8 ms to about 0.85 ms
+    (``benchmarks/bench_micro_geometry.py``).
     """
-
-    name = "scipy-highs"
-
-    def solve_raw(
-        self,
-        c: np.ndarray,
-        a_ub: np.ndarray | None,
-        b_ub: np.ndarray | None,
-        a_eq: np.ndarray | None,
-        b_eq: np.ndarray | None,
-        bounds: Sequence[tuple[float | None, float | None]] | tuple | None,
-    ) -> LPResult:
-        """One raw HiGHS solve with statuses normalised to exceptions."""
-        c = np.asarray(c, dtype=float)
-        x = _highs_solve([LPSystem(c, a_ub, b_ub, a_eq, b_eq, bounds)])
-        # The objective is recomputed as c.x rather than read from HiGHS:
-        # its reported objective can differ from c.x in the last ulp, and
-        # solve_many() can only recover per-system values from the
-        # stacked solution as c_i.x_i.  Computing both paths' values with
-        # the same expression keeps batched and sequential solves
-        # bit-identical whenever their optima agree.
-        return LPResult(x=x, value=float(np.dot(c, x)))
+    _count_solve()
+    x = _highs_solve([system])
+    # The objective is recomputed as c.x rather than read from HiGHS:
+    # its reported objective can differ from c.x in the last ulp, and
+    # solve_stacked() can only recover per-system values from the
+    # stacked solution as c_i.x_i.  Computing both paths' values with
+    # the same expression keeps stacked and one-at-a-time solves
+    # bit-identical whenever their optima agree.
+    return LPResult(x=x, value=float(np.dot(np.asarray(system.c, float), x)))
 
 
-class BatchLPBackend(ScipyHighsBackend):
-    """HiGHS backend that can additionally solve many systems in one call.
+def solve_stacked(systems: Sequence[LPSystem]) -> list[LPResult | LPError]:
+    """Solve every system block-diagonally; outcomes in input order.
 
-    :meth:`solve_many_raw` stacks up to ``max_batch`` systems into one
-    block-diagonal HiGHS solve: the systems share no variables, so
-    the stacked optimum decomposes exactly into per-system optima.
-    Per-system solutions are sliced back out and per-system objectives
-    recovered as ``c_i . x_i`` — the same expression
-    :meth:`ScipyHighsBackend.solve_raw` uses, so a batched solve of a
-    system and a sequential solve of the same system produce the same
+    Up to :data:`_MAX_STACK` systems go into one HiGHS run: they share
+    no variables, so the stacked optimum decomposes exactly into
+    per-system optima.  Each solution is sliced back out and its value
+    recovered as ``c_i . x_i`` — the expression :func:`solve_raw` uses,
+    so a stacked and a one-at-a-time solve of a system give the same
     value whenever their optima agree.  The win is amortisation: each
-    of these systems is a handful of rows, and the per-solve model
-    set-up rivals the actual simplex work.
+    of these systems is a handful of rows, and the per-run model
+    set-up rivals the simplex work.
 
     A single failing member poisons the whole stack (HiGHS reports one
     status for the stacked problem, with no per-block attribution), so
     a failed stack is bisected until the failing members are isolated
-    as singletons and solved through :meth:`solve_raw`, giving every
-    member its own exception from the package hierarchy.
-
-    This subclass deliberately keeps ``scipy-highs`` as its cache-key
-    ``name`` — the one sanctioned exception to the unique-name rule:
-    single-system solves are inherited unchanged, and stacked solves
-    run the identical solver over the identical systems, so its results
-    are interchangeable with :class:`ScipyHighsBackend`'s.  That is
-    what lets the engines prime a shared cache with batched results
-    that per-session :func:`solve` calls then replay as hits.
+    as singletons and solved through :func:`solve_raw`, giving every
+    member its own exception (returned, not raised) from the package
+    hierarchy.
     """
+    systems = list(systems)
+    outcomes: list[LPResult | LPError] = []
+    for start in range(0, len(systems), _MAX_STACK):
+        outcomes.extend(_solve_stack(systems[start:start + _MAX_STACK]))
+    return outcomes
 
-    def __init__(self, max_batch: int = 256) -> None:
-        super().__init__()
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        self.max_batch = int(max_batch)
 
-    def solve_many_raw(
-        self, systems: Sequence[LPSystem]
-    ) -> list[LPResult | LPError]:
-        """Solve every system, stacked; outcomes in input order."""
-        systems = list(systems)
-        outcomes: list[LPResult | LPError] = []
-        for start in range(0, len(systems), self.max_batch):
-            outcomes.extend(
-                self._solve_stack(systems[start:start + self.max_batch])
-            )
-        return outcomes
-
-    def _solve_stack(
-        self, systems: list[LPSystem]
-    ) -> list[LPResult | LPError]:
-        if not systems:
-            return []
-        if len(systems) == 1:
-            system = systems[0]
-            self.count_solves()
-            try:
-                return [
-                    self.solve_raw(
-                        system.c, system.a_ub, system.b_ub,
-                        system.a_eq, system.b_eq, system.bounds,
-                    )
-                ]
-            except LPError as error:
-                return [error]
-        self.count_solves()
+def _solve_stack(systems: list[LPSystem]) -> list[LPResult | LPError]:
+    """One chunk of :func:`solve_stacked`, bisected on failure."""
+    if not systems:
+        return []
+    if len(systems) == 1:
         try:
-            x = _highs_solve(systems)
-        except LPError:
-            # At least one member is infeasible or unbounded (or HiGHS
-            # hit a limit); bisect to isolate which.
-            mid = len(systems) // 2
-            return (
-                self._solve_stack(systems[:mid])
-                + self._solve_stack(systems[mid:])
-            )
-        outcomes: list[LPResult | LPError] = []
-        offset = 0
-        for system in systems:
-            n = system.size
-            xi = x[offset:offset + n].copy()
-            ci = np.asarray(system.c, dtype=float)
-            outcomes.append(LPResult(x=xi, value=float(np.dot(ci, xi))))
-            offset += n
-        return outcomes
-
-
-#: Process-wide default backend; :func:`use_backend` overrides it per
-#: context.  The default batches: single-system behaviour is inherited
-#: from :class:`ScipyHighsBackend` unchanged, and :func:`solve_many`
-#: gets block-diagonal stacking out of the box.
-_default_backend = BatchLPBackend()
-
-#: Installed backend override, context-local for the same reason the cache
-#: is: concurrent engines on other threads/tasks must not see each other's
-#: installations.
-_active_backend: ContextVar[LPBackend | None] = ContextVar(
-    "repro_lp_active_backend", default=None
-)
-
-
-def active_backend() -> LPBackend:
-    """The backend :func:`solve` currently routes raw solves through."""
-    return _active_backend.get() or _default_backend
-
-
-@contextmanager
-def use_backend(backend: LPBackend) -> Iterator[LPBackend]:
-    """Route every :func:`solve` inside the block through ``backend``.
-
-    Nesting is allowed; the innermost backend wins and the previous one
-    is restored on exit.  Composes with :func:`use_cache`: the cache
-    still answers hits, and only misses reach ``backend``.
-    """
-    token = _active_backend.set(backend)
+            return [solve_raw(systems[0])]
+        except LPError as error:
+            return [error]
+    _count_solve()
     try:
-        yield backend
-    finally:
-        _active_backend.reset(token)
-
-
-def _cache_tag(backend: LPBackend) -> bytes:
-    """Cache-key partition tag for ``backend``.
-
-    The default solver keeps the legacy untagged keys (external key
-    computations stay valid); alternative backends get their own cache
-    partition so results never cross.  :class:`BatchLPBackend` shares
-    the default name on purpose — see its docstring.
-    """
-    return (
-        b""
-        if backend.name == ScipyHighsBackend.name
-        else backend.name.encode()
-    )
+        x = _highs_solve(systems)
+    except LPError:
+        # At least one member is infeasible or unbounded (or HiGHS hit a
+        # limit); bisect to isolate which.
+        mid = len(systems) // 2
+        return _solve_stack(systems[:mid]) + _solve_stack(systems[mid:])
+    outcomes: list[LPResult | LPError] = []
+    offset = 0
+    for system in systems:
+        n = system.size
+        xi = x[offset:offset + n].copy()
+        ci = np.asarray(system.c, dtype=float)
+        outcomes.append(LPResult(x=xi, value=float(np.dot(ci, xi))))
+        offset += n
+    return outcomes
 
 
 def solve(
@@ -805,9 +684,8 @@ def solve(
 
     Unlike raw ``linprog``, variables are *free* by default (``linprog``
     defaults to ``x >= 0``, which silently corrupts reduced-space geometry).
-    The raw solve is delegated to the active :class:`LPBackend`
-    (scipy-HiGHS unless :func:`use_backend` installed another), behind the
-    active :class:`LPCache` if one is installed.
+    The raw solve is :func:`solve_raw`, behind the active
+    :class:`LPCache` if one is installed.
 
     ``kind`` labels the LP family for observability spans only — it
     never enters the cache key, so two kinds naming the identical
@@ -817,18 +695,15 @@ def solve(
     ------
     InfeasibleLP, UnboundedLP, LPError
     """
-    backend = active_backend()
     cache = _active_cache.get()
     tracer = active_tracer()
     if cache is None:
-        backend.count_solves()
+        system = LPSystem(c, a_ub, b_ub, a_eq, b_eq, bounds)
         if tracer is None:
-            return backend.solve_raw(c, a_ub, b_ub, a_eq, b_eq, bounds)
+            return solve_raw(system)
         with tracer.span(f"lp.solve/{kind}/uncached"):
-            return backend.solve_raw(c, a_ub, b_ub, a_eq, b_eq, bounds)
-    key = constraint_system_key(
-        c, a_ub, b_ub, a_eq, b_eq, bounds, tag=_cache_tag(backend)
-    )
+            return solve_raw(system)
+    key = constraint_system_key(c, a_ub, b_ub, a_eq, b_eq, bounds)
     entry = cache.lookup(key)
     if entry is not None:
         if tracer is None:
@@ -836,7 +711,6 @@ def solve(
         tracer.counter("lp.cache.hits")
         with tracer.span(f"lp.solve/{kind}/hit"):
             return LPCache.replay(entry)
-    backend.count_solves()
     span = (
         nullcontext()
         if tracer is None
@@ -846,7 +720,7 @@ def solve(
         tracer.counter("lp.cache.misses")
     with span:
         try:
-            result = backend.solve_raw(c, a_ub, b_ub, a_eq, b_eq, bounds)
+            result = solve_raw(LPSystem(c, a_ub, b_ub, a_eq, b_eq, bounds))
         except LPError as error:
             cache.store(key, (type(error), str(error)))
             raise
@@ -887,17 +761,14 @@ def solve_many(
     ordinary hit.  That is the hand-off the serving engine uses to
     prime a tick's probes in one stacked call.
 
-    The remaining misses go through the active backend's
-    ``solve_many_raw`` when it provides one (:class:`BatchLPBackend`,
-    the default, stacks them block-diagonally) and fall back to
-    sequential :meth:`~LPBackend.solve_raw` calls otherwise.
+    The remaining misses are stacked block-diagonally by
+    :func:`solve_stacked`.
 
     When a tracer is installed the miss work records one span
     ``lp.solve_many/<kind>`` tagged with the batch size, and hits and
     misses feed the same ``lp.cache.*`` counters as :func:`solve`.
     """
     systems = list(systems)
-    backend = active_backend()
     cache = _active_cache.get()
     tracer = active_tracer()
     outcomes: list[LPResult | LPError | None] = [None] * len(systems)
@@ -905,8 +776,7 @@ def solve_many(
     if cache is None:
         pending = list(range(len(systems)))
     else:
-        tag = _cache_tag(backend)
-        keys = [system.key(tag) for system in systems]
+        keys = [system.key() for system in systems]
         pending = []
         for index, key in enumerate(keys):
             entry = cache.lookup(key)
@@ -931,22 +801,7 @@ def solve_many(
             else tracer.span(f"lp.solve_many/{kind}", batch=len(todo))
         )
         with span:
-            solve_stack = getattr(backend, "solve_many_raw", None)
-            if solve_stack is not None:
-                raw = solve_stack(todo)
-            else:
-                raw = []
-                for system in todo:
-                    backend.count_solves()
-                    try:
-                        raw.append(
-                            backend.solve_raw(
-                                system.c, system.a_ub, system.b_ub,
-                                system.a_eq, system.b_eq, system.bounds,
-                            )
-                        )
-                    except LPError as error:
-                        raw.append(error)
+            raw = solve_stacked(todo)
         for index, outcome in zip(pending, raw):
             if cache is not None and keys is not None:
                 if isinstance(outcome, LPResult):

@@ -24,8 +24,8 @@ same narrow/prune pattern.  This module unifies them:
   ``lp.ambient_*`` call sites of AA, SinglePass and Adaptive, with an
   optional working-set cap on the constraint list.
 
-All LP work routes through the active (or per-range injected)
-:class:`~repro.geometry.lp.LPBackend` and therefore composes with the
+All LP work routes through :func:`repro.geometry.lp.solve` and
+:func:`~repro.geometry.lp.solve_many`, and therefore composes with the
 engine's :class:`~repro.geometry.lp.LPCache`.  The H-representation kept
 by :class:`ExactRange` evolves exactly as the pre-refactor consumers
 evolved theirs (constraints always appended, redundancy-pruned past
@@ -38,7 +38,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 from collections.abc import Iterator, Sequence
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
 
@@ -48,7 +48,6 @@ from scipy.spatial import ConvexHull, QhullError
 from repro.errors import ConfigurationError, EmptyRegionError, PersistenceError
 from repro.geometry import lp, simplex
 from repro.geometry.hyperplane import PreferenceHalfspace
-from repro.geometry.lp import LPBackend
 from repro.geometry.polytope import _DEDUP_DECIMALS, UtilityPolytope
 from repro.obs.tracer import NULL_SPAN, active_tracer
 from repro.utils.rng import RngLike
@@ -138,7 +137,8 @@ class RangeStats:
         LP solves issued by this range that the active
         :class:`~repro.geometry.lp.LPCache` answered without solver work.
     backend_solves:
-        Raw backend solves issued by this range (cache misses).
+        Raw HiGHS runs issued by this range (cache misses), read off
+        :func:`~repro.geometry.lp.solve_count`.
     """
 
     updates: int = 0
@@ -167,21 +167,18 @@ class UtilityRange(abc.ABC):
     choice of the interactive environments, which treat a contradictory
     answer as "stop on the last consistent range").
 
-    LP work issued by a range routes through the injected
-    :class:`~repro.geometry.lp.LPBackend` when one was given, else the
-    context's active backend; either way it flows through the active
+    LP work issued by a range flows through the active
     :class:`~repro.geometry.lp.LPCache`, and the range's
     :class:`RangeStats` record the split between raw solves, cache hits
     and checks answered geometrically.  Counters are advisory: they are
-    exact for the single-threaded engine loop but make no atomicity
-    promises across threads sharing one backend.
+    deltas of process-wide counters, so they are exact while one thread
+    solves LPs and may include other threads' solves otherwise.
     """
 
     def __init__(
         self,
         dimension: int,
         config: RangeConfig | None = None,
-        backend: LPBackend | None = None,
     ) -> None:
         if dimension < 2:
             raise ConfigurationError(
@@ -189,7 +186,6 @@ class UtilityRange(abc.ABC):
             )
         self._dimension = int(dimension)
         self.config = config if config is not None else RangeConfig()
-        self._backend = backend
         self.stats = RangeStats()
 
     # -- protocol ------------------------------------------------------------
@@ -249,9 +245,8 @@ class UtilityRange(abc.ABC):
         constructed range of the same class and dimension, restoring the
         half-space list, the maintained vertex set (for
         :class:`ExactRange`), the policy knobs and the counters — enough
-        for a resumed session to continue bit-identically.  The injected
-        LP backend is *not* part of the state (it is an execution
-        concern, like the LP cache).
+        for a resumed session to continue bit-identically.  The LP cache
+        is *not* part of the state (it is an execution concern).
         """
         return {
             "kind": self._STATE_KIND,
@@ -300,22 +295,15 @@ class UtilityRange(abc.ABC):
     @contextmanager
     def _measured(self) -> Iterator[None]:
         """Attribute the block's LP work (solves, cache hits) to this range."""
-        context = (
-            lp.use_backend(self._backend)
-            if self._backend is not None
-            else nullcontext()
-        )
-        with context:
-            backend = lp.active_backend()
-            cache = lp.active_cache()
-            solves_before = backend.solves
-            hits_before = cache.hits if cache is not None else 0
-            try:
-                yield
-            finally:
-                self.stats.backend_solves += backend.solves - solves_before
-                if cache is not None:
-                    self.stats.cache_hits += cache.hits - hits_before
+        cache = lp.active_cache()
+        solves_before = lp.solve_count()
+        hits_before = cache.hits if cache is not None else 0
+        try:
+            yield
+        finally:
+            self.stats.backend_solves += lp.solve_count() - solves_before
+            if cache is not None:
+                self.stats.cache_hits += cache.hits - hits_before
 
 
 class ExactRange(UtilityRange):
@@ -335,9 +323,8 @@ class ExactRange(UtilityRange):
         self,
         dimension: int,
         config: RangeConfig | None = None,
-        backend: LPBackend | None = None,
     ) -> None:
-        super().__init__(dimension, config, backend)
+        super().__init__(dimension, config)
         self._polytope = UtilityPolytope.simplex(dimension)
         self._reduced: np.ndarray | None = None
         self._ambient: np.ndarray | None = None
@@ -352,7 +339,6 @@ class ExactRange(UtilityRange):
         dimension: int,
         halfspaces: Sequence[PreferenceHalfspace],
         config: RangeConfig | None = None,
-        backend: LPBackend | None = None,
     ) -> "ExactRange":
         """A range constrained by ``halfspaces``, without enumeration.
 
@@ -367,7 +353,7 @@ class ExactRange(UtilityRange):
             regardless of the ``on_infeasible`` policy: there is no
             earlier consistent state to fall back to.
         """
-        urange = cls(dimension, config=config, backend=backend)
+        urange = cls(dimension, config=config)
         polytope = UtilityPolytope.simplex(dimension).with_halfspaces(
             halfspaces
         )
@@ -587,9 +573,8 @@ class AmbientRange(UtilityRange):
         self,
         dimension: int,
         config: RangeConfig | None = None,
-        backend: LPBackend | None = None,
     ) -> None:
-        super().__init__(dimension, config, backend)
+        super().__init__(dimension, config)
         self._halfspaces: list[PreferenceHalfspace] = []
 
     @property
@@ -728,10 +713,6 @@ def prefetch_updates(previews: Sequence[UpdatePreview]) -> None:
       (:func:`_pair_crossings`), stashed as a one-shot memo the
       range's next ``_apply`` consumes after an exact fingerprint
       check.
-
-    Ranges carrying a per-instance LP backend are skipped on the
-    ambient side: their solves live in a different cache partition than
-    the context backend's, so priming would miss.
     """
     tracer = active_tracer()
     span = (
@@ -744,7 +725,6 @@ def prefetch_updates(previews: Sequence[UpdatePreview]) -> None:
             preview
             for preview in previews
             if isinstance(preview.urange, AmbientRange)
-            and preview.urange._backend is None
         ]
         if ambient and lp.active_cache() is not None:
             _prefetch_ambient(ambient)
@@ -1005,14 +985,12 @@ def _extreme_points(points: np.ndarray) -> np.ndarray | None:
     return points[np.sort(hull.vertices)]
 
 
-#: Re-export so range consumers need only this module for the seam.
 __all__ = [
     "RangeConfig",
     "RangeStats",
     "UtilityRange",
     "ExactRange",
     "AmbientRange",
-    "LPBackend",
     "UpdatePreview",
     "prefetch_updates",
     "halfspaces_to_arrays",

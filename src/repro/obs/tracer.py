@@ -145,13 +145,13 @@ class _SpanHandle:
 class _OpenFrames(threading.local):
     """Per-thread open-span bookkeeping for one :class:`Tracer`.
 
-    Span nesting is a property of one thread's call stack: a worker
-    thread's ``lp.solve`` span is not a child of whatever span the
-    driver thread happens to have open.  Keeping the node stack and the
+    Span nesting is a property of one thread's call stack: one thread's
+    ``lp.solve`` span is not a child of whatever span another thread
+    happens to have open.  Keeping the node stack and the
     accumulated-child-durations stack thread-local makes parent/child
     attribution (and therefore self-time accounting) correct when one
-    tracer receives spans from a thread pool, e.g. the LP workers of
-    :class:`~repro.serve.scheduler.ContinuousEngine`.
+    tracer receives spans from several threads: every thread that
+    installs the same :class:`Tracer` feeds it.
     """
 
     def __init__(self) -> None:

@@ -271,7 +271,6 @@ def run_serve_bench(
     recover: bool = False,
     recovery: RecoveryPolicy | None = None,
     max_in_flight: int = 64,
-    workers: int = 0,
     procs: int = 0,
     user_model: str = "oracle",
 ) -> ServeBenchReport:
@@ -308,9 +307,6 @@ def run_serve_bench(
         An explicit policy; overrides ``recover``.
     max_in_flight:
         Admission cap of the engine (per worker with ``procs``).
-    workers:
-        Thread-pool size for the engine's per-session agent work
-        (0 = inline).
     procs:
         ``0`` (default) serves in-process through one
         :class:`~repro.serve.scheduler.ContinuousEngine`; ``> 0``
@@ -347,7 +343,6 @@ def run_serve_bench(
             procs=procs,
             max_rounds=max_rounds,
             max_in_flight=max_in_flight,
-            workers=workers,
             recovery=policy,
             agents={algorithm: workload.agent},
             dataset=dataset,
@@ -363,7 +358,6 @@ def run_serve_bench(
             max_rounds=max_rounds,
             recovery=policy,
             max_in_flight=max_in_flight,
-            workers=workers,
         ) as served:
             results = served.run(workload.specs)
             metrics = served.last_metrics

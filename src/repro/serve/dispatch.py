@@ -1,16 +1,17 @@
 """Multi-process session serving: :class:`ShardedDispatcher`.
 
 One Python process cannot outrun the GIL: scheduler ticks, HiGHS
-solves and result book-keeping all contend for the same interpreter
-(ROADMAP item 1a).  The dispatcher implements the
-:class:`~repro.serve.runtime.Runtime` protocol by sharding submitted
-:class:`~repro.serve.spec.SessionSpec`\\ s across ``procs`` worker
-*processes*, each running its own
+solves and result book-keeping all contend for the same interpreter.
+The dispatcher implements the :class:`~repro.serve.runtime.Runtime`
+protocol by sharding submitted :class:`~repro.serve.spec.SessionSpec`\\ s
+across ``procs`` worker *processes*, each running its own
 :class:`~repro.serve.scheduler.ContinuousEngine` with its own
-:class:`~repro.geometry.lp.LPCache`, its own
-:class:`~repro.geometry.lp.BatchLPBackend` and, optionally, its own
+:class:`~repro.geometry.lp.LPCache` and, optionally, its own
 :class:`~repro.obs.tracer.Tracer` whose aggregate report rides home for
-cross-process observability.
+cross-process observability.  The engine options it forwards are
+checked with :meth:`~repro.serve.scheduler.ContinuousEngine.check_options`
+before anything forks, so a bad option fails in the caller rather than
+killing every worker.
 
 Design notes
 ------------
@@ -69,7 +70,6 @@ import numpy as np
 
 from repro.core.session import DEFAULT_MAX_ROUNDS, SessionResult
 from repro.errors import ConfigurationError, InteractionError, PersistenceError
-from repro.geometry.lp import BatchLPBackend, use_backend
 from repro.obs.export import aggregate_report
 from repro.obs.tracer import Tracer, use_tracer
 from repro.serve.metrics import EngineMetrics, SessionError, SessionMetrics
@@ -104,7 +104,6 @@ class _WorkerOptions:
 
     max_rounds: int
     max_in_flight: int
-    workers: int
     recovery: "RecoveryPolicy | None"
     store: "SessionStore | None"
     checkpoint_every: int
@@ -171,20 +170,16 @@ def _worker_main(
     """
     from repro.persist import resumed_spec
 
-    # A fresh backend per worker: its own solve counter, with cache
-    # keys in the default "scipy-highs" partition.
-    backend = BatchLPBackend()
     tracer = Tracer() if options.collect_obs else None
     tracer_ctx = use_tracer(tracer) if tracer is not None else nullcontext()
     engine = ContinuousEngine(
         max_rounds=options.max_rounds,
         recovery=options.recovery,
         max_in_flight=options.max_in_flight,
-        workers=options.workers,
         store=options.store,
     )
     try:
-        with use_backend(backend), tracer_ctx:
+        with tracer_ctx:
             by_local: dict[int, _WorkItem] = {}
             for item in items:
                 if item.resume_id is not None:
@@ -238,9 +233,9 @@ class ShardedDispatcher:
     procs:
         Worker process count (>= 1).  Each worker runs its own
         :class:`~repro.serve.scheduler.ContinuousEngine`.
-    max_rounds / max_in_flight / workers / recovery:
+    max_rounds / max_in_flight / recovery:
         Forwarded to every worker's engine (``max_in_flight`` is the
-        *per-worker* admission cap).
+        *per-worker* admission cap) and checked here, before any fork.
     store:
         Shared snapshot store.  Crash-resume across worker deaths needs
         a :class:`~repro.persist.store.FileSessionStore` — a memory
@@ -279,7 +274,6 @@ class ShardedDispatcher:
         *,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         max_in_flight: int = 64,
-        workers: int = 0,
         recovery: "RecoveryPolicy | None" = None,
         store: "SessionStore | None" = None,
         checkpoint_every: int = 0,
@@ -290,6 +284,7 @@ class ShardedDispatcher:
     ) -> None:
         if procs < 1:
             raise ConfigurationError(f"procs must be >= 1, got {procs}")
+        ContinuousEngine.check_options(max_rounds, max_in_flight)
         if checkpoint_every < 0:
             raise ConfigurationError(
                 f"checkpoint_every must be >= 0, got {checkpoint_every}"
@@ -315,7 +310,6 @@ class ShardedDispatcher:
         self._options = _WorkerOptions(
             max_rounds=int(max_rounds),
             max_in_flight=int(max_in_flight),
-            workers=int(workers),
             recovery=recovery,
             store=store,
             checkpoint_every=int(checkpoint_every),

@@ -14,12 +14,10 @@ Sessions are scheduled the way LLM inference servers schedule requests
   :meth:`drain` blocks for everything, returning results in submission
   order.  The batch :meth:`run` facade submits a sequence and drains.
 * Per-session agent work (candidate selection, ``observe``,
-  per-round ``recommend``) can be fanned out to a thread pool
-  (``workers``).  The pool inherits the driver's ContextVar
-  installations — the engine's :class:`~repro.geometry.lp.LPCache` and
-  any active :class:`~repro.obs.tracer.Tracer` — via
-  ``contextvars.copy_context()``; both are thread-safe, so workers
-  share one cache and one trace stream.
+  per-round ``recommend``) runs on the thread that ticks the engine,
+  one session after another: the GIL would serialise it anyway.  Work
+  that batching amortises — stacked Q-scoring and the tick's stacked
+  LP probes — runs once per tick on the same thread.
 * Backpressure: ``max_pending`` bounds the admission queue.  A
   :meth:`submit` that would exceed it runs scheduler ticks inline until
   space frees up, so an unbounded producer cannot grow memory without
@@ -33,10 +31,7 @@ and LP results that cache hits replay exactly.  A session therefore
 produces the same recommendation, rounds, and trace under this engine
 as under sequential :func:`~repro.core.session.run_session`, the
 scalar reference — the property the equivalence gate in
-``benchmarks/ci_gate.py`` asserts.  This also holds with
-``workers > 0``: each session's state is only ever touched by one
-thread at a time, and racing cache misses cost duplicate solves, never
-different answers.
+``benchmarks/ci_gate.py`` asserts.
 
 Fault isolation: a factory that raises, a stale (already-driven)
 session, or any per-session interaction error (question selection,
@@ -49,11 +44,9 @@ failures under majority voting.
 from __future__ import annotations
 
 import asyncio
-import contextvars
 import threading
 import time
 from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
@@ -157,11 +150,6 @@ class ContinuousEngine:
         Backpressure bound on the admission queue (``None`` = unbounded).
         When exceeded, :meth:`submit` runs ticks inline until the queue
         shrinks below the bound.
-    workers:
-        Thread-pool size for per-session agent work (selection,
-        ``observe``, per-round ``recommend``).  ``0`` (default) runs
-        everything inline on the driver thread; results are identical
-        either way.
     store:
         Optional :class:`~repro.persist.SessionStore`.  When set,
         :meth:`checkpoint` persists snapshots to it and :meth:`resume`
@@ -184,35 +172,14 @@ class ContinuousEngine:
         recovery: RecoveryPolicy | None = None,
         max_in_flight: int = 64,
         max_pending: int | None = None,
-        workers: int = 0,
         store: "SessionStore | None" = None,
     ) -> None:
-        if max_rounds < 1:
-            raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
-        if max_in_flight < 1:
-            raise ConfigurationError(
-                f"max_in_flight must be >= 1, got {max_in_flight}"
-            )
-        if max_pending is not None and max_pending < 1:
-            raise ConfigurationError(
-                f"max_pending must be >= 1 or None, got {max_pending}"
-            )
-        if workers < 0:
-            raise ConfigurationError(f"workers must be >= 0, got {workers}")
+        self.check_options(max_rounds, max_in_flight, max_pending)
         self.max_rounds = int(max_rounds)
         self.max_in_flight = int(max_in_flight)
         self.max_pending = None if max_pending is None else int(max_pending)
         self.lp_cache = LPCache()
         self.recovery = recovery
-        self.workers = int(workers)
-        self._executor: ThreadPoolExecutor | None = (
-            ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-serve",
-            )
-            if self.workers > 0
-            else None
-        )
         self._closed = False
         self._next_ticket = 0
         self._pending: list[_Task] = []
@@ -239,6 +206,30 @@ class ContinuousEngine:
         self._driver: threading.Thread | None = None
         self._wake = threading.Event()
 
+    @staticmethod
+    def check_options(
+        max_rounds: int, max_in_flight: int, max_pending: int | None = None
+    ) -> None:
+        """Reject engine options the constructor would refuse.
+
+        Raises :class:`~repro.errors.ConfigurationError`.  Runtimes that
+        build engines elsewhere (the dispatcher's forked workers) call
+        this up front, so a bad option fails in the caller, not in a
+        child process.
+        """
+        if max_rounds < 1:
+            raise ConfigurationError(
+                f"max_rounds must be >= 1, got {max_rounds}"
+            )
+        if max_in_flight < 1:
+            raise ConfigurationError(
+                f"max_in_flight must be >= 1, got {max_in_flight}"
+            )
+        if max_pending is not None and max_pending < 1:
+            raise ConfigurationError(
+                f"max_pending must be >= 1 or None, got {max_pending}"
+            )
+
     # -- lifecycle -----------------------------------------------------------
 
     def __enter__(self) -> "ContinuousEngine":
@@ -248,7 +239,7 @@ class ContinuousEngine:
         self.close()
 
     def close(self) -> None:
-        """Shut down the worker pool and refuse further submissions.
+        """Stop the ``asubmit`` driver and refuse further submissions.
 
         Idempotent.  Unfinished sessions are abandoned (their tickets
         never produce results), so :meth:`drain` first if you care.
@@ -258,9 +249,6 @@ class ContinuousEngine:
                 return
             self._closed = True
             self.last_metrics = self.metrics
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
-                self._executor = None
             self._pending.clear()
             self._in_flight.clear()
             waiters = list(self._waiters.values())
@@ -318,7 +306,7 @@ class ContinuousEngine:
     ) -> "asyncio.Future[SessionResult]":
         """Submit from asyncio; the returned future resolves to the result.
 
-        The async front door for service layers (ROADMAP item 1b): call
+        The async front door for service layers (the HTTP server): call
         from a running event loop, ``await`` the future, and a
         background driver thread runs scheduler ticks while async
         waiters exist — many concurrent ``asubmit`` calls ride the same
@@ -695,42 +683,30 @@ class ContinuousEngine:
         survivors.extend(replacements)
         return survivors
 
-    # -- per-task operations (worker-pool safe) ------------------------------
+    # -- per-task operations ---------------------------------------------------
 
+    @staticmethod
     def _map(
-        self,
-        op: Callable[[_Task], None],
+        op: Callable[..., None],
         tasks: list[_Task],
+        *per_task: Sequence[Any],
     ) -> list[Exception | None]:
         """Apply ``op`` to every task, returning per-task exceptions.
 
-        With a worker pool, each task runs under a fresh copy of the
-        driver's ContextVar context, so workers see the engine's LP
-        cache and the active tracer exactly as the driver does.  The
-        returned list is in ``tasks`` order regardless of completion
+        ``op(task, *args)`` takes each task's entries of ``per_task``
+        (lists aligned with ``tasks``) as extra arguments.  A raising op
+        fails only its own task; the returned list is in ``tasks``
         order, keeping failure accounting deterministic.
         """
-        executor = self._executor
-        if executor is None or len(tasks) <= 1:
-            return [self._guard(op, task) for task in tasks]
-        futures: list[Future[Exception | None]] = [
-            executor.submit(
-                contextvars.copy_context().run, self._guard, op, task
-            )
-            for task in tasks
-        ]
-        return [future.result() for future in futures]
-
-    @staticmethod
-    def _guard(
-        op: Callable[[_Task], None], task: _Task
-    ) -> Exception | None:
-        """Run one per-task operation, capturing its fault."""
-        try:
-            op(task)
-        except Exception as error:  # noqa: BLE001 -- slot fault boundary
-            return error
-        return None
+        errors: list[Exception | None] = []
+        for task, *args in zip(tasks, *per_task, strict=True):
+            try:
+                op(task, *args)
+            except Exception as error:  # noqa: BLE001 -- slot fault boundary
+                errors.append(error)
+            else:
+                errors.append(None)
+        return errors
 
     @contextmanager
     def _task_op(self, task: _Task, op: str) -> Iterator[None]:
@@ -742,19 +718,10 @@ class ContinuousEngine:
         per-phase self-seconds it accumulates (``lp``, ``score``,
         ``range``, and the span's own residual as ``interact``) are
         added to the task's :class:`SessionMetrics.phase_seconds`.
-
-        Per-slot *phase attribution* (reading the tracer's global phase
-        totals before/after) is only meaningful when ops run serially,
-        so it is skipped when a worker pool is active; the span itself
-        is still recorded (span nesting is per-thread).
         """
         tracer = self._tracer
         if tracer is None:
             yield
-            return
-        if self._executor is not None:
-            with tracer.span("engine.slot", session=task.ticket, op=op):
-                yield
             return
         before = tracer.phase_snapshot()
         try:
@@ -802,8 +769,8 @@ class ContinuousEngine:
             )
         task.answer, abstained = ask_user(task.spec.user, question)
         if abstained:
-            # Per-task only here — this may run on a pool worker; the
-            # driver folds it into the engine totals in _advance.
+            # Per-task only here; _advance folds it into the engine
+            # totals.
             task.metrics.abstentions += abstained
             task.algorithm.abstentions += abstained
 
@@ -815,9 +782,8 @@ class ContinuousEngine:
         results feed :func:`repro.geometry.range.prefetch_updates` in
         one call — stacked ``solve_many`` LPs plus one NumPy clip pass
         — and each session's own ``observe`` replays the results from
-        cache/memo bit-identically.  Runs on the driver thread (it is
-        shared solver work, the thing batching amortises); the wall
-        time is split evenly across the participating sessions like
+        cache/memo bit-identically.  Runs once per tick (it is shared
+        solver work, the thing batching amortises); the wall time is split evenly across the participating sessions like
         batched scoring.  Skipping this changes nothing but speed, so
         any failure is swallowed.
         """
@@ -882,10 +848,9 @@ class ContinuousEngine:
         one stacked pass; others fall back to their own sequential
         selection.  A scorer that raises (or violates the
         one-score-row-per-session contract) fails every task in its
-        group.  Scoring runs on
-        the driver thread — it is one matmul chain, the thing batching
-        exists to amortise — while the per-task question resolution
-        that follows is pool-eligible per-session work.
+        group.  Scoring is one matmul chain per scorer, the thing
+        batching exists to amortise; each task then resolves its own
+        choice into a question.
         """
         groups: dict[int, tuple[Any, list[_Task]]] = {}
         singles: list[_Task] = []
@@ -929,20 +894,15 @@ class ContinuousEngine:
             self.metrics.peak_batch = max(
                 self.metrics.peak_batch, len(group)
             )
-            resolved: list[tuple[_Task, int]] = []
+            choices: list[int] = []
             for task, scores in zip(group, scores_per_task, strict=True):
                 task.shared_seconds += share
                 if tracer is not None:
                     phases = task.metrics.phase_seconds
                     phases["score"] = phases.get("score", 0.0) + share
-                resolved.append((task, int(np.argmax(scores))))
-            ops = [
-                self._resolve_op(task, choice) for task, choice in resolved
-            ]
-            for (task, _), error in zip(
-                resolved,
-                self._map_ops(ops, [task for task, _ in resolved]),
-                strict=True,
+                choices.append(int(np.argmax(scores)))
+            for task, error in zip(
+                group, self._map(self._resolve, group, choices), strict=True
             ):
                 if error is not None:
                     self._fail(task, error, replacements)
@@ -957,38 +917,12 @@ class ContinuousEngine:
                 continue
             task.batch = None
 
-    def _resolve_op(
-        self, task: _Task, choice: int
-    ) -> Callable[[_Task], None]:
-        """An op resolving ``task``'s batched choice into a question."""
-
-        def resolve(task: _Task) -> None:
-            with self._task_op(task, "select"):
-                task.watch.start()
-                task.question = task.algorithm.next_question_from(choice)
-                task.watch.stop()
-
-        return resolve
-
-    def _map_ops(
-        self,
-        ops: list[Callable[[_Task], None]],
-        tasks: list[_Task],
-    ) -> list[Exception | None]:
-        """Like :meth:`_map` but with one distinct op per task."""
-        executor = self._executor
-        if executor is None or len(tasks) <= 1:
-            return [
-                self._guard(op, task)
-                for op, task in zip(ops, tasks, strict=True)
-            ]
-        futures = [
-            executor.submit(
-                contextvars.copy_context().run, self._guard, op, task
-            )
-            for op, task in zip(ops, tasks, strict=True)
-        ]
-        return [future.result() for future in futures]
+    def _resolve(self, task: _Task, choice: int) -> None:
+        """Resolve ``task``'s batched choice into a question."""
+        with self._task_op(task, "select"):
+            task.watch.start()
+            task.question = task.algorithm.next_question_from(choice)
+            task.watch.stop()
 
     def _select_single(self, task: _Task) -> None:
         """Sequential selection for a batch with no shared scorer."""
@@ -1028,8 +962,8 @@ class ContinuousEngine:
         if retryable:
             self.metrics.retries += 1
             # The replacement starts fresh metrics; bank the failed
-            # attempt's abstentions now (driver thread) so the engine
-            # total counts every abstention the user made.
+            # attempt's abstentions now so the engine total counts
+            # every abstention the user made.
             self.metrics.abstentions += task.metrics.abstentions
             replacements.append(self._retry_task(task))
             return

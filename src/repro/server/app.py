@@ -148,7 +148,7 @@ class SessionService:
         ``POST /sessions {"resume": id}`` restores them.
     epsilon:
         Default regret threshold for sessions that do not specify one.
-    max_rounds / max_in_flight / workers:
+    max_rounds / max_in_flight:
         Passed to the backing runtime's default
         :class:`~repro.serve.scheduler.ContinuousEngine` (oracle mode);
         ignored when an explicit ``runtime`` is supplied.
@@ -174,7 +174,6 @@ class SessionService:
         epsilon: float = 0.1,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         max_in_flight: int = 64,
-        workers: int = 0,
         runtime: Runtime | None = None,
     ) -> None:
         self.dataset = dataset
@@ -195,7 +194,6 @@ class SessionService:
             else ContinuousEngine(
                 max_rounds=max_rounds,
                 max_in_flight=max_in_flight,
-                workers=workers,
                 store=store,
             )
         )

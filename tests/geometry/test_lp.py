@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -485,13 +486,9 @@ class TestSolveMany:
     def test_matches_sequential_bitwise(self):
         systems = [_bounded_system(seed) for seed in range(32)]
         batched = lp.solve_many(systems)
-        solo = lp.ScipyHighsBackend()
         for system, outcome in zip(systems, batched):
             assert isinstance(outcome, lp.LPResult)
-            expected = solo.solve_raw(
-                system.c, system.a_ub, system.b_ub,
-                system.a_eq, system.b_eq, system.bounds,
-            )
+            expected = lp.solve_raw(system)
             # Values must be bit-equal (they are what value-consuming
             # probes read); the optimiser point too on these
             # non-degenerate systems.
@@ -549,11 +546,11 @@ class TestSolveMany:
         fresh = _bounded_system(22)
         with lp.use_cache(cache):
             lp.solve_many([primed])
-            solves_before = lp.active_backend().solves
+            solves_before = lp.solve_count()
             outcomes = lp.solve_many([primed, fresh])
             assert cache.hits == 1
             # Only the fresh system reached the solver.
-            assert lp.active_backend().solves == solves_before + 1
+            assert lp.solve_count() == solves_before + 1
         assert isinstance(outcomes[0], lp.LPResult)
         assert isinstance(outcomes[1], lp.LPResult)
 
@@ -583,40 +580,35 @@ class TestSolveMany:
     def test_property_batch_equals_sequential(self, seeds):
         systems = [_bounded_system(seed) for seed in seeds]
         batched = lp.solve_many(systems)
-        solo = lp.ScipyHighsBackend()
         for system, outcome in zip(systems, batched):
-            expected = solo.solve_raw(
-                system.c, system.a_ub, system.b_ub,
-                system.a_eq, system.b_eq, system.bounds,
-            )
-            assert outcome.value == expected.value
-
-    def test_sequential_fallback_backend(self):
-        # A backend without solve_many_raw still serves solve_many.
-        systems = [_bounded_system(41), _infeasible_system()]
-        with lp.use_backend(lp.ScipyHighsBackend()):
-            outcomes = lp.solve_many(systems)
-        assert isinstance(outcomes[0], lp.LPResult)
-        assert isinstance(outcomes[1], lp.InfeasibleLP)
+            assert outcome.value == lp.solve_raw(system).value
 
 
 class TestSolveCounter:
     def test_count_solves_is_thread_safe(self):
+        import sys
         import threading
 
-        backend = lp.ScipyHighsBackend()
         per_thread, threads = 2_000, 8
+        before = lp.solve_count()
 
         def bump():
             for _ in range(per_thread):
-                backend.count_solves()
+                lp._count_solve()
 
         workers = [threading.Thread(target=bump) for _ in range(threads)]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        assert backend.solves == per_thread * threads
+        interval = sys.getswitchinterval()
+        # Switch threads as often as the interpreter allows.
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert lp.solve_count() == before + per_thread * threads
 
 
 def _narrowed_halfspaces(rng: np.random.Generator, d: int, answers: int):
@@ -633,12 +625,11 @@ def _narrowed_halfspaces(rng: np.random.Generator, d: int, answers: int):
 def _one_at_a_time_margins(spaces, d: int, normals: np.ndarray) -> np.ndarray:
     """Per-row ``max u . n`` through separate ``solve_raw`` calls."""
     a_ub, b_ub, a_eq, b_eq = lp._ambient_system(spaces, d)
-    backend = lp.ScipyHighsBackend()
     margins = []
     for normal in normals:
         try:
-            result = backend.solve_raw(
-                -normal, a_ub, b_ub, a_eq, b_eq, lp._FREE
+            result = lp.solve_raw(
+                lp.LPSystem(-normal, a_ub, b_ub, a_eq, b_eq)
             )
         except lp.InfeasibleLP:
             margins.append(-np.inf)
@@ -647,22 +638,20 @@ def _one_at_a_time_margins(spaces, d: int, normals: np.ndarray) -> np.ndarray:
     return np.array(margins)
 
 
-class _FailingBackend(lp.ScipyHighsBackend):
-    """Solves one system at a time; the listed calls raise instead."""
+def _fail_calls(monkeypatch, failures: dict[int, lp.LPError]) -> None:
+    """Solve one system per HiGHS run; the listed calls raise instead."""
+    real_solve_raw = lp.solve_raw
+    calls = itertools.count()
 
-    name = "failing-test-backend"
+    def solve_raw(system):
+        index = next(calls)
+        if index in failures:
+            raise failures[index]
+        return real_solve_raw(system)
 
-    def __init__(self, failures: dict[int, lp.LPError]) -> None:
-        super().__init__()
-        self.failures = failures
-        self.calls = 0
-
-    def solve_raw(self, c, a_ub, b_ub, a_eq, b_eq, bounds):
-        index = self.calls
-        self.calls += 1
-        if index in self.failures:
-            raise self.failures[index]
-        return super().solve_raw(c, a_ub, b_ub, a_eq, b_eq, bounds)
+    monkeypatch.setattr(lp, "solve_raw", solve_raw)
+    # Stacks of one reach solve_raw directly, in row order.
+    monkeypatch.setattr(lp, "_MAX_STACK", 1)
 
 
 class TestAmbientSplitMargins:
@@ -704,24 +693,23 @@ class TestAmbientSplitMargins:
         assert margins.shape == (3,)
         assert np.all(margins == -np.inf)
 
-    def test_first_failure_in_row_order_is_raised(self):
+    def test_first_failure_in_row_order_is_raised(self, monkeypatch):
         normals = np.random.default_rng(3).uniform(-1.0, 1.0, size=(6, 4))
-        backend = _FailingBackend(
+        _fail_calls(
+            monkeypatch,
             {
                 1: lp.InfeasibleLP("row 1 infeasible"),
                 3: lp.LPError("row 3 failed"),
                 4: lp.UnboundedLP("row 4 unbounded"),
-            }
+            },
         )
-        with lp.use_backend(backend):
-            with pytest.raises(lp.LPError, match="row 3 failed"):
-                lp.ambient_split_margins([], 4, normals)
+        with pytest.raises(lp.LPError, match="row 3 failed"):
+            lp.ambient_split_margins([], 4, normals)
 
-    def test_infeasible_row_alone_is_minus_inf(self):
+    def test_infeasible_row_alone_is_minus_inf(self, monkeypatch):
         normals = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
-        backend = _FailingBackend({1: lp.InfeasibleLP("row 1 infeasible")})
-        with lp.use_backend(backend):
-            margins = lp.ambient_split_margins([], 3, normals)
+        _fail_calls(monkeypatch, {1: lp.InfeasibleLP("row 1 infeasible")})
+        margins = lp.ambient_split_margins([], 3, normals)
         assert margins[0] > 0
         assert margins[1] == -np.inf
 
@@ -734,10 +722,10 @@ class TestAmbientSplitMargins:
         with lp.use_cache(cache):
             first = lp.ambient_split_margins(spaces, d, normals)
             assert (cache.hits, cache.misses) == (0, k)
-            solves = lp.active_backend().solves
+            solves = lp.solve_count()
             second = lp.ambient_split_margins(spaces, d, normals)
             assert (cache.hits, cache.misses) == (k, k)
-            assert lp.active_backend().solves == solves
+            assert lp.solve_count() == solves
         np.testing.assert_array_equal(second, first)
 
 
@@ -805,7 +793,7 @@ def _linprog_stack(systems: list[lp.LPSystem]) -> list:
     """Per-system outcomes of ``linprog`` over ``block_diag`` stacks.
 
     Bisects a failed stack down to singletons, as
-    :class:`lp.BatchLPBackend` does, so each member's reference is the
+    :func:`lp.solve_stacked` does, so each member's reference is the
     ``linprog`` solve of the stack it ends up in.
     """
     if len(systems) == 1:
@@ -852,10 +840,7 @@ def _assert_same_outcome(got, expected) -> None:
 
 def _direct_single(system: lp.LPSystem):
     try:
-        return lp.ScipyHighsBackend().solve_raw(
-            system.c, system.a_ub, system.b_ub,
-            system.a_eq, system.b_eq, system.bounds,
-        )
+        return lp.solve_raw(system)
     except lp.LPError as error:
         return error
 
@@ -911,7 +896,7 @@ class TestHighsMatchesLinprog:
                 dataclasses.replace(systems[0], c=system.c)
                 for system in systems
             ]
-        outcomes = lp.BatchLPBackend().solve_many_raw(systems)
+        outcomes = lp.solve_stacked(systems)
         for got, expected in zip(outcomes, _linprog_stack(systems)):
             _assert_same_outcome(got, expected)
 
@@ -924,9 +909,9 @@ class TestHighsMatchesLinprog:
         systems.insert(4, infeasible)
         expected = _linprog_stack(systems)
         assert expected[4] is lp.InfeasibleLP
-        backend = lp.BatchLPBackend()
-        outcomes = backend.solve_many_raw(systems)
-        assert backend.solves > 1
+        solves_before = lp.solve_count()
+        outcomes = lp.solve_stacked(systems)
+        assert lp.solve_count() - solves_before > 1
         for got, want in zip(outcomes, expected):
             _assert_same_outcome(got, want)
 

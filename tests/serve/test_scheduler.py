@@ -16,6 +16,7 @@ The continuous scheduler's contract has three parts:
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import threading
 
 import numpy as np
@@ -29,7 +30,12 @@ from repro.errors import (
     EmptyRegionError,
     InteractionError,
 )
-from repro.serve import ContinuousEngine, RecoveryPolicy, SessionSpec
+from repro.serve import (
+    ContinuousEngine,
+    RecoveryPolicy,
+    SessionSpec,
+    ShardedDispatcher,
+)
 from repro.users import OracleUser
 from tests.serve.test_faults import (
     BatchableSession,
@@ -152,17 +158,6 @@ class TestEquivalence:
             3,
             max_in_flight=2,
         )
-
-    def test_workers_do_not_change_results(self, trained_ea_3d):
-        users = _hidden_users(3)
-        make = lambda seed: trained_ea_3d.new_session(rng=seed)  # noqa: E731
-        with ContinuousEngine(max_in_flight=3) as inline:
-            inline_results = inline.run(_specs(make, users))
-        with ContinuousEngine(max_in_flight=3, workers=4) as pooled:
-            pooled_results = pooled.run(_specs(make, users))
-        assert [_outcome(r) for r in inline_results] == [
-            _outcome(r) for r in pooled_results
-        ]
 
     def test_trace_equivalent_to_sequential(self, trained_ea_3d):
         users = _hidden_users(3, n=3)
@@ -328,12 +323,20 @@ class TestStreamingLifecycle:
         )
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            ContinuousEngine(max_in_flight=0)
-        with pytest.raises(ConfigurationError):
-            ContinuousEngine(max_pending=0)
-        with pytest.raises(ConfigurationError):
-            ContinuousEngine(workers=-1)
+        # Both runtimes refuse bad engine options at construction; the
+        # dispatcher does so before forking a single worker.
+        children = set(multiprocessing.active_children())
+        for runtime, options, option in (
+            (ContinuousEngine, {"max_in_flight": 0}, "max_in_flight"),
+            (ContinuousEngine, {"max_pending": 0}, "max_pending"),
+            (ContinuousEngine, {"max_rounds": 0}, "max_rounds"),
+            (ShardedDispatcher, {"procs": 1, "max_in_flight": 0},
+             "max_in_flight"),
+            (ShardedDispatcher, {"procs": 1, "max_rounds": 0}, "max_rounds"),
+        ):
+            with pytest.raises(ConfigurationError, match=option):
+                runtime(**options)
+        assert set(multiprocessing.active_children()) <= children
 
 
 class _SharedScorer:

@@ -267,3 +267,17 @@ class TestServerParser:
         assert args.store == "runs/"
         assert args.agent == ["a.npz", "b.npz"]
         assert args.handler.__name__ == "_cmd_server"
+
+    @pytest.mark.parametrize("procs", ["0", "2"])
+    def test_bad_engine_option_is_an_error(self, procs, capsys):
+        code = main(
+            [
+                "server",
+                "--dataset", "anti:200:3",
+                "--port", "0",
+                "--max-rounds", "0",
+                "--procs", procs,
+            ]
+        )
+        assert code == 2
+        assert "error: max_rounds must be >= 1" in capsys.readouterr().err
