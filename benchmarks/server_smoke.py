@@ -8,17 +8,20 @@ generator, in three passes:
 1. 16 concurrent interactive sessions, each checkpointed to the store
    after every answer;
 2. 16 oracle sessions against the same server, served by its
-   in-process engine through ``ContinuousEngine.asubmit``;
+   in-process ``ContinuousEngine``;
 3. 16 oracle sessions against a second server booted with
-   ``--procs 2``, served by a ``ShardedDispatcher`` behind the
-   service's collector thread.
+   ``--procs 2``, served by a ``ShardedDispatcher``.
+
+Both oracle passes go through the service's one collector thread
+(``submit()`` in, ``as_completed()`` out); the two passes exercise the
+two runtimes behind it.
 
 Every pass must bring every session to a recommendation with zero
 failures.
 
 This is deliberately a subprocess test, not an in-process one: it
 proves the CLI entry point, the asyncio server loop, the HTTP codec,
-the per-answer checkpointing and both oracle serving paths all work
+the per-answer checkpointing and oracle serving on both runtimes all work
 together the way an operator would actually run them.
 
 Run directly::

@@ -60,6 +60,7 @@ these tiny systems (each one is a handful of rows); see
 from __future__ import annotations
 
 import hashlib
+import os
 import threading
 from collections import OrderedDict
 from collections.abc import Iterator, Sequence
@@ -79,6 +80,9 @@ from repro.obs.tracer import active_tracer
 FEASIBILITY_TOL = 1e-9
 
 _FREE = (None, None)
+
+#: Entries an :class:`LPCache` holds before it evicts least-recently-used.
+_CACHE_ENTRIES = 100_000
 
 
 @dataclass(frozen=True)
@@ -239,26 +243,25 @@ class LPCache:
     through the cache, split into ``hits`` and ``misses``.
 
     The cache has no invalidation protocol: keys bind the *entire*
-    constraint system, so a stored result can never go stale.  Bound the
-    footprint with ``max_entries``; eviction is least-recently-*used*
-    (a hit refreshes an entry's recency), so the hot simplex-startup
-    systems every fresh session re-derives stay resident under
-    sustained load instead of being the first insertions evicted.
+    constraint system, so a stored result can never go stale.  The
+    footprint is bounded at ``_CACHE_ENTRIES`` entries; eviction is
+    least-recently-*used* (a hit refreshes an entry's recency), so the
+    hot simplex-startup systems every fresh session re-derives stay
+    resident under sustained load instead of being the first insertions
+    evicted.
 
     Thread safety: :meth:`lookup` and :meth:`store` — the two operations
     :func:`solve` uses — take an internal lock, so one cache can be
-    shared by several threads, e.g. the ``asubmit`` driver thread of
-    :class:`~repro.serve.scheduler.ContinuousEngine` and a caller
-    ticking the same engine synchronously.  Two threads racing the same
-    uncached system may both miss and both solve — a small duplicated
-    effort, never a wrong answer, because entries are immutable once
-    derived from the keyed system.
+    shared by several threads.  An engine's ticks are serialised by
+    its own lock, but the thread that ticks it can change (the HTTP
+    service's collector thread, or a caller driving :meth:`drain
+    <repro.serve.scheduler.ContinuousEngine.drain>` directly).  Two
+    threads racing the same uncached system may both miss and both
+    solve — a small duplicated effort, never a wrong answer, because
+    entries are immutable once derived from the keyed system.
     """
 
-    def __init__(self, max_entries: int = 100_000) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = int(max_entries)
+    def __init__(self) -> None:
         self._store: OrderedDict[
             bytes, LPResult | tuple[type[LPError], str]
         ] = OrderedDict()
@@ -318,7 +321,7 @@ class LPCache:
         with self._lock:
             if key in self._store:
                 self._store.move_to_end(key)
-            elif len(self._store) >= self.max_entries:
+            elif len(self._store) >= _CACHE_ENTRIES:
                 self._store.popitem(last=False)
             self._store[key] = entry
 
@@ -576,6 +579,21 @@ _MAX_STACK = 256
 #: Raw HiGHS runs in this process (see :func:`solve_count`).
 _solves = 0
 _solves_lock = threading.Lock()
+
+
+def _reset_solves_lock() -> None:
+    """Give a forked child a fresh lock.
+
+    Dispatcher workers fork from a thread while other threads may be
+    solving; a child that inherited the lock held would hang on its
+    first solve.
+    """
+    global _solves_lock
+    _solves_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only
+    os.register_at_fork(after_in_child=_reset_solves_lock)
 
 
 def _count_solve() -> None:

@@ -24,8 +24,8 @@ property-based tests in ``tests/geometry`` cross-check them.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
-from functools import cached_property
+from collections.abc import Callable, Iterable, Sequence
+from typing import Any, Generic, TypeVar
 
 import numpy as np
 from scipy.spatial import HalfspaceIntersection, QhullError
@@ -35,6 +35,37 @@ from repro.geometry import lp, simplex
 from repro.geometry.hyperplane import PreferenceHalfspace
 from repro.utils.rng import RngLike
 from repro.utils.validation import require_vector
+
+_T = TypeVar("_T")
+
+
+class _cached(Generic[_T]):
+    """:class:`functools.cached_property` without its lock.
+
+    On Python 3.11 ``cached_property`` holds one lock per property, shared
+    by every instance, while any instance computes.  A dispatcher worker
+    forked from the HTTP service's collector thread while the event-loop
+    thread was enumerating an interactive session's vertices inherits
+    that lock held by a thread it does not have, and hangs on its first
+    computation.  Two threads racing here may both compute; the value is
+    a pure function of the immutable instance, so either result is right.
+    """
+
+    def __init__(self, func: Callable[[Any], _T]) -> None:
+        self._func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._name = name
+
+    def __get__(self, instance: Any, owner: type | None = None) -> _T:
+        if instance is None:
+            return self  # type: ignore[return-value]
+        value = self._func(instance)
+        # The instance attribute now shadows this non-data descriptor.
+        instance.__dict__[self._name] = value
+        return value
+
 
 #: Minimum Chebyshev radius for Qhull to be trusted with the body.
 _QHULL_MIN_RADIUS = 1e-7
@@ -138,7 +169,7 @@ class UtilityPolytope:
 
     # -- geometry ------------------------------------------------------------
 
-    @cached_property
+    @_cached
     def _chebyshev(self) -> tuple[np.ndarray, float] | None:
         try:
             return lp.chebyshev_center(self._a, self._b)
@@ -219,7 +250,7 @@ class UtilityPolytope:
 
     # -- vertices ------------------------------------------------------------
 
-    @cached_property
+    @_cached
     def _vertices_raw(self) -> np.ndarray:
         """Unrounded reduced vertices, one representative per dedup class.
 
@@ -240,7 +271,7 @@ class UtilityPolytope:
         _, index = np.unique(rounded, axis=0, return_index=True)
         return reduced[index]
 
-    @cached_property
+    @_cached
     def _vertices(self) -> np.ndarray:
         reduced = np.unique(
             np.round(self._vertices_raw, _DEDUP_DECIMALS), axis=0

@@ -10,7 +10,7 @@ algorithm, user and seed.
 * :class:`SessionSpec` — the unit of serving work (session factory,
   user, seed, tags), the only form the engine accepts;
 * :class:`ContinuousEngine` — the engine: continuous (iteration-level)
-  batching with admission control, backpressure and a
+  batching with admission control and a
   ``submit()``/``as_completed()``/``drain()`` streaming lifecycle,
   batching Q-network scoring across sessions, memoising LP solves
   through a per-engine :class:`~repro.geometry.lp.LPCache`, and

@@ -213,10 +213,6 @@ def _worker_main(
                             continue
                         conn.send(("ckpt", item.ticket, item.session_id))
                 _flush_completed(engine, by_local, conn)
-            # Backpressure can drive sessions to completion *inside*
-            # submit(), before the tick loop ever runs; flush whatever
-            # the loop never saw.
-            _flush_completed(engine, by_local, conn)
         engine.close()
         metrics = engine.last_metrics or engine.metrics
         report = aggregate_report(tracer) if tracer is not None else None
@@ -322,8 +318,9 @@ class ShardedDispatcher:
         self._next_ticket = 0
         #: Submitted-but-unfinished work, keyed by global ticket.
         self._backlog: dict[int, _WorkItem] = {}
-        #: Tickets submitted since the last drain, in submission order.
-        self._epoch: list[int] = []
+        #: Tickets submitted since the last drain and not yet consumed,
+        #: in submission order (a dict for O(1) removal).
+        self._epoch: dict[int, None] = {}
         self._results: dict[int, SessionResult] = {}
         #: Latest checkpoint id per live ticket (the crash-resume ledger).
         self._ckpts: dict[int, str] = {}
@@ -399,7 +396,7 @@ class ShardedDispatcher:
                 trace=trace,
                 session_id=session_id,
             )
-            self._epoch.append(ticket)
+            self._epoch[ticket] = None
             return ticket
 
     def checkpoint(
@@ -653,20 +650,26 @@ class ShardedDispatcher:
                     state.process.join(timeout=5.0)
 
     def as_completed(self) -> Iterator[SessionResult]:
-        """Yield results as sessions finish (completion order).
+        """Yield-and-*consume* results as sessions finish (completion order).
 
         Each call runs waves until the backlog is empty; submissions
         made while iterating join the next wave.  Like
         :meth:`ContinuousEngine.as_completed
         <repro.serve.scheduler.ContinuousEngine.as_completed>`, yielded
-        results are still reported by the next :meth:`drain`.
+        results are consumed: a later :meth:`drain` reports only results
+        this never yielded.
         """
         while True:
             with self._lock:
                 self._check_open()
                 if not self._backlog:
                     return
-            yield from self._pump()
+            for result in self._pump():
+                assert result.metrics is not None  # set by worker and _fail_lost
+                with self._lock:
+                    del self._results[result.metrics.session_id]
+                    del self._epoch[result.metrics.session_id]
+                yield result
 
     def drain(self) -> list[SessionResult]:
         """Serve the backlog to completion; results in submit order."""
@@ -679,6 +682,6 @@ class ShardedDispatcher:
             for _ in self._pump():
                 pass
         with self._lock:
-            epoch, self._epoch = self._epoch, []
+            epoch, self._epoch = self._epoch, {}
             self.last_metrics = self.metrics
             return [self._results.pop(ticket) for ticket in epoch]

@@ -12,24 +12,23 @@ constructor argument, not a rewrite.
 
 The protocol is structural (:func:`typing.runtime_checkable`): any class
 with the right methods conforms — ``ContinuousEngine`` predates this
-module and satisfies it unchanged.  Optional capabilities stay out of
-the protocol and are feature-detected instead:
+module and satisfies it unchanged.
 
-* ``asubmit(spec)`` — an asyncio front door.  ``ContinuousEngine`` has
-  one; the dispatcher does not, and callers that need per-result
-  futures without it (the HTTP service) run a collector thread over
-  :meth:`Runtime.as_completed` keyed on
-  ``result.metrics.session_id`` (the submission ticket).
-* ``step()`` — manual single-tick advancement, engine-specific.
+There is one road from asyncio to any runtime: the HTTP service submits
+with :meth:`Runtime.submit` from its event loop, and one collector
+thread iterates :meth:`Runtime.as_completed`, resolving each session's
+future from ``result.metrics.session_id`` (the submission ticket) as
+soon as that session finishes.  A runtime therefore has to accept
+submissions from one thread while another iterates ``as_completed``.
 
 Contract highlights every implementation honours:
 
 * :meth:`Runtime.submit` returns a monotonically increasing ticket, and
   every produced result carries that ticket as
   ``result.metrics.session_id``.
-* :meth:`Runtime.drain` returns the current epoch's undrained results
-  in submission order; :meth:`Runtime.as_completed` yields the same
-  results in completion order without consuming them from the epoch.
+* :meth:`Runtime.as_completed` yields results in completion order and
+  *consumes* them; :meth:`Runtime.drain` returns the current epoch's
+  unconsumed results in submission order.
 * :meth:`Runtime.close` is idempotent; submitting to a closed runtime
   raises :class:`~repro.errors.InteractionError`.
 """
@@ -68,11 +67,11 @@ class Runtime(Protocol):
         ...
 
     def as_completed(self) -> Iterator["SessionResult"]:
-        """Yield results as sessions finish (completion order)."""
+        """Yield-and-consume results as sessions finish (completion order)."""
         ...
 
     def drain(self) -> list["SessionResult"]:
-        """Run until idle; return undrained results in submit order."""
+        """Run until idle; return unconsumed results in submit order."""
         ...
 
     def checkpoint(

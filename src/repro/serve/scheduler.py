@@ -18,10 +18,10 @@ Sessions are scheduled the way LLM inference servers schedule requests
   one session after another: the GIL would serialise it anyway.  Work
   that batching amortises — stacked Q-scoring and the tick's stacked
   LP probes — runs once per tick on the same thread.
-* Backpressure: ``max_pending`` bounds the admission queue.  A
-  :meth:`submit` that would exceed it runs scheduler ticks inline until
-  space frees up, so an unbounded producer cannot grow memory without
-  also advancing the work it already queued.
+* Thread safety: one lock guards the scheduler state and is taken once
+  per tick, so one thread (the HTTP service's collector) can tick the
+  engine through :meth:`as_completed` while another (its event loop)
+  keeps calling :meth:`submit`.
 
 Determinism: per-session transcripts are independent of scheduling.
 Each session's next question depends only on its own state, its own
@@ -43,7 +43,6 @@ failures under majority voting.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from collections.abc import Callable, Iterator, Sequence
@@ -122,14 +121,6 @@ def _preview_of(
         return None
 
 
-def _resolve_future(
-    future: "asyncio.Future[SessionResult]", result: SessionResult
-) -> None:
-    """Resolve an asubmit future on its own loop (cancel-safe)."""
-    if not future.done():
-        future.set_result(result)
-
-
 class ContinuousEngine:
     """Serve sessions with continuous batching and bounded concurrency.
 
@@ -146,10 +137,6 @@ class ContinuousEngine:
         Admission cap: at most this many sessions are live per tick.
         This is the provisioned batch capacity the
         :attr:`EngineMetrics.occupancy` metric measures against.
-    max_pending:
-        Backpressure bound on the admission queue (``None`` = unbounded).
-        When exceeded, :meth:`submit` runs ticks inline until the queue
-        shrinks below the bound.
     store:
         Optional :class:`~repro.persist.SessionStore`.  When set,
         :meth:`checkpoint` persists snapshots to it and :meth:`resume`
@@ -171,45 +158,36 @@ class ContinuousEngine:
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         recovery: RecoveryPolicy | None = None,
         max_in_flight: int = 64,
-        max_pending: int | None = None,
         store: "SessionStore | None" = None,
     ) -> None:
-        self.check_options(max_rounds, max_in_flight, max_pending)
+        self.check_options(max_rounds, max_in_flight)
         self.max_rounds = int(max_rounds)
         self.max_in_flight = int(max_in_flight)
-        self.max_pending = None if max_pending is None else int(max_pending)
         self.lp_cache = LPCache()
         self.recovery = recovery
         self._closed = False
         self._next_ticket = 0
         self._pending: list[_Task] = []
         self._in_flight: list[_Task] = []
-        #: Results keyed by ticket, kept until their epoch is drained.
+        #: Results keyed by ticket, kept until consumed or drained.
         self._results: dict[int, SessionResult] = {}
-        #: Tickets submitted since the last drain, in submission order.
-        self._epoch: list[int] = []
-        #: Finished results not yet yielded by :meth:`as_completed`.
+        #: Tickets submitted since the last drain and not yet consumed,
+        #: in submission order (a dict for O(1) removal).
+        self._epoch: dict[int, None] = {}
+        #: Finished results not yet consumed by a poll or a drain.
         self._completed: list[SessionResult] = []
         self.metrics = EngineMetrics()
         self.metrics.in_flight_cap = self.max_in_flight
         self.last_metrics: EngineMetrics | None = None
         self._tracer: Tracer | None = None
         self.store = store
-        # -- async front door (asubmit) --
-        # One re-entrant lock serialises every scheduler mutation, so the
-        # background driver thread that services async waiters can
-        # interleave safely with synchronous submit/drain callers.
+        # One re-entrant lock serialises every scheduler mutation, held
+        # for one tick at a time, so submissions from another thread
+        # interleave with a thread that is ticking the engine.
         self._lock = threading.RLock()
-        self._waiters: dict[
-            int, tuple[asyncio.AbstractEventLoop, "asyncio.Future[Any]"]
-        ] = {}
-        self._driver: threading.Thread | None = None
-        self._wake = threading.Event()
 
     @staticmethod
-    def check_options(
-        max_rounds: int, max_in_flight: int, max_pending: int | None = None
-    ) -> None:
+    def check_options(max_rounds: int, max_in_flight: int) -> None:
         """Reject engine options the constructor would refuse.
 
         Raises :class:`~repro.errors.ConfigurationError`.  Runtimes that
@@ -225,10 +203,6 @@ class ContinuousEngine:
             raise ConfigurationError(
                 f"max_in_flight must be >= 1, got {max_in_flight}"
             )
-        if max_pending is not None and max_pending < 1:
-            raise ConfigurationError(
-                f"max_pending must be >= 1 or None, got {max_pending}"
-            )
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -239,10 +213,10 @@ class ContinuousEngine:
         self.close()
 
     def close(self) -> None:
-        """Stop the ``asubmit`` driver and refuse further submissions.
+        """Refuse further submissions (idempotent).
 
-        Idempotent.  Unfinished sessions are abandoned (their tickets
-        never produce results), so :meth:`drain` first if you care.
+        Unfinished sessions are abandoned (their tickets never produce
+        results), so :meth:`drain` first if you care.
         """
         with self._lock:
             if self._closed:
@@ -251,18 +225,6 @@ class ContinuousEngine:
             self.last_metrics = self.metrics
             self._pending.clear()
             self._in_flight.clear()
-            waiters = list(self._waiters.values())
-            self._waiters.clear()
-        self._wake.set()
-        driver = self._driver
-        if driver is not None and driver.is_alive():
-            driver.join(timeout=5.0)
-        self._driver = None
-        for loop, future in waiters:
-            try:
-                loop.call_soon_threadsafe(future.cancel)
-            except RuntimeError:  # pragma: no cover - loop already closed
-                pass
 
     def submit(self, session: SessionSpec, trace: bool = False) -> int:
         """Queue one session for service; return its ticket.
@@ -271,133 +233,59 @@ class ContinuousEngine:
         else raises :class:`~repro.errors.ConfigurationError`.  The
         factory is *not* invoked here — construction happens at
         admission, inside the engine's LP-cache context, so start-up
-        solves are memoised.  If the pending queue exceeds
-        ``max_pending``, scheduler ticks run inline until it no longer
-        does (backpressure).
+        solves are memoised.  Never ticks, so it never blocks on
+        session work beyond the tick in progress.
         """
+        spec = require_spec(session)
         with self._lock:
             self._check_open()
-            ticket = self._submit_spec(require_spec(session), trace)
-            if self.max_pending is not None:
-                while len(self._pending) > self.max_pending:
-                    self._tick()
+            ticket = self._next_ticket
+            self._next_ticket += 1
+            task = _Task(
+                ticket=ticket,
+                spec=spec,
+                # Placeholder until admission; never driven.
+                algorithm=None,  # type: ignore[arg-type]
+                metrics=SessionMetrics(session_id=ticket),
+                trace=trace,
+                submitted_at=time.perf_counter(),
+            )
+            self.metrics.sessions += 1
+            self._epoch[ticket] = None
+            self._pending.append(task)
             return ticket
 
-    def _submit_spec(self, spec: SessionSpec, trace: bool) -> int:
-        """Queue a checked spec (caller holds the lock); no backpressure."""
-        ticket = self._next_ticket
-        self._next_ticket += 1
-        task = _Task(
-            ticket=ticket,
-            spec=spec,
-            # Placeholder until admission; never driven.
-            algorithm=None,  # type: ignore[arg-type]
-            metrics=SessionMetrics(session_id=ticket),
-            trace=trace,
-            submitted_at=time.perf_counter(),
-        )
-        self.metrics.sessions += 1
-        self._epoch.append(ticket)
-        self._pending.append(task)
-        return ticket
-
-    def asubmit(
-        self, session: SessionSpec, trace: bool = False
-    ) -> "asyncio.Future[SessionResult]":
-        """Submit from asyncio; the returned future resolves to the result.
-
-        The async front door for service layers (the HTTP server): call
-        from a running event loop, ``await`` the future, and a
-        background driver thread runs scheduler ticks while async
-        waiters exist — many concurrent ``asubmit`` calls ride the same
-        continuous batch.  The future carries the session's ticket as
-        ``future.ticket`` (usable with :meth:`checkpoint`).
-
-        Async tickets are *consumed* by their future: they are excluded
-        from :meth:`drain`/:meth:`as_completed`, which keep reporting
-        synchronous submissions only.  ``max_pending`` backpressure is
-        not applied here — an event loop must not block — so async
-        callers bound their own concurrency (the HTTP layer does).
-        """
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[SessionResult]" = loop.create_future()
-        with self._lock:
-            self._check_open()
-            ticket = self._submit_spec(require_spec(session), trace)
-            self._epoch.remove(ticket)
-            self._waiters[ticket] = (loop, future)
-            self._ensure_driver()
-        future.ticket = ticket  # type: ignore[attr-defined]
-        self._wake.set()
-        return future
-
-    def _ensure_driver(self) -> None:
-        """Start the waiter-servicing driver thread if it is not running."""
-        if self._driver is not None and self._driver.is_alive():
-            return
-        self._driver = threading.Thread(
-            target=self._drive, name="repro-serve-driver", daemon=True
-        )
-        self._driver.start()
-
-    def _drive(self) -> None:
-        """Driver loop: tick while async waiters have live sessions."""
-        while not self._closed:
-            # Clear *before* checking for work, never after waiting: a
-            # set() that lands after this clear is either observed by
-            # the locked check below or still pending when wait() runs,
-            # so it can never be swallowed.  (The previous
-            # wait-then-clear ordering could erase a set() racing in
-            # between wait() returning and the clear, costing a wake-up
-            # and up to a full 50 ms timeout of asubmit latency.)
-            self._wake.clear()
-            ticked = False
-            closing = False
-            with self._lock:
-                closing = self._closed
-                if (
-                    not closing
-                    and self._waiters
-                    and (self._pending or self._in_flight)
-                ):
-                    self._tick()
-                    ticked = True
-            if not ticked and not closing:
-                self._wake.wait(timeout=0.05)
-
     def as_completed(self) -> Iterator[SessionResult]:
-        """Yield results as sessions finish (completion order).
+        """Yield-and-*consume* results as sessions finish (completion order).
 
-        Runs scheduler ticks lazily between yields; returns when no
-        work remains.  Results yielded here are still returned by the
-        next :meth:`drain` (which reports the whole epoch in submission
-        order).
+        :meth:`poll_completed` plus one locked tick per loop; returns
+        when no work remains.  Yielded results are consumed, so a later
+        :meth:`drain` reports only results this never yielded.  The lock
+        is free between ticks, so sessions submitted meanwhile join the
+        run.
         """
         while True:
+            yield from self.poll_completed()
             with self._lock:
-                completed, self._completed = self._completed, []
-            yield from completed
-            with self._lock:
-                if not (self._pending or self._in_flight):
-                    if not self._completed:
-                        return
-                    continue
+                if not (self._pending or self._in_flight or self._completed):
+                    return
                 self._tick()
 
     def drain(self) -> list[SessionResult]:
-        """Run until idle; return all undrained results in submit order.
+        """Run until idle; return all unconsumed results in submit order.
 
-        Async (:meth:`asubmit`) tickets are excluded — their results are
-        consumed by their futures.
+        Takes the lock once per tick, not for the whole run, so a
+        concurrent :meth:`submit` never waits for the engine to go idle.
         """
-        with self._lock:
-            self._check_open()
-            while self._pending or self._in_flight:
+        while True:
+            with self._lock:
+                self._check_open()
+                if not (self._pending or self._in_flight):
+                    self._completed.clear()
+                    epoch, self._epoch = self._epoch, {}
+                    self.last_metrics = self.metrics
+                    return [self._results.pop(ticket) for ticket in epoch]
                 self._tick()
-            self._completed.clear()
-            epoch, self._epoch = self._epoch, []
-            self.last_metrics = self.metrics
-            return [self._results.pop(ticket) for ticket in epoch]
 
     def step(self) -> None:
         """Run one scheduler tick (admission plus at most one round per
@@ -413,19 +301,16 @@ class ContinuousEngine:
         Non-blocking and non-ticking: pair it with :meth:`step` to
         drive the engine manually, the loop the
         :class:`~repro.serve.dispatch.ShardedDispatcher` worker runs so
-        it can stream results over its pipe between checkpoints.
-        Unlike :meth:`as_completed`, polled results are consumed — a
-        later :meth:`drain` will not report them again.
+        it can stream results over its pipe between checkpoints.  Like
+        :meth:`as_completed`, polled results are consumed — a later
+        :meth:`drain` will not report them again.
         """
         with self._lock:
             completed, self._completed = self._completed, []
             for result in completed:
                 ticket = result.metrics.session_id
-                self._results.pop(ticket, None)
-                try:
-                    self._epoch.remove(ticket)
-                except ValueError:  # pragma: no cover - async ticket
-                    pass
+                del self._results[ticket]
+                del self._epoch[ticket]
         return completed
 
     @property
@@ -519,9 +404,7 @@ class ContinuousEngine:
         else:
             snapshot = snapshot_or_id
         spec = resumed_spec(snapshot, user, agent=agent, dataset=dataset)
-        with self._lock:
-            self._check_open()
-            return self._submit_spec(spec, trace)
+        return self.submit(spec, trace=trace)
 
     def run(
         self,
@@ -1064,20 +947,8 @@ class ContinuousEngine:
         )
 
     def _deliver(self, task: _Task, result: SessionResult) -> None:
-        """File a finished result for :meth:`as_completed` and :meth:`drain`.
-
-        Async (:meth:`asubmit`) tickets are diverted to their waiting
-        future instead, resolved on the waiter's event loop.
-        """
+        """File a finished result for :meth:`as_completed` and :meth:`drain`."""
         self.metrics.per_session.append(task.metrics)
         self.metrics.abstentions += task.metrics.abstentions
-        waiter = self._waiters.pop(task.ticket, None)
-        if waiter is not None:
-            loop, future = waiter
-            try:
-                loop.call_soon_threadsafe(_resolve_future, future, result)
-            except RuntimeError:  # pragma: no cover - loop already closed
-                pass
-            return
         self._results[task.ticket] = result
         self._completed.append(result)

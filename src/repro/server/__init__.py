@@ -10,9 +10,10 @@ real client can hold a dialogue with:
   (``POST /sessions``, ``GET .../question``, ``POST .../answer``,
   ``GET .../recommendation``), with per-request fault isolation,
   per-answer checkpoints into a :class:`~repro.persist.SessionStore`,
-  crash-resume via ``{"resume": id}``, and an oracle mode riding
-  :meth:`~repro.serve.scheduler.ContinuousEngine.asubmit` for
-  scheduler-batched concurrent sessions;
+  crash-resume via ``{"resume": id}``, and an oracle mode that serves
+  scheduler-batched concurrent sessions on any
+  :class:`~repro.serve.runtime.Runtime` through one collector thread
+  (``submit()`` in, ``as_completed()`` out);
 * :mod:`repro.server.loadgen` — the concurrent HTTP load generator
   behind ``python -m repro serve-bench --http`` and the CI smoke job.
 

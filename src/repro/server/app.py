@@ -13,10 +13,14 @@ modes share one service:
   server resumes every open dialogue bit-identically (``POST /sessions``
   with ``{"resume": id}``).
 * **oracle** (the benchmark shape) — the request carries the user's
-  utility vector; the whole dialogue runs server-side through
-  :meth:`~repro.serve.scheduler.ContinuousEngine.asubmit`, so hundreds
-  of concurrent sessions ride one continuously-batched scheduler.
-  ``GET .../recommendation`` awaits the result.
+  utility vector; the whole dialogue runs server-side on the backing
+  :class:`~repro.serve.runtime.Runtime`, so hundreds of concurrent
+  sessions ride one continuously-batched scheduler (or one per
+  dispatcher worker).  ``GET .../recommendation`` awaits the result.
+  Every runtime is served the same way: the request thread calls
+  ``runtime.submit()``, and one collector thread iterates
+  ``runtime.as_completed()`` and resolves each session's future the
+  moment that session finishes.
 
 Endpoints (all JSON)::
 
@@ -119,15 +123,6 @@ class _LiveSession:
     lock: asyncio.Lock = field(default_factory=asyncio.Lock)
 
 
-@dataclass
-class _OracleSession:
-    """One scheduler-driven session (utility known server-side)."""
-
-    session_id: str
-    family: str
-    future: "asyncio.Future[Any]"
-
-
 class SessionService:
     """The HTTP front end over one dataset (and its trained agents).
 
@@ -158,10 +153,10 @@ class SessionService:
         :class:`~repro.serve.dispatch.ShardedDispatcher` for
         multi-process serving (``python -m repro server --procs N``).
         The service owns it exclusively and closes it with
-        :meth:`close`.  Runtimes without an ``asubmit`` front door are
-        driven by a background collector thread that resolves each
-        submission's future from ``as_completed()`` results (matched on
-        ``result.metrics.session_id``).
+        :meth:`close`.  Whatever the runtime, one background collector
+        thread drives it through ``as_completed()`` and resolves each
+        submission's future as its result streams out (matched on
+        ``result.metrics.session_id``, the submission ticket).
     """
 
     def __init__(
@@ -198,9 +193,10 @@ class SessionService:
             )
         )
         self._interactive: dict[str, _LiveSession] = {}
-        self._oracle: dict[str, _OracleSession] = {}
+        #: Oracle (runtime-driven) sessions' result futures, by session id.
+        self._oracle: dict[str, "asyncio.Future[Any]"] = {}
         self._counter = itertools.count(1)
-        # -- asubmit fallback (runtimes without an asyncio front door) --
+        # -- the collector: the one bridge from asyncio to the runtime --
         self._closed = False
         self._collector: threading.Thread | None = None
         self._collector_lock = threading.Lock()
@@ -231,22 +227,18 @@ class SessionService:
 
     def _submit_oracle(
         self, spec: SessionSpec
-    ) -> "asyncio.Future[Any]":
-        """Submit an oracle-mode spec; return a future for its result.
+    ) -> tuple[int, "asyncio.Future[Any]"]:
+        """Submit an oracle-mode spec; return its ticket and result future.
 
-        Uses the runtime's ``asubmit`` when it has one
-        (``ContinuousEngine``); otherwise submits synchronously and
-        lets the collector thread resolve the future when the ticket's
-        result comes out of ``as_completed()``.
+        The submit runs under the collector lock, so the collector can
+        never see a result before its future is registered.  Lock order
+        is collector lock, then runtime lock; the collector never takes
+        them the other way round.
         """
-        asubmit = getattr(self.engine, "asubmit", None)
-        if asubmit is not None:
-            return asubmit(spec)
         loop = asyncio.get_running_loop()
         future: "asyncio.Future[Any]" = loop.create_future()
-        ticket = self.engine.submit(spec)
-        future.ticket = ticket  # type: ignore[attr-defined]
         with self._collector_lock:
+            ticket = self.engine.submit(spec)
             self._waiting[ticket] = (loop, future)
             if self._collector is None or not self._collector.is_alive():
                 self._collector = threading.Thread(
@@ -256,35 +248,37 @@ class SessionService:
                 )
                 self._collector.start()
         self._collector_wake.set()
-        return future
+        return ticket, future
 
     def _collect(self) -> None:
-        """Drive a non-async runtime; resolve futures by ticket."""
+        """Drive the runtime; resolve each future as its session finishes.
+
+        The wake event is cleared *before* the runtime is checked for
+        work, never after a wait: a submit that sets it after the clear
+        is either seen by ``as_completed()`` or still pending when the
+        wait runs, so a wake-up is never lost.
+        """
         while not self._closed:
             self._collector_wake.clear()
-            with self._collector_lock:
-                waiting = bool(self._waiting)
-            if not waiting:
-                self._collector_wake.wait(timeout=0.1)
-                continue
             try:
-                results = self.engine.drain()
+                for result in self.engine.as_completed():
+                    metrics = result.metrics
+                    if metrics is None:  # pragma: no cover - contract breach
+                        continue
+                    with self._collector_lock:
+                        entry = self._waiting.pop(metrics.session_id, None)
+                    if entry is None:
+                        continue
+                    loop, future = entry
+                    try:
+                        loop.call_soon_threadsafe(
+                            _resolve_collected, future, result
+                        )
+                    except RuntimeError:  # pragma: no cover - loop closed
+                        pass
             except ReproError:  # runtime closed under us
                 return
-            for result in results:
-                metrics = getattr(result, "metrics", None)
-                ticket = metrics.session_id if metrics is not None else None
-                with self._collector_lock:
-                    entry = self._waiting.pop(ticket, None)  # type: ignore[arg-type]
-                if entry is None:
-                    continue
-                loop, future = entry
-                try:
-                    loop.call_soon_threadsafe(
-                        _resolve_collected, future, result
-                    )
-                except RuntimeError:  # pragma: no cover - loop closed
-                    pass
+            self._collector_wake.wait(timeout=0.1)
 
     async def serve(
         self, host: str = "127.0.0.1", port: int = 8000
@@ -472,17 +466,15 @@ class SessionService:
                 seed=seed,
                 tags={"session_id": session_id},
             )
-            future = self._submit_oracle(spec)
-        self._oracle[session_id] = _OracleSession(
-            session_id=session_id, family=family, future=future
-        )
+            ticket, future = self._submit_oracle(spec)
+        self._oracle[session_id] = future
         return Response.json(
             {
                 "session_id": session_id,
                 "algorithm": family,
                 "epsilon": epsilon,
                 "mode": "oracle",
-                "ticket": getattr(future, "ticket", None),
+                "ticket": ticket,
             },
             status=201,
         )
@@ -621,7 +613,7 @@ class SessionService:
         oracle = self._oracle.get(session_id)
         if oracle is not None:
             with span("server.recommend", session=session_id, mode="oracle"):
-                result = await oracle.future
+                result = await oracle
             payload: dict[str, Any] = {
                 "session_id": session_id,
                 "status": result.status,

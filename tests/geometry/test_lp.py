@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -265,16 +266,17 @@ class TestLPCache:
         )
         assert key_free != key_box
 
-    def test_eviction_caps_entries(self):
+    def test_eviction_caps_entries(self, monkeypatch):
         a, b = square_constraints()
-        cache = lp.LPCache(max_entries=2)
+        monkeypatch.setattr(lp, "_CACHE_ENTRIES", 2)
+        cache = lp.LPCache()
         with lp.use_cache(cache):
             for k in range(4):
                 lp.solve(np.array([1.0, float(k)]), a_ub=a, b_ub=b)
         assert len(cache) == 2
         assert cache.misses == 4
 
-    def test_eviction_is_lru_not_fifo(self):
+    def test_eviction_is_lru_not_fifo(self, monkeypatch):
         # A hit refreshes recency: after inserting A and B, touching A
         # and inserting C must evict B (the least recently *used*), not
         # A (the oldest insertion).  FIFO eviction would throw away the
@@ -283,7 +285,8 @@ class TestLPCache:
         c_a = np.array([1.0, 0.0])
         c_b = np.array([0.0, 1.0])
         c_c = np.array([1.0, 1.0])
-        cache = lp.LPCache(max_entries=2)
+        monkeypatch.setattr(lp, "_CACHE_ENTRIES", 2)
+        cache = lp.LPCache()
         with lp.use_cache(cache):
             lp.solve(c_a, a_ub=a, b_ub=b)  # insert A
             lp.solve(c_b, a_ub=a, b_ub=b)  # insert B
@@ -297,7 +300,7 @@ class TestLPCache:
         assert cache.misses == 4
         assert len(cache) == 2
 
-    def test_eviction_order_pinned(self):
+    def test_eviction_order_pinned(self, monkeypatch):
         # The same scenario observed through the store itself.
         a, b = square_constraints()
         systems = {
@@ -310,7 +313,8 @@ class TestLPCache:
             name: lp.constraint_system_key(c, a, b, None, None, lp._FREE)
             for name, c in systems.items()
         }
-        cache = lp.LPCache(max_entries=2)
+        monkeypatch.setattr(lp, "_CACHE_ENTRIES", 2)
+        cache = lp.LPCache()
         with lp.use_cache(cache):
             lp.solve(systems["A"], a_ub=a, b_ub=b)
             lp.solve(systems["B"], a_ub=a, b_ub=b)
@@ -318,8 +322,9 @@ class TestLPCache:
             lp.solve(systems["C"], a_ub=a, b_ub=b)
         assert set(cache._store) == {keys["A"], keys["C"]}
 
-    def test_record_existing_key_refreshes_recency(self):
-        cache = lp.LPCache(max_entries=2)
+    def test_record_existing_key_refreshes_recency(self, monkeypatch):
+        monkeypatch.setattr(lp, "_CACHE_ENTRIES", 2)
+        cache = lp.LPCache()
         result = lp.LPResult(x=np.zeros(1), value=0.0)
         cache.store(b"k1", result)
         cache.store(b"k2", result)
@@ -969,3 +974,30 @@ class TestHighsMatchesLinprog:
         b_then_a = [_direct_single(second), _direct_single(first)]
         assert a_then_b[0].x.tobytes() == b_then_a[1].x.tobytes()
         assert a_then_b[1].x.tobytes() == b_then_a[0].x.tobytes()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs the fork start method",
+)
+class TestForkSafety:
+    def test_child_forked_while_counter_lock_is_held_can_solve(self):
+        # Dispatcher workers fork from a thread while other threads may
+        # be inside the solve counter's lock.
+        a, b = square_constraints()
+
+        def child():
+            lp.solve(np.array([1.0, 0.0]), a_ub=a, b_ub=b)
+
+        with lp._solves_lock:
+            process = multiprocessing.get_context("fork").Process(
+                target=child
+            )
+            process.start()
+            process.join(timeout=20)
+            hung = process.is_alive()
+            if hung:
+                process.kill()
+                process.join(timeout=5)
+        assert not hung
+        assert process.exitcode == 0

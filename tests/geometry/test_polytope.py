@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -288,3 +291,46 @@ class TestVolume:
         flat = poly.with_halfspace(h).with_halfspace(h.flipped())
         if not flat.is_empty():
             assert flat.volume() <= 1e-9
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs the fork start method",
+)
+class TestForkSafety:
+    def test_child_forked_mid_enumeration_enumerates(self, monkeypatch):
+        # The HTTP service's collector thread forks dispatcher workers
+        # while its event-loop thread may be enumerating an interactive
+        # session's vertices; the child must not inherit a held lock.
+        entered, release = threading.Event(), threading.Event()
+        original = UtilityPolytope._vertices_qhull_raw
+
+        def blocking(self):
+            entered.set()
+            release.wait(timeout=30)
+            return original(self)
+
+        def child():
+            UtilityPolytope._vertices_qhull_raw = original
+            assert UtilityPolytope.simplex(3).vertices().shape == (3, 3)
+
+        monkeypatch.setattr(UtilityPolytope, "_vertices_qhull_raw", blocking)
+        busy = threading.Thread(target=UtilityPolytope.simplex(3).vertices)
+        busy.start()
+        try:
+            assert entered.wait(timeout=10)
+            process = multiprocessing.get_context("fork").Process(
+                target=child
+            )
+            process.start()
+            process.join(timeout=20)
+            hung = process.is_alive()
+            if hung:
+                process.kill()
+                process.join(timeout=5)
+        finally:
+            release.set()
+            busy.join(timeout=10)
+        assert not busy.is_alive()
+        assert not hung
+        assert process.exitcode == 0

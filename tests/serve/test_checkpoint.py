@@ -1,4 +1,4 @@
-"""Engine-level checkpoint/resume and the async front door.
+"""Engine-level checkpoint/resume.
 
 Covers the :mod:`repro.persist` integration of the serving layer:
 
@@ -6,15 +6,14 @@ Covers the :mod:`repro.persist` integration of the serving layer:
   session interrupted mid-flight (even across engine instances, i.e. a
   simulated process restart) finishes bit-identically;
 * ``ShardedDispatcher(store=..., checkpoint_every=N)`` — periodic
-  checkpoints inside each wave's workers, resumable by a fresh engine;
-* ``ContinuousEngine.asubmit`` — many concurrent asyncio submissions
-  ride one scheduler and resolve to correct results, excluded from
-  ``drain()``.
+  checkpoints inside each wave's workers, resumable by a fresh engine.
+
+The asyncio side of serving (oracle sessions resolved by the HTTP
+service's collector) is covered in ``tests/server/test_app.py``.
 """
 
 from __future__ import annotations
 
-import asyncio
 import multiprocessing
 
 import numpy as np
@@ -149,60 +148,3 @@ class TestWaveCheckpoint:
         assert result.rounds == reference.rounds
         assert result.recommendation_index == reference.recommendation_index
 
-
-class TestAsubmit:
-    def test_many_concurrent_waiters(self, small_anti_3d):
-        async def main(engine):
-            futures = [
-                engine.asubmit(_spec(small_anti_3d, seed=seed))
-                for seed in range(12)
-            ]
-            return await asyncio.gather(*futures)
-
-        with ContinuousEngine(max_in_flight=8) as engine:
-            results = asyncio.run(main(engine))
-            assert len(results) == 12
-            for seed, result in enumerate(results):
-                assert result.status == "completed"
-                reference = run_session(
-                    UHRandomSession(small_anti_3d, EPSILON, rng=9 + seed),
-                    _user(seed),
-                )
-                assert result.rounds == reference.rounds
-                assert (
-                    result.recommendation_index
-                    == reference.recommendation_index
-                )
-            # Async tickets are consumed by their futures.
-            assert engine.drain() == []
-
-    def test_future_carries_ticket_for_checkpoint(self, small_anti_3d):
-        store = MemorySessionStore()
-
-        async def main(engine):
-            future = engine.asubmit(_spec(small_anti_3d, session_id="a1"))
-            result = await future
-            return future.ticket, result
-
-        with ContinuousEngine(store=store) as engine:
-            ticket, result = asyncio.run(main(engine))
-        assert isinstance(ticket, int)
-        assert result.status == "completed"
-
-    def test_asubmit_mixes_with_sync_submissions(self, small_anti_3d):
-        async def main(engine):
-            future = engine.asubmit(_spec(small_anti_3d, seed=0))
-            return await future
-
-        with ContinuousEngine() as engine:
-            sync_ticket = engine.submit(_spec(small_anti_3d, seed=1))
-            async_result = asyncio.run(main(engine))
-            results = engine.drain()
-        assert async_result.status == "completed"
-        # drain() reports only the synchronous ticket.
-        assert len(results) == 1
-        reference = run_session(
-            UHRandomSession(small_anti_3d, EPSILON, rng=10), _user(1)
-        )
-        assert results[0].rounds == reference.rounds
-        assert sync_ticket >= 0

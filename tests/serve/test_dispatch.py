@@ -285,7 +285,7 @@ class TestLifecycle:
         assert tickets == [0, 1, 2, 3, 4]
         assert [r.metrics.session_id for r in results] == tickets
 
-    def test_as_completed_streams_then_drain_reports(self, trained_aa_3d):
+    def test_as_completed_consumes_what_it_streams(self, trained_aa_3d):
         from repro.data.utility import sample_training_utilities
 
         utilities = sample_training_utilities(3, 4, rng=80)
@@ -294,10 +294,13 @@ class TestLifecycle:
             for spec in _agent_specs(trained_aa_3d, users):
                 dispatcher.submit(spec)
             streamed = list(dispatcher.as_completed())
+            # Streamed results are consumed: drain() has nothing left.
+            assert dispatcher.drain() == []
+            # A later submission is reported by drain() alone.
+            dispatcher.submit(_agent_specs(trained_aa_3d, users[:1])[0])
             drained = dispatcher.drain()
-        assert len(streamed) == 4
-        # drain() still reports the epoch, in submission order.
-        assert [r.metrics.session_id for r in drained] == [0, 1, 2, 3]
+        assert sorted(r.metrics.session_id for r in streamed) == [0, 1, 2, 3]
+        assert [r.metrics.session_id for r in drained] == [4]
 
     def test_close_is_idempotent_and_submit_after_close_raises(self, toy):
         dispatcher = ShardedDispatcher(procs=2)

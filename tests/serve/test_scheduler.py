@@ -7,16 +7,16 @@ The continuous scheduler's contract has three parts:
   scheduling order, admission timing and batch composition must never
   perturb a session's transcript.
 * **Streaming lifecycle** — ``submit()`` / ``as_completed()`` /
-  ``drain()`` with input-order drain results, admission control
-  (``max_in_flight``) and backpressure (``max_pending``).
+  ``drain()`` with input-order drain results, consuming streams and
+  admission control (``max_in_flight``).
 * **Fault isolation and recovery** — per-session failure boundaries,
   extended to admission (a crashing factory fails only its ticket).
 """
 
 from __future__ import annotations
 
-import asyncio
 import multiprocessing
+import sys
 import threading
 
 import numpy as np
@@ -210,9 +210,8 @@ class TestStreamingLifecycle:
             # Completion order: shortest sessions finish first.
             assert sorted(r.rounds for r in streamed) == [1, 2, 3]
             assert streamed[0].rounds == 1
-            # drain() still reports the epoch, in submission order.
-            drained = engine.drain()
-            assert [r.rounds for r in drained] == [3, 1, 2]
+            # Streamed results are consumed: drain() has nothing left.
+            assert engine.drain() == []
 
     def test_drain_epochs_are_independent(self, toy):
         with ContinuousEngine(max_in_flight=4) as engine:
@@ -240,6 +239,48 @@ class TestStreamingLifecycle:
                       _always_true_user())
             )
         engine.close()  # idempotent
+
+    def test_submit_races_a_streaming_thread(self, toy):
+        # The HTTP service's shape: one thread streams results out of
+        # as_completed() while another keeps submitting.  Every ticket
+        # must come out exactly once, and nothing is left to drain.
+        streamed = []
+        errors = []
+        submitted = threading.Event()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ContinuousEngine(max_in_flight=4) as engine:
+
+                def stream():
+                    try:
+                        while True:
+                            last = submitted.is_set()
+                            streamed.extend(engine.as_completed())
+                            if last:
+                                return
+                    except Exception as error:  # noqa: BLE001
+                        errors.append(error)
+
+                thread = threading.Thread(target=stream)
+                thread.start()
+                tickets = [
+                    engine.submit(
+                        _spec(
+                            lambda k=k: ScriptedSession(toy, total=1 + k % 3),
+                            _always_true_user(),
+                        )
+                    )
+                    for k in range(200)
+                ]
+                submitted.set()
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+                assert engine.drain() == []
+        finally:
+            sys.setswitchinterval(switch)
+        assert errors == []
+        assert sorted(r.metrics.session_id for r in streamed) == tickets
 
     def test_poll_completed_consumes_results(self, toy):
         with ContinuousEngine(max_in_flight=2) as engine:
@@ -293,17 +334,6 @@ class TestStreamingLifecycle:
         assert engine.metrics.peak_batch <= 3
         assert scorer.max_rows <= 3
 
-    def test_backpressure_bounds_pending_queue(self, toy):
-        with ContinuousEngine(max_in_flight=2, max_pending=3) as engine:
-            for _ in range(12):
-                engine.submit(
-                    _spec(lambda: ScriptedSession(toy, total=2),
-                          _always_true_user())
-                )
-                assert len(engine._pending) <= 3
-            results = engine.drain()
-        assert len(results) == 12
-
     def test_occupancy_metric_populated(self, trained_ea_3d):
         users = _hidden_users(3)
         with ContinuousEngine(max_in_flight=2) as engine:
@@ -328,7 +358,6 @@ class TestStreamingLifecycle:
         children = set(multiprocessing.active_children())
         for runtime, options, option in (
             (ContinuousEngine, {"max_in_flight": 0}, "max_in_flight"),
-            (ContinuousEngine, {"max_pending": 0}, "max_pending"),
             (ContinuousEngine, {"max_rounds": 0}, "max_rounds"),
             (ShardedDispatcher, {"procs": 1, "max_in_flight": 0},
              "max_in_flight"),
@@ -496,59 +525,3 @@ class TestRecoveryRaisesOnMissing:
         policy = RecoveryPolicy()
         assert policy.should_retry(EmptyRegionError("x"), 0)
         assert not policy.should_retry(ValueError("x"), 0)
-
-
-class _RecordingEvent(threading.Event):
-    """A wake event that logs the driver thread's clear()/wait() order."""
-
-    def __init__(self):
-        super().__init__()
-        self.driver_calls: list[str] = []
-
-    def _record(self, name: str) -> None:
-        if threading.current_thread().name == "repro-serve-driver":
-            self.driver_calls.append(name)
-
-    def clear(self) -> None:
-        self._record("clear")
-        super().clear()
-
-    def wait(self, timeout=None) -> bool:
-        self._record("wait")
-        return super().wait(timeout)
-
-
-class TestDriverWakeup:
-    """Regression: the driver loop must clear its wake event *before*
-    checking for work.  The old wait-then-clear ordering could erase a
-    ``set()`` racing in between ``wait()`` returning and the clear,
-    swallowing a wake-up and costing an ``asubmit`` a full poll timeout.
-    """
-
-    def test_driver_clears_before_checking(self, toy):
-        async def main(engine):
-            return await engine.asubmit(
-                _spec(lambda: ScriptedSession(toy, total=3),
-                      _always_true_user())
-            )
-
-        with ContinuousEngine(max_in_flight=8) as engine:
-            wake = _RecordingEvent()
-            engine._wake = wake
-            result = asyncio.run(main(engine))
-
-        assert result.status == "completed"
-        assert result.rounds == 3
-        calls = wake.driver_calls
-        assert calls, "driver never touched the wake event"
-        # clear-before-check: every loop iteration's first Event
-        # operation is clear().  Under the buggy wait-then-clear
-        # ordering the recorded sequence started with wait().
-        assert calls[0] == "clear"
-        # No iteration may open with a bare wait(): a wait is always
-        # preceded by the same iteration's clear.
-        assert all(
-            calls[i - 1] == "clear"
-            for i in range(1, len(calls))
-            if calls[i] == "wait"
-        )

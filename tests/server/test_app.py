@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import dataclasses
+import multiprocessing
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,11 +22,18 @@ from repro.core.session import run_session
 from repro.data.utility import sample_training_utilities
 from repro.persist import MemorySessionStore
 from repro.registry import make_session
+from repro.serve import SessionMetrics, ShardedDispatcher
 from repro.server import SessionService
 from repro.server.http import request
 from repro.users import OracleUser
+from tests.serve.test_faults import ScriptedSession, _always_true_user, _spec
 
 EPSILON = 0.1
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="ShardedDispatcher needs the fork start method",
+)
 
 
 @contextlib.asynccontextmanager
@@ -213,18 +224,13 @@ class TestOracleMode:
 class TestRuntimeSeam:
     """The service depends on the Runtime protocol, not on a concrete
     engine: a ShardedDispatcher behind ``runtime=`` serves oracle
-    sessions through the collector-thread fallback (no ``asubmit``)
-    with sequential-identical results."""
+    sessions through the same collector thread as the in-process
+    engine, with sequential-identical results."""
 
-    @pytest.mark.skipif(
-        "fork" not in __import__("multiprocessing").get_all_start_methods(),
-        reason="ShardedDispatcher needs the fork start method",
-    )
+    @needs_fork
     def test_oracle_through_dispatcher_matches_sequential(
         self, small_anti_3d
     ):
-        from repro.serve import ShardedDispatcher
-
         utility = _utility(7)
         runtime = ShardedDispatcher(procs=1, max_rounds=128)
 
@@ -260,6 +266,334 @@ class TestRuntimeSeam:
         assert rec["status"] == "completed"
         assert rec["rounds"] == reference.rounds
         assert rec["index"] == reference.recommendation_index
+
+
+def _oracle_body(seed, utility):
+    return {
+        "algorithm": "uh-random",
+        "seed": seed,
+        "mode": "oracle",
+        "utility": [float(x) for x in utility],
+    }
+
+
+@pytest.fixture(params=["engine", pytest.param("dispatcher", marks=needs_fork)])
+def oracle_runtime(request):
+    """Service kwargs for each runtime the collector drives."""
+    if request.param == "engine":
+        return {"max_in_flight": 8}
+    return {"runtime": ShardedDispatcher(procs=1)}
+
+
+class TestOracleCollector:
+    """Oracle sessions reach any runtime by one road: ``submit()`` in,
+    one collector thread over ``as_completed()`` out."""
+
+    def test_many_concurrent_sessions_match_run_session(
+        self, small_anti_3d, oracle_runtime
+    ):
+        cases = [(40 + k, _utility(k)) for k in range(12)]
+
+        async def main():
+            async with serving(small_anti_3d, **oracle_runtime) as (
+                _,
+                host,
+                port,
+            ):
+                sids = []
+                for seed, utility in cases:
+                    status, body = await request(
+                        host, port, "POST", "/sessions",
+                        _oracle_body(seed, utility),
+                    )
+                    assert status == 201, body
+                    sids.append(body["session_id"])
+                return await asyncio.gather(
+                    *(
+                        request(
+                            host, port, "GET", f"/sessions/{sid}/recommendation"
+                        )
+                        for sid in sids
+                    )
+                )
+
+        replies = asyncio.run(main())
+        for (seed, utility), (status, rec) in zip(cases, replies, strict=True):
+            assert status == 200, rec
+            reference = _reference(small_anti_3d, seed, utility)
+            assert rec["status"] == "completed"
+            assert rec["rounds"] == reference.rounds
+            assert rec["index"] == reference.recommendation_index
+
+    def test_create_returns_the_ticket(self, small_anti_3d, oracle_runtime):
+        async def main():
+            async with serving(small_anti_3d, **oracle_runtime) as (
+                _,
+                host,
+                port,
+            ):
+                tickets = []
+                for k in range(2):
+                    status, body = await request(
+                        host, port, "POST", "/sessions",
+                        _oracle_body(k, _utility(k)),
+                    )
+                    assert status == 201, body
+                    tickets.append(body["ticket"])
+                    status, rec = await request(
+                        host, port, "GET",
+                        f"/sessions/{body['session_id']}/recommendation",
+                    )
+                    assert status == 200, rec
+                return tickets
+
+        assert asyncio.run(main()) == [0, 1]
+
+    def test_oracle_mixes_with_interactive(self, small_anti_3d, oracle_runtime):
+        utility = _utility()
+        oracle_cases = [(50 + k, _utility(k + 1)) for k in range(3)]
+
+        async def main():
+            async with serving(small_anti_3d, **oracle_runtime) as (
+                _,
+                host,
+                port,
+            ):
+                oracle_sids = []
+                for seed, oracle_utility in oracle_cases:
+                    status, body = await request(
+                        host, port, "POST", "/sessions",
+                        _oracle_body(seed, oracle_utility),
+                    )
+                    assert status == 201, body
+                    oracle_sids.append(body["session_id"])
+                status, body = await request(
+                    host, port, "POST", "/sessions",
+                    {"algorithm": "uh-random", "seed": 21},
+                )
+                assert status == 201, body
+                sid = body["session_id"]
+                await _drive_over_http(host, port, sid, utility)
+                return await asyncio.gather(
+                    *(
+                        request(
+                            host, port, "GET", f"/sessions/{each}/recommendation"
+                        )
+                        for each in [sid, *oracle_sids]
+                    )
+                )
+
+        (status, rec), *oracle_replies = asyncio.run(main())
+        assert status == 200, rec
+        reference = _reference(small_anti_3d, 21, utility)
+        assert rec["status"] == "completed"
+        assert rec["index"] == reference.recommendation_index
+        for (seed, oracle_utility), (status, rec) in zip(
+            oracle_cases, oracle_replies, strict=True
+        ):
+            assert status == 200, rec
+            reference = _reference(small_anti_3d, seed, oracle_utility)
+            assert rec["rounds"] == reference.rounds
+            assert rec["index"] == reference.recommendation_index
+
+
+class _SleepyOracle(OracleUser):
+    """An oracle user who takes ``seconds`` over every answer."""
+
+    def __init__(self, utility, seconds):
+        super().__init__(utility)
+        self.seconds = seconds
+
+    def prefers(self, p_i, p_j):
+        time.sleep(self.seconds)
+        return super().prefers(p_i, p_j)
+
+
+class _SlowFirstDispatcher(ShardedDispatcher):
+    """Serves its first submission to a user who sleeps per answer, and
+    holds the collector's first wave until ``gate`` opens, so the test's
+    sessions share one wave."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.gate = threading.Event()
+
+    def submit(self, session, trace=False):
+        if self._next_ticket == 0:
+            session = dataclasses.replace(
+                session, user=_SleepyOracle(session.user.utility, 0.05)
+            )
+        return super().submit(session, trace)
+
+    def as_completed(self):
+        self.gate.wait(timeout=30)
+        yield from super().as_completed()
+
+
+class _InstantRuntime:
+    """A runtime whose result is ready as soon as ``submit()`` returns.
+
+    ``submit`` also waits until a running collector has taken the
+    result, so a service that registered futures only after submitting
+    would lose it.
+    """
+
+    def __init__(self):
+        self._tickets = 0
+        self._ready = []
+        self._lock = threading.Lock()
+        self._taken = threading.Event()
+
+    def submit(self, session, trace=False):
+        ticket = self._tickets
+        self._tickets += 1
+        result = run_session(session.build(), session.user)
+        result.metrics = SessionMetrics(session_id=ticket)
+        self._taken.clear()
+        with self._lock:
+            self._ready.append(result)
+        self._taken.wait(timeout=0.5)
+        return ticket
+
+    def as_completed(self):
+        with self._lock:
+            ready, self._ready = self._ready, []
+        for result in ready:
+            self._taken.set()
+            yield result
+
+    def close(self):
+        pass
+
+
+class TestCollectorResolution:
+    """Regressions for the collector that resolves oracle futures."""
+
+    @needs_fork
+    def test_short_session_does_not_wait_for_its_wave(self, small_anti_3d):
+        slow_seed, slow_utility = 43, _utility(3)
+        short_seed, short_utility = 46, _utility(0)
+        slow_ref = _reference(small_anti_3d, slow_seed, slow_utility)
+        short_ref = _reference(small_anti_3d, short_seed, short_utility)
+        # The slow session's user sleeps 50 ms per answer over 8 more
+        # rounds than the short session needs.
+        assert slow_ref.rounds - short_ref.rounds >= 8
+        runtime = _SlowFirstDispatcher(procs=1)
+
+        async def main():
+            async with serving(small_anti_3d, runtime=runtime) as (
+                _,
+                host,
+                port,
+            ):
+                sids = []
+                for seed, utility in (
+                    (slow_seed, slow_utility),
+                    (short_seed, short_utility),
+                ):
+                    status, body = await request(
+                        host, port, "POST", "/sessions",
+                        _oracle_body(seed, utility),
+                    )
+                    assert status == 201, body
+                    sids.append(body["session_id"])
+                runtime.gate.set()
+
+                async def fetch(sid):
+                    reply = await request(
+                        host, port, "GET", f"/sessions/{sid}/recommendation"
+                    )
+                    return reply, time.perf_counter()
+
+                return await asyncio.gather(*(fetch(sid) for sid in sids))
+
+        ((_, slow), slow_at), ((_, short), short_at) = asyncio.run(main())
+        assert slow["rounds"] == slow_ref.rounds
+        assert short["rounds"] == short_ref.rounds
+        # Resolved as it finished, not when its wave mate did (>= 400 ms
+        # later).
+        assert slow_at - short_at > 0.2
+
+    def test_result_ready_at_submit_still_resolves(self, toy):
+        runtime = _InstantRuntime()
+        service = SessionService(toy, runtime=runtime)
+
+        async def main():
+            futures = [
+                service._submit_oracle(
+                    _spec(
+                        lambda total=total: ScriptedSession(toy, total=total),
+                        _always_true_user(),
+                    )
+                )[1]
+                for total in (2, 3)
+            ]
+            return await asyncio.wait_for(asyncio.gather(*futures), 10)
+
+        try:
+            results = asyncio.run(main())
+        finally:
+            service.close()
+        assert [result.rounds for result in results] == [2, 3]
+
+
+class _RecordingEvent(threading.Event):
+    """A wake event that logs the collector thread's clear()/wait() order."""
+
+    def __init__(self):
+        super().__init__()
+        self.collector_calls: list[str] = []
+
+    def _record(self, name: str) -> None:
+        if threading.current_thread().name == "repro-server-collector":
+            self.collector_calls.append(name)
+
+    def clear(self) -> None:
+        self._record("clear")
+        super().clear()
+
+    def wait(self, timeout=None) -> bool:
+        self._record("wait")
+        return super().wait(timeout)
+
+
+class TestCollectorWakeup:
+    """The collector loop must clear its wake event *before* checking
+    the runtime for work.  Wait-then-clear could erase a ``set()`` that
+    raced in between ``wait()`` returning and the clear, swallowing a
+    wake-up and costing a submission a full poll timeout.
+    """
+
+    def test_collector_clears_before_checking(self, toy):
+        service = SessionService(toy)
+        wake = _RecordingEvent()
+        service._collector_wake = wake
+
+        async def main():
+            _, future = service._submit_oracle(
+                _spec(lambda: ScriptedSession(toy, total=3),
+                      _always_true_user())
+            )
+            return await asyncio.wait_for(future, 10)
+
+        try:
+            result = asyncio.run(main())
+        finally:
+            service.close()
+
+        assert result.status == "completed"
+        assert result.rounds == 3
+        calls = wake.collector_calls
+        assert "wait" in calls, "collector never waited on the wake event"
+        # clear-before-check: every loop iteration's first Event
+        # operation is clear(), and a wait() is always preceded by the
+        # same iteration's clear().
+        assert calls[0] == "clear"
+        assert all(
+            calls[i - 1] == "clear"
+            for i in range(1, len(calls))
+            if calls[i] == "wait"
+        )
 
 
 class TestFaultMapping:
