@@ -25,12 +25,7 @@ import numpy as np
 from repro.core.session import InteractiveAlgorithm, Question, validate_epsilon
 from repro.data.datasets import Dataset
 from repro.errors import ConfigurationError
-from repro.geometry.range import (
-    SPLIT_TOL,
-    AmbientRange,
-    RangeConfig,
-    UpdatePreview,
-)
+from repro.geometry.range import SPLIT_TOL, AmbientRange, UpdatePreview
 from repro.geometry.vectors import top_point_index
 from repro.utils import rng as rng_state
 from repro.utils.rng import RngLike, ensure_rng
@@ -49,9 +44,7 @@ class AdaptiveSession(InteractiveAlgorithm):
         super().__init__(dataset)
         self.epsilon = validate_epsilon(epsilon)
         self._rng = ensure_rng(rng)
-        self._range = AmbientRange(
-            dataset.dimension, config=RangeConfig(on_infeasible="drop")
-        )
+        self._range = AmbientRange(dataset.dimension)
         self._asked: set[tuple[int, int]] = set()
         d = dataset.dimension
         self._e_min = np.zeros(d)

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.session import InteractiveAlgorithm, Question, validate_epsilon
 from repro.data.datasets import Dataset
-from repro.geometry.range import AmbientRange, RangeConfig, UpdatePreview
+from repro.geometry.range import AmbientRange, UpdatePreview
 from repro.utils import rng as rng_state
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -63,14 +63,8 @@ class SinglePassSession(InteractiveAlgorithm):
         self._champion = int(order[0])
         self._stream = [int(i) for i in order[1:]]
         self._cursor = 0
-        # Working-set semantics (cap + drop-on-contradiction) live in the
-        # range config; see _MAX_WORKING_HALFSPACES above.
         self._range = AmbientRange(
-            dataset.dimension,
-            config=RangeConfig(
-                on_infeasible="drop",
-                max_halfspaces=_MAX_WORKING_HALFSPACES,
-            ),
+            dataset.dimension, max_halfspaces=_MAX_WORKING_HALFSPACES
         )
         self._questions_asked = 0
         d = dataset.dimension

@@ -20,7 +20,6 @@ overriding :meth:`UHBaseSession._select_pair`.
 from __future__ import annotations
 
 import abc
-from dataclasses import replace
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from repro.errors import (
     VertexEnumerationError,
 )
 from repro.geometry.polytope import UtilityPolytope
-from repro.geometry.range import ExactRange, RangeConfig, UpdatePreview
+from repro.geometry.range import ExactRange, UpdatePreview
 from repro.geometry.vectors import top_point_index
 from repro.utils import rng as rng_state
 from repro.utils.rng import RngLike, ensure_rng
@@ -50,7 +49,6 @@ class UHBaseSession(InteractiveAlgorithm):
         dataset: Dataset,
         epsilon: float = 0.1,
         rng: RngLike = None,
-        range_config: RangeConfig | None = None,
     ) -> None:
         super().__init__(dataset)
         epsilon = validate_epsilon(epsilon)
@@ -61,13 +59,7 @@ class UHBaseSession(InteractiveAlgorithm):
             )
         self.epsilon = epsilon
         self._rng = ensure_rng(rng)
-        # A contradictory answer stops the session on the last consistent
-        # range, so infeasible updates are dropped, never raised.
-        config = replace(
-            range_config if range_config is not None else RangeConfig(),
-            on_infeasible="drop",
-        )
-        self._range = ExactRange(dataset.dimension, config=config)
+        self._range = ExactRange(dataset.dimension)
         self._candidates = np.arange(dataset.n)
         self._recommendation: int | None = None
         self._refresh()

@@ -44,13 +44,8 @@ from repro.errors import (
     InteractionError,
     PersistenceError,
 )
-from repro.geometry.hyperplane import PreferenceHalfspace, preference_halfspace
-from repro.geometry.range import (
-    SPLIT_TOL,
-    AmbientRange,
-    RangeConfig,
-    UpdatePreview,
-)
+from repro.geometry.hyperplane import PreferenceHalfspace, answer_halfspace
+from repro.geometry.range import SPLIT_TOL, AmbientRange, UpdatePreview
 from repro.geometry.vectors import top_point_index
 from repro.rl.dqn import DQNAgent, DQNConfig
 from repro.utils import rng as rng_state
@@ -135,7 +130,9 @@ class AAEnvironment(InteractiveEnvironment):
         if not 0 <= choice < len(self._pairs):
             raise ValueError(f"action choice {choice} out of range")
         index_i, index_j = self._pairs[choice]
-        halfspace = self._answer_halfspace(index_i, index_j, prefers_first)
+        halfspace = answer_halfspace(
+            self.dataset.points, index_i, index_j, prefers_first
+        )
         # An infeasible update means the (noisy) answer contradicts earlier
         # ones; AA drops it and keeps the last consistent half-space set.
         self._range.update(halfspace)
@@ -147,18 +144,6 @@ class AAEnvironment(InteractiveEnvironment):
             reward = -self.config.step_penalty
         return observation, reward
 
-    def _answer_halfspace(
-        self, index_i: int, index_j: int, prefers_first: bool
-    ) -> PreferenceHalfspace:
-        winner, loser = (
-            (index_i, index_j) if prefers_first else (index_j, index_i)
-        )
-        points = self.dataset.points
-        return preference_halfspace(
-            points[winner], points[loser],
-            winner_index=winner, loser_index=loser,
-        )
-
     def probe_preview(
         self, index_i: int, index_j: int, prefers_first: bool
     ) -> UpdatePreview | None:
@@ -168,7 +153,9 @@ class AAEnvironment(InteractiveEnvironment):
         # every answer, so the 2d bound probes are worth prefetching too.
         return UpdatePreview(
             self._range,
-            self._answer_halfspace(index_i, index_j, prefers_first),
+            answer_halfspace(
+                self.dataset.points, index_i, index_j, prefers_first
+            ),
             bounds=True,
         )
 
@@ -228,10 +215,7 @@ class AAEnvironment(InteractiveEnvironment):
     # -- internals ---------------------------------------------------------------
 
     def _new_range(self) -> AmbientRange:
-        return AmbientRange(
-            self.dataset.dimension,
-            config=RangeConfig(on_infeasible="drop"),
-        )
+        return AmbientRange(self.dataset.dimension)
 
     def _observe(self) -> EnvObservation:
         d = self.dataset.dimension

@@ -40,9 +40,9 @@ from repro.errors import (
     PersistenceError,
     VertexEnumerationError,
 )
-from repro.geometry.hyperplane import PreferenceHalfspace, preference_halfspace
+from repro.geometry.hyperplane import answer_halfspace
 from repro.geometry.polytope import UtilityPolytope
-from repro.geometry.range import ExactRange, RangeConfig, UpdatePreview
+from repro.geometry.range import ExactRange, UpdatePreview
 from repro.geometry.vectors import top_point_index
 from repro.rl.dqn import DQNAgent, DQNConfig
 from repro.utils import rng as rng_state
@@ -73,11 +73,6 @@ class EAConfig:
         large-volume terminal polyhedra but cost more time).
     reward_constant:
         Terminal reward ``c`` (paper default 100).
-    range_config:
-        Shared utility-range policy (:class:`repro.geometry.range.RangeConfig`):
-        constraint-prune threshold and friends.  The environment always
-        treats an infeasible (contradictory) answer as "stop on the last
-        consistent range", so ``on_infeasible`` is forced to ``"drop"``.
     weighted_actions:
         Draw anchor pairs weighted by sample counts (volume-sensitive,
         the default) instead of uniformly (the paper's plain reading).
@@ -97,7 +92,6 @@ class EAConfig:
     d_eps: float = 0.1
     n_samples: int = 64
     reward_constant: float = 100.0
-    range_config: RangeConfig = RangeConfig()
     weighted_actions: bool = True
     step_penalty: float = 0.0
     sphere_method: str = "iterative"
@@ -140,10 +134,7 @@ class EAEnvironment(InteractiveEnvironment):
         self._terminal = True  # becomes live on reset()
 
     def _new_range(self) -> ExactRange:
-        # A contradictory answer must not raise: the episode stops on the
-        # last consistent range instead (see the module docstring).
-        config = replace(self.config.range_config, on_infeasible="drop")
-        return ExactRange(self.dataset.dimension, config=config)
+        return ExactRange(self.dataset.dimension)
 
     # -- InteractiveEnvironment ------------------------------------------------
 
@@ -167,7 +158,9 @@ class EAEnvironment(InteractiveEnvironment):
         if not 0 <= choice < len(self._pairs):
             raise ValueError(f"action choice {choice} out of range")
         index_i, index_j = self._pairs[choice]
-        halfspace = self._answer_halfspace(index_i, index_j, prefers_first)
+        halfspace = answer_halfspace(
+            self.dataset.points, index_i, index_j, prefers_first
+        )
         if self._range.update(halfspace):
             observation = self._observe()
         else:
@@ -180,18 +173,6 @@ class EAEnvironment(InteractiveEnvironment):
             reward = -self.config.step_penalty
         return observation, reward
 
-    def _answer_halfspace(
-        self, index_i: int, index_j: int, prefers_first: bool
-    ) -> PreferenceHalfspace:
-        winner, loser = (
-            (index_i, index_j) if prefers_first else (index_j, index_i)
-        )
-        points = self.dataset.points
-        return preference_halfspace(
-            points[winner], points[loser],
-            winner_index=winner, loser_index=loser,
-        )
-
     def probe_preview(
         self, index_i: int, index_j: int, prefers_first: bool
     ) -> UpdatePreview | None:
@@ -199,7 +180,9 @@ class EAEnvironment(InteractiveEnvironment):
             return None
         return UpdatePreview(
             self._range,
-            self._answer_halfspace(index_i, index_j, prefers_first),
+            answer_halfspace(
+                self.dataset.points, index_i, index_j, prefers_first
+            ),
         )
 
     def recommend(self) -> int:

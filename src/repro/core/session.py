@@ -25,7 +25,7 @@ from repro.errors import (
     PersistenceError,
     SessionFailedError,
 )
-from repro.geometry.hyperplane import PreferenceHalfspace, preference_halfspace
+from repro.geometry import hyperplane
 from repro.users.oracle import User
 from repro.utils.timing import Stopwatch
 
@@ -431,23 +431,18 @@ class InteractiveAlgorithm(abc.ABC):
 
     def answer_halfspace(
         self, question: Question, prefers_first: bool
-    ) -> PreferenceHalfspace:
+    ) -> hyperplane.PreferenceHalfspace:
         """The half-space one answered question induces (Section III).
 
-        Every family derives it the same way — the winner's point must
-        score at least the loser's — so the derivation lives here once
-        and :meth:`probe_preview` overrides stay bit-identical to the
-        ``_update`` that later replays it.
+        :func:`repro.geometry.hyperplane.answer_halfspace` over this
+        session's dataset, so :meth:`probe_preview` overrides stay
+        bit-identical to the ``_update`` that later replays it.
         """
-        winner, loser = (
-            (question.index_i, question.index_j)
-            if prefers_first
-            else (question.index_j, question.index_i)
-        )
-        points = self.dataset.points
-        return preference_halfspace(
-            points[winner], points[loser],
-            winner_index=winner, loser_index=loser,
+        return hyperplane.answer_halfspace(
+            self.dataset.points,
+            question.index_i,
+            question.index_j,
+            prefers_first,
         )
 
     def question_for(self, index_i: int, index_j: int) -> Question:

@@ -28,7 +28,6 @@ from repro.geometry.polytope import UtilityPolytope
 from repro.geometry.range import (
     AmbientRange,
     ExactRange,
-    RangeConfig,
     RangeStats,
     UtilityRange,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "UtilityRange",
     "ExactRange",
     "AmbientRange",
-    "RangeConfig",
     "RangeStats",
     "Sphere",
     "inner_sphere",

@@ -103,6 +103,25 @@ def preference_halfspace(
     )
 
 
+def answer_halfspace(
+    points: np.ndarray, index_i: int, index_j: int, prefers_first: bool
+) -> PreferenceHalfspace:
+    """The half-space one answered question ``<p_i, p_j>`` induces.
+
+    The answer orders the pair into winner and loser; the winner's point
+    must score at least the loser's (Lemma 1).  Every algorithm family
+    derives its half-spaces here, so the update previews the engines
+    peek stay bit-identical to the update that later applies them.
+    """
+    winner, loser = (
+        (index_i, index_j) if prefers_first else (index_j, index_i)
+    )
+    return preference_halfspace(
+        points[winner], points[loser],
+        winner_index=winner, loser_index=loser,
+    )
+
+
 def epsilon_halfspace(
     best: np.ndarray, other: np.ndarray, epsilon: float
 ) -> PreferenceHalfspace:

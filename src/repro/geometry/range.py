@@ -2,43 +2,39 @@
 
 Every interactive algorithm in this package narrows the utility range
 ``R`` by one half-space per answered question (Section IV of the paper).
-Historically each consumer kept its own representation — EA re-enumerated
-polytope vertices from scratch every round, AA carried a bare half-space
-list with ad-hoc ambient LPs, and the UH baselines re-implemented the
-same narrow/prune pattern.  This module unifies them:
+This module keeps that state for all of them:
 
-* :class:`UtilityRange` — the protocol: one documented :meth:`~UtilityRange.update`
-  with an explicit infeasibility policy (:class:`RangeConfig`), plus
-  per-instance :class:`RangeStats` counters.
-* :class:`ExactRange` — vertex-maintaining.  Adding a half-space *clips*
-  the current vertex set against the new plane (keep the satisfied
-  vertices, intersect every kept–cut segment with the plane, take the
-  extreme points of the cut face) instead of re-running Qhull from
-  scratch; the full enumeration of
+* :class:`UtilityRange` — the protocol: one documented
+  :meth:`~UtilityRange.update` (a half-space that would empty ``R`` is
+  dropped), plus per-instance :class:`RangeStats` counters.
+* :class:`ExactRange` — vertex-maintaining (EA, UH-Random, UH-Simplex).
+  Adding a half-space *clips* the current vertex set against the new
+  plane (keep the satisfied vertices, intersect every kept–cut segment
+  with the plane, take the extreme points of the cut face) instead of
+  re-running Qhull from scratch; the full enumeration of
   :class:`~repro.geometry.polytope.UtilityPolytope` is kept as a
   cross-checked fallback for degenerate cuts.  Emptiness is read off the
-  vertex signs — a genuine LP is solved only to *confirm* a suspected
-  empty update, so semantics match the old LP-driven path exactly.
+  vertex signs — an LP is solved only to *confirm* a suspected empty
+  update, so tolerance slivers resolve exactly as the LP says.
 * :class:`AmbientRange` — half-space list summarised by LP surrogates
-  (inner sphere, outer rectangle, split margins), absorbing the
-  ``lp.ambient_*`` call sites of AA, SinglePass and Adaptive, with an
-  optional working-set cap on the constraint list.
+  (inner sphere, outer rectangle, split margins) for AA, SinglePass and
+  Adaptive, with an optional working-set cap on the constraint list.
 
 All LP work routes through :func:`repro.geometry.lp.solve` and
 :func:`~repro.geometry.lp.solve_many`, and therefore composes with the
-engine's :class:`~repro.geometry.lp.LPCache`.  The H-representation kept
-by :class:`ExactRange` evolves exactly as the pre-refactor consumers
-evolved theirs (constraints always appended, redundancy-pruned past
-``prune_above``), so every LP-derived quantity — Chebyshev centres,
-hit-and-run samples — is bit-identical to the from-scratch path.
+engine's :class:`~repro.geometry.lp.LPCache`.  :class:`ExactRange`
+keeps its H-representation exactly as a from-scratch polytope would
+(constraints always appended, redundancy-pruned past
+:data:`PRUNE_ABOVE` rows), so every LP-derived quantity — Chebyshev
+centres, hit-and-run samples — is bit-identical to the from-scratch
+path.
 """
 
 from __future__ import annotations
 
 import abc
 import dataclasses
-from collections.abc import Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -66,51 +62,9 @@ _TIGHT_TOL = 1e-7
 #: Singular values below this are treated as zero when detecting the
 #: affine rank of a cut face (degenerate faces fall back to a rebuild).
 _RANK_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class RangeConfig:
-    """Shared policy knobs consumed by every :class:`UtilityRange`.
-
-    Attributes
-    ----------
-    prune_above:
-        Prune redundant constraints whenever the H-system kept by
-        :class:`ExactRange` grows beyond this many rows; keeps per-round
-        geometry cost flat.  (Previously duplicated as
-        ``EAConfig.prune_above`` and ``uh_base._PRUNE_ABOVE``.)
-    on_infeasible:
-        What :meth:`UtilityRange.update` does when the new half-space
-        would empty the range (inconsistent, typically noisy, answers):
-        ``"raise"`` raises :class:`~repro.errors.EmptyRegionError`;
-        ``"drop"`` rejects the update, leaves the range unchanged and
-        returns ``False``.
-    max_halfspaces:
-        Working-set cap on the constraint list kept by
-        :class:`AmbientRange` (``None`` = unbounded).  Oldest half-spaces
-        rotate out first; dropping constraints relaxes the region — a
-        superset — so every LP surrogate stays sound.
-    """
-
-    prune_above: int = 24
-    on_infeasible: str = "raise"
-    max_halfspaces: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.prune_above < 1:
-            raise ConfigurationError(
-                f"prune_above must be >= 1, got {self.prune_above}"
-            )
-        if self.on_infeasible not in ("raise", "drop"):
-            raise ConfigurationError(
-                f"on_infeasible must be 'raise' or 'drop', "
-                f"got {self.on_infeasible!r}"
-            )
-        if self.max_halfspaces is not None and self.max_halfspaces < 1:
-            raise ConfigurationError(
-                f"max_halfspaces must be >= 1 or None, "
-                f"got {self.max_halfspaces}"
-            )
+#: :class:`ExactRange` redundancy-prunes its H-system whenever it grows
+#: beyond this many rows, keeping per-round geometry cost flat.
+PRUNE_ABOVE = 24
 
 
 @dataclass
@@ -129,63 +83,36 @@ class RangeStats:
         Full vertex re-enumerations: the initial enumeration plus every
         degenerate-cut fallback.
     rejected:
-        Updates refused because they would empty the range.
-    empties_avoided:
-        Feasibility decisions answered from vertex signs alone, where the
-        pre-refactor path solved an emptiness LP.
-    cache_hits:
-        LP solves issued by this range that the active
-        :class:`~repro.geometry.lp.LPCache` answered without solver work.
-    backend_solves:
-        Raw HiGHS runs issued by this range (cache misses), read off
-        :func:`~repro.geometry.lp.solve_count`.
+        Updates dropped because they would empty the range.
     """
 
     updates: int = 0
     clips: int = 0
     rebuilds: int = 0
     rejected: int = 0
-    empties_avoided: int = 0
-    cache_hits: int = 0
-    backend_solves: int = 0
-
-    @property
-    def solves_avoided(self) -> int:
-        """LP solves this range skipped: cache hits + sign-resolved checks."""
-        return self.empties_avoided + self.cache_hits
 
 
 class UtilityRange(abc.ABC):
     """The utility range ``R`` narrowed by one half-space per answer.
 
-    One documented update semantics for every consumer (EA previously let
-    the polytope raise while AA silently dropped): :meth:`update`
-    validates the half-space, applies it if the narrowed range stays
-    non-empty, and otherwise follows ``config.on_infeasible`` — raising
-    :class:`~repro.errors.EmptyRegionError` (``"raise"``, the default) or
-    leaving the range unchanged and returning ``False`` (``"drop"``, the
-    choice of the interactive environments, which treat a contradictory
-    answer as "stop on the last consistent range").
+    One update contract for every consumer: :meth:`update` validates the
+    half-space and applies it if the narrowed range stays non-empty.  A
+    half-space that would empty ``R`` — a contradictory, typically noisy,
+    answer — is dropped: the range is unchanged, ``stats.rejected``
+    counts it and :meth:`update` returns ``False``, so the interactive
+    algorithms stop on (or continue from) the last consistent range.
 
     LP work issued by a range flows through the active
-    :class:`~repro.geometry.lp.LPCache`, and the range's
-    :class:`RangeStats` record the split between raw solves, cache hits
-    and checks answered geometrically.  Counters are advisory: they are
-    deltas of process-wide counters, so they are exact while one thread
-    solves LPs and may include other threads' solves otherwise.
+    :class:`~repro.geometry.lp.LPCache`; the engine reports the cache's
+    solve and hit counts.
     """
 
-    def __init__(
-        self,
-        dimension: int,
-        config: RangeConfig | None = None,
-    ) -> None:
+    def __init__(self, dimension: int) -> None:
         if dimension < 2:
             raise ConfigurationError(
                 f"utility dimension must be >= 2, got {dimension}"
             )
         self._dimension = int(dimension)
-        self.config = config if config is not None else RangeConfig()
         self.stats = RangeStats()
 
     # -- protocol ------------------------------------------------------------
@@ -211,11 +138,9 @@ class UtilityRange(abc.ABC):
     def update(self, halfspace: PreferenceHalfspace) -> bool:
         """Narrow the range by one answered question.
 
-        Returns ``True`` when the half-space was applied.  An infeasible
-        update (the intersection would be empty) leaves the range
-        unchanged and either raises
-        :class:`~repro.errors.EmptyRegionError` or returns ``False``,
-        per ``config.on_infeasible``.
+        Returns ``True`` when the half-space was applied.  A half-space
+        that would empty the range is dropped: the range is unchanged,
+        ``stats.rejected`` goes up by one and this returns ``False``.
         """
         if halfspace.dimension != self._dimension:
             raise ConfigurationError(
@@ -226,11 +151,6 @@ class UtilityRange(abc.ABC):
         applied = self._apply(halfspace)
         if not applied:
             self.stats.rejected += 1
-            if self.config.on_infeasible == "raise":
-                raise EmptyRegionError(
-                    "update would empty the utility range; "
-                    "user answers are inconsistent"
-                )
         return applied
 
     # -- state (checkpoint / resume) -----------------------------------------
@@ -242,22 +162,25 @@ class UtilityRange(abc.ABC):
         """The range's full mutable state as arrays and JSON-able scalars.
 
         The dict round-trips through :meth:`set_state` on a freshly
-        constructed range of the same class and dimension, restoring the
-        half-space list, the maintained vertex set (for
-        :class:`ExactRange`), the policy knobs and the counters — enough
-        for a resumed session to continue bit-identically.  The LP cache
-        is *not* part of the state (it is an execution concern).
+        constructed range of the same class, dimension and options,
+        restoring the half-space list, the maintained vertex set (for
+        :class:`ExactRange`) and the counters — enough for a resumed
+        session to continue bit-identically.  The LP cache is *not* part
+        of the state (it is an execution concern).
         """
         return {
             "kind": self._STATE_KIND,
             "dimension": self._dimension,
-            "config": dataclasses.asdict(self.config),
             "stats": dataclasses.asdict(self.stats),
             **self._body_state(),
         }
 
     def set_state(self, state: dict[str, Any]) -> None:
-        """Restore state captured by :meth:`get_state` (same class + d)."""
+        """Restore state captured by :meth:`get_state` (same class + d).
+
+        Keys this version no longer writes — an older ``config`` block,
+        retired ``stats`` counters — are ignored.
+        """
         if state.get("kind") != self._STATE_KIND:
             raise PersistenceError(
                 f"range state kind {state.get('kind')!r} does not match "
@@ -268,17 +191,12 @@ class UtilityRange(abc.ABC):
                 f"range state dimension {state['dimension']} does not "
                 f"match range dimension {self._dimension}"
             )
-        self.config = RangeConfig(
-            prune_above=int(state["config"]["prune_above"]),
-            on_infeasible=str(state["config"]["on_infeasible"]),
-            max_halfspaces=(
-                None
-                if state["config"]["max_halfspaces"] is None
-                else int(state["config"]["max_halfspaces"])
-            ),
-        )
+        stats = state["stats"]
         self.stats = RangeStats(
-            **{key: int(value) for key, value in state["stats"].items()}
+            **{
+                counter.name: int(stats[counter.name])
+                for counter in dataclasses.fields(RangeStats)
+            }
         )
         self._restore_body(state)
 
@@ -290,41 +208,22 @@ class UtilityRange(abc.ABC):
     def _restore_body(self, state: dict[str, Any]) -> None:
         """Subclass part of :meth:`set_state`."""
 
-    # -- internals -----------------------------------------------------------
-
-    @contextmanager
-    def _measured(self) -> Iterator[None]:
-        """Attribute the block's LP work (solves, cache hits) to this range."""
-        cache = lp.active_cache()
-        solves_before = lp.solve_count()
-        hits_before = cache.hits if cache is not None else 0
-        try:
-            yield
-        finally:
-            self.stats.backend_solves += lp.solve_count() - solves_before
-            if cache is not None:
-                self.stats.cache_hits += cache.hits - hits_before
-
 
 class ExactRange(UtilityRange):
     """Vertex-maintaining range: one clip per answer, not one rebuild.
 
-    The H-representation evolves exactly as the pre-refactor consumers
-    evolved theirs — every applied half-space is appended (redundant or
-    not) and the system is redundancy-pruned once it exceeds
-    ``config.prune_above`` rows — so Chebyshev centres and hit-and-run
-    samples are bit-identical to the from-scratch path.  What changes is
+    The H-representation evolves exactly as a from-scratch polytope's —
+    every applied half-space is appended (redundant or not) and the
+    system is redundancy-pruned once it exceeds :data:`PRUNE_ABOVE`
+    rows — so Chebyshev centres and hit-and-run samples are
+    bit-identical to the from-scratch path.  What changes is
     the vertex set: it is maintained incrementally by clipping, and a
     full re-enumeration happens only on the first access and when a cut
     is too degenerate to clip reliably (``stats.rebuilds`` counts both).
     """
 
-    def __init__(
-        self,
-        dimension: int,
-        config: RangeConfig | None = None,
-    ) -> None:
-        super().__init__(dimension, config)
+    def __init__(self, dimension: int) -> None:
+        super().__init__(dimension)
         self._polytope = UtilityPolytope.simplex(dimension)
         self._reduced: np.ndarray | None = None
         self._ambient: np.ndarray | None = None
@@ -338,7 +237,6 @@ class ExactRange(UtilityRange):
         cls,
         dimension: int,
         halfspaces: Sequence[PreferenceHalfspace],
-        config: RangeConfig | None = None,
     ) -> "ExactRange":
         """A range constrained by ``halfspaces``, without enumeration.
 
@@ -349,19 +247,18 @@ class ExactRange(UtilityRange):
         Raises
         ------
         EmptyRegionError
-            If the half-spaces are inconsistent (empty intersection),
-            regardless of the ``on_infeasible`` policy: there is no
-            earlier consistent state to fall back to.
+            If the half-spaces are inconsistent (empty intersection):
+            unlike :meth:`update`, there is no earlier consistent state
+            to fall back to.
         """
-        urange = cls(dimension, config=config)
+        urange = cls(dimension)
         polytope = UtilityPolytope.simplex(dimension).with_halfspaces(
             halfspaces
         )
-        with urange._measured():
-            if polytope.is_empty():
-                raise EmptyRegionError(
-                    "half-spaces are inconsistent: the range is empty"
-                )
+        if polytope.is_empty():
+            raise EmptyRegionError(
+                "half-spaces are inconsistent: the range is empty"
+            )
         urange._polytope = polytope
         return urange
 
@@ -396,8 +293,7 @@ class ExactRange(UtilityRange):
 
     def chebyshev_center(self) -> tuple[np.ndarray, float]:
         """Ambient Chebyshev centre and reduced-space inscribed radius."""
-        with self._measured():
-            return self._polytope.chebyshev_center()
+        return self._polytope.chebyshev_center()
 
     def interior_point(self) -> np.ndarray:
         """The Chebyshev centre of the range (ambient coordinates)."""
@@ -405,8 +301,7 @@ class ExactRange(UtilityRange):
 
     def sample(self, n: int, rng: RngLike = None) -> np.ndarray:
         """Draw ``n`` approximately uniform utility vectors from the range."""
-        with self._measured():
-            return self._polytope.sample(n, rng=rng)
+        return self._polytope.sample(n, rng=rng)
 
     def contains(self, u: np.ndarray, tol: float = 1e-9) -> bool:
         """Ambient membership test ``u in R`` (up to ``tol``)."""
@@ -420,7 +315,7 @@ class ExactRange(UtilityRange):
             NULL_SPAN if tracer is None else tracer.span("range.update")
         )
         memo, self._clip_memo = self._clip_memo, None
-        with update_span, self._measured():
+        with update_span:
             narrowed = self._polytope.with_halfspace(halfspace)
             reduced = self._reduced_vertices()
             normal, offset = halfspace.reduced()
@@ -440,15 +335,14 @@ class ExactRange(UtilityRange):
             if bool(keep.all()):
                 # Redundant for the current body: no vertex moves.
                 self.stats.clips += 1
-                self.stats.empties_avoided += 1
                 if tracer is not None:
                     tracer.counter("range.clips")
                 self._commit(narrowed, reduced)
                 return True
             if not bool(keep.any()):
                 # Every vertex violates: the clip says empty.  Confirm
-                # with the exact LP the pre-refactor path ran, so
-                # tolerance slivers resolve identically.
+                # with an exact emptiness LP, so tolerance slivers
+                # resolve as the LP says.
                 if narrowed.is_empty():
                     return False
                 self._commit(narrowed, self._enumerate(narrowed))
@@ -473,7 +367,6 @@ class ExactRange(UtilityRange):
                 return True
             clipped = _unique_raw(np.vstack([reduced[keep], face]))
             self.stats.clips += 1
-            self.stats.empties_avoided += 1
             if tracer is not None:
                 tracer.counter("range.clips")
             self._commit(narrowed, clipped)
@@ -521,7 +414,7 @@ class ExactRange(UtilityRange):
     # -- internals -----------------------------------------------------------
 
     def _commit(self, polytope: UtilityPolytope, reduced: np.ndarray) -> None:
-        if polytope.n_constraints > self.config.prune_above:
+        if polytope.n_constraints > PRUNE_ABOVE:
             polytope = polytope.pruned()
         self._polytope = polytope
         self._reduced = reduced
@@ -539,8 +432,7 @@ class ExactRange(UtilityRange):
 
     def _reduced_vertices(self) -> np.ndarray:
         if self._reduced is None:
-            with self._measured():
-                self._reduced = self._enumerate(self._polytope)
+            self._reduced = self._enumerate(self._polytope)
         return self._reduced
 
     def __repr__(self) -> str:
@@ -563,18 +455,23 @@ class AmbientRange(UtilityRange):
     utility simplex with the stored half-spaces, and everything consumers
     need is computed by small LPs — the inner sphere, the outer
     rectangle, and split margins certifying that a candidate plane cuts
-    the range.  This absorbs the ``lp.ambient_*`` call sites of AA,
-    SinglePass and Adaptive; with ``config.max_halfspaces`` set, the
-    constraint list becomes a working set (oldest answers rotate out,
-    soundly relaxing the region).
+    the range.  AA, SinglePass and Adaptive keep their ranges here.
+    With ``max_halfspaces`` set, the
+    constraint list becomes a working set: the oldest answers rotate out
+    first, and dropping constraints relaxes the region — a superset — so
+    every LP surrogate stays sound.  ``None`` (the default) keeps every
+    answer.
     """
 
     def __init__(
-        self,
-        dimension: int,
-        config: RangeConfig | None = None,
+        self, dimension: int, max_halfspaces: int | None = None
     ) -> None:
-        super().__init__(dimension, config)
+        super().__init__(dimension)
+        if max_halfspaces is not None and max_halfspaces < 1:
+            raise ConfigurationError(
+                f"max_halfspaces must be >= 1 or None, got {max_halfspaces}"
+            )
+        self._max_halfspaces = max_halfspaces
         self._halfspaces: list[PreferenceHalfspace] = []
 
     @property
@@ -592,7 +489,7 @@ class AmbientRange(UtilityRange):
         feasibility system the update itself will submit.
         """
         trial = self._halfspaces + [halfspace]
-        cap = self.config.max_halfspaces
+        cap = self._max_halfspaces
         if cap is not None and len(trial) > cap:
             trial = trial[-cap:]
         return trial
@@ -603,7 +500,7 @@ class AmbientRange(UtilityRange):
         probe_span = (
             NULL_SPAN if tracer is None else tracer.span("range.feasible")
         )
-        with probe_span, self._measured():
+        with probe_span:
             feasible = lp.ambient_is_feasible(trial, self._dimension)
         if not feasible:
             return False
@@ -612,13 +509,11 @@ class AmbientRange(UtilityRange):
 
     def inner_sphere(self) -> tuple[np.ndarray, float]:
         """Inner sphere ``(B_c, B_r)`` of the range (one LP)."""
-        with self._measured():
-            return lp.ambient_inner_sphere(self._halfspaces, self._dimension)
+        return lp.ambient_inner_sphere(self._halfspaces, self._dimension)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Outer rectangle ``(e_min, e_max)`` of the range (``2d`` LPs)."""
-        with self._measured():
-            return lp.ambient_bounds(self._halfspaces, self._dimension)
+        return lp.ambient_bounds(self._halfspaces, self._dimension)
 
     def split_margin(self, normals: np.ndarray) -> np.ndarray:
         """``max {u . n : u in R}`` for each row ``n`` of a ``(k, d)`` stack.
@@ -627,10 +522,9 @@ class AmbientRange(UtilityRange):
         (:func:`~repro.geometry.lp.ambient_split_margins`).  A plane cuts
         ``R`` on its positive side when its margin is ``> SPLIT_TOL``.
         """
-        with self._measured():
-            return lp.ambient_split_margins(
-                self._halfspaces, self._dimension, normals
-            )
+        return lp.ambient_split_margins(
+            self._halfspaces, self._dimension, normals
+        )
 
     def interior_point(self) -> np.ndarray:
         """The inner-sphere centre of the range (ambient coordinates)."""
@@ -986,7 +880,7 @@ def _extreme_points(points: np.ndarray) -> np.ndarray | None:
 
 
 __all__ = [
-    "RangeConfig",
+    "PRUNE_ABOVE",
     "RangeStats",
     "UtilityRange",
     "ExactRange",

@@ -87,7 +87,6 @@ def load_agent(path: str | Path) -> "EAAgent | AAAgent":
     """Load an agent previously written by :func:`save_agent`."""
     from repro.core.aa import AAAgent, AAConfig
     from repro.core.ea import EAAgent, EAConfig
-    from repro.geometry.range import RangeConfig
 
     path = Path(path)
     with np.load(path, allow_pickle=False) as archive:
@@ -123,9 +122,8 @@ def load_agent(path: str | Path) -> "EAAgent | AAAgent":
     dqn.sync_target()
     if meta["algorithm"] == "EA":
         fields = dict(meta["config"])
-        # Nested dataclasses flatten to dicts in the JSON header.
-        if isinstance(fields.get("range_config"), dict):
-            fields["range_config"] = RangeConfig(**fields["range_config"])
+        # Older headers carry the retired range-policy block; drop it.
+        fields.pop("range_config", None)
         return EAAgent(dataset=dataset, config=EAConfig(**fields), dqn=dqn)
     if meta["algorithm"] == "AA":
         return AAAgent(

@@ -345,8 +345,12 @@ class ShardedDispatcher:
     def close(self) -> None:
         """Terminate any live workers and refuse further submissions.
 
-        Idempotent.  Backlogged sessions are abandoned, so
-        :meth:`drain` first if you care.
+        Idempotent.  Backlogged and in-flight sessions are abandoned
+        (their tickets never produce results), so :meth:`drain` first
+        if you care.  A wave running on another thread stops without
+        forking again: its :meth:`as_completed` or :meth:`drain` returns
+        what finished before the close.  The wave owns its workers'
+        pipes and closes them as it ends.
         """
         with self._lock:
             if self._closed:
@@ -359,10 +363,6 @@ class ShardedDispatcher:
             if state.process.is_alive():
                 state.process.terminate()
             state.process.join(timeout=5.0)
-            try:
-                state.conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
 
     def _check_open(self) -> None:
         if self._closed:
@@ -494,21 +494,25 @@ class ShardedDispatcher:
         )
 
     def _start_wave(self) -> list[_WorkerState]:
-        """Partition the backlog by shard affinity and fork workers."""
+        """Partition the backlog by shard affinity and fork workers.
+
+        Forks under the lock, so a concurrent :meth:`close` either
+        prevents the wave or finds every worker in ``_live``.
+        """
         with self._lock:
-            self._check_open()
+            if self._closed:
+                return []
             backlog, self._backlog = self._backlog, {}
-        shards: dict[int, list[_WorkItem]] = {}
-        for ticket in sorted(backlog):
-            item = backlog[ticket]
-            shards.setdefault(self._shard_of(item), []).append(item)
-        states = [
-            self._fork(shard, items)
-            for shard, items in sorted(shards.items())
-        ]
-        with self._lock:
+            shards: dict[int, list[_WorkItem]] = {}
+            for ticket in sorted(backlog):
+                item = backlog[ticket]
+                shards.setdefault(self._shard_of(item), []).append(item)
+            states = [
+                self._fork(shard, items)
+                for shard, items in sorted(shards.items())
+            ]
             self._live.extend(states)
-        return states
+            return states
 
     def _fail_lost(self, state: _WorkerState, tickets: set[int]) -> None:
         """Synthesize failed results for sessions a dead worker took down."""
@@ -553,11 +557,12 @@ class ShardedDispatcher:
         resume directives (the replacement stitches their transcript
         across the gap); the rest are re-admitted from their original
         spec.  Returns replacement states (empty when the restart
-        budget is spent).
+        budget is spent or the dispatcher was closed: a worker the close
+        terminated is not a death).
         """
         state.process.join(timeout=5.0)
         lost = set(state.unfinished)
-        if not lost:
+        if not lost or self._closed:
             return []
         if restarts[0] >= self.max_restarts:
             self._fail_lost(state, lost)
@@ -581,8 +586,10 @@ class ShardedDispatcher:
                 )
             else:
                 replacements.append(item)
-        replacement = self._fork(state.shard, replacements)
         with self._lock:
+            if self._closed:
+                return []
+            replacement = self._fork(state.shard, replacements)
             self._live.append(replacement)
         return [replacement]
 
@@ -608,7 +615,7 @@ class ShardedDispatcher:
         restarts = [0]
         by_conn = {state.conn: state for state in states}
         try:
-            while by_conn:
+            while by_conn and not self._closed:
                 ready = mp_connection.wait(list(by_conn), timeout=0.5)
                 for conn in ready:
                     state = by_conn[conn]
@@ -645,6 +652,8 @@ class ShardedDispatcher:
         finally:
             with self._lock:
                 self.metrics.wall_seconds += time.perf_counter() - started
+            for conn in by_conn:
+                conn.close()
             for state in states:
                 if state.process.is_alive() and state.done:
                     state.process.join(timeout=5.0)
@@ -657,12 +666,13 @@ class ShardedDispatcher:
         :meth:`ContinuousEngine.as_completed
         <repro.serve.scheduler.ContinuousEngine.as_completed>`, yielded
         results are consumed: a later :meth:`drain` reports only results
-        this never yielded.
+        this never yielded.  After a :meth:`close` it returns.
         """
+        with self._lock:
+            self._check_open()
         while True:
             with self._lock:
-                self._check_open()
-                if not self._backlog:
+                if self._closed or not self._backlog:
                     return
             for result in self._pump():
                 assert result.metrics is not None  # set by worker and _fail_lost
@@ -672,16 +682,24 @@ class ShardedDispatcher:
                 yield result
 
     def drain(self) -> list[SessionResult]:
-        """Serve the backlog to completion; results in submit order."""
+        """Serve the backlog to completion; results in submit order.
+
+        After a :meth:`close` it returns the results that finished
+        before it; abandoned tickets have none.
+        """
         with self._lock:
             self._check_open()
         while True:
             with self._lock:
-                if not self._backlog:
+                if self._closed or not self._backlog:
                     break
             for _ in self._pump():
                 pass
         with self._lock:
             epoch, self._epoch = self._epoch, {}
             self.last_metrics = self.metrics
-            return [self._results.pop(ticket) for ticket in epoch]
+            return [
+                self._results.pop(ticket)
+                for ticket in epoch
+                if ticket in self._results
+            ]

@@ -57,9 +57,6 @@ class SessionMetrics:
         redundancy short-circuit instead of a from-scratch enumeration.
     range_rebuilds:
         Updates that fell back to a full vertex re-enumeration.
-    range_solves_avoided:
-        LP solves the range skipped (cache hits plus emptiness checks
-        resolved by vertex signs).
     phase_seconds:
         Per-phase self-time breakdown of this session's agent work
         (``lp``, ``score``, ``range``, ``interact``), attributed from
@@ -78,7 +75,6 @@ class SessionMetrics:
     range_updates: int = 0
     range_clips: int = 0
     range_rebuilds: int = 0
-    range_solves_avoided: int = 0
     phase_seconds: dict[str, float] = field(default_factory=dict)
 
 
@@ -160,8 +156,6 @@ class EngineMetrics:
         Range updates resolved incrementally (no re-enumeration).
     range_rebuilds:
         Range updates that re-enumerated vertices from scratch.
-    range_solves_avoided:
-        LP solves the ranges skipped, summed over sessions.
     wall_seconds:
         End-to-end duration of the run.
     phase_seconds:
@@ -189,7 +183,6 @@ class EngineMetrics:
     range_updates: int = 0
     range_clips: int = 0
     range_rebuilds: int = 0
-    range_solves_avoided: int = 0
     wall_seconds: float = 0.0
     phase_seconds: dict[str, float] = field(default_factory=dict)
     per_session: list[SessionMetrics] = field(default_factory=list)
@@ -228,7 +221,6 @@ class EngineMetrics:
         self.range_updates += other.range_updates
         self.range_clips += other.range_clips
         self.range_rebuilds += other.range_rebuilds
-        self.range_solves_avoided += other.range_solves_avoided
         self.wall_seconds = max(self.wall_seconds, other.wall_seconds)
         for phase, seconds in other.phase_seconds.items():
             self.phase_seconds[phase] = (
@@ -307,8 +299,7 @@ class EngineMetrics:
                 f"range updates: {self.range_updates} "
                 f"({self.range_clips} clipped, "
                 f"{self.range_rebuilds} rebuilt, "
-                f"clip rate {self.range_clip_rate:.1%}); "
-                f"LP solves avoided: {self.range_solves_avoided}"
+                f"clip rate {self.range_clip_rate:.1%})"
             )
         if self.phase_seconds:
             breakdown = ", ".join(

@@ -906,11 +906,9 @@ class ContinuousEngine:
         task.metrics.range_updates = stats.updates
         task.metrics.range_clips = stats.clips
         task.metrics.range_rebuilds = stats.rebuilds
-        task.metrics.range_solves_avoided = stats.solves_avoided
         self.metrics.range_updates += stats.updates
         self.metrics.range_clips += stats.clips
         self.metrics.range_rebuilds += stats.rebuilds
-        self.metrics.range_solves_avoided += stats.solves_avoided
 
     def _finalize(self, task: _Task, truncated: bool) -> None:
         """Record the finished (or truncated) session's result."""

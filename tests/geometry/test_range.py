@@ -20,9 +20,9 @@ from repro.geometry import lp
 from repro.geometry.hyperplane import preference_halfspace
 from repro.geometry.polytope import UtilityPolytope
 from repro.geometry.range import (
+    PRUNE_ABOVE,
     AmbientRange,
     ExactRange,
-    RangeConfig,
     UpdatePreview,
     prefetch_updates,
 )
@@ -40,7 +40,7 @@ def random_halfspaces(d: int, count: int, seed: int) -> list:
 
 
 def reference_vertices(d: int, halfspaces: list) -> np.ndarray:
-    """The pre-refactor path: feasibility-check + re-enumerate each step."""
+    """The from-scratch path: feasibility-check + re-enumerate each step."""
     poly = UtilityPolytope.simplex(d)
     for halfspace in halfspaces:
         narrowed = poly.with_halfspace(halfspace)
@@ -51,23 +51,21 @@ def reference_vertices(d: int, halfspaces: list) -> np.ndarray:
 
 
 class TestRangeConfig:
+    """The range options left: the ``PRUNE_ABOVE`` constant and the cap."""
+
     def test_defaults(self):
-        config = RangeConfig()
-        assert config.prune_above == 24
-        assert config.on_infeasible == "raise"
-        assert config.max_halfspaces is None
-
-    def test_rejects_bad_prune_above(self):
-        with pytest.raises(ConfigurationError):
-            RangeConfig(prune_above=0)
-
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(ConfigurationError):
-            RangeConfig(on_infeasible="ignore")
+        assert PRUNE_ABOVE == 24
+        # No cap by default: every applied half-space is kept.
+        urange = AmbientRange(4)
+        applied = sum(
+            urange.update(halfspace)
+            for halfspace in random_halfspaces(4, 30, seed=8)
+        )
+        assert len(urange.halfspaces) == applied
 
     def test_rejects_bad_cap(self):
         with pytest.raises(ConfigurationError):
-            RangeConfig(max_halfspaces=0)
+            AmbientRange(3, max_halfspaces=0)
 
 
 class TestExactRangeBasics:
@@ -88,7 +86,7 @@ class TestExactRangeBasics:
             urange.update(halfspace)
 
     def test_update_narrows_and_counts(self):
-        urange = ExactRange(4, config=RangeConfig(on_infeasible="drop"))
+        urange = ExactRange(4)
         urange.vertices()  # trigger the initial enumeration
         applied = sum(
             urange.update(halfspace)
@@ -101,7 +99,7 @@ class TestExactRangeBasics:
         assert len(urange.halfspaces) == applied
 
     def test_interior_point_is_contained(self):
-        urange = ExactRange(3, config=RangeConfig(on_infeasible="drop"))
+        urange = ExactRange(3)
         for halfspace in random_halfspaces(3, 3, seed=2):
             urange.update(halfspace)
         assert urange.contains(urange.interior_point(), tol=1e-7)
@@ -129,47 +127,49 @@ class TestExactRangeBasics:
         assert np.array_equal(ours[0], theirs[0]) and ours[1] == theirs[1]
 
 
+def _same_state(left: dict, right: dict) -> bool:
+    """Range states equal key by key (arrays compared exactly)."""
+    if left.keys() != right.keys():
+        return False
+    for key, value in left.items():
+        other = right[key]
+        if isinstance(value, dict):
+            if not _same_state(value, other):
+                return False
+        elif isinstance(value, np.ndarray) or isinstance(other, np.ndarray):
+            if not np.array_equal(value, other):
+                return False
+        elif value != other:
+            return False
+    return True
+
+
 class TestInfeasiblePolicy:
-    def _contradiction(self, d: int):
+    """A half-space that would empty ``R`` is dropped, never raised."""
+
+    def _assert_dropped(self, kind):
         # ``a`` dominates ``b``, so "b preferred" empties any range; the
         # forward answer is redundant and always applies.
         rng = np.random.default_rng(5)
-        b = rng.uniform(0.05, 0.8, size=d)
+        b = rng.uniform(0.05, 0.8, size=4)
         a = b + 0.1
         forward = preference_halfspace(a, b)
         backward = preference_halfspace(b, a)
-        return forward, backward
-
-    def test_raise_policy(self):
-        forward, backward = self._contradiction(3)
-        urange = ExactRange(3, config=RangeConfig(on_infeasible="raise"))
-        urange.update(forward)
-        with pytest.raises(EmptyRegionError):
-            urange.update(backward)
+        urange = kind(4)
+        assert urange.update(forward)
+        before = urange.get_state()
+        assert urange.update(backward) is False
+        after = urange.get_state()
+        assert urange.halfspaces == (forward,)
+        assert after["stats"]["rejected"] == before["stats"]["rejected"] + 1
+        del before["stats"], after["stats"]
+        assert _same_state(before, after)
 
     def test_drop_policy_keeps_state(self):
-        forward, backward = self._contradiction(3)
-        urange = ExactRange(3, config=RangeConfig(on_infeasible="drop"))
-        urange.update(forward)
-        before = urange.vertices()
-        assert not urange.update(backward)
-        assert urange.stats.rejected == 1
-        assert np.array_equal(urange.vertices(), before)
-        assert len(urange.halfspaces) == 1
+        self._assert_dropped(ExactRange)
 
     def test_ambient_drop_policy(self):
-        forward, backward = self._contradiction(4)
-        urange = AmbientRange(4, config=RangeConfig(on_infeasible="drop"))
-        urange.update(forward)
-        assert not urange.update(backward)
-        assert urange.halfspaces == (forward,)
-
-    def test_ambient_raise_policy(self):
-        forward, backward = self._contradiction(4)
-        urange = AmbientRange(4)
-        urange.update(forward)
-        with pytest.raises(EmptyRegionError):
-            urange.update(backward)
+        self._assert_dropped(AmbientRange)
 
 
 class TestClipMatchesRebuild:
@@ -179,7 +179,7 @@ class TestClipMatchesRebuild:
     def test_random_sequences(self, d):
         for seed in range(3):
             spaces = random_halfspaces(d, 12, seed=100 * d + seed)
-            urange = ExactRange(d, config=RangeConfig(on_infeasible="drop"))
+            urange = ExactRange(d)
             for halfspace in spaces:
                 urange.update(halfspace)
             assert np.array_equal(
@@ -188,14 +188,14 @@ class TestClipMatchesRebuild:
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_long_sequence_exercises_prune(self, d):
-        # > prune_above constraints: the H-system must prune identically.
+        # > PRUNE_ABOVE constraints: the H-system must prune identically.
         spaces = random_halfspaces(d, 30, seed=11 * d)
-        urange = ExactRange(d, config=RangeConfig(on_infeasible="drop"))
+        urange = ExactRange(d)
         for halfspace in spaces:
             urange.update(halfspace)
         assert np.array_equal(urange.vertices(), reference_vertices(d, spaces))
 
-    def test_contradictory_sequence(self, ):
+    def test_contradictory_sequence(self):
         # Opposite answers drive the range to (near) emptiness; the
         # surviving vertex set must still match the reference path.
         rng = np.random.default_rng(17)
@@ -204,7 +204,7 @@ class TestClipMatchesRebuild:
             a, b = rng.uniform(0.05, 1.0, size=(2, 4))
             spaces.append(preference_halfspace(a, b))
             spaces.append(preference_halfspace(b, a))
-        urange = ExactRange(4, config=RangeConfig(on_infeasible="drop"))
+        urange = ExactRange(4)
         for halfspace in spaces:
             urange.update(halfspace)
         assert np.array_equal(urange.vertices(), reference_vertices(4, spaces))
@@ -218,7 +218,7 @@ class TestClipMatchesRebuild:
         for k in range(6):
             other = base + 1e-4 * (k + 1) * np.array([1.0, -1.0, 0.5])
             spaces.append(preference_halfspace(base, other))
-        urange = ExactRange(3, config=RangeConfig(on_infeasible="drop"))
+        urange = ExactRange(3)
         for halfspace in spaces:
             urange.update(halfspace)
         assert np.array_equal(urange.vertices(), reference_vertices(3, spaces))
@@ -232,7 +232,7 @@ class TestClipMatchesRebuild:
     def test_property_random_clip_equals_rebuild(self, d, seed, count):
         """Seeded property sweep over dimensions and sequence lengths."""
         spaces = random_halfspaces(d, count, seed=seed)
-        urange = ExactRange(d, config=RangeConfig(on_infeasible="drop"))
+        urange = ExactRange(d)
         for halfspace in spaces:
             urange.update(halfspace)
         assert np.array_equal(urange.vertices(), reference_vertices(d, spaces))
@@ -261,9 +261,7 @@ class TestFromHalfspaces:
         a = b + 0.1
         spaces = [preference_halfspace(a, b), preference_halfspace(b, a)]
         with pytest.raises(EmptyRegionError):
-            ExactRange.from_halfspaces(
-                3, spaces, config=RangeConfig(on_infeasible="drop")
-            )
+            ExactRange.from_halfspaces(3, spaces)
 
     def test_high_dimension_sampling(self):
         # Sampling-only workloads must not enumerate vertices.
@@ -277,7 +275,7 @@ class TestFromHalfspaces:
 class TestAmbientRange:
     def test_surrogates_match_lp_helpers(self):
         spaces = random_halfspaces(6, 5, seed=9)
-        urange = AmbientRange(6, config=RangeConfig(on_infeasible="drop"))
+        urange = AmbientRange(6)
         for halfspace in spaces:
             urange.update(halfspace)
         kept = list(urange.halfspaces)
@@ -300,9 +298,7 @@ class TestAmbientRange:
 
     def test_working_set_cap_rotates_oldest(self):
         spaces = random_halfspaces(5, 8, seed=10)
-        urange = AmbientRange(
-            5, config=RangeConfig(on_infeasible="drop", max_halfspaces=3)
-        )
+        urange = AmbientRange(5, max_halfspaces=3)
         applied = [h for h in spaces if urange.update(h)]
         assert len(urange.halfspaces) == 3
         assert urange.halfspaces == tuple(applied[-3:])
@@ -320,46 +316,94 @@ class TestAmbientRange:
             np.array([-0.3, 0.0, 0.25]),  # u3 >= 1.2 u1
         ]
         spaces = [preference_halfspace(base + n, base) for n in cycle]
-        uncapped = AmbientRange(3, config=RangeConfig(on_infeasible="drop"))
+        uncapped = AmbientRange(3)
         for halfspace in spaces[:2]:
             assert uncapped.update(halfspace)
         assert not uncapped.update(spaces[2])
-        capped = AmbientRange(3, config=RangeConfig(max_halfspaces=2))
+        capped = AmbientRange(3, max_halfspaces=2)
         for halfspace in spaces:
             assert capped.update(halfspace)
         assert capped.halfspaces == tuple(spaces[1:])
 
 
 class TestBackendSeam:
+    """Range LPs are visible to ``lp.solve_count()`` and the LP cache."""
+
     def test_per_range_backend_counts_solves(self):
+        # Without this the "no LP ran" checks below would be vacuous.
         for urange, work in (
             (AmbientRange(4), AmbientRange.inner_sphere),
             (ExactRange(3), ExactRange.chebyshev_center),
         ):
             solves_before = lp.solve_count()
             work(urange)
-            solved = lp.solve_count() - solves_before
-            assert solved > 0
-            assert urange.stats.backend_solves == solved
+            assert lp.solve_count() > solves_before
 
     def test_cache_hits_attributed(self):
         cache = lp.LPCache()
         urange = AmbientRange(4)
         with lp.use_cache(cache):
-            urange.bounds()
-            urange.bounds()
-        assert urange.stats.cache_hits > 0
-        assert urange.stats.solves_avoided >= urange.stats.cache_hits
+            first = urange.bounds()
+            hits, solves = cache.hits, lp.solve_count()
+            second = urange.bounds()
+        assert cache.hits == hits + 2 * urange.dimension
+        assert lp.solve_count() == solves
+        assert np.array_equal(first[0], second[0])
+        assert np.array_equal(first[1], second[1])
 
     def test_clip_avoids_emptiness_solves(self):
         urange = ExactRange(4)
         urange.vertices()
-        solved_before = urange.stats.backend_solves
+        solves = lp.solve_count()
         for halfspace in random_halfspaces(4, 6, seed=13):
-            urange.update(halfspace)
-        assert urange.stats.empties_avoided > 0
-        # Clip-resolved updates issue no feasibility LPs of their own.
-        assert urange.stats.backend_solves == solved_before
+            assert urange.update(halfspace)
+        assert urange.stats.clips == 6
+        # Feasibility was read off the vertex signs: no LP ran.
+        assert lp.solve_count() == solves
+
+
+class TestStateCompatibility:
+    """States written before the range options became arguments restore."""
+
+    @pytest.mark.parametrize("kind", [ExactRange, AmbientRange])
+    def test_legacy_config_and_stats_keys_restore(self, kind):
+        spaces = random_halfspaces(4, 8, seed=21)
+        make = (
+            (lambda: AmbientRange(4, max_halfspaces=3))
+            if kind is AmbientRange
+            else (lambda: ExactRange(4))
+        )
+        original = make()
+        for halfspace in spaces[:-1]:
+            original.update(halfspace)
+        legacy = original.get_state()
+        legacy["config"] = {
+            "prune_above": 24,
+            "on_infeasible": "drop",
+            "max_halfspaces": 3 if kind is AmbientRange else None,
+        }
+        legacy["stats"] = dict(
+            legacy["stats"],
+            empties_avoided=4,
+            cache_hits=2,
+            backend_solves=9,
+            solves_avoided=6,
+        )
+        restored = make()
+        restored.set_state(legacy)
+        assert restored.stats == original.stats
+        assert _same_state(restored.get_state(), original.get_state())
+        if isinstance(original, ExactRange):
+            assert np.array_equal(restored.vertices(), original.vertices())
+        # The next update continues bit-identically.
+        assert restored.update(spaces[-1]) == original.update(spaces[-1])
+        assert _same_state(restored.get_state(), original.get_state())
+        if isinstance(original, ExactRange):
+            assert np.array_equal(restored.vertices(), original.vertices())
+        else:
+            got, want = restored.bounds(), original.bounds()
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
 
 
 class TestPrefetchUpdates:
@@ -367,8 +411,8 @@ class TestPrefetchUpdates:
 
     def _twin_ambient(self, d=5, answers=6, seed=31):
         spaces = random_halfspaces(d, answers * 4, seed=seed)
-        plain = AmbientRange(d, config=RangeConfig(on_infeasible="drop"))
-        primed = AmbientRange(d, config=RangeConfig(on_infeasible="drop"))
+        plain = AmbientRange(d)
+        primed = AmbientRange(d)
         for halfspace in spaces[: answers - 1]:
             plain.update(halfspace)
             primed.update(halfspace)
@@ -415,8 +459,8 @@ class TestPrefetchUpdates:
         a = b + 0.1
         forward = preference_halfspace(a, b)
         backward = preference_halfspace(b, a)
-        plain = AmbientRange(4, config=RangeConfig(on_infeasible="drop"))
-        primed = AmbientRange(4, config=RangeConfig(on_infeasible="drop"))
+        plain = AmbientRange(4)
+        primed = AmbientRange(4)
         plain.update(forward)
         primed.update(forward)
         with lp.use_cache(lp.LPCache()):
@@ -426,8 +470,8 @@ class TestPrefetchUpdates:
 
     def test_exact_prefetch_is_bit_identical(self):
         spaces = random_halfspaces(4, 7, seed=12)
-        plain = ExactRange(4, config=RangeConfig(on_infeasible="drop"))
-        primed = ExactRange(4, config=RangeConfig(on_infeasible="drop"))
+        plain = ExactRange(4)
+        primed = ExactRange(4)
         for halfspace in spaces[:-1]:
             plain.update(halfspace)
             primed.update(halfspace)
@@ -443,8 +487,8 @@ class TestPrefetchUpdates:
         # A memo stashed for one half-space must not corrupt an update
         # with a different one (exact fingerprint check).
         spaces = random_halfspaces(5, 8, seed=13)
-        plain = ExactRange(5, config=RangeConfig(on_infeasible="drop"))
-        primed = ExactRange(5, config=RangeConfig(on_infeasible="drop"))
+        plain = ExactRange(5)
+        primed = ExactRange(5)
         for halfspace in spaces[:-2]:
             plain.update(halfspace)
             primed.update(halfspace)
@@ -458,12 +502,10 @@ class TestPrefetchUpdates:
         waves = []
         for seed in (40, 41, 42):
             spaces = random_halfspaces(4, 6, seed=seed)
-            exact = ExactRange(4, config=RangeConfig(on_infeasible="drop"))
-            ambient = AmbientRange(4, config=RangeConfig(on_infeasible="drop"))
-            ref_exact = ExactRange(4, config=RangeConfig(on_infeasible="drop"))
-            ref_ambient = AmbientRange(
-                4, config=RangeConfig(on_infeasible="drop")
-            )
+            exact = ExactRange(4)
+            ambient = AmbientRange(4)
+            ref_exact = ExactRange(4)
+            ref_ambient = AmbientRange(4)
             for halfspace in spaces[:-1]:
                 for urange in (exact, ambient, ref_exact, ref_ambient):
                     urange.update(halfspace)

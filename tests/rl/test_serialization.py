@@ -39,6 +39,30 @@ class TestRoundTrip:
         loaded = load_agent(save_agent(trained_ea_3d, tmp_path / "a.npz"))
         assert loaded.config == trained_ea_3d.config
 
+    def test_retired_range_config_header_loads(self, trained_ea_3d, tmp_path):
+        # Agent files written while EAConfig carried a range-policy block
+        # still load; the block is dropped.
+        import json
+
+        path = save_agent(trained_ea_3d, tmp_path / "a.npz")
+        with np.load(path, allow_pickle=False) as archive:
+            data = {k: archive[k] for k in archive.files}
+        meta = json.loads(str(data["meta"]))
+        meta["config"]["range_config"] = {
+            "prune_above": 24,
+            "on_infeasible": "raise",
+            "max_halfspaces": None,
+        }
+        data["meta"] = np.array(json.dumps(meta))
+        np.savez(path, **data)
+        loaded = load_agent(path)
+        assert loaded.config == trained_ea_3d.config
+        u = np.array([0.3, 0.3, 0.4])
+        original = run_session(trained_ea_3d.new_session(rng=5), OracleUser(u))
+        restored = run_session(loaded.new_session(rng=5), OracleUser(u))
+        assert original.rounds == restored.rounds
+        assert original.recommendation_index == restored.recommendation_index
+
     def test_dataset_preserved(self, trained_ea_3d, tmp_path):
         loaded = load_agent(save_agent(trained_ea_3d, tmp_path / "a.npz"))
         np.testing.assert_array_equal(

@@ -22,6 +22,7 @@ import os
 import signal
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -313,6 +314,77 @@ class TestLifecycle:
                     user=OracleUser(np.array([0.5, 0.5])),
                 )
             )
+
+    @pytest.mark.parametrize("consume", ["as_completed", "drain"])
+    def test_close_during_wave_forks_nothing_and_ends_cleanly(
+        self, small_anti_3d, consume
+    ):
+        # One quick session on shard 0; shard 1's sessions stall on their
+        # first answer, so its worker is mid-wave when close() lands.
+        dispatcher = ShardedDispatcher(procs=2, max_in_flight=4)
+        ids = [f"close-{k}" for k in range(64)]
+        fast = next(i for i in ids if zlib.crc32(i.encode()) % 2 == 0)
+        stalled = [i for i in ids if zlib.crc32(i.encode()) % 2 == 1][:3]
+        utility = np.array([0.2, 0.3, 0.5])
+        users = [OracleUser(utility)] + [_StalledUser(utility)] * 3
+        for seed, (session_id, user) in enumerate(zip([fast, *stalled], users)):
+            dispatcher.submit(
+                SessionSpec(
+                    factory=lambda seed=seed: make_session(
+                        "uh-random", small_anti_3d, 0.1, rng=seed
+                    ),
+                    user=user,
+                    tags={"session_id": session_id},
+                )
+            )
+        forks = []
+        fork = dispatcher._fork
+
+        def recording_fork(shard, items):
+            state = fork(shard, items)
+            forks.append((dispatcher._closed, state.process))
+            return state
+
+        dispatcher._fork = recording_fork
+        first = threading.Event()
+        outcome: dict = {}
+
+        def consumer():
+            try:
+                if consume == "as_completed":
+                    results = []
+                    for result in dispatcher.as_completed():
+                        results.append(result)
+                        first.set()
+                else:
+                    results = dispatcher.drain()
+                outcome["results"] = results
+            except Exception as error:  # noqa: BLE001 -- reported below
+                outcome["error"] = error
+
+        thread = threading.Thread(target=consumer, daemon=True)
+        thread.start()
+        try:
+            deadline = time.time() + 60.0
+            while time.time() < deadline and not first.is_set():
+                with dispatcher._lock:
+                    if dispatcher._results:
+                        first.set()
+                time.sleep(0.01)
+            assert first.is_set()
+            dispatcher.close()
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+            assert "error" not in outcome, repr(outcome.get("error"))
+            assert [r.metrics.session_id for r in outcome["results"]] == [0]
+            assert not [p for closed, p in forks if closed]
+            assert not [p for _, p in forks if p.is_alive()]
+        finally:
+            dispatcher.close()
+            for _, process in forks:
+                if process.is_alive():
+                    process.kill()
+                    process.join(timeout=5.0)
 
     def test_parent_checkpoint_without_store_raises(self, toy):
         with ShardedDispatcher(procs=1) as dispatcher:

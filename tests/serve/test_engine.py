@@ -147,8 +147,8 @@ class TestMetrics:
         assert metrics.range_updates == sum(
             r.metrics.range_updates for r in results
         )
-        assert metrics.range_solves_avoided == sum(
-            r.metrics.range_solves_avoided for r in results
+        assert metrics.range_clips == sum(
+            r.metrics.range_clips for r in results
         )
         assert any(
             line.startswith("range updates:")
