@@ -11,7 +11,8 @@ are caught independently of end-to-end session times:
 * hit-and-run sampling (EA's anchor discovery),
 * minimum enclosing sphere (EA's state encoding),
 * ambient inner sphere + bounds (AA: once per round),
-* AA's split-margin probes, one LP at a time vs one stacked call,
+* AA's split-margin probes, one LP at a time vs one stacked call vs
+  the range's witness certificates,
 * incremental range clipping vs from-scratch re-enumeration (the
   :class:`~repro.geometry.range.ExactRange` fast path),
 * skyline preprocessing (dataset construction).
@@ -29,7 +30,7 @@ from repro.data.synthetic import anti_correlated
 from repro.geometry import lp
 from repro.geometry.hyperplane import preference_halfspace
 from repro.geometry.polytope import UtilityPolytope
-from repro.geometry.range import ExactRange
+from repro.geometry.range import SPLIT_TOL, AmbientRange, ExactRange
 from repro.geometry.sphere import minimum_enclosing_sphere
 
 
@@ -139,7 +140,7 @@ def test_micro_ambient_bounds(benchmark):
         preference_halfspace(*rng.uniform(0.05, 1.0, size=(2, d)))
         for _ in range(15)
     ]
-    e_min, e_max = benchmark(lambda: lp.ambient_bounds(spaces, d))
+    e_min, e_max, _ = benchmark(lambda: lp.ambient_bounds(spaces, d))
     assert np.all(e_max >= e_min - 1e-9)
 
 
@@ -289,6 +290,25 @@ def test_micro_split_margin_stacked(aa_round_margins, benchmark):
     spaces, d, normals = aa_round_margins
     margins = benchmark(lambda: lp.ambient_split_margins(spaces, d, normals))
     assert margins.shape == (10,)
+
+
+def test_micro_split_margin_certified(aa_round_margins, benchmark):
+    """The same ten margins through ``AmbientRange.split_margin`` once the
+    round's ``bounds()``/``inner_sphere()`` have filled its witness set:
+    the rows a witness certifies cost one matmul, not an LP.  This
+    fixture's planes are random, not centre-near: their five positive
+    sides are certified, and the five negative sides miss ``R``, so those
+    still go to one stacked LP call."""
+    spaces, d, normals = aa_round_margins
+    urange = AmbientRange(d)
+    for halfspace in spaces:
+        urange.update(halfspace)
+    urange.inner_sphere()
+    urange.bounds()
+    margins = benchmark(lambda: urange.split_margin(normals))
+    assert margins.shape == (10,)
+    expected = lp.ambient_split_margins(list(urange.halfspaces), d, normals)
+    assert np.array_equal(margins > SPLIT_TOL, expected > SPLIT_TOL)
 
 
 def test_micro_skyline(benchmark):

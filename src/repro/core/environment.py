@@ -101,7 +101,11 @@ class InteractiveEnvironment(abc.ABC):
         :meth:`~repro.core.session.InteractiveAlgorithm.probe_preview`:
         EA and AA override it with a preview of their range clip /
         feasibility probe so serving engines can batch the solver work
-        across sessions.  Default ``None`` — nothing previewable.
+        across sessions.  An AA preview whose answered side a witness
+        point of the range already certifies carries no feasibility
+        probe (the update runs none), only its ``2d`` bound probes; see
+        :class:`~repro.geometry.range.AmbientRange`.  Default ``None`` —
+        nothing previewable.
         """
         return None
 

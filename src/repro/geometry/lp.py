@@ -976,12 +976,17 @@ def ambient_is_feasible(
 
 def ambient_bounds(
     halfspaces: Sequence[PreferenceHalfspace], d: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Outer rectangle ``(e_min, e_max)`` of the ambient utility range.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Outer rectangle ``(e_min, e_max)`` of the ambient utility range,
+    plus the ``(2d, d)`` stack of the probes' optimisers.
 
     Solves two LPs per dimension, exactly as Section IV-C prescribes —
     issued through :func:`solve_many`, so the uncached probes of one
-    call stack into a single HiGHS solve.
+    call stack into a single HiGHS solve.  Row ``k`` of the optimiser
+    stack is probe ``k``'s ``x``, in :func:`ambient_bounds_systems`
+    order: points of the range that
+    :class:`~repro.geometry.range.AmbientRange` keeps as split-margin
+    witnesses.
 
     Raises
     ------
@@ -1003,7 +1008,10 @@ def ambient_bounds(
                 raise outcome
         e_min[i] = outcomes[2 * i].value  # type: ignore[union-attr]
         e_max[i] = -outcomes[2 * i + 1].value  # type: ignore[union-attr]
-    return e_min, e_max
+    optimisers = np.array(
+        [outcome.x for outcome in outcomes]  # type: ignore[union-attr]
+    )
+    return e_min, e_max, optimisers
 
 
 def ambient_inner_sphere(
@@ -1067,6 +1075,11 @@ def ambient_split_margins(
     alternative optimal vertex whose ``c . x`` differs from the
     one-at-a-time value in the last ulp; callers compare margins with a
     tolerance far above that, so their decisions do not change.
+
+    :meth:`AmbientRange.split_margin
+    <repro.geometry.range.AmbientRange.split_margin>` calls this only
+    for the rows its witness points cannot certify; every row here is
+    a full LP maximum.
 
     Raises
     ------

@@ -446,6 +446,10 @@ class ExactRange(UtilityRange):
 #: Margin an :meth:`AmbientRange.split_margin` optimum must clear to
 #: certify that a plane's side intersects the range (AA and Adaptive).
 SPLIT_TOL = 1e-7
+#: Margin a witness point must reach to certify a side without an LP:
+#: three orders above :data:`SPLIT_TOL`, so a certified side's LP
+#: margin clears :data:`SPLIT_TOL` too and no decision can change.
+CERT_TOL = 1e-4
 
 
 class AmbientRange(UtilityRange):
@@ -461,6 +465,16 @@ class AmbientRange(UtilityRange):
     first, and dropping constraints relaxes the region — a superset — so
     every LP surrogate stays sound.  ``None`` (the default) keeps every
     answer.
+
+    The range also keeps a *witness set*: the ``2d`` optimisers of the
+    last :meth:`bounds` call and the last :meth:`inner_sphere` centre,
+    each re-checked against every constraint of the current working set
+    within :data:`~repro.geometry.lp.FEASIBILITY_TOL`.  A witness ``u``
+    with ``u . n >= CERT_TOL`` proves that ``R`` reaches the positive
+    side of ``n`` without an LP (:meth:`split_margin`, and the
+    feasibility probe of an update).  Like the LP cache, the set is an
+    execution cache: any change to the half-space list drops it, and
+    it is never part of :meth:`get_state`.
     """
 
     def __init__(
@@ -473,6 +487,9 @@ class AmbientRange(UtilityRange):
             )
         self._max_halfspaces = max_halfspaces
         self._halfspaces: list[PreferenceHalfspace] = []
+        #: Valid witness points of the current working set, keyed by the
+        #: surrogate that produced them (``"bounds"``, ``"centre"``).
+        self._witnesses: dict[str, np.ndarray] = {}
 
     @property
     def halfspaces(self) -> tuple[PreferenceHalfspace, ...]:
@@ -496,35 +513,109 @@ class AmbientRange(UtilityRange):
 
     def _apply(self, halfspace: PreferenceHalfspace) -> bool:
         trial = self.trial_halfspaces(halfspace)
-        tracer = active_tracer()
-        probe_span = (
-            NULL_SPAN if tracer is None else tracer.span("range.feasible")
-        )
-        with probe_span:
-            feasible = lp.ambient_is_feasible(trial, self._dimension)
-        if not feasible:
-            return False
+        # A witness on the answered side lies in R ∩ H, and the trial
+        # set is R's working set plus H, at most relaxed by the cap
+        # rotation: the update is feasible with no LP.
+        if not self._certifies(halfspace):
+            tracer = active_tracer()
+            probe_span = (
+                NULL_SPAN if tracer is None else tracer.span("range.feasible")
+            )
+            with probe_span:
+                feasible = lp.ambient_is_feasible(trial, self._dimension)
+            if not feasible:
+                return False
         self._halfspaces = trial
+        self._witnesses = {}
         return True
 
     def inner_sphere(self) -> tuple[np.ndarray, float]:
-        """Inner sphere ``(B_c, B_r)`` of the range (one LP)."""
-        return lp.ambient_inner_sphere(self._halfspaces, self._dimension)
+        """Inner sphere ``(B_c, B_r)`` of the range (one LP).
+
+        The centre joins the witness set.
+        """
+        center, radius = lp.ambient_inner_sphere(
+            self._halfspaces, self._dimension
+        )
+        self._add_witnesses("centre", center[None, :])
+        return center, radius
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Outer rectangle ``(e_min, e_max)`` of the range (``2d`` LPs)."""
-        return lp.ambient_bounds(self._halfspaces, self._dimension)
+        """Outer rectangle ``(e_min, e_max)`` of the range (``2d`` LPs).
+
+        The ``2d`` optimisers join the witness set.
+        """
+        e_min, e_max, optimisers = lp.ambient_bounds(
+            self._halfspaces, self._dimension
+        )
+        self._add_witnesses("bounds", optimisers)
+        return e_min, e_max
 
     def split_margin(self, normals: np.ndarray) -> np.ndarray:
-        """``max {u . n : u in R}`` for each row ``n`` of a ``(k, d)`` stack.
+        """How far ``R`` crosses each row ``n`` of a ``(k, d)`` stack.
 
-        How far ``R`` crosses each candidate plane; one stacked LP call
-        (:func:`~repro.geometry.lp.ambient_split_margins`).  A plane cuts
-        ``R`` on its positive side when its margin is ``> SPLIT_TOL``.
+        A plane cuts ``R`` on its positive side when its margin is
+        ``> SPLIT_TOL``.  A row some witness point reaches with
+        ``u . n >= CERT_TOL`` is *certified*: its entry is that best
+        witness value, a lower bound ``>= CERT_TOL`` on
+        ``max {u . n : u in R}``, not the maximum itself.  Every other
+        row is the LP maximum, from one stacked call
+        (:func:`~repro.geometry.lp.ambient_split_margins`) over the
+        uncertified rows only.  The margins feed ``> SPLIT_TOL``
+        decisions alone, and a certified row clears that threshold on
+        either reading, so certification changes no decision.
         """
-        return lp.ambient_split_margins(
-            self._halfspaces, self._dimension, normals
-        )
+        normals = np.asarray(normals, dtype=float)
+        margins, certified = self._certify(normals)
+        if not certified.all():
+            todo = ~certified
+            margins[todo] = lp.ambient_split_margins(
+                self._halfspaces, self._dimension, normals[todo]
+            )
+        return margins
+
+    def _certify(self, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Best witness value per row of ``normals``, and which clear
+        :data:`CERT_TOL`.
+
+        Returns ``(values, certified)``: ``values[i]`` is
+        ``max {u . normals[i] : u a witness}`` (``-inf`` with no
+        witnesses) and ``certified[i]`` says it is ``>= CERT_TOL``.  One
+        ``(w, d) x (d, k)`` matmul, no LP.
+        """
+        normals = np.asarray(normals, dtype=float)
+        if not self._witnesses:
+            return (
+                np.full(normals.shape[0], -np.inf),
+                np.zeros(normals.shape[0], dtype=bool),
+            )
+        witnesses = np.vstack(list(self._witnesses.values()))
+        values = (witnesses @ normals.T).max(axis=0)
+        return values, values >= CERT_TOL
+
+    def _certifies(self, halfspace: PreferenceHalfspace) -> bool:
+        """Whether a witness proves ``R`` meets ``halfspace`` (no LP)."""
+        return bool(self._certify(halfspace.normal[None, :])[1][0])
+
+    def _add_witnesses(self, source: str, points: np.ndarray) -> None:
+        """Keep the rows of ``points`` that lie in ``R`` (see the class).
+
+        The check is :data:`~repro.geometry.lp.FEASIBILITY_TOL` on every
+        row of the working set's LP system — ``u >= 0``,
+        ``|sum(u) - 1|`` and ``u . n_h >= 0`` — far stricter than the
+        post-solve check an LP optimiser passed, so a witness's
+        soundness does not rest on the solver's tolerances.
+        """
+        tol = lp.FEASIBILITY_TOL
+        valid = (points >= -tol).all(axis=1)
+        valid &= np.abs(points.sum(axis=1) - 1.0) <= tol
+        if self._halfspaces:
+            normals = np.array([h.normal for h in self._halfspaces])
+            valid &= (points @ normals.T >= -tol).all(axis=1)
+        if valid.any():
+            self._witnesses[source] = points[valid]
+        else:
+            self._witnesses.pop(source, None)
 
     def interior_point(self) -> np.ndarray:
         """The inner-sphere centre of the range (ambient coordinates)."""
@@ -550,6 +641,7 @@ class AmbientRange(UtilityRange):
                 state["hs_normals"], state["hs_winners"], state["hs_losers"]
             )
         )
+        self._witnesses = {}
 
     def __repr__(self) -> str:
         return (
@@ -588,7 +680,10 @@ def prefetch_updates(previews: Sequence[UpdatePreview]) -> None:
       of the whole tick stack into one
       :func:`~repro.geometry.lp.solve_many` call, then the ``2d``
       outer-rectangle probes of every feasible trial marked ``bounds``
-      stack into a second; results land in the active
+      stack into a second.  A preview whose answered side a witness
+      point certifies (see :class:`AmbientRange`) submits no
+      feasibility probe, exactly as its update will run none, but its
+      bounds are still stacked.  Results land in the active
       :class:`~repro.geometry.lp.LPCache` (required — without one the
       results would be discarded, so these previews are skipped).
       Inner-sphere probes are deliberately *not* prefetched: their
@@ -632,25 +727,32 @@ def prefetch_updates(previews: Sequence[UpdatePreview]) -> None:
 
 
 def _prefetch_ambient(previews: Sequence[UpdatePreview]) -> None:
-    """Stack the tick's feasibility probes, then feasible trials' bounds."""
+    """Stack the tick's uncertified feasibility probes, then feasible
+    trials' bounds."""
     trials = []
     systems = []
+    probed = []
     for preview in previews:
         urange = preview.urange
         assert isinstance(urange, AmbientRange)
         trial = urange.trial_halfspaces(preview.halfspace)
         trials.append(trial)
-        systems.append(
-            lp.ambient_feasibility_system(trial, urange.dimension)
-        )
-    outcomes = lp.solve_many(systems, kind="ambient.feasible")
+        # A witness-certified update runs no feasibility LP; probe the
+        # rest.
+        probed.append(not urange._certifies(preview.halfspace))
+        if probed[-1]:
+            systems.append(
+                lp.ambient_feasibility_system(trial, urange.dimension)
+            )
+    outcomes = iter(lp.solve_many(systems, kind="ambient.feasible"))
     bound_systems: list[lp.LPSystem] = []
-    for preview, trial, outcome in zip(previews, trials, outcomes):
+    for preview, trial, probe in zip(previews, trials, probed):
         # Infeasible trials are dropped by the session without a bounds
         # refresh (its current-set probes were cached last round), and
         # unexpected LP failures will re-raise inside the session's own
         # update — either way, no bounds to prefetch.
-        if preview.bounds and isinstance(outcome, lp.LPResult):
+        feasible = isinstance(next(outcomes), lp.LPResult) if probe else True
+        if preview.bounds and feasible:
             bound_systems.extend(
                 lp.ambient_bounds_systems(trial, preview.urange.dimension)
             )

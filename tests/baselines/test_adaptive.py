@@ -9,7 +9,9 @@ from repro.baselines import AdaptiveSession, UHRandomSession
 from repro.core import run_session
 from repro.errors import ConfigurationError
 from repro.eval.metrics import session_regret
+from repro.geometry import lp
 from repro.users import OracleUser
+from repro.utils import rng as rng_state
 
 
 class TestConstruction:
@@ -81,3 +83,50 @@ class TestBehaviour:
     def test_halfspaces_exposed(self, small_anti_3d):
         session = AdaptiveSession(small_anti_3d, rng=3)
         assert session.halfspaces == ()
+
+
+class TestWitnessReplay:
+    """Witness certificates leave ``_select_pair`` unchanged, round by
+    round, against a reference with the witness set emptied."""
+
+    @pytest.mark.parametrize(
+        "fixture, utility",
+        [
+            ("small_anti_3d", [0.5, 0.3, 0.2]),
+            ("highd_anti_8d", [0.05, 0.2, 0.1, 0.15, 0.1, 0.05, 0.25, 0.1]),
+        ],
+    )
+    def test_same_pair_every_round(self, request, fixture, utility):
+        dataset = request.getfixturevalue(fixture)
+        session = AdaptiveSession(dataset, epsilon=0.05, rng=9)
+        select = session._select_pair
+        urange = session.utility_range
+        solves = {"reference": 0, "witnessed": 0}
+
+        def checked():
+            saved = rng_state.get_state(session._rng)
+            flag = session._no_progress
+            witnesses, urange._witnesses = urange._witnesses, {}
+            before = lp.solve_count()
+            expected = select()
+            solves["reference"] += lp.solve_count() - before
+            expected_flag = session._no_progress
+            expected_rng = rng_state.get_state(session._rng)
+            urange._witnesses = witnesses
+            rng_state.set_state(session._rng, saved)
+            session._no_progress = flag
+            before = lp.solve_count()
+            actual = select()
+            solves["witnessed"] += lp.solve_count() - before
+            assert actual == expected
+            assert session._no_progress == expected_flag
+            assert rng_state.get_state(session._rng) == expected_rng
+            return actual
+
+        session._select_pair = checked
+        result = run_session(
+            session, OracleUser(np.array(utility)), max_rounds=40
+        )
+        assert result.rounds > 3
+        # The certificates did replace LPs.
+        assert solves["witnessed"] < solves["reference"]

@@ -5,10 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import SinglePassSession
+from repro.baselines import SinglePassSession, single_pass
 from repro.core import run_session
 from repro.errors import ConfigurationError
 from repro.eval.metrics import session_regret
+from repro.geometry import lp
+from repro.geometry.range import AmbientRange
 from repro.users import OracleUser
 
 
@@ -97,3 +99,36 @@ class TestSinglePassBehaviour:
             OracleUser(u), max_rounds=2_000,
         )
         assert loose.rounds <= tight.rounds
+
+
+class TestWitnessReplay:
+    def test_capped_transcript_matches_witness_free_range(
+        self, highd_anti_8d, monkeypatch
+    ):
+        """A small working-set cap rotates constraints out every answer;
+        certified updates (no feasibility LP) must still ask exactly the
+        questions a range with no witnesses asks."""
+        monkeypatch.setattr(single_pass, "_MAX_WORKING_HALFSPACES", 3)
+        user = OracleUser(np.random.default_rng(5).dirichlet(np.ones(8)))
+
+        def transcript():
+            session = SinglePassSession(highd_anti_8d, epsilon=0.05, rng=6)
+            rows = []
+            before = lp.solve_count()
+            while not session.finished and session.rounds < 300:
+                question = session.next_question()
+                answer = user.prefers(question.p_i, question.p_j)
+                rows.append((question.index_i, question.index_j, answer))
+                session.observe(answer)
+            assert len(session.halfspaces) <= 3
+            return rows, session.recommend(), lp.solve_count() - before
+
+        rows, best, solves = transcript()
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                AmbientRange, "_add_witnesses", lambda self, source, points: None
+            )
+            ref_rows, ref_best, ref_solves = transcript()
+        assert len(rows) > 10
+        assert rows == ref_rows and best == ref_best
+        assert solves < ref_solves

@@ -123,7 +123,7 @@ class TestAATrainingAndInference:
         from repro.geometry import lp
 
         d = 3
-        e_min, e_max = lp.ambient_bounds(list(session.halfspaces), d)
+        e_min, e_max, _ = lp.ambient_bounds(list(session.halfspaces), d)
         width = float(np.linalg.norm(e_max - e_min))
         # The environment may also stop when no splitting pair exists; in
         # that case the rectangle bound does not apply.

@@ -119,16 +119,28 @@ class TestAmbientHelpers:
         assert feasible == bool(ok.any())
 
     def test_bounds_of_full_simplex(self):
-        e_min, e_max = lp.ambient_bounds([], 3)
+        e_min, e_max, _ = lp.ambient_bounds([], 3)
         np.testing.assert_allclose(e_min, np.zeros(3), atol=1e-9)
         np.testing.assert_allclose(e_max, np.ones(3), atol=1e-9)
 
     def test_bounds_shrink_with_halfspace(self):
         h = preference_halfspace(np.array([1.0, 0.01]), np.array([0.01, 1.0]))
-        e_min, e_max = lp.ambient_bounds([h], 2)
+        e_min, e_max, _ = lp.ambient_bounds([h], 2)
         # Prefers attribute 1: u_1 >= u_2 roughly, so u_1 >= ~0.5.
         assert e_min[0] >= 0.45
         assert e_max[1] <= 0.55
+
+    def test_bounds_optimisers_attain_the_bounds(self):
+        h = preference_halfspace(
+            np.array([0.9, 0.2, 0.4]), np.array([0.3, 0.6, 0.5])
+        )
+        e_min, e_max, optimisers = lp.ambient_bounds([h], 3)
+        assert optimisers.shape == (6, 3)
+        # Rows min_0, max_0, min_1, ...: each a point of R at its bound.
+        assert np.array_equal(optimisers[0::2].diagonal(), e_min)
+        assert np.array_equal(optimisers[1::2].diagonal(), e_max)
+        assert np.all(optimisers @ h.normal >= -1e-9)
+        np.testing.assert_allclose(optimisers.sum(axis=1), 1.0, atol=1e-9)
 
     def test_inner_sphere_of_simplex(self):
         center, radius = lp.ambient_inner_sphere([], 3)
@@ -172,7 +184,7 @@ class TestAmbientHighDimensions:
         assert abs(center.sum() - 1.0) < 1e-6
 
     def test_bounds_d20_unit_box(self):
-        e_min, e_max = lp.ambient_bounds([], 20)
+        e_min, e_max, _ = lp.ambient_bounds([], 20)
         np.testing.assert_allclose(e_min, np.zeros(20), atol=1e-8)
         np.testing.assert_allclose(e_max, np.ones(20), atol=1e-8)
 

@@ -17,10 +17,12 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, EmptyRegionError
 from repro.geometry import lp
-from repro.geometry.hyperplane import preference_halfspace
+from repro.geometry.hyperplane import PreferenceHalfspace, preference_halfspace
 from repro.geometry.polytope import UtilityPolytope
 from repro.geometry.range import (
+    CERT_TOL,
     PRUNE_ABOVE,
+    SPLIT_TOL,
     AmbientRange,
     ExactRange,
     UpdatePreview,
@@ -279,17 +281,26 @@ class TestAmbientRange:
         for halfspace in spaces:
             urange.update(halfspace)
         kept = list(urange.halfspaces)
-        center, radius = urange.inner_sphere()
-        ref_center, ref_radius = lp.ambient_inner_sphere(kept, 6)
-        assert np.array_equal(center, ref_center) and radius == ref_radius
-        e_min, e_max = urange.bounds()
-        ref_min, ref_max = lp.ambient_bounds(kept, 6)
-        assert np.array_equal(e_min, ref_min) and np.array_equal(e_max, ref_max)
         normals = np.stack([np.arange(6, dtype=float) - 2.5, np.ones(6)])
+        # No surrogate solved yet, so no witnesses: LP maxima throughout.
         margins = urange.split_margin(normals)
         assert margins.shape == (2,)
         assert np.array_equal(
             margins, lp.ambient_split_margins(kept, 6, normals)
+        )
+        center, radius = urange.inner_sphere()
+        ref_center, ref_radius = lp.ambient_inner_sphere(kept, 6)
+        assert np.array_equal(center, ref_center) and radius == ref_radius
+        e_min, e_max = urange.bounds()
+        ref_min, ref_max, _ = lp.ambient_bounds(kept, 6)
+        assert np.array_equal(e_min, ref_min) and np.array_equal(e_max, ref_max)
+        # Witnesses now certify: a certified row is a lower bound on the
+        # LP maximum that still clears CERT_TOL.
+        certified = urange.split_margin(normals)
+        assert certified[1] >= CERT_TOL
+        assert np.all(
+            (certified == margins)
+            | ((certified >= CERT_TOL) & (certified <= margins + 1e-9))
         )
 
     def test_interior_point_is_sphere_center(self):
@@ -324,6 +335,142 @@ class TestAmbientRange:
         for halfspace in spaces:
             assert capped.update(halfspace)
         assert capped.halfspaces == tuple(spaces[1:])
+
+
+def narrowed_ambient(
+    d: int, answers: int, seed: int, cap: int | None = None
+) -> AmbientRange:
+    """An :class:`AmbientRange` after ``answers`` random updates, with
+    its witness set filled the way AA fills it each round."""
+    urange = AmbientRange(d, max_halfspaces=cap)
+    for halfspace in random_halfspaces(d, answers, seed):
+        urange.update(halfspace)
+    urange.inner_sphere()
+    urange.bounds()
+    return urange
+
+
+def random_normals(d: int, k: int, seed: int) -> np.ndarray:
+    """``k`` candidate-plane normals ``p_i - p_j`` in dimension ``d``."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0.01, 1.0, size=(2, k, d))
+    return a - b
+
+
+class TestWitnessCertificates:
+    """Witness points decide split margins and update feasibility exactly
+    as the LPs they replace."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(2, 8),
+        answers=st.integers(0, 10),
+        k=st.integers(1, 12),
+        cap=st.sampled_from([None, 2, 4]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_decisions_match_lp(self, d, answers, k, cap, seed):
+        urange = narrowed_ambient(d, answers, seed, cap)
+        kept = list(urange.halfspaces)
+        normals = random_normals(d, k, seed + 1)
+        normals = np.vstack([normals, -normals])
+        expected = lp.ambient_split_margins(kept, d, normals)
+        margins = urange.split_margin(normals)
+        assert np.array_equal(margins > SPLIT_TOL, expected > SPLIT_TOL)
+        _, certified = urange._certify(normals)
+        assert np.all(margins[certified] >= CERT_TOL)
+        assert np.all(margins[certified] <= expected[certified] + 1e-9)
+        # Certified rows run no LP.
+        solves = lp.solve_count()
+        urange.split_margin(normals[certified])
+        assert lp.solve_count() == solves
+
+    def test_typical_round_is_certified(self):
+        # Without this the property above could hold vacuously.
+        urange = narrowed_ambient(8, 10, seed=3)
+        normals = random_normals(8, 5, seed=4)
+        normals = np.vstack([normals, -normals])
+        expected = lp.ambient_split_margins(list(urange.halfspaces), 8, normals)
+        _, certified = urange._certify(normals)
+        # Here every side the LP puts past CERT_TOL has a witness.
+        assert certified.any()
+        assert np.array_equal(certified, expected >= CERT_TOL)
+
+    def test_update_skips_feasibility_lp_when_certified(self):
+        urange = narrowed_ambient(5, 6, seed=7)
+        normal = random_normals(5, 1, seed=8)[0]
+        halfspace = PreferenceHalfspace(normal)
+        if not urange._certifies(halfspace):
+            halfspace = PreferenceHalfspace(-normal)
+        assert urange._certifies(halfspace)
+        solves = lp.solve_count()
+        assert urange.update(halfspace)
+        assert lp.solve_count() == solves
+
+    def test_contradictory_answer_dropped_with_witnesses(self):
+        base = AmbientRange(3)
+        answered = PreferenceHalfspace(np.array([1.0, -1.0, 0.0]))
+        assert base.update(answered)
+        base.inner_sphere()
+        base.bounds()
+        before = base.get_state()
+        witnesses = dict(base._witnesses)
+        assert witnesses
+        rejected = base.stats.rejected
+        # u . (-n - 0.01) < 0 everywhere on R = {u . n >= 0}.
+        assert not base.update(PreferenceHalfspace(-answered.normal - 0.01))
+        assert base.stats.rejected == rejected + 1
+        after = base.get_state()
+        after["stats"]["updates"] -= 1
+        after["stats"]["rejected"] -= 1
+        assert _same_state(after, before)
+        # The range did not change, so its witnesses still hold.
+        assert base._witnesses.keys() == witnesses.keys()
+
+    def test_update_and_set_state_drop_witnesses(self):
+        urange = narrowed_ambient(4, 5, seed=11)
+        state = urange.get_state()
+        assert urange._witnesses
+        assert urange.update(PreferenceHalfspace(np.array([0.1, 0.0, 0.0, -0.1])))
+        assert not urange._witnesses
+        urange.inner_sphere()
+        assert urange._witnesses
+        urange.set_state(state)
+        assert not urange._witnesses
+        # Never part of the state.
+        assert "witnesses" not in state
+
+    def test_witness_breaking_a_row_certifies_nothing(self, monkeypatch):
+        # A bounds optimiser 2e-4 outside one row of R still passes the
+        # solver's post-check (sqrt(1e-9) * 10 ~ 3.2e-4), so witness
+        # soundness must come from the range's own re-check.
+        answered = PreferenceHalfspace(np.array([1.0, -1.0, 0.0]))
+        # On the simplex, 2e-4 across the plane u1 = u2.
+        bad = np.array([1 / 3 - 1e-4, 1 / 3 + 1e-4, 1 / 3])
+        assert float(bad @ answered.normal) == pytest.approx(-2e-4)
+
+        monkeypatch.setattr(
+            lp, "solve_stacked",
+            lambda systems: [
+                lp.LPResult(x=bad.copy(), value=float(system.c @ bad))
+                for system in systems
+            ],
+        )
+        urange = AmbientRange(3)
+        assert urange.update(answered)
+        urange.bounds()
+        monkeypatch.undo()
+        assert not urange._witnesses
+        # The bad point would have certified both of these.
+        flipped = -answered.normal
+        assert float(bad @ flipped) >= CERT_TOL
+        contradiction = PreferenceHalfspace(flipped - 5e-5)
+        assert float(bad @ contradiction.normal) >= CERT_TOL
+        solves = lp.solve_count()
+        (margin,) = urange.split_margin(flipped[None, :])
+        assert margin <= SPLIT_TOL
+        assert lp.solve_count() > solves
+        assert not urange.update(contradiction)
 
 
 class TestBackendSeam:
