@@ -22,7 +22,9 @@ Two subcommands, wired into ``.github/workflows/ci.yml``, each taking
     * the dispatch workload — 256 sessions served through
       ``ShardedDispatcher(procs=2)`` and replayed single-process —
       counting per-session mismatches and failures (both must be 0:
-      forking and sharding must never perturb a transcript).
+      forking and sharding must never perturb a transcript), served
+      sessions (must equal the session count) and the workers whose
+      tracer reports came home (at least one).
 
 ``check``
     Compare a freshly produced snapshot against the committed baseline
@@ -30,9 +32,12 @@ Two subcommands, wired into ``.github/workflows/ci.yml``, each taking
     hit rate, range clip rate, rounds, ticks, occupancy,
     equivalence mismatches) must match the baseline *exactly* — a fixed
     seed makes them machine-independent, so any drift is a behaviour
-    change, not noise.  Two absolute gates ride on top: continuous
-    occupancy must stay above :data:`OCCUPANCY_FLOOR` and
-    ``equiv_mismatches`` must be zero.  Wall-clock timings are only
+    change, not noise.  Absolute gates ride on top: continuous
+    occupancy must stay above :data:`OCCUPANCY_FLOOR`; the equivalence,
+    batch and dispatch mismatch counts and the dispatch failures must
+    be zero; every dispatched session must be served (completed or
+    truncated); and at least one dispatch worker must report its
+    tracer spans.  Wall-clock timings are only
     ratio-gated: a tick-latency or end-to-end slowdown beyond
     ``--max-slowdown`` (default 2.0x) fails, as does the incremental
     clip path losing more than half of its speedup over from-scratch
@@ -45,7 +50,7 @@ integer counter (rounds, completed, truncated, failed, recovered,
 retries, abstentions, mistakes, per cell and in total) exactly against
 ``benchmarks/baselines/robustness.json``.  The matrix is fully
 seed-deterministic, so any counter drift is a behaviour change in the
-session loop, the robust policies or the user zoo.
+session loop, the recovery rule or the user zoo.
 
 Refreshing a baseline after an intentional perf/behaviour change::
 
@@ -102,8 +107,9 @@ OCCUPANCY_FLOOR = 0.9
 #: The multi-process dispatcher workload: the same fixed-seed spec set
 #: served through ``ShardedDispatcher(procs=2)`` and through one
 #: ``ContinuousEngine``, compared session by session.  Mismatches and
-#: failures are absolute zero-gates; the dispatch wall clock is only
-#: ratio-gated (a single-core runner cannot show a speedup).
+#: failures are absolute zero-gates, every session must be served and
+#: at least one worker must report its spans; the dispatch wall clock
+#: is only ratio-gated (a single-core runner cannot show a speedup).
 DISPATCH_CONFIG = {
     "algorithm": "ea",
     "dataset": "anti:200:3",
@@ -380,7 +386,9 @@ def _dispatch_gate() -> tuple[dict, dict]:
     through a single ``ContinuousEngine``, comparing ``(recommendation
     index, rounds, truncated, status)`` and the recommended point per
     session.  Mismatch and failure counts are seed-deterministic and
-    must be zero; the dispatch wall clock is ratio-gated only.
+    must be zero; the dispatch wall clock is ratio-gated only.  For the
+    merged worker spans as a ``BENCH_dispatch.json`` snapshot, run
+    ``python -m repro serve-bench --procs N --snapshot``.
     """
     import numpy as np
 
@@ -412,6 +420,7 @@ def _dispatch_gate() -> tuple[dict, dict]:
         "dispatch_failed": m.failed,
         "dispatch_mismatches": mismatches,
         "dispatch_rounds_total": m.rounds_total,
+        "dispatch_served": m.completed + m.truncated,
         "dispatch_workers_reporting": len(dispatched.worker_obs),
     }
     timings = {
@@ -592,6 +601,28 @@ def check_gate(
     if dispatch_failed != 0:
         failures.append(
             f"{dispatch_failed} sessions failed under the sharded dispatcher"
+        )
+    dispatch_served = got_counters.get("dispatch_served")
+    served_ok = dispatch_served == DISPATCH_CONFIG["sessions"]
+    print(
+        f"  [{'ok' if served_ok else 'FAIL'}] dispatch served: "
+        f"{dispatch_served} of {DISPATCH_CONFIG['sessions']} sessions"
+    )
+    if not served_ok:
+        failures.append(
+            f"the sharded dispatcher served {dispatch_served} of "
+            f"{DISPATCH_CONFIG['sessions']} sessions"
+        )
+    workers_reporting = got_counters.get("dispatch_workers_reporting")
+    reporting_ok = isinstance(workers_reporting, int) and workers_reporting >= 1
+    print(
+        f"  [{'ok' if reporting_ok else 'FAIL'}] dispatch workers "
+        f"reporting: {workers_reporting} (floor 1)"
+    )
+    if not reporting_ok:
+        failures.append(
+            "no dispatch worker's tracer report came home "
+            f"(dispatch_workers_reporting = {workers_reporting})"
         )
     got_timings = candidate.get("timings", {})
     want_timings = baseline.get("timings", {})

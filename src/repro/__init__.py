@@ -72,7 +72,7 @@ from repro.registry import (
 from repro.rl.serialization import load_agent, save_agent
 from repro.eval import evaluate_algorithm, max_regret_ratio
 from repro.geometry.vectors import regret_ratio
-from repro.serve import ContinuousEngine, RecoveryPolicy, run_serve_bench
+from repro.serve import ContinuousEngine, run_serve_bench
 from repro.users import NoisyUser, OracleUser
 
 __version__ = "1.0.0"
@@ -98,7 +98,6 @@ __all__ = [
     "UHRandomSession",
     "UHSimplexSession",
     "UtilityApproxSession",
-    "RecoveryPolicy",
     "ContinuousEngine",
     "evaluate_algorithm",
     "load_agent",

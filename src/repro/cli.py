@@ -323,7 +323,6 @@ def _cmd_server(args: argparse.Namespace) -> int:
             max_rounds=args.max_rounds,
             max_in_flight=args.max_in_flight,
             store=store,
-            checkpoint_every=1 if store is not None else 0,
             agents=agents,
             dataset=dataset,
         )

@@ -18,16 +18,7 @@ Layout:
 
 from repro.core.aa import AAAgent, AAConfig, AASession, AATrainer, train_aa
 from repro.core.ea import EAAgent, EAConfig, EASession, EATrainer, train_ea
-from repro.core.robust import (
-    ConfidenceWeightedPolicy,
-    ConfidenceWeightedSession,
-    EpsilonInflationPolicy,
-    MajorityVotePolicy,
-    MajorityVoteSession,
-    RecoveryPolicy,
-    RobustPolicy,
-    inflate_epsilon,
-)
+from repro.core.robust import MajorityVoteSession
 from repro.core.session import (
     InteractiveAlgorithm,
     Question,
@@ -50,13 +41,6 @@ __all__ = [
     "train_ea",
     "InteractiveAlgorithm",
     "MajorityVoteSession",
-    "MajorityVotePolicy",
-    "ConfidenceWeightedSession",
-    "ConfidenceWeightedPolicy",
-    "EpsilonInflationPolicy",
-    "RecoveryPolicy",
-    "RobustPolicy",
-    "inflate_epsilon",
     "Question",
     "SessionResult",
     "TranscriptEntry",

@@ -24,7 +24,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.robust import RecoveryPolicy
 from repro.core.session import DEFAULT_MAX_ROUNDS, SessionResult, validate_epsilon
 from repro.data.datasets import Dataset
 from repro.data.utility import sample_training_utilities
@@ -263,7 +262,6 @@ def run_robustness_matrix(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     seed: int = 0,
     recover: bool = True,
-    recovery: RecoveryPolicy | None = None,
     train_episodes: int = 8,
 ) -> RobustnessReport:
     """Run the full matrix; every counter in the report is deterministic.
@@ -289,10 +287,10 @@ def run_robustness_matrix(
     seed:
         Master seed; all derived streams are platform-stable
         ``SeedSequence`` children.
-    recover, recovery:
-        Recovery configuration, as in ``serve-bench``: ``recover=True``
-        (default) retries :class:`~repro.errors.EmptyRegionError`
-        failures under majority voting; ``recovery`` overrides.
+    recover:
+        As in ``serve-bench``: ``True`` (default) retries
+        :class:`~repro.errors.EmptyRegionError` failures once under
+        majority voting.
     """
     if seeds < 1:
         raise ConfigurationError(f"seeds must be >= 1, got {seeds}")
@@ -301,9 +299,6 @@ def run_robustness_matrix(
     epsilon = validate_epsilon(epsilon)
     families = tuple(canonical_session_name(f) for f in families)
     user_models = tuple(canonical_user_model(m) for m in user_models)
-    policy = recovery if recovery is not None else (
-        RecoveryPolicy() if recover else None
-    )
     started = time.perf_counter()
     hidden = sample_training_utilities(
         dataset.dimension, seeds, rng=_cell_seed(seed, 7)
@@ -351,7 +346,7 @@ def run_robustness_matrix(
             ]
             cell_started = time.perf_counter()
             with ContinuousEngine(
-                max_rounds=max_rounds, recovery=policy
+                max_rounds=max_rounds, recover=recover
             ) as engine:
                 results = engine.run(specs)
             metrics = engine.last_metrics
@@ -395,7 +390,7 @@ def run_robustness_matrix(
         noise=noise,
         max_rounds=max_rounds,
         seed=seed,
-        recover=policy is not None,
+        recover=recover,
         cells=cells,
         wall_seconds=time.perf_counter() - started,
     )

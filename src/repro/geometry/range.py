@@ -242,7 +242,7 @@ class ExactRange(UtilityRange):
 
         Vertices stay lazy (first :meth:`vertices` call enumerates), so
         this stays usable in high dimensions for sampling-only workloads
-        such as :func:`repro.eval.metrics.worst_case_regret`.
+        such as :func:`repro.eval.metrics.max_regret_ratio`.
 
         Raises
         ------

@@ -37,8 +37,8 @@ storable object:
 The serving layer integrates through
 :meth:`repro.serve.scheduler.ContinuousEngine.checkpoint` /
 :meth:`~repro.serve.scheduler.ContinuousEngine.resume` and
-:class:`repro.serve.dispatch.ShardedDispatcher`'s ``store``/
-``checkpoint_every`` crash-resume; the HTTP front end
+:class:`repro.serve.dispatch.ShardedDispatcher`'s ``store``
+crash-resume (a checkpoint after every worker tick); the HTTP front end
 (:mod:`repro.server`) checkpoints after every answer.
 """
 

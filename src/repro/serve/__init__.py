@@ -23,8 +23,8 @@ algorithm, user and seed.
   across worker processes (one ``ContinuousEngine``, LP cache and
   tracer per worker), with checkpoint-based crash-resume when a worker
   dies;
-* :class:`~repro.core.robust.RecoveryPolicy` (re-exported here) —
-  optional retry of failed sessions under
+* ``recover=True`` on either runtime — retry a session that raised
+  :class:`~repro.errors.EmptyRegionError` once under
   :class:`~repro.core.robust.MajorityVoteSession`;
 * :class:`EngineMetrics` / :class:`SessionMetrics` /
   :class:`SessionError` — lightweight instrumentation of the whole
@@ -36,7 +36,6 @@ Everything else in the submodules (task book-keeping, result helpers)
 is private API.
 """
 
-from repro.core.robust import RecoveryPolicy
 from repro.serve.bench import ServeBenchReport, run_serve_bench
 from repro.serve.dispatch import ShardedDispatcher
 from repro.serve.metrics import EngineMetrics, SessionError, SessionMetrics
@@ -47,7 +46,6 @@ from repro.serve.spec import SessionSpec
 __all__ = [
     "ContinuousEngine",
     "EngineMetrics",
-    "RecoveryPolicy",
     "Runtime",
     "ServeBenchReport",
     "SessionError",

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.core.robust import RecoveryPolicy
 from repro.core.session import DEFAULT_MAX_ROUNDS, SessionResult, validate_epsilon
 from repro.data.datasets import Dataset
 from repro.data.utility import sample_training_utilities
@@ -269,7 +268,6 @@ def run_serve_bench(
     max_rounds: int = DEFAULT_MAX_ROUNDS,
     noise: float = 0.0,
     recover: bool = False,
-    recovery: RecoveryPolicy | None = None,
     max_in_flight: int = 64,
     procs: int = 0,
     user_model: str = "oracle",
@@ -300,11 +298,8 @@ def run_serve_bench(
         serves :class:`~repro.users.NoisyUser` fleets whose mistakes can
         drive individual sessions into failure.
     recover:
-        Enable the default :class:`~repro.core.robust.RecoveryPolicy`
-        (retry :class:`~repro.errors.EmptyRegionError` failures once
-        under majority voting).
-    recovery:
-        An explicit policy; overrides ``recover``.
+        Retry :class:`~repro.errors.EmptyRegionError` failures once
+        under majority voting (the rule in :mod:`repro.core.robust`).
     max_in_flight:
         Admission cap of the engine (per worker with ``procs``).
     procs:
@@ -324,9 +319,6 @@ def run_serve_bench(
     """
     if procs < 0:
         raise ConfigurationError(f"procs must be >= 0, got {procs}")
-    policy = recovery if recovery is not None else (
-        RecoveryPolicy() if recover else None
-    )
     workload = bench_workload(
         dataset,
         sessions=sessions,
@@ -343,7 +335,7 @@ def run_serve_bench(
             procs=procs,
             max_rounds=max_rounds,
             max_in_flight=max_in_flight,
-            recovery=policy,
+            recover=recover,
             agents={algorithm: workload.agent},
             dataset=dataset,
             collect_obs=True,
@@ -356,7 +348,7 @@ def run_serve_bench(
     else:
         with ContinuousEngine(
             max_rounds=max_rounds,
-            recovery=policy,
+            recover=recover,
             max_in_flight=max_in_flight,
         ) as served:
             results = served.run(workload.specs)

@@ -34,15 +34,15 @@ checkpoints across restarts.  The same id always lands on the same
 worker, so its LP cache re-use and checkpoint files stay local to one
 shard.
 
-**Fault tolerance = crash-resume.**  Workers checkpoint their in-flight
-sessions every ``checkpoint_every`` ticks through the shared
+**Fault tolerance = crash-resume.**  With a ``store``, workers
+checkpoint their in-flight sessions after every tick through the shared
 :class:`~repro.persist.store.FileSessionStore`.  A worker that
 disappears mid-wave (segfault, OOM-kill, SIGKILL) is detected by EOF on
 its pipe without a final ``done`` message; the parent forks a
 replacement that re-admits the lost sessions — from their latest
 checkpoint when one exists (the resumed transcript is stitched
 contiguously, exactly as PR 7's crash-resume does), from their original
-spec otherwise.  After ``max_restarts`` replacement forks in one wave,
+spec otherwise.  After :data:`MAX_RESTARTS` replacement forks in one wave,
 remaining lost sessions are returned as ``status == "failed"`` results
 rather than looping forever.
 
@@ -77,10 +77,13 @@ from repro.serve.scheduler import ContinuousEngine
 from repro.serve.spec import SessionSpec, require_spec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.robust import RecoveryPolicy
     from repro.persist import SessionSnapshot
     from repro.persist.store import SessionStore
     from repro.users.oracle import User
+
+#: Replacement workers forked per wave before the sessions a dead worker
+#: still held are failed instead of re-admitted.
+MAX_RESTARTS = 2
 
 
 @dataclass
@@ -104,9 +107,8 @@ class _WorkerOptions:
 
     max_rounds: int
     max_in_flight: int
-    recovery: "RecoveryPolicy | None"
+    recover: bool
     store: "SessionStore | None"
-    checkpoint_every: int
     collect_obs: bool
     agents: Mapping[str, Any]
     dataset: Any
@@ -174,7 +176,7 @@ def _worker_main(
     tracer_ctx = use_tracer(tracer) if tracer is not None else nullcontext()
     engine = ContinuousEngine(
         max_rounds=options.max_rounds,
-        recovery=options.recovery,
+        recover=options.recover,
         max_in_flight=options.max_in_flight,
         store=options.store,
     )
@@ -194,15 +196,9 @@ def _worker_main(
                 else:
                     spec = item.spec
                 by_local[engine.submit(spec, trace=item.trace)] = item
-            ticks = 0
             while engine.has_work:
                 engine.step()
-                ticks += 1
-                if (
-                    options.checkpoint_every
-                    and options.store is not None
-                    and ticks % options.checkpoint_every == 0
-                ):
+                if options.store is not None:
                     for local in engine.in_flight_tickets:
                         item = by_local[local]
                         try:
@@ -229,20 +225,15 @@ class ShardedDispatcher:
     procs:
         Worker process count (>= 1).  Each worker runs its own
         :class:`~repro.serve.scheduler.ContinuousEngine`.
-    max_rounds / max_in_flight / recovery:
+    max_rounds / max_in_flight / recover:
         Forwarded to every worker's engine (``max_in_flight`` is the
         *per-worker* admission cap) and checked here, before any fork.
     store:
-        Shared snapshot store.  Crash-resume across worker deaths needs
-        a :class:`~repro.persist.store.FileSessionStore` — a memory
-        store forked into a worker dies with it.
-    checkpoint_every:
-        Checkpoint every in-flight session each N worker ticks
-        (0 = never).  The fault-tolerance dial: smaller N loses fewer
-        rounds to a worker death, at more snapshot-encode cost.
-    max_restarts:
-        Replacement workers forked per wave before remaining lost
-        sessions are failed instead of retried.
+        Shared snapshot store; when set, every worker checkpoints its
+        in-flight sessions into it after each tick.  Crash-resume across
+        worker deaths needs a
+        :class:`~repro.persist.store.FileSessionStore` — a memory store
+        forked into a worker dies with it.
     agents / dataset:
         Context for rebuilding crash-resumed sessions
         (:func:`~repro.persist.restore_session` needs the trained agent
@@ -270,10 +261,8 @@ class ShardedDispatcher:
         *,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         max_in_flight: int = 64,
-        recovery: "RecoveryPolicy | None" = None,
+        recover: bool = False,
         store: "SessionStore | None" = None,
-        checkpoint_every: int = 0,
-        max_restarts: int = 2,
         agents: Mapping[str, Any] | None = None,
         dataset: Any | None = None,
         collect_obs: bool = False,
@@ -281,18 +270,6 @@ class ShardedDispatcher:
         if procs < 1:
             raise ConfigurationError(f"procs must be >= 1, got {procs}")
         ContinuousEngine.check_options(max_rounds, max_in_flight)
-        if checkpoint_every < 0:
-            raise ConfigurationError(
-                f"checkpoint_every must be >= 0, got {checkpoint_every}"
-            )
-        if checkpoint_every > 0 and store is None:
-            raise ConfigurationError(
-                "checkpoint_every needs a store to checkpoint into"
-            )
-        if max_restarts < 0:
-            raise ConfigurationError(
-                f"max_restarts must be >= 0, got {max_restarts}"
-            )
         if "fork" not in multiprocessing.get_all_start_methods():
             raise ConfigurationError(
                 "ShardedDispatcher needs the 'fork' start method (session "
@@ -301,14 +278,12 @@ class ShardedDispatcher:
             )
         self._ctx = multiprocessing.get_context("fork")
         self.procs = int(procs)
-        self.max_restarts = int(max_restarts)
         self.store = store
         self._options = _WorkerOptions(
             max_rounds=int(max_rounds),
             max_in_flight=int(max_in_flight),
-            recovery=recovery,
+            recover=bool(recover),
             store=store,
-            checkpoint_every=int(checkpoint_every),
             collect_obs=bool(collect_obs),
             agents=dict(agents or {}),
             dataset=dataset,
@@ -410,7 +385,7 @@ class ShardedDispatcher:
 
         Dispatcher sessions live in worker processes, so the parent
         cannot capture state on demand; checkpoints are taken *inside*
-        workers every ``checkpoint_every`` ticks.  This returns the
+        workers after every tick when a ``store`` is set.  This returns the
         most recent one from the shared store (``session_id`` /
         ``agent_ref`` overrides do not apply — naming is fixed at
         submission).
@@ -422,7 +397,7 @@ class ShardedDispatcher:
             raise PersistenceError(
                 f"no checkpoint for ticket {ticket}: dispatcher sessions "
                 "checkpoint inside their worker — construct the "
-                "dispatcher with store= and checkpoint_every="
+                "dispatcher with store="
             )
         return self.store.get(stored)
 
@@ -564,7 +539,7 @@ class ShardedDispatcher:
         lost = set(state.unfinished)
         if not lost or self._closed:
             return []
-        if restarts[0] >= self.max_restarts:
+        if restarts[0] >= MAX_RESTARTS:
             self._fail_lost(state, lost)
             return []
         restarts[0] += 1

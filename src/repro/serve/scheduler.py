@@ -36,9 +36,10 @@ scalar reference — the property the equivalence gate in
 Fault isolation: a factory that raises, a stale (already-driven)
 session, or any per-session interaction error (question selection,
 ``user.prefers``, ``observe``, ``recommend``) marks only that ticket
-``"failed"`` — the scheduler keeps serving, and a
-:class:`~repro.core.robust.RecoveryPolicy` can re-drive matching
-failures under majority voting.
+``"failed"`` — the scheduler keeps serving, and ``recover=True``
+re-drives a session that raised
+:class:`~repro.errors.EmptyRegionError` once under majority voting (the
+rule in :mod:`repro.core.robust`).
 """
 
 from __future__ import annotations
@@ -52,7 +53,12 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.core.robust import RecoveryPolicy
+from repro.core.robust import (
+    MAX_RETRIES,
+    RETRY_ON,
+    RETRY_REPEATS,
+    MajorityVoteSession,
+)
 from repro.core.session import (
     DEFAULT_MAX_ROUNDS,
     CandidateBatch,
@@ -128,11 +134,11 @@ class ContinuousEngine:
     ----------
     max_rounds:
         Per-session safety cap, as in ``run_session``.
-    recovery:
-        ``None`` (default) returns failed sessions as ``"failed"``.
-        Pass a :class:`~repro.core.robust.RecoveryPolicy` to re-drive
-        matching failures under
-        :class:`~repro.core.robust.MajorityVoteSession`.
+    recover:
+        ``False`` (default) returns failed sessions as ``"failed"``.
+        ``True`` re-drives a session that raised
+        :class:`~repro.errors.EmptyRegionError` once, from round zero,
+        under a 3-vote :class:`~repro.core.robust.MajorityVoteSession`.
     max_in_flight:
         Admission cap: at most this many sessions are live per tick.
         This is the provisioned batch capacity the
@@ -156,7 +162,7 @@ class ContinuousEngine:
     def __init__(
         self,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
-        recovery: RecoveryPolicy | None = None,
+        recover: bool = False,
         max_in_flight: int = 64,
         store: "SessionStore | None" = None,
     ) -> None:
@@ -164,7 +170,7 @@ class ContinuousEngine:
         self.max_rounds = int(max_rounds)
         self.max_in_flight = int(max_in_flight)
         self.lp_cache = LPCache()
-        self.recovery = recovery
+        self.recover = bool(recover)
         self._closed = False
         self._next_ticket = 0
         self._pending: list[_Task] = []
@@ -822,14 +828,14 @@ class ContinuousEngine:
         error: Exception,
         replacements: list[_Task],
     ) -> None:
-        """Mark ``task`` failed; schedule a recovery retry if policy allows."""
+        """Mark ``task`` failed; schedule a recovery retry if ``recover``."""
         task.watch.stop()
         task.dead = True
         rounds = task.algorithm.rounds if task.algorithm is not None else 0
-        recovery = self.recovery
         retryable = (
-            recovery is not None
-            and recovery.should_retry(error, task.attempt)
+            self.recover
+            and task.attempt < MAX_RETRIES
+            and isinstance(error, RETRY_ON)
             and task.algorithm is not None
         )
         self.metrics.errors.append(
@@ -848,7 +854,7 @@ class ContinuousEngine:
             # attempt's abstentions now so the engine total counts
             # every abstention the user made.
             self.metrics.abstentions += task.metrics.abstentions
-            replacements.append(self._retry_task(task))
+            self._retry_task(task, replacements)
             return
         self.metrics.failed += 1
         task.metrics.rounds = rounds
@@ -875,27 +881,32 @@ class ContinuousEngine:
         result.metrics = task.metrics
         self._deliver(task, result)
 
-    def _retry_task(self, task: _Task) -> _Task:
-        """A fresh task re-running ``task``'s session robustly.
+    def _retry_task(self, task: _Task, replacements: list[_Task]) -> None:
+        """Queue a fresh task re-running ``task``'s session under majority
+        voting.
 
-        Built by :meth:`RecoveryPolicy.build_retry` — a majority vote
-        by default, or the recovery policy's configured
-        :class:`~repro.core.robust.RobustPolicy`.
+        The retry calls the spec's factory again; a factory that raises
+        now fails the retry the way it would fail an admission.
         """
-        assert self.recovery is not None
         attempt = task.attempt + 1
-        algorithm: InteractiveAlgorithm = self.recovery.build_retry(
-            task.spec.build, attempt
-        )
-        return _Task(
+        retry = _Task(
             ticket=task.ticket,
             spec=task.spec,
-            algorithm=algorithm,
+            # Placeholder until the factory below returns.
+            algorithm=None,  # type: ignore[arg-type]
             metrics=SessionMetrics(session_id=task.ticket, retries=attempt),
             trace=task.trace,
             attempt=attempt,
             submitted_at=task.submitted_at,
         )
+        try:
+            retry.algorithm = MajorityVoteSession(
+                task.spec.build(), repeats=RETRY_REPEATS
+            )
+        except Exception as error:  # noqa: BLE001 -- admission boundary
+            self._fail(retry, error, replacements)
+            return
+        replacements.append(retry)
 
     def _record_range(self, task: _Task) -> None:
         """Copy the task's utility-range counters into its metrics."""

@@ -11,9 +11,9 @@ reasons the engine relies on:
 * they are invoked *inside* the engine's LP-cache context, so the heavy
   constraint solves of session start-up (identical across sessions that
   share a dataset) are memoised;
-* a :class:`~repro.core.robust.RecoveryPolicy` rebuilds a failed
-  session by calling its factory again — an already-driven session
-  holds poisoned state and cannot be replayed.
+* an engine built with ``recover=True`` rebuilds a failed session by
+  calling its factory again — an already-driven session holds poisoned
+  state and cannot be replayed.
 """
 
 from __future__ import annotations

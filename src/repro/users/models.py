@@ -175,8 +175,9 @@ class DriftingUser(OracleUser):
     Before every answer the utility takes a Gaussian step and is
     Euclidean-projected back onto the simplex
     (:func:`repro.geometry.simplex.project_onto_simplex`), so early
-    answers become stale constraints: the inferred region can drift
-    empty, exercising the ``EmptyRegionError`` recovery path.
+    answers become stale constraints.  An answer that contradicts them
+    would empty the inferred region; the utility range drops it instead
+    and counts it in ``stats.rejected``, so the session keeps going.
     :attr:`utility` reports the *current* vector, so regret is scored
     against the user's taste at recommendation time.
     """

@@ -1,4 +1,4 @@
-"""Tests for the majority-vote robustness wrapper."""
+"""Tests for the majority-vote wrapper and the engines' recovery rule."""
 
 from __future__ import annotations
 
@@ -8,8 +8,9 @@ import pytest
 from repro.baselines import UHRandomSession
 from repro.core import run_session
 from repro.core.robust import MajorityVoteSession
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, EmptyRegionError
 from repro.eval.metrics import session_regret
+from repro.serve import ContinuousEngine, SessionSpec
 from repro.users import NoisyUser, OracleUser
 
 
@@ -101,3 +102,38 @@ class TestWithNoisyUser:
             session, NoisyUser(u, error_rate=0.2, rng=0), max_rounds=2_000
         )
         assert result.rounds <= 5 * session.inner_rounds
+
+
+class _EmptyOnFirstAnswer(UHRandomSession):
+    """Dies as a contradicted range would, on its first answer."""
+
+    def _update(self, question, prefers_first):
+        raise EmptyRegionError("utility range is empty (scripted)")
+
+
+class TestRecoveryRule:
+    def test_default_retry_is_a_three_vote_majority(self, small_anti_3d):
+        """``recover=True`` re-runs the session from its factory under a
+        3-vote majority: a truthful user settles each question in two
+        answers, so the retry asks exactly twice the plain run's
+        questions and lands on the same recommendation."""
+        u = np.array([0.3, 0.4, 0.3])
+        plain = run_session(
+            UHRandomSession(small_anti_3d, rng=7), OracleUser(u)
+        )
+        built: list[int] = []
+
+        def factory():
+            built.append(1)
+            if len(built) == 1:
+                return _EmptyOnFirstAnswer(small_anti_3d, rng=7)
+            return UHRandomSession(small_anti_3d, rng=7)
+
+        with ContinuousEngine(recover=True) as engine:
+            (result,) = engine.run(
+                [SessionSpec(factory=factory, user=OracleUser(u))]
+            )
+        assert result.status == "recovered"
+        assert len(built) == 2
+        assert result.rounds == 2 * plain.rounds
+        assert result.recommendation_index == plain.recommendation_index

@@ -15,6 +15,25 @@ def bench(dataset, **kwargs):
     return run_serve_bench(dataset, **defaults)
 
 
+def _outcome(result):
+    return (
+        result.recommendation_index,
+        result.rounds,
+        result.truncated,
+        result.status,
+        result.recommendation.tolist(),
+    )
+
+
+@pytest.fixture(scope="module")
+def drifting_reports(small_anti_3d):
+    """One drifting-user bench per runtime, keyed by engine name."""
+    return {
+        engine: bench(small_anti_3d, user_model="drifting", procs=procs)
+        for engine, procs in (("continuous", 0), ("dispatch", 1))
+    }
+
+
 class TestUserModelWiring:
     def test_default_is_oracle(self, small_anti_3d):
         report = bench(small_anti_3d)
@@ -44,16 +63,17 @@ class TestUserModelWiring:
         assert counters["abstentions"] == report.metrics.abstentions
 
     @pytest.mark.parametrize("engine", ["continuous", "dispatch"])
-    def test_zoo_models_run_on_both_engines(self, small_anti_3d, engine):
-        report = bench(
-            small_anti_3d,
-            user_model="drifting",
-            procs=1 if engine == "dispatch" else 0,
-        )
+    def test_zoo_models_run_on_both_engines(self, drifting_reports, engine):
+        report = drifting_reports[engine]
         assert report.engine == engine
         assert report.snapshot_sections()["config"]["engine"] == engine
-        assert report.metrics.failed == 0 or report.metrics.recovered >= 0
         assert len(report.results) == 4
+        other = drifting_reports[
+            "dispatch" if engine == "continuous" else "continuous"
+        ]
+        assert [_outcome(r) for r in report.results] == [
+            _outcome(r) for r in other.results
+        ]
 
     def test_specs_are_tagged_with_the_model(self, small_anti_3d):
         report = bench(small_anti_3d, user_model="fatigue")

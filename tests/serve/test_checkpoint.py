@@ -5,8 +5,8 @@ Covers the :mod:`repro.persist` integration of the serving layer:
 * ``ContinuousEngine.checkpoint(ticket)`` / ``.resume(...)`` — a
   session interrupted mid-flight (even across engine instances, i.e. a
   simulated process restart) finishes bit-identically;
-* ``ShardedDispatcher(store=..., checkpoint_every=N)`` — periodic
-  checkpoints inside each wave's workers, resumable by a fresh engine.
+* ``ShardedDispatcher(store=...)`` — a checkpoint after every tick
+  inside each wave's workers, resumable by a fresh engine.
 
 The asyncio side of serving (oracle sessions resolved by the HTTP
 service's collector) is covered in ``tests/server/test_app.py``.
@@ -22,7 +22,7 @@ import pytest
 from repro.baselines import UHRandomSession
 from repro.core.session import run_session
 from repro.data.utility import sample_training_utilities
-from repro.errors import ConfigurationError, PersistenceError
+from repro.errors import PersistenceError
 from repro.persist import FileSessionStore, MemorySessionStore, resumed_spec
 from repro.serve import ContinuousEngine, SessionSpec, ShardedDispatcher
 from repro.users import OracleUser
@@ -109,19 +109,13 @@ class TestContinuousCheckpoint:
 
 
 class TestWaveCheckpoint:
-    """A dispatcher wave's workers checkpoint every ``checkpoint_every``
-    ticks into the shared store."""
-
-    def test_checkpoint_every_needs_store(self):
-        with pytest.raises(ConfigurationError, match="store"):
-            ShardedDispatcher(procs=1, checkpoint_every=2)
+    """A dispatcher wave's workers checkpoint after every tick into the
+    shared store."""
 
     @needs_fork
     def test_periodic_checkpoints_are_written(self, small_anti_3d, tmp_path):
         store = FileSessionStore(tmp_path / "ckpts")
-        with ShardedDispatcher(
-            procs=1, store=store, checkpoint_every=1
-        ) as dispatcher:
+        with ShardedDispatcher(procs=1, store=store) as dispatcher:
             dispatcher.submit(_spec(small_anti_3d, session_id="wave-1"))
             dispatcher.drain()
         snapshot = store.get("wave-1")
@@ -136,7 +130,7 @@ class TestWaveCheckpoint:
 
         store = FileSessionStore(tmp_path / "ckpts")
         with ShardedDispatcher(
-            procs=1, max_rounds=3, store=store, checkpoint_every=1
+            procs=1, max_rounds=3, store=store
         ) as short:
             short.submit(_spec(small_anti_3d, session_id="wave-2"))
             (truncated,) = short.drain()

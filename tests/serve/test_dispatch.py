@@ -201,7 +201,6 @@ class TestCrashResume:
             procs=2,
             max_in_flight=4,
             store=store,
-            checkpoint_every=1,
             agents={"aa": trained_aa_3d},
         ) as dispatcher:
             for spec in _agent_specs(trained_aa_3d, slow_users):
@@ -233,7 +232,7 @@ class TestCrashResume:
         # Contiguous transcripts: every final checkpoint's rounds count
         # 1..n with no gap or duplicate from the rollback.
         checkpoint_ids = store.ids()
-        assert checkpoint_ids, "checkpoint_every=1 never wrote a snapshot"
+        assert checkpoint_ids, "the store never received a snapshot"
         for session_id in checkpoint_ids:
             rounds = [
                 entry.round_number
@@ -242,16 +241,15 @@ class TestCrashResume:
             assert rounds == list(range(1, len(rounds) + 1))
 
     def test_restart_budget_exhaustion_fails_lost_sessions(
-        self, trained_aa_3d
+        self, trained_aa_3d, monkeypatch
     ):
         from repro.data.utility import sample_training_utilities
 
+        monkeypatch.setattr("repro.serve.dispatch.MAX_RESTARTS", 0)
         utilities = sample_training_utilities(3, 3, rng=78)
         users = [_StalledUser(u) for u in utilities]
         killed: list[int] = []
-        with ShardedDispatcher(
-            procs=1, max_in_flight=4, max_restarts=0
-        ) as dispatcher:
+        with ShardedDispatcher(procs=1, max_in_flight=4) as dispatcher:
             for spec in _agent_specs(trained_aa_3d, users, ids=False):
                 dispatcher.submit(spec)
             killer = threading.Thread(
@@ -402,10 +400,6 @@ class TestLifecycle:
 
         with pytest.raises(ConfigurationError):
             ShardedDispatcher(procs=0)
-        with pytest.raises(ConfigurationError):
-            ShardedDispatcher(procs=2, checkpoint_every=-1)
-        with pytest.raises(ConfigurationError):
-            ShardedDispatcher(procs=2, max_restarts=-1)
 
 
 class TestAffinity:

@@ -3,13 +3,14 @@
 One bad session must never kill an engine run: a slot whose question
 selection, user callback, update or recommendation raises is returned
 as ``status == "failed"`` while every other session runs to completion,
-bit-identical to its sequential ``run_session`` replay.  A
-``RecoveryPolicy`` additionally retries ``EmptyRegionError`` failures
-under ``MajorityVoteSession``.
+bit-identical to its sequential ``run_session`` replay.  With
+``recover=True`` the engine additionally retries ``EmptyRegionError``
+failures once under ``MajorityVoteSession``.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import time
 
 import numpy as np
@@ -22,8 +23,8 @@ from repro.core.session import (
     Question,
     run_session,
 )
-from repro.errors import ConfigurationError, EmptyRegionError
-from repro.serve import ContinuousEngine, RecoveryPolicy, SessionSpec
+from repro.errors import EmptyRegionError
+from repro.serve import ContinuousEngine, SessionSpec, ShardedDispatcher
 from repro.users import NoisyUser, OracleUser
 
 
@@ -322,25 +323,17 @@ class TestFaultIsolation:
         assert engine.last_metrics.failed == 2
 
 
-# -- recovery policy ------------------------------------------------------------
+# -- recovery -------------------------------------------------------------------
 
 
 class TestRecovery:
     """EmptyRegionError sessions are re-driven under majority voting."""
 
-    def test_policy_validation(self):
-        with pytest.raises(ConfigurationError):
-            RecoveryPolicy(majority_repeats=2)
-        with pytest.raises(ConfigurationError):
-            RecoveryPolicy(max_retries=0)
-        with pytest.raises(ConfigurationError):
-            RecoveryPolicy(retry_on=())
-
     def test_majority_vote_retry_recovers_the_session(self, toy):
         # Every 4th answer is flipped: the strict session dies on the
         # plain run, but under 3-vote majority each flip is outvoted.
         user = PeriodicFlipUser(period=4)
-        engine = ContinuousEngine(recovery=RecoveryPolicy())
+        engine = ContinuousEngine(recover=True)
         results = engine.run(
             [_spec(lambda: StrictConsistencySession(toy, total=5), user)]
         )
@@ -370,7 +363,7 @@ class TestRecovery:
         assert result.status == "completed"
 
     def test_retries_exhaust_to_failed(self, toy):
-        engine = ContinuousEngine(recovery=RecoveryPolicy(max_retries=1))
+        engine = ContinuousEngine(recover=True)
         results = engine.run(
             [_spec(lambda: ExplodingSession(toy, fail_at=1), _always_true_user())]
         )
@@ -383,7 +376,7 @@ class TestRecovery:
         assert metrics.errors[0].retried and not metrics.errors[1].retried
 
     def test_non_matching_errors_are_not_retried(self, toy):
-        engine = ContinuousEngine(recovery=RecoveryPolicy())
+        engine = ContinuousEngine(recover=True)
         results = engine.run(
             [
                 _spec(
@@ -394,6 +387,68 @@ class TestRecovery:
         )
         assert results[0].failed
         assert engine.last_metrics.retries == 0
+
+    def test_retry_whose_factory_raises_fails_only_its_session(self, toy):
+        built: list[int] = []
+
+        def factory():
+            built.append(1)
+            if len(built) > 1:
+                raise RuntimeError("factory down on retry")
+            return ExplodingSession(toy, fail_at=1)
+
+        engine = ContinuousEngine(recover=True)
+        results = engine.run(
+            [
+                _spec(factory, _always_true_user()),
+                _spec(lambda: ScriptedSession(toy, total=3),
+                      _always_true_user()),
+            ]
+        )
+        assert [r.status for r in results] == ["failed", "completed"]
+        assert results[0].error == "RuntimeError: factory down on retry"
+        metrics = engine.last_metrics
+        assert metrics.retries == 1
+        assert metrics.failed == 1
+        assert [(e.attempt, e.retried) for e in metrics.errors] == [
+            (0, True),
+            (1, False),
+        ]
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="ShardedDispatcher needs the fork start method",
+    )
+    def test_dispatcher_forwards_recover_to_its_workers(self, toy):
+        def fleet():
+            return [
+                _spec(
+                    lambda total=total: StrictConsistencySession(
+                        toy, total=total
+                    ),
+                    PeriodicFlipUser(period=4),
+                )
+                for total in (4, 5, 6)
+            ]
+
+        def outcome(results, metrics):
+            return (
+                [r.status for r in results],
+                [r.rounds for r in results],
+                [r.metrics.retries for r in results],
+                metrics.retries,
+                metrics.recovered,
+            )
+
+        with ContinuousEngine(recover=True) as engine:
+            reference = outcome(engine.run(fleet()), engine.last_metrics)
+        with ShardedDispatcher(procs=1, recover=True) as dispatcher:
+            for spec in fleet():
+                dispatcher.submit(spec)
+            dispatched = outcome(dispatcher.drain(), dispatcher.last_metrics)
+        assert reference[0] == ["recovered"] * 3
+        assert reference[3:] == (3, 3)
+        assert dispatched == reference
 
 
 # -- tick-latency regression ----------------------------------------------------

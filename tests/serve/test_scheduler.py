@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import UHRandomSession
+from repro.core.robust import RETRY_ON
 from repro.core.session import run_session
 from repro.data.utility import sample_training_utilities
 from repro.errors import (
@@ -32,7 +33,6 @@ from repro.errors import (
 )
 from repro.serve import (
     ContinuousEngine,
-    RecoveryPolicy,
     SessionSpec,
     ShardedDispatcher,
 )
@@ -467,11 +467,11 @@ class TestFaultIsolation:
 
 
 class TestRecovery:
-    """RecoveryPolicy semantics under the continuous scheduler."""
+    """``recover=True`` semantics under the continuous scheduler."""
 
     def test_majority_vote_retry_recovers_the_session(self, toy):
         user = PeriodicFlipUser(period=4)
-        with ContinuousEngine(recovery=RecoveryPolicy()) as engine:
+        with ContinuousEngine(recover=True) as engine:
             results = engine.run(
                 [_spec(lambda: StrictConsistencySession(toy, total=5), user)]
             )
@@ -485,9 +485,7 @@ class TestRecovery:
         assert metrics.errors[0].retried
 
     def test_retries_exhaust_to_failed(self, toy):
-        with ContinuousEngine(
-            recovery=RecoveryPolicy(max_retries=1)
-        ) as engine:
+        with ContinuousEngine(recover=True) as engine:
             results = engine.run(
                 [_spec(lambda: ExplodingSession(toy, fail_at=1),
                        _always_true_user())]
@@ -507,7 +505,7 @@ class TestRecovery:
                       _always_true_user()),
             ]
             with ContinuousEngine(
-                recovery=RecoveryPolicy(), max_in_flight=max_in_flight
+                recover=True, max_in_flight=max_in_flight
             ) as engine:
                 return engine.run(specs)
 
@@ -522,6 +520,5 @@ class TestRecovery:
 
 class TestRecoveryRaisesOnMissing:
     def test_empty_region_default_policy(self):
-        policy = RecoveryPolicy()
-        assert policy.should_retry(EmptyRegionError("x"), 0)
-        assert not policy.should_retry(ValueError("x"), 0)
+        assert isinstance(EmptyRegionError("x"), RETRY_ON)
+        assert not isinstance(ValueError("x"), RETRY_ON)
