@@ -20,6 +20,8 @@ are caught independently of end-to-end session times:
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -85,25 +87,29 @@ def chebyshev_system(mid_session_polytope):
     a_ext = np.hstack([a, np.linalg.norm(a, axis=1)[:, None]])
     c = np.zeros(a.shape[1] + 1)
     c[-1] = -1.0
-    bounds = [lp._FREE] * a.shape[1] + [(0.0, None)]
-    return c, a_ext, b, bounds
+    bounds = np.tile([-np.inf, np.inf], (a.shape[1] + 1, 1))
+    bounds[-1, 0] = 0.0
+    return lp.LPSystem(c, a_ext, b, bounds=bounds)
+
+
+def _linprog(system):
+    """``linprog(method="highs")`` of ``system`` (no equality rows)."""
+    return linprog(
+        system.c, A_ub=system.a_ub, b_ub=system.b_ub, bounds=system.bounds,
+        method="highs",
+    )
 
 
 def test_micro_lp_solve_raw_linprog(chebyshev_system, benchmark):
     """One raw Chebyshev solve through ``scipy.optimize.linprog``."""
-    c, a_ext, b, bounds = chebyshev_system
-    result = benchmark(
-        lambda: linprog(c, A_ub=a_ext, b_ub=b, bounds=bounds, method="highs")
-    )
+    result = benchmark(lambda: _linprog(chebyshev_system))
     assert result.status == 0
 
 
 def test_micro_lp_solve_raw_direct(chebyshev_system, benchmark):
     """The same solve through the direct HiGHS call; byte-equal ``x``."""
-    c, a_ext, b, bounds = chebyshev_system
-    system = lp.LPSystem(c, a_ext, b, None, None, bounds)
-    result = benchmark(lambda: lp.solve_raw(system))
-    reference = linprog(c, A_ub=a_ext, b_ub=b, bounds=bounds, method="highs")
+    result = benchmark(lambda: lp.solve_raw(chebyshev_system))
+    reference = _linprog(chebyshev_system)
     assert result.x.tobytes() == reference.x.tobytes()
 
 
@@ -273,11 +279,11 @@ def aa_round_margins():
 def test_micro_split_margin_sequential(aa_round_margins, benchmark):
     """Ten margins, one raw HiGHS solve each (the pre-stacking path)."""
     spaces, d, normals = aa_round_margins
-    a_ub, b_ub, a_eq, b_eq = lp._ambient_system(spaces, d)
+    base = lp.ambient_feasibility_system(spaces, d)
 
     def sequential():
         return np.array([
-            -lp.solve_raw(lp.LPSystem(-n, a_ub, b_ub, a_eq, b_eq)).value
+            -lp.solve_raw(dataclasses.replace(base, c=-n)).value
             for n in normals
         ])
 

@@ -24,18 +24,23 @@ Two subcommands, wired into ``.github/workflows/ci.yml``, each taking
       counting per-session mismatches and failures (both must be 0:
       forking and sharding must never perturb a transcript), served
       sessions (must equal the session count) and the workers whose
-      tracer reports came home (at least one).
+      tracer reports came home (at least one);
+    * the AA workload — 16 fixed-seed AA sessions on 6-d data served
+      through one ``ContinuousEngine`` and replayed through sequential
+      ``run_session`` — counting rounds, cache-routed LP solves, cache
+      hits, raw HiGHS runs (the ``lp.solve_count()`` delta) and
+      per-session mismatches (must be 0).
 
 ``check``
     Compare a freshly produced snapshot against the committed baseline
     ``benchmarks/baselines/ci.json``.  Deterministic counters (LP cache
-    hit rate, range clip rate, rounds, ticks, occupancy,
-    equivalence mismatches) must match the baseline *exactly* — a fixed
-    seed makes them machine-independent, so any drift is a behaviour
-    change, not noise.  Absolute gates ride on top: continuous
+    hit rate, range clip rate, rounds, ticks, occupancy, equivalence
+    mismatches, the AA workload's LP counts) must match the baseline
+    *exactly* — a fixed seed makes them machine-independent, so any
+    drift is a behaviour change, not noise.  Absolute gates ride on top: continuous
     occupancy must stay above :data:`OCCUPANCY_FLOOR`; the equivalence,
-    batch and dispatch mismatch counts and the dispatch failures must
-    be zero; every dispatched session must be served (completed or
+    batch, dispatch and AA mismatch counts and the dispatch failures
+    must be zero; every dispatched session must be served (completed or
     truncated); and at least one dispatch worker must report its
     tracer spans.  Wall-clock timings are only
     ratio-gated: a tick-latency or end-to-end slowdown beyond
@@ -137,6 +142,22 @@ BATCH_CONFIG = {
     "sessions": 256,
 }
 
+#: The AA workload: 16 fixed-seed AA sessions on 6-d data, served
+#: through one ``ContinuousEngine`` and replayed through sequential
+#: ``run_session``.  It is the gate's only AA traffic, so its exact LP
+#: counters pin the ambient LP layer (inner sphere, outer rectangle,
+#: split-margin probes and the engine's stacked prefetch).
+AA_CONFIG = {
+    "algorithm": "aa",
+    "dataset": "anti:500:6",
+    "episodes": 2,
+    "epsilon": 0.1,
+    "max_in_flight": 8,
+    "max_rounds": 100,
+    "seed": 0,
+    "sessions": 16,
+}
+
 #: The robustness-matrix workload (``--suite robustness``): the two
 #: training-free baseline families against four user models from the
 #: zoo, four sessions per cell.  Every counter in the snapshot is an
@@ -170,6 +191,11 @@ EXACT_COUNTERS = (
     "dispatch_mismatches",
     "dispatch_failed",
     "dispatch_rounds_total",
+    "aa_rounds_total",
+    "aa_lp_solves",
+    "aa_lp_cache_hits",
+    "aa_raw_solves",
+    "aa_mismatches",
 )
 
 #: Best-of timing ratios gated against ``baseline / max_slowdown``
@@ -186,6 +212,7 @@ RATIO_TIMINGS = (
     "wall_seconds",
     "continuous_wall_seconds",
     "dispatch_wall_seconds",
+    "aa_wall_seconds",
 )
 
 
@@ -429,6 +456,69 @@ def _dispatch_gate() -> tuple[dict, dict]:
     return counters, timings
 
 
+def _aa_gate() -> tuple[dict, dict]:
+    """Counters/timings for the AA workload (:data:`AA_CONFIG`).
+
+    Serves the fixed-seed specs through one ``ContinuousEngine``,
+    counting the LP solves routed through its cache, the cache hits and
+    the raw HiGHS runs (``lp.solve_count()`` before and after serving),
+    then replays identically built specs through sequential
+    ``run_session`` and counts sessions whose ``(recommendation index,
+    rounds, truncated, status)`` or recommended point differ.
+    """
+    import numpy as np
+
+    from repro.cli import _resolve_dataset
+    from repro.core.session import run_session
+    from repro.geometry import lp
+    from repro.serve import ContinuousEngine
+    from repro.serve.bench import bench_workload
+
+    cfg = AA_CONFIG
+    dataset = _resolve_dataset(cfg["dataset"])
+    common = dict(
+        sessions=cfg["sessions"],
+        algorithm=cfg["algorithm"],
+        epsilon=cfg["epsilon"],
+        episodes=cfg["episodes"],
+        seed=cfg["seed"],
+    )
+    workload = bench_workload(dataset, **common)
+    before = lp.solve_count()
+    with ContinuousEngine(
+        max_rounds=cfg["max_rounds"], max_in_flight=cfg["max_in_flight"]
+    ) as engine:
+        served = engine.run(workload.specs)
+        metrics = engine.last_metrics
+    raw_solves = lp.solve_count() - before
+    assert metrics is not None
+    sequential = [
+        run_session(
+            spec.build(),
+            spec.user,
+            max_rounds=cfg["max_rounds"],
+            on_error="capture",
+        )
+        for spec in bench_workload(dataset, **common).specs
+    ]
+    mismatches = sum(
+        1
+        for ours, ref in zip(served, sequential, strict=True)
+        if (ours.recommendation_index, ours.rounds, ours.truncated, ours.status)
+        != (ref.recommendation_index, ref.rounds, ref.truncated, ref.status)
+        or not np.array_equal(ours.recommendation, ref.recommendation)
+    )
+    counters = {
+        "aa_lp_cache_hits": metrics.lp_cache_hits,
+        "aa_lp_solves": metrics.lp_solves,
+        "aa_mismatches": mismatches,
+        "aa_raw_solves": raw_solves,
+        "aa_rounds_total": metrics.rounds_total,
+    }
+    timings = {"aa_wall_seconds": metrics.wall_seconds}
+    return counters, timings
+
+
 def run_gate(out: Path) -> Path:
     """Run the gate workload and write the snapshot to ``out``."""
     from repro.cli import _resolve_dataset
@@ -459,15 +549,18 @@ def run_gate(out: Path) -> Path:
     )
     continuous_counters, continuous_timings = _continuous_gate()
     dispatch_counters, dispatch_timings = _dispatch_gate()
+    aa_counters, aa_timings = _aa_gate()
     timings = dict(sections["timings"])
     timings.update(micro)
     timings.update(batch_timings)
     timings.update(continuous_timings)
     timings.update(dispatch_timings)
+    timings.update(aa_timings)
     counters = dict(sections["counters"])
     counters.update(batch_counters)
     counters.update(continuous_counters)
     counters.update(dispatch_counters)
+    counters.update(aa_counters)
     return write_snapshot(
         out,
         "ci",
@@ -476,6 +569,7 @@ def run_gate(out: Path) -> Path:
             "batch": BATCH_CONFIG,
             "continuous": CONTINUOUS_CONFIG,
             "dispatch": DISPATCH_CONFIG,
+            "aa": AA_CONFIG,
         },
         timings=timings,
         counters=counters,
@@ -596,6 +690,12 @@ def check_gate(
         failures.append(
             f"sharded dispatcher diverged from the single-process run on "
             f"{dispatch_mismatches} of {DISPATCH_CONFIG['sessions']} sessions"
+        )
+    aa_mismatches = got_counters.get("aa_mismatches")
+    if aa_mismatches != 0:
+        failures.append(
+            f"continuous engine diverged from sequential run_session on "
+            f"{aa_mismatches} of {AA_CONFIG['sessions']} AA sessions"
         )
     dispatch_failed = got_counters.get("dispatch_failed")
     if dispatch_failed != 0:

@@ -102,26 +102,6 @@ def ea_state_dim(d: int, m_e: int) -> int:
     return d * m_e + d + 1
 
 
-def ea_state_from_range(
-    urange,
-    m_e: int,
-    d_eps: float,
-    rng: RngLike = None,
-    sphere_method: str = "iterative",
-) -> tuple[np.ndarray, Sphere]:
-    """EA state built straight from an :class:`~repro.geometry.range.ExactRange`.
-
-    Convenience over :func:`ea_state` for range-carrying callers: the
-    vertex set is read off the incrementally maintained range instead of
-    being passed in.  May raise the range's enumeration errors
-    (:class:`~repro.errors.EmptyRegionError`,
-    :class:`~repro.errors.VertexEnumerationError`).
-    """
-    return ea_state(
-        urange.vertices(), m_e, d_eps, rng=rng, sphere_method=sphere_method
-    )
-
-
 def aa_state_from_range(
     urange,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

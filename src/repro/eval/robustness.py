@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.session import DEFAULT_MAX_ROUNDS, SessionResult, validate_epsilon
+from repro.core.session import DEFAULT_MAX_ROUNDS, validate_epsilon
 from repro.data.datasets import Dataset
 from repro.data.utility import sample_training_utilities
 from repro.errors import ConfigurationError
@@ -394,13 +394,3 @@ def run_robustness_matrix(
         cells=cells,
         wall_seconds=time.perf_counter() - started,
     )
-
-
-def _results_of(
-    results: list[SessionResult],
-) -> tuple[int, int, int]:  # pragma: no cover - debugging helper
-    """(completed, truncated, failed) triple for quick inspection."""
-    completed = sum(1 for r in results if r.status in ("completed", "recovered"))
-    truncated = sum(1 for r in results if r.status == "truncated")
-    failed = sum(1 for r in results if r.failed)
-    return completed, truncated, failed

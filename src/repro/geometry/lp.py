@@ -11,7 +11,11 @@ Two families of helpers live here:
   the polytope (Section IV-C): inner sphere, outer rectangle, and the
   stacked split-margin checks for candidate questions.
 
-All solves go through :func:`solve`, which normalises HiGHS statuses into
+Every LP is an :class:`LPSystem`: ``min c . x`` subject to
+``a_ub x <= b_ub`` and ``a_eq x = b_eq``, with ``bounds`` either
+``None`` (every variable free) or an ``(n, 2)`` float64 array of
+``(lo, hi)`` rows, ``±inf`` for open sides.  :func:`solve` takes one
+system and :func:`solve_many` a list; both normalise HiGHS statuses into
 the package exception hierarchy.
 
 The solver call: :func:`_highs_solve` hands HiGHS
@@ -27,11 +31,12 @@ Memoisation: identical constraint systems recur heavily when many
 interactive sessions run over one dataset (every fresh session starts
 from the same simplex, and popular questions re-derive the same
 feasibility and inner-sphere LPs).  :class:`LPCache` memoises solves
-keyed on a canonical hash of the full constraint system; installing one
-with :func:`use_cache` routes every :func:`solve` inside the ``with``
-block through it.  Cache hits return the *exact* result of the original
-solve (failures included), so caching never perturbs downstream
-decisions — it only skips redundant solver work.
+keyed on :meth:`LPSystem.key`, a hash of the full system; installing
+one with :func:`use_cache` routes every :func:`solve` and
+:func:`solve_many` inside the ``with`` block through it.  Cache hits
+return the *exact* result of the original solve (failures included),
+so caching never perturbs downstream decisions — it only skips
+redundant solver work.
 
 Raw solves: behind the cache sit two module functions, both on
 :func:`_highs_solve` — :func:`solve_raw` (one system) and
@@ -39,26 +44,29 @@ Raw solves: behind the cache sit two module functions, both on
 run they make bumps one process-wide counter, :func:`solve_count`, so
 ``cache.hits`` over a run is exactly the solver work the cache spared.
 
+One cache path: :func:`solve` and :func:`solve_many` share
+:func:`_solve_cached`, which looks every system up, stacks the misses
+into :func:`solve_stacked` and stores each outcome back individually,
+so a system first met in a batch replays later as an ordinary
+:func:`solve` hit.  Stacking amortises the per-solve model set-up that
+rivals the simplex work on these tiny systems (each one is a handful of
+rows); see ``benchmarks/bench_micro_geometry.py``.
+
 Observability: when a :class:`~repro.obs.tracer.Tracer` is installed
 (:func:`repro.obs.use_tracer`), every :func:`solve` records a span named
-``lp.solve/<kind>/<hit|miss|uncached>`` — ``kind`` identifies the LP
-family (``chebyshev``, ``ambient.sphere``, ...; callers pass it via the
-``kind`` keyword, which never affects cache keys) and the final
-component records whether the cache answered.  With no tracer installed
-the only cost is one ``ContextVar`` read per solve.
-
-Batching: :func:`solve_many` solves a list of :class:`LPSystem` in one
-call.  Cache hits are peeled off individually first; the remaining
-misses are stacked into block-diagonal HiGHS calls
-(:func:`solve_stacked`) and stored back individually, so later
-per-system :func:`solve` calls replay them as ordinary hits.  Stacking
-amortises the per-solve model set-up that rivals the simplex work on
-these tiny systems (each one is a handful of rows); see
-``benchmarks/bench_micro_geometry.py``.
+``lp.solve/<kind>/<hit|miss|uncached>`` and every :func:`solve_many`
+that reaches the solver records ``lp.solve_many/<kind>`` tagged with
+the number of systems solved.  ``kind`` identifies the LP family
+(``chebyshev``, ``ambient.sphere``, ...) and never affects cache keys.
+Lookups feed the ``lp.cache.hits`` / ``lp.cache.misses`` counters.
+With no tracer installed the only cost is one ``ContextVar`` read per
+call.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import os
 import threading
@@ -78,8 +86,6 @@ from repro.obs.tracer import active_tracer
 
 #: Feasibility slack used when interpreting LP optima as strict inequalities.
 FEASIBILITY_TOL = 1e-9
-
-_FREE = (None, None)
 
 #: Entries an :class:`LPCache` holds before it evicts least-recently-used.
 _CACHE_ENTRIES = 100_000
@@ -109,109 +115,35 @@ def _array_bytes(array: np.ndarray | None) -> bytes:
     return repr(contiguous.shape).encode() + contiguous.tobytes()
 
 
-def _is_scalar_pair(bounds: Sequence | tuple) -> bool:
-    """Whether ``bounds`` is one shared ``(lo, hi)`` pair, not a sequence."""
-    if len(bounds) != 2:
-        return False
-    return all(
-        item is None or np.ndim(item) == 0 for item in bounds
-    )
+@functools.cache
+def _free_bounds(n: int) -> np.ndarray:
+    """Read-only ``(n, 2)`` bounds of ``n`` free variables."""
+    bounds = np.tile([-np.inf, np.inf], (n, 1))
+    bounds.setflags(write=False)
+    return bounds
 
 
-def expand_bounds(
-    bounds: Sequence[tuple[float | None, float | None]] | tuple | None,
-    n: int,
-) -> list[tuple[float | None, float | None]]:
-    """Normalise a ``linprog`` bounds spec to one ``(lo, hi)`` pair per var.
-
-    Mirrors ``linprog``'s own interpretation: ``None`` means the solver
-    default ``(0, None)``, a single scalar pair is shared by all ``n``
-    variables, and anything else is taken as a per-variable sequence.
-    Scalar elements are coerced with ``float`` so numpy scalars and
-    Python floats normalise identically.
-    """
-    if bounds is None:
-        pairs: list = [(0.0, None)] * n
-    elif _is_scalar_pair(bounds):
-        pairs = [tuple(bounds)] * n
-    else:
-        pairs = [tuple(pair) for pair in bounds]
-    return [
-        (
-            None if lo is None else float(lo),
-            None if hi is None else float(hi),
-        )
-        for lo, hi in pairs
-    ]
+@functools.cache
+def _free_bytes(n: int) -> bytes:
+    """:func:`_array_bytes` of :func:`_free_bounds`, built once per ``n``."""
+    return _array_bytes(_free_bounds(n))
 
 
-def _bounds_array(
-    bounds: Sequence[tuple[float | None, float | None]] | tuple | None,
-    n: int,
-) -> np.ndarray:
-    """:func:`expand_bounds` as a ``(pairs, 2)`` float64 array, ``±inf``
-    standing in for ``None``."""
-    pairs = expand_bounds(bounds, n)
-    array = np.empty((len(pairs), 2), dtype=np.float64)
-    for row, (lo, hi) in enumerate(pairs):
-        array[row, 0] = -np.inf if lo is None else lo
-        array[row, 1] = np.inf if hi is None else hi
-    return array
-
-
-def _bounds_bytes(
-    bounds: Sequence[tuple[float | None, float | None]] | tuple | None,
-    n: int,
-) -> bytes:
-    """Canonical byte form of a ``linprog`` bounds specification.
-
-    Bounds are expanded to an ``(n, 2)`` float64 array with ``±inf``
-    standing in for ``None``, then hashed by raw bytes — so a shared
-    scalar pair and its expanded per-variable form, ``np.float64`` and
-    Python floats, and list vs tuple containers all key identically.
-    """
-    array = _bounds_array(bounds, n)
-    return repr(array.shape).encode() + array.tobytes()
-
-
-def constraint_system_key(
-    c: np.ndarray,
-    a_ub: np.ndarray | None = None,
-    b_ub: np.ndarray | None = None,
-    a_eq: np.ndarray | None = None,
-    b_eq: np.ndarray | None = None,
-    bounds: Sequence[tuple[float | None, float | None]] | tuple | None = _FREE,
-) -> bytes:
-    """Canonical hash of an LP: objective, constraint blocks and bounds.
-
-    Two calls produce the same key iff every array is byte-for-byte equal
-    (same shapes, same floats), so a cache hit is guaranteed to stand in
-    for an actual re-solve of the *identical* system.
-    Bounds are canonicalised numerically before hashing (see
-    :func:`expand_bounds`): container type, numpy-vs-Python scalars and
-    scalar-pair-vs-expanded spellings of the same bounds all produce the
-    same key.
-    """
-    digest = hashlib.sha256()
-    c = np.asarray(c, dtype=float)
-    digest.update(_array_bytes(c))
-    for block in (a_ub, b_ub, a_eq, b_eq):
-        digest.update(b"|")
-        digest.update(_array_bytes(block))
-    digest.update(b"|")
-    digest.update(_bounds_bytes(bounds, int(c.shape[-1])))
-    # The closing separator keeps keys byte-identical across releases.
-    digest.update(b"|")
-    return digest.digest()
+def _radius_bounds(n: int) -> np.ndarray:
+    """``(n, 2)`` bounds: free variables, then a nonnegative radius."""
+    bounds = _free_bounds(n).copy()
+    bounds[-1, 0] = 0.0
+    return bounds
 
 
 @dataclass(frozen=True)
 class LPSystem:
-    """One ``min c . x`` system in :func:`solve`'s conventions.
+    """``min c . x`` subject to ``a_ub x <= b_ub`` and ``a_eq x = b_eq``.
 
-    The value object :func:`solve_many` consumes.  ``bounds`` defaults
-    to *free* variables, exactly like :func:`solve` (and unlike raw
-    ``linprog``, which defaults to ``x >= 0``).
+    ``bounds`` is ``None`` for *free* variables (unlike raw ``linprog``,
+    which defaults to ``x >= 0``, silently corrupting reduced-space
+    geometry) or an ``(n, 2)`` float64 array of ``(lo, hi)`` rows with
+    ``±inf`` for open sides.  Absent constraint families are ``None``.
     """
 
     c: np.ndarray
@@ -219,13 +151,31 @@ class LPSystem:
     b_ub: np.ndarray | None = None
     a_eq: np.ndarray | None = None
     b_eq: np.ndarray | None = None
-    bounds: Sequence[tuple[float | None, float | None]] | tuple | None = _FREE
+    bounds: np.ndarray | None = None
 
     def key(self) -> bytes:
-        """This system's :func:`constraint_system_key`."""
-        return constraint_system_key(
-            self.c, self.a_ub, self.b_ub, self.a_eq, self.b_eq, self.bounds
+        """SHA-256 of the system: objective, constraint blocks, bounds.
+
+        Two systems share a key iff every array is byte-for-byte equal
+        (same shapes, same floats; memory layout does not matter), so a
+        cache hit is guaranteed to stand in for an actual re-solve of
+        the *identical* system.  ``bounds=None`` hashes as its explicit
+        all-free array.
+        """
+        digest = hashlib.sha256()
+        digest.update(_array_bytes(self.c))
+        for block in (self.a_ub, self.b_ub, self.a_eq, self.b_eq):
+            digest.update(b"|")
+            digest.update(_array_bytes(block))
+        digest.update(b"|")
+        digest.update(
+            _free_bytes(self.size)
+            if self.bounds is None
+            else _array_bytes(self.bounds)
         )
+        # The closing separator keeps keys byte-identical across releases.
+        digest.update(b"|")
+        return digest.digest()
 
     @property
     def size(self) -> int:
@@ -234,13 +184,14 @@ class LPSystem:
 
 
 class LPCache:
-    """Memoises LP solves keyed on :func:`constraint_system_key`.
+    """Memoises LP solves keyed on :meth:`LPSystem.key`.
 
     Entries store either the successful :class:`LPResult` or the exception
     class + message of a failed solve, so infeasibility checks are cached
     as effectively as optimisations.  Counters expose the solver work
-    saved: ``solves`` is the total number of :func:`solve` calls routed
-    through the cache, split into ``hits`` and ``misses``.
+    saved: ``solves`` is the total number of systems routed through the
+    cache by :func:`solve` and :func:`solve_many`, split into ``hits``
+    and ``misses``.
 
     The cache has no invalidation protocol: keys bind the *entire*
     constraint system, so a stored result can never go stale.  The
@@ -251,7 +202,7 @@ class LPCache:
     evicted.
 
     Thread safety: :meth:`lookup` and :meth:`store` — the two operations
-    :func:`solve` uses — take an internal lock, so one cache can be
+    the solves use — take an internal lock, so one cache can be
     shared by several threads.  An engine's ticks are serialised by
     its own lock, but the thread that ticks it can change (the HTTP
     service's collector thread, or a caller driving :meth:`drain
@@ -271,7 +222,7 @@ class LPCache:
 
     @property
     def solves(self) -> int:
-        """Total solve() calls routed through this cache."""
+        """Total systems routed through this cache."""
         return self.hits + self.misses
 
     @property
@@ -290,18 +241,18 @@ class LPCache:
             self.hits = 0
             self.misses = 0
 
-    # -- the solve() protocol ------------------------------------------------
+    # -- the cache protocol --------------------------------------------------
 
     def lookup(
         self, key: bytes
     ) -> LPResult | tuple[type[LPError], str] | None:
         """Atomically probe ``key``, counting the hit or miss.
 
-        Returns the stored entry — an :class:`LPResult` *copy* (callers
-        may mutate ``x``) or a ``(error_type, message)`` failure pair —
-        or ``None`` on a miss.  A hit counts as a *use*: the entry moves
-        to the recent end of the LRU order, so frequently replayed
-        systems survive eviction.
+        Returns the stored entry — an :class:`LPResult` (shared with the
+        cache: copy ``x`` before handing it out) or a ``(error_type,
+        message)`` failure pair — or ``None`` on a miss.  A hit counts
+        as a *use*: the entry moves to the recent end of the LRU order,
+        so frequently replayed systems survive eviction.
         """
         with self._lock:
             entry = self._store.get(key)
@@ -310,8 +261,6 @@ class LPCache:
                 return None
             self.hits += 1
             self._store.move_to_end(key)
-            if isinstance(entry, LPResult):
-                return LPResult(x=entry.x.copy(), value=entry.value)
             return entry
 
     def store(
@@ -324,14 +273,6 @@ class LPCache:
             elif len(self._store) >= _CACHE_ENTRIES:
                 self._store.popitem(last=False)
             self._store[key] = entry
-
-    @staticmethod
-    def replay(entry: LPResult | tuple[type[LPError], str]) -> LPResult:
-        """Re-enact a stored entry: return the result or re-raise the error."""
-        if isinstance(entry, LPResult):
-            return entry
-        error_type, message = entry
-        raise error_type(message)
 
 
 #: The installed cache is context-local, not a module global: two engines
@@ -350,7 +291,8 @@ def active_cache() -> LPCache | None:
 
 @contextmanager
 def use_cache(cache: LPCache) -> Iterator[LPCache]:
-    """Route every :func:`solve` inside the block through ``cache``.
+    """Route every :func:`solve` and :func:`solve_many` inside the block
+    through ``cache``.
 
     Nesting is allowed; the innermost cache wins and the previous one is
     restored on exit.  Installation is *context-local* (``contextvars``):
@@ -441,9 +383,14 @@ def _csc_block(system: LPSystem, n: int) -> _Block:
             )
         matrices.append(a)
         rhs.append(b)
-    bounds = _bounds_array(system.bounds, n)
-    if bounds.shape != (n, 2):
-        raise ValueError(f"bounds must give {n} (lo, hi) pairs")
+    if system.bounds is None:
+        bounds = _free_bounds(n)
+    else:
+        bounds = np.asarray(system.bounds, dtype=float)
+        if bounds.shape != (n, 2) or np.isnan(bounds).any():
+            raise ValueError(
+                f"bounds must be an ({n}, 2) array, ±inf for open sides"
+            )
     # Transposed, so boolean indexing walks column by column with row
     # indices ascending: the CSC order.
     columns = np.vstack(matrices).T
@@ -467,8 +414,8 @@ def _highs_solve(systems: Sequence[LPSystem]) -> np.ndarray:
       ``scipy.sparse.block_diag`` of each family orders them;
     * the matrix in CSC form with zeros dropped and row indices
       ascending within each column, as ``csc_array`` stores it;
-    * column bounds from :func:`expand_bounds`, ``±inf`` mapped to
-      ``±kHighsInf``;
+    * column bounds from :attr:`LPSystem.bounds` (all free for
+      ``None``), ``±inf`` mapped to ``±kHighsInf``;
     * :data:`_HIGHS_OPTIONS`, on a fresh solver instance per call, so
       no basis or solution state carries from one solve to the next.
 
@@ -689,77 +636,92 @@ def _solve_stack(systems: list[LPSystem]) -> list[LPResult | LPError]:
     return outcomes
 
 
-def solve(
-    c: np.ndarray,
-    a_ub: np.ndarray | None = None,
-    b_ub: np.ndarray | None = None,
-    a_eq: np.ndarray | None = None,
-    b_eq: np.ndarray | None = None,
-    bounds: Sequence[tuple[float | None, float | None]] | tuple | None = _FREE,
-    kind: str = "generic",
-) -> LPResult:
-    """Minimise ``c . x`` subject to ``a_ub x <= b_ub`` and ``a_eq x = b_eq``.
+def _solve_cached(
+    systems: list[LPSystem], kind: str, many: bool
+) -> list[LPResult | LPError]:
+    """The one cache path behind :func:`solve` and :func:`solve_many`.
 
-    Unlike raw ``linprog``, variables are *free* by default (``linprog``
-    defaults to ``x >= 0``, which silently corrupts reduced-space geometry).
-    The raw solve is :func:`solve_raw`, behind the active
-    :class:`LPCache` if one is installed.
+    Looks every system up in the active cache, solves the misses (or,
+    with no cache installed, every system) through :func:`solve_stacked`
+    and stores each outcome back under its own key.  Outcomes come back
+    in input order, each a fresh :class:`LPResult` (callers may mutate
+    ``x``) or an :class:`~repro.errors.LPError` instance.
+
+    With a tracer installed, lookups bump ``lp.cache.hits`` and
+    ``lp.cache.misses``; a single solve (``many=False``) records
+    ``lp.solve/<kind>/<hit|miss|uncached>`` and a batch that reaches
+    the solver records ``lp.solve_many/<kind>`` tagged with its size.
+    """
+    cache = _active_cache.get()
+    tracer = active_tracer()
+    outcomes: list[Any] = [None] * len(systems)
+    keys: list[bytes] = []
+    pending = list(range(len(systems)))
+    if cache is not None:
+        keys = [system.key() for system in systems]
+        pending = []
+        for index, key in enumerate(keys):
+            entry = cache.lookup(key)
+            if entry is None:
+                pending.append(index)
+            elif isinstance(entry, LPResult):
+                outcomes[index] = entry
+            else:
+                error_type, message = entry
+                outcomes[index] = error_type(message)
+        if tracer is not None:
+            hits = len(systems) - len(pending)
+            if hits:
+                tracer.counter("lp.cache.hits", hits)
+            if pending:
+                tracer.counter("lp.cache.misses", len(pending))
+    if tracer is None or (many and not pending):
+        span: Any = nullcontext()
+    elif many:
+        span = tracer.span(f"lp.solve_many/{kind}", batch=len(pending))
+    else:
+        label = "uncached" if cache is None else "miss" if pending else "hit"
+        span = tracer.span(f"lp.solve/{kind}/{label}")
+    with span:
+        solved = (
+            solve_stacked([systems[index] for index in pending])
+            if pending
+            else []
+        )
+    for index, result in zip(pending, solved):
+        if cache is not None:
+            cache.store(
+                keys[index],
+                result
+                if isinstance(result, LPResult)
+                else (type(result), str(result)),
+            )
+        outcomes[index] = result
+    # Fresh x copies throughout: cached entries may be replayed later.
+    return [
+        LPResult(x=outcome.x.copy(), value=outcome.value)
+        if isinstance(outcome, LPResult)
+        else outcome
+        for outcome in outcomes
+    ]
+
+
+def solve(system: LPSystem, kind: str = "generic") -> LPResult:
+    """Solve one system, behind the active :class:`LPCache` if any.
 
     ``kind`` labels the LP family for observability spans only — it
     never enters the cache key, so two kinds naming the identical
-    system still share one cache entry.
+    system still share one cache entry.  To maximise ``c . x``, solve
+    ``-c`` and negate the value.
 
     Raises
     ------
     InfeasibleLP, UnboundedLP, LPError
     """
-    cache = _active_cache.get()
-    tracer = active_tracer()
-    if cache is None:
-        system = LPSystem(c, a_ub, b_ub, a_eq, b_eq, bounds)
-        if tracer is None:
-            return solve_raw(system)
-        with tracer.span(f"lp.solve/{kind}/uncached"):
-            return solve_raw(system)
-    key = constraint_system_key(c, a_ub, b_ub, a_eq, b_eq, bounds)
-    entry = cache.lookup(key)
-    if entry is not None:
-        if tracer is None:
-            return LPCache.replay(entry)
-        tracer.counter("lp.cache.hits")
-        with tracer.span(f"lp.solve/{kind}/hit"):
-            return LPCache.replay(entry)
-    span = (
-        nullcontext()
-        if tracer is None
-        else tracer.span(f"lp.solve/{kind}/miss")
-    )
-    if tracer is not None:
-        tracer.counter("lp.cache.misses")
-    with span:
-        try:
-            result = solve_raw(LPSystem(c, a_ub, b_ub, a_eq, b_eq, bounds))
-        except LPError as error:
-            cache.store(key, (type(error), str(error)))
-            raise
-    cache.store(key, result)
-    return LPResult(x=result.x.copy(), value=result.value)
-
-
-def maximize(
-    c: np.ndarray,
-    a_ub: np.ndarray | None = None,
-    b_ub: np.ndarray | None = None,
-    a_eq: np.ndarray | None = None,
-    b_eq: np.ndarray | None = None,
-    bounds: Sequence[tuple[float | None, float | None]] | tuple | None = _FREE,
-    kind: str = "generic",
-) -> LPResult:
-    """Maximise ``c . x``; see :func:`solve` for conventions."""
-    result = solve(
-        -np.asarray(c, dtype=float), a_ub, b_ub, a_eq, b_eq, bounds, kind=kind
-    )
-    return LPResult(x=result.x, value=-result.value)
+    (outcome,) = _solve_cached([system], kind, many=False)
+    if isinstance(outcome, LPError):
+        raise outcome
+    return outcome
 
 
 def solve_many(
@@ -777,64 +739,10 @@ def solve_many(
     solver work, and misses are stored individually after — so a later
     :func:`solve` of the same system replays the batched result as an
     ordinary hit.  That is the hand-off the serving engine uses to
-    prime a tick's probes in one stacked call.
-
-    The remaining misses are stacked block-diagonally by
-    :func:`solve_stacked`.
-
-    When a tracer is installed the miss work records one span
-    ``lp.solve_many/<kind>`` tagged with the batch size, and hits and
-    misses feed the same ``lp.cache.*`` counters as :func:`solve`.
+    prime a tick's probes in one stacked call.  The misses are stacked
+    block-diagonally by :func:`solve_stacked`.
     """
-    systems = list(systems)
-    cache = _active_cache.get()
-    tracer = active_tracer()
-    outcomes: list[LPResult | LPError | None] = [None] * len(systems)
-    keys: list[bytes] | None = None
-    if cache is None:
-        pending = list(range(len(systems)))
-    else:
-        keys = [system.key() for system in systems]
-        pending = []
-        for index, key in enumerate(keys):
-            entry = cache.lookup(key)
-            if entry is None:
-                pending.append(index)
-            elif isinstance(entry, LPResult):
-                outcomes[index] = entry
-            else:
-                error_type, message = entry
-                outcomes[index] = error_type(message)
-    if tracer is not None and cache is not None:
-        hits = len(systems) - len(pending)
-        if hits:
-            tracer.counter("lp.cache.hits", hits)
-        if pending:
-            tracer.counter("lp.cache.misses", len(pending))
-    if pending:
-        todo = [systems[index] for index in pending]
-        span = (
-            nullcontext()
-            if tracer is None
-            else tracer.span(f"lp.solve_many/{kind}", batch=len(todo))
-        )
-        with span:
-            raw = solve_stacked(todo)
-        for index, outcome in zip(pending, raw):
-            if cache is not None and keys is not None:
-                if isinstance(outcome, LPResult):
-                    cache.store(keys[index], outcome)
-                else:
-                    cache.store(keys[index], (type(outcome), str(outcome)))
-            outcomes[index] = outcome
-    # Fresh x copies throughout: callers may mutate, cached entries may
-    # be replayed later.
-    return [
-        LPResult(x=outcome.x.copy(), value=outcome.value)
-        if isinstance(outcome, LPResult)
-        else outcome
-        for outcome in outcomes  # type: ignore[misc]
-    ]
+    return _solve_cached(list(systems), kind, many=True)
 
 
 # ---------------------------------------------------------------------------
@@ -857,23 +765,16 @@ def chebyshev_center(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     a_ext = np.hstack([a, norms[:, None]])
     c = np.zeros(k + 1)
     c[-1] = -1.0
-    bounds = [_FREE] * k + [(0.0, None)]
-    result = solve(c, a_ub=a_ext, b_ub=b, bounds=bounds, kind="chebyshev")
+    result = solve(
+        LPSystem(c, a_ext, b, bounds=_radius_bounds(k + 1)), kind="chebyshev"
+    )
     return result.x[:k], float(result.x[-1])
 
 
 def support_value(a: np.ndarray, b: np.ndarray, direction: np.ndarray) -> float:
     """Support function ``max {direction . x : A x <= b}``."""
-    return maximize(direction, a_ub=a, b_ub=b, kind="support").value
-
-
-def is_feasible(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether ``{x : A x <= b}`` is non-empty."""
-    try:
-        chebyshev_center(a, b)
-    except InfeasibleLP:
-        return False
-    return True
+    c = -np.asarray(direction, dtype=float)
+    return -solve(LPSystem(c, a, b), kind="support").value
 
 
 def constraint_is_redundant(
@@ -889,8 +790,8 @@ def constraint_is_redundant(
     mask = np.ones(a.shape[0], dtype=bool)
     mask[index] = False
     try:
-        best = maximize(
-            a[index], a_ub=a[mask], b_ub=b[mask], kind="redundancy"
+        best = -solve(
+            LPSystem(-a[index], a[mask], b[mask]), kind="redundancy"
         ).value
     except UnboundedLP:
         return False
@@ -905,35 +806,30 @@ def constraint_is_redundant(
 # Ambient-space helpers over the simplex (used by algorithm AA)
 # ---------------------------------------------------------------------------
 
-def _ambient_system(
+def ambient_feasibility_system(
     halfspaces: Sequence[PreferenceHalfspace], d: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Assemble ``A_ub u <= b_ub`` / ``A_eq u = b_eq`` for the ambient range.
+) -> LPSystem:
+    """The zero-objective system of the ambient range.
 
-    Constraints: ``u >= 0``, ``sum(u) = 1`` and ``u . n >= 0`` for every
-    learned half-space normal ``n``.
+    Constraints: ``u >= 0`` (as ``-u <= 0`` rows), ``u . n >= 0`` for
+    every learned half-space normal ``n``, and ``sum(u) = 1``; variables
+    are free.  Every ambient probe shares these constraint arrays and
+    swaps in its own objective.  Exposed so the serving engines can
+    stack many sessions' feasibility probes through :func:`solve_many`;
+    a session's own :func:`ambient_is_feasible` call then replays the
+    cached result.
     """
     rows = [-np.eye(d)]
     if halfspaces:
         rows.append(np.array([-h.normal for h in halfspaces]))
     a_ub = np.vstack(rows)
-    b_ub = np.zeros(a_ub.shape[0])
-    a_eq = np.ones((1, d))
-    b_eq = np.ones(1)
-    return a_ub, b_ub, a_eq, b_eq
-
-
-def ambient_feasibility_system(
-    halfspaces: Sequence[PreferenceHalfspace], d: int
-) -> LPSystem:
-    """The zero-objective system behind :func:`ambient_is_feasible`.
-
-    Exposed so the serving engines can stack many sessions' feasibility
-    probes through :func:`solve_many`; a session's own
-    :func:`ambient_is_feasible` call then replays the cached result.
-    """
-    a_ub, b_ub, a_eq, b_eq = _ambient_system(halfspaces, d)
-    return LPSystem(c=np.zeros(d), a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    return LPSystem(
+        c=np.zeros(d),
+        a_ub=a_ub,
+        b_ub=np.zeros(a_ub.shape[0]),
+        a_eq=np.ones((1, d)),
+        b_eq=np.ones(1),
+    )
 
 
 def ambient_bounds_systems(
@@ -942,20 +838,16 @@ def ambient_bounds_systems(
     """The ``2d`` probe systems behind :func:`ambient_bounds`.
 
     Ordered ``min_0, max_0, min_1, max_1, ...``; the ``max`` probes are
-    spelled as negated-objective minimisations (exactly what
-    :func:`maximize` submits), so their values negate back.
+    spelled as negated-objective minimisations, so their values negate
+    back.
     """
-    a_ub, b_ub, a_eq, b_eq = _ambient_system(halfspaces, d)
+    base = ambient_feasibility_system(halfspaces, d)
     systems: list[LPSystem] = []
     for i in range(d):
         c = np.zeros(d)
         c[i] = 1.0
-        systems.append(
-            LPSystem(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
-        )
-        systems.append(
-            LPSystem(c=-c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
-        )
+        systems.append(dataclasses.replace(base, c=c))
+        systems.append(dataclasses.replace(base, c=-c))
     return systems
 
 
@@ -963,11 +855,9 @@ def ambient_is_feasible(
     halfspaces: Sequence[PreferenceHalfspace], d: int
 ) -> bool:
     """Whether the utility range defined by ``halfspaces`` is non-empty."""
-    a_ub, b_ub, a_eq, b_eq = _ambient_system(halfspaces, d)
     try:
         solve(
-            np.zeros(d), a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq,
-            kind="ambient.feasible",
+            ambient_feasibility_system(halfspaces, d), kind="ambient.feasible"
         )
     except InfeasibleLP:
         return False
@@ -1045,12 +935,9 @@ def ambient_inner_sphere(
     b_eq = np.ones(1)
     c = np.zeros(d + 1)
     c[-1] = -1.0
-    bounds = [_FREE] * d + [(0.0, None)]
+    system = LPSystem(c, a_ub, b_ub, a_eq, b_eq, _radius_bounds(d + 1))
     try:
-        result = solve(
-            c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, bounds=bounds,
-            kind="ambient.sphere",
-        )
+        result = solve(system, kind="ambient.sphere")
     except InfeasibleLP as exc:
         raise EmptyRegionError(
             "utility range is empty; user answers are inconsistent"
@@ -1087,12 +974,9 @@ def ambient_split_margins(
         The first failure other than :class:`InfeasibleLP`, in row order.
     """
     normals = np.asarray(normals, dtype=float)
-    a_ub, b_ub, a_eq, b_eq = _ambient_system(halfspaces, d)
+    base = ambient_feasibility_system(halfspaces, d)
     outcomes = solve_many(
-        [
-            LPSystem(c=-normal, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
-            for normal in normals
-        ],
+        [dataclasses.replace(base, c=-normal) for normal in normals],
         kind="ambient.margin",
     )
     margins = np.empty(len(outcomes))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -161,11 +163,9 @@ def _scalar_margin(halfspaces, d: int, normal: np.ndarray) -> float:
     """One ``max u . normal`` LP over the ambient range; -inf if empty."""
     from repro.geometry import lp
 
-    a_ub, b_ub, a_eq, b_eq = lp._ambient_system(halfspaces, d)
+    base = lp.ambient_feasibility_system(halfspaces, d)
     try:
-        return lp.maximize(
-            normal, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq
-        ).value
+        return -lp.solve(dataclasses.replace(base, c=-normal)).value
     except lp.InfeasibleLP:
         return float("-inf")
 

@@ -28,30 +28,42 @@ def square_constraints() -> tuple[np.ndarray, np.ndarray]:
 class TestSolve:
     def test_minimises(self):
         a, b = square_constraints()
-        result = lp.solve(np.array([1.0, 1.0]), a_ub=a, b_ub=b)
+        result = lp.solve(lp.LPSystem(np.array([1.0, 1.0]), a, b))
         assert result.value == pytest.approx(0.0)
 
     def test_maximise_wrapper(self):
+        # support_value maximises by solving the negated objective.
         a, b = square_constraints()
-        result = lp.maximize(np.array([1.0, 1.0]), a_ub=a, b_ub=b)
-        assert result.value == pytest.approx(2.0)
+        assert lp.support_value(a, b, np.array([1.0, 1.0])) == pytest.approx(2.0)
 
     def test_variables_free_by_default(self):
         # min x s.t. x >= -5 should reach -5, not 0.
         result = lp.solve(
-            np.array([1.0]), a_ub=np.array([[-1.0]]), b_ub=np.array([5.0])
+            lp.LPSystem(np.array([1.0]), np.array([[-1.0]]), np.array([5.0]))
         )
         assert result.value == pytest.approx(-5.0)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [np.zeros((3, 2)), np.array([[0.0, np.nan], [0.0, 1.0]])],
+        ids=["wrong-shape", "nan"],
+    )
+    def test_malformed_bounds_rejected(self, bounds):
+        a, b = square_constraints()
+        with pytest.raises(ValueError, match="bounds"):
+            lp.solve(lp.LPSystem(np.array([1.0, 1.0]), a, b, bounds=bounds))
 
     def test_infeasible_raises(self):
         a = np.array([[1.0], [-1.0]])
         b = np.array([-1.0, -1.0])  # x <= -1 and x >= 1
         with pytest.raises(lp.InfeasibleLP):
-            lp.solve(np.array([1.0]), a_ub=a, b_ub=b)
+            lp.solve(lp.LPSystem(np.array([1.0]), a, b))
 
     def test_unbounded_raises(self):
         with pytest.raises(lp.UnboundedLP):
-            lp.solve(np.array([-1.0]), a_ub=np.array([[-1.0]]), b_ub=np.array([0.0]))
+            lp.solve(
+                lp.LPSystem(np.array([-1.0]), np.array([[-1.0]]), np.array([0.0]))
+            )
 
 
 class TestChebyshev:
@@ -79,10 +91,6 @@ class TestSupportAndRedundancy:
     def test_support_value(self):
         a, b = square_constraints()
         assert lp.support_value(a, b, np.array([1.0, -1.0])) == pytest.approx(1.0)
-
-    def test_is_feasible(self):
-        a, b = square_constraints()
-        assert lp.is_feasible(a, b)
 
     def test_redundant_constraint_detected(self):
         a, b = square_constraints()
@@ -214,8 +222,8 @@ class TestLPCache:
         c = np.array([1.0, 1.0])
         cache = lp.LPCache()
         with lp.use_cache(cache):
-            first = lp.solve(c, a_ub=a, b_ub=b)
-            second = lp.solve(c, a_ub=a, b_ub=b)
+            first = lp.solve(lp.LPSystem(c, a, b))
+            second = lp.solve(lp.LPSystem(c, a, b))
         assert cache.hits == 1
         assert cache.misses == 1
         assert cache.solves == 2
@@ -229,17 +237,17 @@ class TestLPCache:
         c = np.array([1.0, 1.0])
         cache = lp.LPCache()
         with lp.use_cache(cache):
-            first = lp.solve(c, a_ub=a, b_ub=b)
+            first = lp.solve(lp.LPSystem(c, a, b))
             first.x[:] = 99.0  # a caller scribbling on its result
-            second = lp.solve(c, a_ub=a, b_ub=b)
+            second = lp.solve(lp.LPSystem(c, a, b))
         assert not np.array_equal(second.x, first.x)
 
     def test_different_systems_miss(self):
         a, b = square_constraints()
         cache = lp.LPCache()
         with lp.use_cache(cache):
-            lp.solve(np.array([1.0, 1.0]), a_ub=a, b_ub=b)
-            lp.solve(np.array([1.0, 2.0]), a_ub=a, b_ub=b)
+            lp.solve(lp.LPSystem(np.array([1.0, 1.0]), a, b))
+            lp.solve(lp.LPSystem(np.array([1.0, 2.0]), a, b))
         assert cache.hits == 0
         assert cache.misses == 2
 
@@ -249,16 +257,16 @@ class TestLPCache:
         cache = lp.LPCache()
         with lp.use_cache(cache):
             with pytest.raises(lp.InfeasibleLP):
-                lp.solve(np.array([1.0]), a_ub=a, b_ub=b)
+                lp.solve(lp.LPSystem(np.array([1.0]), a, b))
             with pytest.raises(lp.InfeasibleLP):
-                lp.solve(np.array([1.0]), a_ub=a, b_ub=b)
+                lp.solve(lp.LPSystem(np.array([1.0]), a, b))
         assert cache.hits == 1
         assert cache.misses == 1
 
     def test_no_cache_without_context(self):
         a, b = square_constraints()
         cache = lp.LPCache()
-        lp.solve(np.array([1.0, 1.0]), a_ub=a, b_ub=b)
+        lp.solve(lp.LPSystem(np.array([1.0, 1.0]), a, b))
         assert cache.solves == 0
         assert lp.active_cache() is None
 
@@ -272,10 +280,8 @@ class TestLPCache:
 
     def test_key_distinguishes_bounds(self):
         c = np.array([1.0])
-        key_free = lp.constraint_system_key(c, None, None, None, None, None)
-        key_box = lp.constraint_system_key(
-            c, None, None, None, None, [(0.0, 1.0)]
-        )
+        key_free = lp.LPSystem(c).key()
+        key_box = lp.LPSystem(c, bounds=np.array([[0.0, 1.0]])).key()
         assert key_free != key_box
 
     def test_eviction_caps_entries(self, monkeypatch):
@@ -284,7 +290,7 @@ class TestLPCache:
         cache = lp.LPCache()
         with lp.use_cache(cache):
             for k in range(4):
-                lp.solve(np.array([1.0, float(k)]), a_ub=a, b_ub=b)
+                lp.solve(lp.LPSystem(np.array([1.0, float(k)]), a, b))
         assert len(cache) == 2
         assert cache.misses == 4
 
@@ -300,14 +306,14 @@ class TestLPCache:
         monkeypatch.setattr(lp, "_CACHE_ENTRIES", 2)
         cache = lp.LPCache()
         with lp.use_cache(cache):
-            lp.solve(c_a, a_ub=a, b_ub=b)  # insert A
-            lp.solve(c_b, a_ub=a, b_ub=b)  # insert B
-            lp.solve(c_a, a_ub=a, b_ub=b)  # hit A -> A most recent
-            lp.solve(c_c, a_ub=a, b_ub=b)  # insert C -> evicts B, keeps A
+            lp.solve(lp.LPSystem(c_a, a, b))  # insert A
+            lp.solve(lp.LPSystem(c_b, a, b))  # insert B
+            lp.solve(lp.LPSystem(c_a, a, b))  # hit A -> A most recent
+            lp.solve(lp.LPSystem(c_c, a, b))  # insert C -> evicts B, keeps A
             assert cache.hits == 1
-            lp.solve(c_a, a_ub=a, b_ub=b)  # still resident
+            lp.solve(lp.LPSystem(c_a, a, b))  # still resident
             assert cache.hits == 2
-            lp.solve(c_b, a_ub=a, b_ub=b)  # evicted -> miss
+            lp.solve(lp.LPSystem(c_b, a, b))  # evicted -> miss
         assert cache.hits == 2
         assert cache.misses == 4
         assert len(cache) == 2
@@ -322,16 +328,16 @@ class TestLPCache:
             )
         }
         keys = {
-            name: lp.constraint_system_key(c, a, b, None, None, lp._FREE)
+            name: lp.LPSystem(c, a, b).key()
             for name, c in systems.items()
         }
         monkeypatch.setattr(lp, "_CACHE_ENTRIES", 2)
         cache = lp.LPCache()
         with lp.use_cache(cache):
-            lp.solve(systems["A"], a_ub=a, b_ub=b)
-            lp.solve(systems["B"], a_ub=a, b_ub=b)
-            lp.solve(systems["A"], a_ub=a, b_ub=b)
-            lp.solve(systems["C"], a_ub=a, b_ub=b)
+            lp.solve(lp.LPSystem(systems["A"], a, b))
+            lp.solve(lp.LPSystem(systems["B"], a, b))
+            lp.solve(lp.LPSystem(systems["A"], a, b))
+            lp.solve(lp.LPSystem(systems["C"], a, b))
         assert set(cache._store) == {keys["A"], keys["C"]}
 
     def test_record_existing_key_refreshes_recency(self, monkeypatch):
@@ -364,8 +370,8 @@ class TestCacheContextIsolation:
                     # still see only its own cache.
                     assert lp.active_cache() is caches[i]
                     objective = np.array([1.0, float(i)])
-                    lp.solve(objective, a_ub=a, b_ub=b)
-                    lp.solve(objective, a_ub=a, b_ub=b)
+                    lp.solve(lp.LPSystem(objective, a, b))
+                    lp.solve(lp.LPSystem(objective, a, b))
                     barrier.wait(timeout=10)
                     assert lp.active_cache() is caches[i]
                 assert lp.active_cache() is None
@@ -389,54 +395,31 @@ class TestCacheContextIsolation:
 
 
 class TestCacheKeyCanonicalisation:
-    """The key must depend on the numbers, not on how they are spelled."""
+    """The key must depend on the numbers, not on how they are laid out."""
 
     C = np.array([1.0, 2.0])
     A = np.array([[1.0, 1.0], [-1.0, 0.5]])
     B = np.array([1.0, 0.0])
 
     def _key(self, bounds):
-        return lp.constraint_system_key(self.C, self.A, self.B, bounds=bounds)
-
-    def test_scalar_pair_does_not_crash(self):
-        # Regression: repr-keyed bounds crashed on a shared scalar pair.
-        assert isinstance(self._key((0.0, None)), bytes)
-
-    def test_scalar_pair_equals_expanded(self):
-        assert self._key((0.0, None)) == self._key([(0.0, None), (0.0, None)])
-
-    def test_default_bounds_equal_explicit_nonnegative(self):
-        # linprog semantics: bounds=None means x >= 0 for every variable.
-        assert self._key(None) == self._key((0.0, None))
-        assert self._key(None) == self._key([(0.0, None)] * 2)
-
-    def test_numpy_scalars_equal_python_floats(self):
-        # Regression: numpy 2.x reprs np.float64(0.0) differently from 0.0,
-        # which silently split the cache by answer dtype.
-        plain = self._key([(0.0, 1.0), (0.5, None)])
-        numpied = self._key(
-            [(np.float64(0.0), np.float64(1.0)), (np.float64(0.5), None)]
-        )
-        assert plain == numpied
-
-    def test_list_vs_tuple_bounds_equal(self):
-        assert self._key([(0.0, 1.0), (0.0, 1.0)]) == self._key(
-            ((0.0, 1.0), (0.0, 1.0))
-        )
-        assert self._key([[0.0, 1.0], [0.0, 1.0]]) == self._key(
-            [(0.0, 1.0), (0.0, 1.0)]
-        )
+        return lp.LPSystem(self.C, self.A, self.B, bounds=bounds).key()
 
     def test_contiguity_is_irrelevant(self):
         f_order = np.asfortranarray(self.A)
         assert not f_order.flags["C_CONTIGUOUS"]
-        assert lp.constraint_system_key(
-            self.C, self.A, self.B
-        ) == lp.constraint_system_key(self.C, f_order, self.B)
+        assert lp.LPSystem(self.C, self.A, self.B).key() == (
+            lp.LPSystem(self.C, f_order, self.B).key()
+        )
 
     def test_different_bounds_differ(self):
-        assert self._key((0.0, None)) != self._key((0.0, 1.0))
-        assert self._key(None) != self._key((None, None))
+        nonnegative = np.array([[0.0, np.inf], [0.0, np.inf]])
+        box = np.array([[0.0, 1.0], [0.0, 1.0]])
+        assert self._key(nonnegative) != self._key(box)
+        assert self._key(None) != self._key(nonnegative)
+
+    def test_default_bounds_equal_explicit_free(self):
+        free = np.array([[-np.inf, np.inf], [-np.inf, np.inf]])
+        assert self._key(None) == self._key(free)
 
     @given(
         lo=st.floats(0.0, 1.0, allow_nan=False),
@@ -444,26 +427,102 @@ class TestCacheKeyCanonicalisation:
     )
     @settings(max_examples=25, deadline=None)
     def test_property_spelling_invariance(self, lo, hi):
+        rows = np.array([[lo, hi], [lo, hi]])
+        frozen = rows.copy()
+        frozen.setflags(write=False)
         variants = [
-            (lo, hi),
-            [lo, hi],
-            (np.float64(lo), np.float64(hi)),
-            [(lo, hi), (lo, hi)],
-            [(np.float64(lo), hi), [lo, np.float64(hi)]],
-            np.array([[lo, hi], [lo, hi]]),
+            rows,
+            frozen,
+            np.asfortranarray(rows),
+            np.tile([lo, hi], (2, 1)),
+            np.array([[lo, 0.0, hi], [lo, 0.0, hi]])[:, ::2],
         ]
         keys = {self._key(v) for v in variants}
         assert len(keys) == 1
 
-    def test_expand_bounds_shapes(self):
-        assert lp.expand_bounds(None, 3) == [(0.0, None)] * 3
-        assert lp.expand_bounds((1.0, 2.0), 3) == [(1.0, 2.0)] * 3
-        assert lp.expand_bounds([(None, 1.0), (0.5, None)], 2) == [
-            (None, 1.0),
-            (0.5, None),
+
+class TestPinnedCacheKeys:
+    """``LPSystem.key()`` digests of the systems the helpers submit.
+
+    A key change means a changed system or a changed hash; either can
+    split or merge cache entries, which moves the LP counters that the
+    CI gate and the benchmark ladder compare exactly.
+    """
+
+    A = np.array(
+        [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]]
+    )
+    B = np.array([1.0, 0.0, 1.0, 0.0, 1.5])
+    HALFSPACES = (
+        ((0.9, 0.2, 0.4), (0.3, 0.6, 0.5)),
+        ((0.1, 0.8, 0.3), (0.5, 0.4, 0.2)),
+    )
+
+    def _halfspaces(self):
+        return [
+            preference_halfspace(np.array(a), np.array(b))
+            for a, b in self.HALFSPACES
         ]
-        expanded = lp.expand_bounds([(np.float64(0.5), None)], 1)
-        assert type(expanded[0][0]) is float
+
+    @staticmethod
+    def _submitted_key(monkeypatch, call) -> str:
+        """The key of the one system ``call`` hands the raw solver."""
+        keys: list[str] = []
+        real_solve_raw = lp.solve_raw
+
+        def recording(system):
+            keys.append(system.key().hex())
+            return real_solve_raw(system)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "solve_raw", recording)
+            call()
+        (key,) = keys
+        return key
+
+    def test_free_system(self):
+        system = lp.LPSystem(np.array([1.0, 2.0]), self.A, self.B)
+        assert system.key().hex() == (
+            "9112d6f0a7db8e1c513e1edd7800efbc3ebdf9af6993bb946bedb5e7920c5f23"
+        )
+
+    def test_chebyshev_system(self, monkeypatch):
+        key = self._submitted_key(
+            monkeypatch, lambda: lp.chebyshev_center(self.A, self.B)
+        )
+        assert key == (
+            "0c248a809884f9dcadd640294838a922bb7604ed819c7b920bc3b06d2f63510d"
+        )
+
+    def test_inner_sphere_system(self, monkeypatch):
+        key = self._submitted_key(
+            monkeypatch,
+            lambda: lp.ambient_inner_sphere(self._halfspaces(), 3),
+        )
+        assert key == (
+            "f968231a46a7173d84b57b943102882db41734984bf5676779ad911b9dfd748f"
+        )
+
+    def test_ambient_bounds_probe(self):
+        probe = lp.ambient_bounds_systems(self._halfspaces(), 3)[3]
+        assert probe.key().hex() == (
+            "e643ad93a1d3e889a55fb3d2733902762e6c9aa23f87bc7f51130754660f99d2"
+        )
+
+    def test_split_margin_probe(self, monkeypatch):
+        normal = np.array([[0.5, -0.25, -0.25]])
+        key = self._submitted_key(
+            monkeypatch,
+            lambda: lp.ambient_split_margins(self._halfspaces(), 3, normal),
+        )
+        assert key == (
+            "5ab5eacc41aac8d2229efd8f8e93cded7992647803ead2a1dced422af6d22b27"
+        )
+
+
+def _nonnegative(n: int) -> np.ndarray:
+    """``(n, 2)`` bounds ``x >= 0``."""
+    return np.tile([0.0, np.inf], (n, 1))
 
 
 def _bounded_system(seed: int, d: int = 3) -> lp.LPSystem:
@@ -476,7 +535,7 @@ def _bounded_system(seed: int, d: int = 3) -> lp.LPSystem:
         b_ub=b,
         a_eq=None,
         b_eq=None,
-        bounds=(0.0, None),
+        bounds=_nonnegative(d),
     )
 
 
@@ -484,7 +543,7 @@ def _infeasible_system(d: int = 2) -> lp.LPSystem:
     a = np.vstack([np.eye(d), -np.eye(d)])
     b = np.concatenate([-np.ones(d), -np.ones(d)])  # x <= -1 and x >= 1
     return lp.LPSystem(
-        c=np.ones(d), a_ub=a, b_ub=b, a_eq=None, b_eq=None, bounds=(None, None)
+        c=np.ones(d), a_ub=a, b_ub=b, a_eq=None, b_eq=None, bounds=None
     )
 
 
@@ -495,7 +554,7 @@ def _unbounded_system(d: int = 2) -> lp.LPSystem:
         b_ub=None,
         a_eq=None,
         b_eq=None,
-        bounds=(0.0, None),
+        bounds=_nonnegative(d),
     )
 
 
@@ -549,10 +608,7 @@ class TestSolveMany:
         with lp.use_cache(cache):
             (first,) = lp.solve_many([system])
             assert cache.misses == 1
-            replay = lp.solve(
-                system.c, a_ub=system.a_ub, b_ub=system.b_ub,
-                bounds=system.bounds,
-            )
+            replay = lp.solve(system)
             assert cache.hits == 1
         assert replay.value == first.value
         assert np.array_equal(replay.x, first.x)
@@ -641,13 +697,11 @@ def _narrowed_halfspaces(rng: np.random.Generator, d: int, answers: int):
 
 def _one_at_a_time_margins(spaces, d: int, normals: np.ndarray) -> np.ndarray:
     """Per-row ``max u . n`` through separate ``solve_raw`` calls."""
-    a_ub, b_ub, a_eq, b_eq = lp._ambient_system(spaces, d)
+    base = lp.ambient_feasibility_system(spaces, d)
     margins = []
     for normal in normals:
         try:
-            result = lp.solve_raw(
-                lp.LPSystem(-normal, a_ub, b_ub, a_eq, b_eq)
-            )
+            result = lp.solve_raw(dataclasses.replace(base, c=-normal))
         except lp.InfeasibleLP:
             margins.append(-np.inf)
         else:
@@ -750,7 +804,7 @@ class TestAmbientSplitMargins:
 # The direct HiGHS call against scipy.optimize.linprog
 # ---------------------------------------------------------------------------
 
-_BOUND_KINDS = ("none", "free", "nonnegative", "boxes", "scalar-pair")
+_BOUND_KINDS = ("free", "nonnegative", "boxes", "shared-box", "radius")
 
 
 def _random_system(
@@ -771,12 +825,15 @@ def _random_system(
         b_ub = a_ub @ point + rng.uniform(0.0, 1.0, size=m)
     else:
         b_ub = rng.normal(size=m) + rng.uniform(0.0, 2.0)
+    lows = rng.uniform(-1.0, 0.0, size=n)
+    radius = np.tile([-np.inf, np.inf], (n, 1))
+    radius[-1, 0] = 0.0
     bounds = {
-        "none": None,
-        "free": [(None, None)] * n,
-        "nonnegative": [(0.0, None)] * n,
-        "boxes": [(lo, lo + 2.0) for lo in rng.uniform(-1.0, 0.0, size=n)],
-        "scalar-pair": (-1.0, 1.0),
+        "free": None,
+        "nonnegative": _nonnegative(n),
+        "boxes": np.column_stack([lows, lows + 2.0]),
+        "shared-box": np.tile([-1.0, 1.0], (n, 1)),
+        "radius": radius,
     }[bound_kind]
     return lp.LPSystem(
         c=rng.normal(size=n),
@@ -799,10 +856,22 @@ def _outcome_from_linprog(result) -> np.ndarray | type[lp.LPError]:
     return np.asarray(result.x, dtype=float)
 
 
+def _linprog_bounds(system: lp.LPSystem) -> list:
+    """``system``'s bounds in ``linprog``'s spelling: ``None`` for open
+    sides, every variable spelled out (``linprog`` reads a missing spec
+    as ``x >= 0``)."""
+    if system.bounds is None:
+        return [(None, None)] * system.size
+    return [
+        (None if np.isinf(lo) else lo, None if np.isinf(hi) else hi)
+        for lo, hi in system.bounds.tolist()
+    ]
+
+
 def _linprog_single(system: lp.LPSystem):
     return _outcome_from_linprog(linprog(
         system.c, A_ub=system.a_ub, b_ub=system.b_ub, A_eq=system.a_eq,
-        b_eq=system.b_eq, bounds=system.bounds, method="highs",
+        b_eq=system.b_eq, bounds=_linprog_bounds(system), method="highs",
     ))
 
 
@@ -832,7 +901,7 @@ def _linprog_stack(systems: list[lp.LPSystem]) -> list:
         ]))
     bounds = []
     for system in systems:
-        bounds += lp.expand_bounds(system.bounds, system.size)
+        bounds += _linprog_bounds(system)
     outcome = _outcome_from_linprog(linprog(
         np.concatenate([system.c for system in systems]),
         A_ub=families[0], b_ub=families[1],
@@ -952,7 +1021,7 @@ class TestHighsMatchesLinprog:
         a, b = square_constraints()
         monkeypatch.setattr(lp._highs, "_Highs", ViolatingHighs)
         with pytest.raises(lp.LPError) as caught:
-            lp.solve(np.array([1.0, 1.0]), a_ub=a, b_ub=b)
+            lp.solve(lp.LPSystem(np.array([1.0, 1.0]), a, b))
         assert type(caught.value) is lp.LPError
         assert "violates" in str(caught.value)
 
@@ -975,7 +1044,7 @@ class TestHighsMatchesLinprog:
         a, b = square_constraints()
         monkeypatch.setattr(lp._highs, "_Highs", UndecidedHighs)
         with pytest.raises(lp.LPError) as caught:
-            lp.solve(np.array([1.0, 1.0]), a_ub=a, b_ub=b)
+            lp.solve(lp.LPSystem(np.array([1.0, 1.0]), a, b))
         assert type(caught.value) is lp.LPError
         assert "infeasible or unbounded" in str(caught.value)
 
@@ -999,7 +1068,7 @@ class TestForkSafety:
         a, b = square_constraints()
 
         def child():
-            lp.solve(np.array([1.0, 0.0]), a_ub=a, b_ub=b)
+            lp.solve(lp.LPSystem(np.array([1.0, 0.0]), a, b))
 
         with lp._solves_lock:
             process = multiprocessing.get_context("fork").Process(

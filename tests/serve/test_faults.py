@@ -415,6 +415,29 @@ class TestRecovery:
             (1, False),
         ]
 
+    def test_recovery_independent_of_admission_cap(self, toy):
+        def build(max_in_flight):
+            user = PeriodicFlipUser(period=4)
+            specs = [
+                _spec(lambda: StrictConsistencySession(toy, total=5), user),
+                _spec(lambda: ExplodingSession(toy, fail_at=1, error=ValueError),
+                      _always_true_user()),
+                _spec(lambda: ScriptedSession(toy, total=3),
+                      _always_true_user()),
+            ]
+            with ContinuousEngine(
+                recover=True, max_in_flight=max_in_flight
+            ) as engine:
+                return engine.run(specs)
+
+        wide = build(64)
+        narrow = build(2)
+        assert [r.status for r in wide] == [
+            "recovered", "failed", "completed"
+        ]
+        assert [r.status for r in wide] == [r.status for r in narrow]
+        assert [r.rounds for r in wide] == [r.rounds for r in narrow]
+
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="ShardedDispatcher needs the fork start method",

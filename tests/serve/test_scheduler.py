@@ -42,9 +42,7 @@ from tests.serve.test_faults import (
     BrokenScorer,
     CrashingUser,
     ExplodingSession,
-    PeriodicFlipUser,
     ScriptedSession,
-    StrictConsistencySession,
     _always_true_user,
     _spec,
 )
@@ -464,58 +462,6 @@ class TestFaultIsolation:
         assert results[0].status == "completed"
         assert results[1].failed
         assert "already been driven" in results[1].error
-
-
-class TestRecovery:
-    """``recover=True`` semantics under the continuous scheduler."""
-
-    def test_majority_vote_retry_recovers_the_session(self, toy):
-        user = PeriodicFlipUser(period=4)
-        with ContinuousEngine(recover=True) as engine:
-            results = engine.run(
-                [_spec(lambda: StrictConsistencySession(toy, total=5), user)]
-            )
-        result = results[0]
-        assert result.status == "recovered"
-        assert result.metrics.retries == 1
-        metrics = engine.metrics
-        assert metrics.retries == 1
-        assert metrics.recovered == 1
-        assert metrics.failed == 0
-        assert metrics.errors[0].retried
-
-    def test_retries_exhaust_to_failed(self, toy):
-        with ContinuousEngine(recover=True) as engine:
-            results = engine.run(
-                [_spec(lambda: ExplodingSession(toy, fail_at=1),
-                       _always_true_user())]
-            )
-        assert results[0].failed
-        assert engine.metrics.retries == 1
-        assert [e.attempt for e in engine.metrics.errors] == [0, 1]
-
-    def test_recovery_independent_of_admission_cap(self, toy):
-        def build(max_in_flight):
-            user = PeriodicFlipUser(period=4)
-            specs = [
-                _spec(lambda: StrictConsistencySession(toy, total=5), user),
-                _spec(lambda: ExplodingSession(toy, fail_at=1, error=ValueError),
-                      _always_true_user()),
-                _spec(lambda: ScriptedSession(toy, total=3),
-                      _always_true_user()),
-            ]
-            with ContinuousEngine(
-                recover=True, max_in_flight=max_in_flight
-            ) as engine:
-                return engine.run(specs)
-
-        wide = build(64)
-        narrow = build(2)
-        assert [r.status for r in wide] == [
-            "recovered", "failed", "completed"
-        ]
-        assert [r.status for r in wide] == [r.status for r in narrow]
-        assert [r.rounds for r in wide] == [r.rounds for r in narrow]
 
 
 class TestRecoveryRaisesOnMissing:
