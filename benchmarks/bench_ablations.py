@@ -20,7 +20,6 @@ import pytest
 
 import _common as C
 from repro.core import EAConfig, train_ea
-from repro.core.ea import EAAgent
 from repro.data.utility import sample_training_utilities
 from repro.eval.runner import evaluate_algorithm
 from repro.utils.rng import ensure_rng

@@ -36,17 +36,14 @@ from repro.baselines import (
     UtilityApproxSession,
 )
 from repro.core import (
-    AAAgent,
     AAConfig,
     AASession,
-    AATrainer,
-    EAAgent,
     EAConfig,
     EASession,
-    EATrainer,
     InteractiveAlgorithm,
     Question,
     SessionResult,
+    TrainedAgent,
     run_session,
     train_aa,
     train_ea,
@@ -78,15 +75,11 @@ from repro.users import NoisyUser, OracleUser
 __version__ = "1.0.0"
 
 __all__ = [
-    "AAAgent",
     "AdaptiveSession",
     "AAConfig",
     "AASession",
-    "AATrainer",
-    "EAAgent",
     "EAConfig",
     "EASession",
-    "EATrainer",
     "Dataset",
     "InteractiveAlgorithm",
     "NoisyUser",
@@ -95,6 +88,7 @@ __all__ = [
     "ReproError",
     "SessionResult",
     "SinglePassSession",
+    "TrainedAgent",
     "UHRandomSession",
     "UHSimplexSession",
     "UtilityApproxSession",

@@ -36,7 +36,7 @@ _CANDIDATE_POOL = 96
 class AdaptiveSession(InteractiveAlgorithm):
     """One interactive session of the Adaptive preference learner."""
 
-    name = "Adaptive"
+    family = "adaptive"
 
     def __init__(
         self, dataset: Dataset, epsilon: float = 0.1, rng: RngLike = None

@@ -51,7 +51,7 @@ _MAX_WORKING_HALFSPACES = 60
 class SinglePassSession(InteractiveAlgorithm):
     """One interactive session of SinglePass."""
 
-    name = "SinglePass"
+    family = "single-pass"
 
     def __init__(
         self, dataset: Dataset, epsilon: float = 0.1, rng: RngLike = None

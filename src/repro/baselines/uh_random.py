@@ -16,7 +16,7 @@ from repro.baselines.uh_base import UHBaseSession
 class UHRandomSession(UHBaseSession):
     """One interactive session of UH-Random."""
 
-    name = "UH-Random"
+    family = "uh-random"
 
     def _select_pair(self) -> tuple[int, int]:
         chosen = self._rng.choice(

@@ -29,7 +29,7 @@ _MAX_SCORED = 24
 class UHSimplexSession(UHBaseSession):
     """One interactive session of UH-Simplex."""
 
-    name = "UH-Simplex"
+    family = "uh-simplex"
 
     def _select_pair(self) -> tuple[int, int]:
         center, _ = self._range.chebyshev_center()

@@ -48,7 +48,7 @@ class UtilityApproxSession(InteractiveAlgorithm):
         normalised data).
     """
 
-    name = "UtilityApprox"
+    family = "utility-approx"
 
     def __init__(self, dataset: Dataset, epsilon: float = 0.1) -> None:
         super().__init__(dataset)

@@ -302,7 +302,7 @@ def _cmd_server(args: argparse.Namespace) -> int:
     agent_refs: dict[str, str] = {}
     for path in args.agent or ():
         agent = load_agent(path)
-        family = "ea" if type(agent).__name__ == "EAAgent" else "aa"
+        family = agent.family
         if agent.dataset.dimension != dataset.dimension:
             raise ReproError(
                 f"agent {path} was trained on a {agent.dataset.dimension}-d "

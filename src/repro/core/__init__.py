@@ -12,12 +12,13 @@ Layout:
 * :mod:`~repro.core.environment` — the MDP interface (state, candidate
   actions, transition, reward) substantiated by EA and AA.
 * :mod:`~repro.core.trainer` — generic DQN training over an interactive
-  environment (Algorithms 1 and 3).
+  environment (Algorithms 1 and 3) and the :class:`TrainedAgent` both
+  algorithms produce.
 * :mod:`~repro.core.ea` / :mod:`~repro.core.aa` — the two algorithms.
 """
 
-from repro.core.aa import AAAgent, AAConfig, AASession, AATrainer, train_aa
-from repro.core.ea import EAAgent, EAConfig, EASession, EATrainer, train_ea
+from repro.core.aa import AAConfig, AASession, train_aa
+from repro.core.ea import EAConfig, EASession, train_ea
 from repro.core.robust import MajorityVoteSession
 from repro.core.session import (
     InteractiveAlgorithm,
@@ -27,18 +28,17 @@ from repro.core.session import (
     ask_user,
     run_session,
 )
+from repro.core.trainer import TrainedAgent, train_policy
 
 __all__ = [
-    "AAAgent",
     "AAConfig",
     "AASession",
-    "AATrainer",
     "train_aa",
-    "EAAgent",
     "EAConfig",
     "EASession",
-    "EATrainer",
     "train_ea",
+    "TrainedAgent",
+    "train_policy",
     "InteractiveAlgorithm",
     "MajorityVoteSession",
     "Question",

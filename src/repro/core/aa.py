@@ -29,27 +29,21 @@ lists this as the one under-specified implementation detail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core import state_encoding
 from repro.core.environment import EnvObservation, InteractiveEnvironment, RLPolicy
 from repro.core.session import validate_epsilon
-from repro.core.trainer import TrainingLog, train_agent
+from repro.core.trainer import TrainedAgent, train_policy
 from repro.data.datasets import Dataset
-from repro.errors import (
-    ConfigurationError,
-    EmptyRegionError,
-    InteractionError,
-    PersistenceError,
-)
-from repro.geometry.hyperplane import PreferenceHalfspace, answer_halfspace
-from repro.geometry.range import SPLIT_TOL, AmbientRange, UpdatePreview
+from repro.errors import ConfigurationError, EmptyRegionError
+from repro.geometry.hyperplane import PreferenceHalfspace
+from repro.geometry.range import SPLIT_TOL, AmbientRange
 from repro.geometry.vectors import top_point_index
-from repro.rl.dqn import DQNAgent, DQNConfig
-from repro.utils import rng as rng_state
-from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
+from repro.rl.dqn import DQNConfig
+from repro.utils.rng import RngLike
 
 
 @dataclass(frozen=True)
@@ -96,17 +90,20 @@ class AAConfig:
 class AAEnvironment(InteractiveEnvironment):
     """The AA substantiation of the interaction MDP."""
 
+    kind = "aa"
+    # AA re-encodes its state (inner sphere + outer rectangle) after
+    # every answer, so the 2d bound probes are worth prefetching too.
+    preview_bounds = True
+
     def __init__(
         self, dataset: Dataset, config: AAConfig, rng: RngLike = None
     ) -> None:
-        super().__init__(dataset)
-        self.config = config
-        self._rng = ensure_rng(rng)
-        self._range = self._new_range()
-        self._pairs: list[tuple[int, int]] = []
+        super().__init__(dataset, config, rng)
         self._asked: set[tuple[int, int]] = set()
         self._midpoint = np.full(dataset.dimension, 1.0 / dataset.dimension)
-        self._terminal = True
+
+    def _new_range(self) -> AmbientRange:
+        return AmbientRange(self.dataset.dimension)
 
     # -- InteractiveEnvironment ------------------------------------------------
 
@@ -114,108 +111,39 @@ class AAEnvironment(InteractiveEnvironment):
     def state_dim(self) -> int:
         return 3 * self.dataset.dimension + 1
 
-    @property
-    def action_dim(self) -> int:
-        return 2 * self.dataset.dimension
-
     def reset(self) -> EnvObservation:
         self._range = self._new_range()
         self._asked = set()
         self._pairs = []
         return self._observe()
 
-    def step(self, choice: int, prefers_first: bool) -> tuple[EnvObservation, float]:
-        if self._terminal:
-            raise InteractionError("episode already terminal; call reset()")
-        if not 0 <= choice < len(self._pairs):
-            raise ValueError(f"action choice {choice} out of range")
-        index_i, index_j = self._pairs[choice]
-        halfspace = answer_halfspace(
-            self.dataset.points, index_i, index_j, prefers_first
-        )
+    def _transition(
+        self, index_i: int, index_j: int, halfspace: PreferenceHalfspace
+    ) -> EnvObservation:
         # An infeasible update means the (noisy) answer contradicts earlier
         # ones; AA drops it and keeps the last consistent half-space set.
         self._range.update(halfspace)
         self._asked.add((min(index_i, index_j), max(index_i, index_j)))
-        observation = self._observe()
-        if observation.terminal:
-            reward = self.config.reward_constant
-        else:
-            reward = -self.config.step_penalty
-        return observation, reward
-
-    def probe_preview(
-        self, index_i: int, index_j: int, prefers_first: bool
-    ) -> UpdatePreview | None:
-        if self._terminal:
-            return None
-        # AA re-encodes its state (inner sphere + outer rectangle) after
-        # every answer, so the 2d bound probes are worth prefetching too.
-        return UpdatePreview(
-            self._range,
-            answer_halfspace(
-                self.dataset.points, index_i, index_j, prefers_first
-            ),
-            bounds=True,
-        )
+        return self._observe()
 
     def recommend(self) -> int:
         return top_point_index(self.dataset.points, self._midpoint)
 
-    @property
-    def utility_range(self) -> AmbientRange:
-        """The incremental range object (counters, LP surrogates)."""
-        return self._range
-
-    @property
-    def halfspaces(self) -> tuple[PreferenceHalfspace, ...]:
-        """Learned half-spaces (read-only view for tests/metrics)."""
-        return self._range.halfspaces
-
-    # -- state (checkpoint / resume) ---------------------------------------------
-
-    def get_state(self) -> dict:
-        state = getattr(self, "_state", None)
+    def _extra_state(self) -> dict:
         asked = sorted(self._asked)
         return {
-            "kind": "aa",
-            "rng": rng_state.get_state(self._rng),
-            "range": self._range.get_state(),
-            "pairs": np.array(self._pairs, dtype=np.int64).reshape(
-                len(self._pairs), 2
-            ),
             "asked": np.array(asked, dtype=np.int64).reshape(len(asked), 2),
             "midpoint": np.array(self._midpoint, dtype=float),
-            "terminal": bool(self._terminal),
-            "state": None if state is None else np.array(state, dtype=float),
         }
 
-    def set_state(self, state: dict) -> None:
-        if state.get("kind") != "aa":
-            raise PersistenceError(
-                f"environment state kind {state.get('kind')!r} is not 'aa'"
-            )
-        rng_state.set_state(self._rng, state["rng"])
-        self._range.set_state(state["range"])
-        self._pairs = [
-            (int(pair[0]), int(pair[1]))
-            for pair in np.asarray(state["pairs"]).reshape(-1, 2)
-        ]
+    def _restore_extra(self, state: dict) -> None:
         self._asked = {
             (int(pair[0]), int(pair[1]))
             for pair in np.asarray(state["asked"]).reshape(-1, 2)
         }
         self._midpoint = np.array(state["midpoint"], dtype=float)
-        self._terminal = bool(state["terminal"])
-        encoded = state["state"]
-        self._state = (
-            None if encoded is None else np.array(encoded, dtype=float)
-        )
 
     # -- internals ---------------------------------------------------------------
-
-    def _new_range(self) -> AmbientRange:
-        return AmbientRange(self.dataset.dimension)
 
     def _observe(self) -> EnvObservation:
         d = self.dataset.dimension
@@ -238,10 +166,7 @@ class AAEnvironment(InteractiveEnvironment):
             # loop (the rectangle criterion may be unreachable when the
             # dataset offers no separating planes inside R).
             return self._terminal_observation(state)
-        self._pairs = pairs
-        actions = np.array([self.action_features(i, j) for i, j in pairs])
-        self._terminal = False
-        return EnvObservation(state, actions, pairs, terminal=False)
+        return self._live_observation(state, pairs)
 
     def _candidate_pairs(self, center: np.ndarray) -> list[tuple[int, int]]:
         """Top-``m_h`` centre-near pairs whose plane splits the range."""
@@ -300,97 +225,12 @@ class AAEnvironment(InteractiveEnvironment):
                 pool.add((min(int(i), int(j)), max(int(i), int(j))))
         return [pair for pair in pool if pair not in self._asked]
 
-    def _terminal_observation(self, state: np.ndarray) -> EnvObservation:
-        self._terminal = True
-        self._pairs = []
-        return EnvObservation(state, None, None, terminal=True)
-
-    def _last_state(self) -> np.ndarray:
-        state = getattr(self, "_state", None)
-        if state is None:
-            state = np.zeros(self.state_dim)
-        return state
-
-
-@dataclass
-class AAAgent:
-    """A trained AA policy bound to a dataset."""
-
-    dataset: Dataset
-    config: AAConfig
-    dqn: DQNAgent
-    training_log: TrainingLog = field(default_factory=TrainingLog)
-
-    def new_session(
-        self, rng: RngLike = None, epsilon: float | None = None
-    ) -> "AASession":
-        """A fresh interactive session using the learned Q-function.
-
-        ``epsilon`` overrides the training-time threshold; the stopping
-        condition is evaluated by the environment, so one trained agent
-        serves queries at any threshold.  Overrides outside ``(0, 1)``
-        raise :class:`~repro.errors.ConfigurationError`.
-        """
-        return AASession(self, rng=rng, epsilon=epsilon)
-
 
 class AASession(RLPolicy):
     """Algorithm AA at inference time (Algorithm 4)."""
 
-    def __init__(
-        self,
-        agent: AAAgent,
-        rng: RngLike = None,
-        epsilon: float | None = None,
-    ) -> None:
-        config = agent.config
-        if epsilon is not None:
-            config = replace(config, epsilon=validate_epsilon(epsilon))
-        environment = AAEnvironment(agent.dataset, config, rng=rng)
-        super().__init__(environment, agent.dqn)
-
-
-class AATrainer:
-    """Algorithm AA's training procedure (Algorithm 3)."""
-
-    def __init__(
-        self,
-        dataset: Dataset,
-        config: AAConfig | None = None,
-        dqn_config: DQNConfig | None = None,
-        rng: RngLike = None,
-    ) -> None:
-        self.dataset = dataset
-        self.config = config or AAConfig()
-        env_rng, dqn_rng = spawn_rngs(rng, 2)
-        self.environment = AAEnvironment(dataset, self.config, rng=env_rng)
-        self.dqn = DQNAgent(
-            state_dim=self.environment.state_dim,
-            action_dim=self.environment.action_dim,
-            config=dqn_config,
-            rng=dqn_rng,
-        )
-
-    def train(
-        self,
-        utilities: np.ndarray,
-        updates_per_episode: int = 4,
-        round_cap: int = 200,
-    ) -> AAAgent:
-        """Run Algorithm 3 over ``utilities`` and return the trained agent."""
-        log = train_agent(
-            self.environment,
-            self.dqn,
-            utilities,
-            updates_per_episode=updates_per_episode,
-            round_cap=round_cap,
-        )
-        return AAAgent(
-            dataset=self.dataset,
-            config=self.config,
-            dqn=self.dqn,
-            training_log=log,
-        )
+    family = "aa"
+    environment_class = AAEnvironment
 
 
 def train_aa(
@@ -400,7 +240,9 @@ def train_aa(
     dqn_config: DQNConfig | None = None,
     rng: RngLike = None,
     updates_per_episode: int = 4,
-) -> AAAgent:
-    """Convenience wrapper: build an :class:`AATrainer` and train it."""
-    trainer = AATrainer(dataset, config=config, dqn_config=dqn_config, rng=rng)
-    return trainer.train(utilities, updates_per_episode=updates_per_episode)
+) -> TrainedAgent:
+    """Train algorithm AA (Algorithm 3) through :func:`train_policy`."""
+    return train_policy(
+        AASession, dataset, utilities, config or AAConfig(), dqn_config, rng,
+        updates_per_episode,
+    )

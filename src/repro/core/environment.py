@@ -4,33 +4,50 @@ Section IV-A models the interaction as an MDP over utility ranges.  An
 :class:`InteractiveEnvironment` owns the maintained information (the
 polytope for EA, the half-space list for AA) and exposes:
 
-* :meth:`reset` — the initial observation: state features plus the
-  restricted candidate-action set (feature matrix + the point-index pairs
-  they encode);
-* :meth:`step` — apply one answered question, returning the next
-  observation and the reward (``c`` on reaching a terminal state, else 0);
-* :meth:`recommend` — the point the algorithm would currently return.
+* :meth:`~InteractiveEnvironment.reset` — the initial observation: state
+  features plus the restricted candidate-action set (feature matrix +
+  the point-index pairs they encode);
+* :meth:`~InteractiveEnvironment.step` — apply one answered question,
+  returning the next observation and the reward (``c`` on reaching a
+  terminal state, else 0);
+* :meth:`~InteractiveEnvironment.recommend` — the point the algorithm
+  would currently return.
 
-:class:`RLPolicy` adapts a trained DQN plus an environment into the
+EA and AA differ only in state, action and transition (Algorithms 1/3
+and 2/4), so the base class carries everything else once: the config,
+RNG, range, candidate pairs and terminal flag, the reward, the range
+preview and the snapshot state codec.
+
+:class:`RLPolicy` adapts a trained agent plus an environment into the
 session protocol of :mod:`repro.core.session` — this is the inference
-procedure of Algorithms 2 and 4.
+procedure of Algorithms 2 and 4.  ``EASession`` and ``AASession`` are
+its two declarations: each names its registry ``family`` and its
+``environment_class``.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, ClassVar
 
 import numpy as np
 
-from repro.core.session import CandidateBatch, InteractiveAlgorithm, Question
+from repro.core.session import (
+    CandidateBatch,
+    InteractiveAlgorithm,
+    Question,
+    validate_epsilon,
+)
 from repro.data.datasets import Dataset
 from repro.errors import InteractionError, PersistenceError
-from repro.rl.dqn import DQNAgent
+from repro.geometry.hyperplane import PreferenceHalfspace, answer_halfspace
+from repro.geometry.range import UpdatePreview
+from repro.utils import rng as rng_state
+from repro.utils.rng import RngLike, ensure_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.geometry.range import UpdatePreview
+    from repro.core.trainer import TrainedAgent
 
 
 @dataclass
@@ -58,21 +75,41 @@ class EnvObservation:
 
 
 class InteractiveEnvironment(abc.ABC):
-    """One MDP substantiation (EA's or AA's) bound to a dataset."""
+    """One MDP substantiation (EA's or AA's) bound to a dataset.
 
-    def __init__(self, dataset: Dataset) -> None:
+    A subclass supplies its range (:meth:`_new_range`), state encoding
+    and candidates (:meth:`reset`), how one answer moves the range
+    (:meth:`_transition`) and any extra state fields
+    (:meth:`_extra_state` / :meth:`_restore_extra`).
+    """
+
+    #: Tag written into :meth:`get_state` and checked by :meth:`set_state`.
+    kind: ClassVar[str]
+    #: Whether :meth:`probe_preview` asks for the ``2d`` bound probes too.
+    preview_bounds: ClassVar[bool] = False
+
+    def __init__(self, dataset: Dataset, config: Any, rng: RngLike = None) -> None:
         self.dataset = dataset
+        self.config = config
+        self._rng = ensure_rng(rng)
+        self._range = self._new_range()
+        self._pairs: list[tuple[int, int]] = []
+        self._terminal = True  # becomes live on reset()
+        self._state: np.ndarray | None = None
+
+    @abc.abstractmethod
+    def _new_range(self) -> Any:
+        """A fresh range ``R = U`` (no information yet)."""
 
     @property
-    def utility_range(self):
-        """The environment's :class:`~repro.geometry.range.UtilityRange`.
+    def utility_range(self) -> Any:
+        """The incremental :class:`~repro.geometry.range.UtilityRange`."""
+        return self._range
 
-        ``None`` for environments that do not track one; EA and AA
-        override this with their :class:`~repro.geometry.range.ExactRange`
-        / :class:`~repro.geometry.range.AmbientRange` so callers (the
-        serving engine, metrics) can read range-level counters uniformly.
-        """
-        return None
+    @property
+    def halfspaces(self) -> tuple:
+        """Half-spaces learned so far (read-only view for tests/metrics)."""
+        return self._range.halfspaces
 
     @property
     @abc.abstractmethod
@@ -80,50 +117,110 @@ class InteractiveEnvironment(abc.ABC):
         """Length of the state feature vector."""
 
     @property
-    @abc.abstractmethod
     def action_dim(self) -> int:
-        """Length of one action feature vector."""
+        """Length of one action feature vector (two concatenated points)."""
+        return 2 * self.dataset.dimension
 
     @abc.abstractmethod
     def reset(self) -> EnvObservation:
         """Start a fresh episode with ``R = U`` (no information yet)."""
 
-    @abc.abstractmethod
     def step(self, choice: int, prefers_first: bool) -> tuple[EnvObservation, float]:
-        """Apply the answer to candidate ``choice``; observation + reward."""
+        """Apply the answer to candidate ``choice``; observation + reward.
+
+        The reward is the config's ``reward_constant`` on reaching a
+        terminal state and minus its ``step_penalty`` otherwise.
+        """
+        if self._terminal:
+            raise InteractionError("episode already terminal; call reset()")
+        if not 0 <= choice < len(self._pairs):
+            raise ValueError(f"action choice {choice} out of range")
+        index_i, index_j = self._pairs[choice]
+        halfspace = answer_halfspace(
+            self.dataset.points, index_i, index_j, prefers_first
+        )
+        observation = self._transition(index_i, index_j, halfspace)
+        if observation.terminal:
+            reward = self.config.reward_constant
+        else:
+            reward = -self.config.step_penalty
+        return observation, reward
+
+    @abc.abstractmethod
+    def _transition(
+        self, index_i: int, index_j: int, halfspace: PreferenceHalfspace
+    ) -> EnvObservation:
+        """Fold one answered pair's half-space into the range; observe."""
 
     def probe_preview(
         self, index_i: int, index_j: int, prefers_first: bool
-    ) -> "UpdatePreview | None":
+    ) -> UpdatePreview | None:
         """Peek the range update :meth:`step` would run for this answer.
 
         The environment-side half of
-        :meth:`~repro.core.session.InteractiveAlgorithm.probe_preview`:
-        EA and AA override it with a preview of their range clip /
-        feasibility probe so serving engines can batch the solver work
-        across sessions.  An AA preview whose answered side a witness
-        point of the range already certifies carries no feasibility
-        probe (the update runs none), only its ``2d`` bound probes; see
-        :class:`~repro.geometry.range.AmbientRange`.  Default ``None`` —
-        nothing previewable.
+        :meth:`~repro.core.session.InteractiveAlgorithm.probe_preview`,
+        so serving engines can batch the solver work across sessions;
+        ``None`` once the episode is terminal.
         """
-        return None
+        if self._terminal:
+            return None
+        return UpdatePreview(
+            self._range,
+            answer_halfspace(
+                self.dataset.points, index_i, index_j, prefers_first
+            ),
+            bounds=self.preview_bounds,
+        )
 
     @abc.abstractmethod
     def recommend(self) -> int:
         """Dataset index of the current best returnable point."""
 
+    # -- state (checkpoint / resume) -------------------------------------------
+
     def get_state(self) -> dict[str, Any]:
-        """The environment's mutable state (override to support snapshots)."""
-        raise PersistenceError(
-            f"{type(self).__name__} does not support snapshots"
-        )
+        """The environment's mutable state as a snapshot-ready dict."""
+        state = self._state
+        return {
+            "kind": self.kind,
+            "rng": rng_state.get_state(self._rng),
+            "range": self._range.get_state(),
+            "pairs": np.array(self._pairs, dtype=np.int64).reshape(
+                len(self._pairs), 2
+            ),
+            **self._extra_state(),
+            "terminal": bool(self._terminal),
+            "state": None if state is None else np.array(state, dtype=float),
+        }
 
     def set_state(self, state: dict[str, Any]) -> None:
         """Restore state captured by :meth:`get_state`."""
-        raise PersistenceError(
-            f"{type(self).__name__} does not support snapshots"
+        if state.get("kind") != self.kind:
+            raise PersistenceError(
+                f"environment state kind {state.get('kind')!r} is not "
+                f"{self.kind!r}"
+            )
+        rng_state.set_state(self._rng, state["rng"])
+        self._range.set_state(state["range"])
+        self._pairs = [
+            (int(pair[0]), int(pair[1]))
+            for pair in np.asarray(state["pairs"]).reshape(-1, 2)
+        ]
+        self._restore_extra(state)
+        self._terminal = bool(state["terminal"])
+        encoded = state["state"]
+        self._state = (
+            None if encoded is None else np.array(encoded, dtype=float)
         )
+
+    def _extra_state(self) -> dict[str, Any]:
+        """Subclass fields :meth:`get_state` places after ``pairs``."""
+        return {}
+
+    def _restore_extra(self, state: dict[str, Any]) -> None:
+        """Restore the fields :meth:`_extra_state` wrote."""
+
+    # -- helpers -----------------------------------------------------------------
 
     def action_features(self, index_i: int, index_j: int) -> np.ndarray:
         """Default pair encoding: the two points concatenated.
@@ -135,6 +232,23 @@ class InteractiveEnvironment(abc.ABC):
             index_i, index_j = index_j, index_i
         points = self.dataset.points
         return np.concatenate([points[index_i], points[index_j]])
+
+    def _terminal_observation(self, state: np.ndarray) -> EnvObservation:
+        self._terminal = True
+        self._pairs = []
+        return EnvObservation(state, None, None, terminal=True)
+
+    def _live_observation(
+        self, state: np.ndarray, pairs: list[tuple[int, int]]
+    ) -> EnvObservation:
+        self._terminal = False
+        self._pairs = pairs
+        actions = np.array([self.action_features(i, j) for i, j in pairs])
+        return EnvObservation(state, actions, pairs, terminal=False)
+
+    def _last_state(self) -> np.ndarray:
+        """The last encoded state (zeros before the first encoding)."""
+        return np.zeros(self.state_dim) if self._state is None else self._state
 
 
 class RLPolicy(InteractiveAlgorithm):
@@ -152,10 +266,30 @@ class RLPolicy(InteractiveAlgorithm):
     bit-identical per candidate set.
     """
 
-    def __init__(self, environment: InteractiveEnvironment, dqn: DQNAgent) -> None:
+    #: The environment class this policy runs (set by each declaration).
+    environment_class: ClassVar[type[InteractiveEnvironment]]
+
+    def __init__(
+        self,
+        agent: "TrainedAgent",
+        rng: RngLike = None,
+        epsilon: float | None = None,
+    ) -> None:
+        """A fresh session of ``agent``'s learned Q-function.
+
+        ``epsilon`` overrides the training-time threshold (the Q-function
+        is threshold-agnostic; the environment evaluates the stopping
+        condition); values outside ``(0, 1)`` raise
+        :class:`~repro.errors.ConfigurationError`.
+        """
+        config = agent.config
+        if epsilon is not None:
+            config = replace(config, epsilon=validate_epsilon(epsilon))
+        environment = self.environment_class(agent.dataset, config, rng=rng)
         super().__init__(environment.dataset)
         self.environment = environment
-        self.dqn = dqn
+        self.dqn = agent.dqn
+        self.epsilon = config.epsilon
         self._observation = environment.reset()
         self._choice: int | None = None
         self._done = self._observation.terminal
@@ -273,6 +407,6 @@ class RLPolicy(InteractiveAlgorithm):
         return self.environment.halfspaces
 
     @property
-    def utility_range(self):
+    def utility_range(self) -> Any:
         """The session's utility range (delegates to the environment)."""
         return self.environment.utility_range

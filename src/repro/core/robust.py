@@ -50,8 +50,6 @@ class MajorityVoteSession(InteractiveAlgorithm):
         majority is always defined.
     """
 
-    name = "MajorityVote"
-
     def __init__(self, inner: InteractiveAlgorithm, repeats: int = 3) -> None:
         if repeats < 1 or repeats % 2 == 0:
             raise ConfigurationError(

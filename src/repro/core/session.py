@@ -14,7 +14,7 @@ from __future__ import annotations
 import abc
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, ClassVar
 
 import numpy as np
 
@@ -212,6 +212,11 @@ class InteractiveAlgorithm(abc.ABC):
     question, no question after termination) so individual algorithms
     cannot be driven out of spec.
     """
+
+    #: Registry key of the session's family (see :mod:`repro.registry`),
+    #: declared once by every registered session class; snapshots
+    #: record it and restore through it.
+    family: ClassVar[str]
 
     def __init__(self, dataset: Dataset) -> None:
         self.dataset = dataset

@@ -1,23 +1,31 @@
-"""Generic DQN training over an interactive environment.
+"""Generic DQN training over an interactive environment, and its product.
 
 This is the shared skeleton of Algorithm 1 (EA training) and Algorithm 3
 (AA training): iterate over a training set of utility vectors, run one
 episode per vector with epsilon-greedy question selection, store every
 transition in replay memory, and take gradient steps at the end of each
 episode (the paper's line "Draw samples from M to update Q").
+
+:func:`train_policy` runs it for one RL family and returns a
+:class:`TrainedAgent`, the one agent type both EA and AA produce;
+:func:`~repro.core.ea.train_ea` and :func:`~repro.core.aa.train_aa` are
+one-line calls into it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
-from repro.core.environment import EnvObservation, InteractiveEnvironment
+from repro.core.environment import EnvObservation, InteractiveEnvironment, RLPolicy
+from repro.data.datasets import Dataset
 from repro.obs.tracer import NULL_SPAN, active_tracer
-from repro.rl.dqn import DQNAgent
+from repro.rl.dqn import DQNAgent, DQNConfig
 from repro.rl.replay import Transition
+from repro.utils.rng import RngLike, spawn_rngs
 
 #: Episodes are aborted beyond this many rounds during training; the
 #: theoretical worst case is O(n) (Theorem 1) but a partially trained
@@ -46,6 +54,64 @@ class TrainingLog:
         if not rounds:
             return float("nan")
         return float(np.mean(rounds))
+
+
+@dataclass
+class TrainedAgent:
+    """A trained RL policy (EA's or AA's) bound to a dataset.
+
+    Produced by :func:`train_policy` or
+    :func:`~repro.rl.serialization.load_agent`; call :meth:`new_session`
+    for every user interaction.  ``session_class`` (``EASession`` or
+    ``AASession``) names the registry :attr:`family`.
+    """
+
+    session_class: type[RLPolicy]
+    dataset: Dataset
+    config: Any
+    dqn: DQNAgent
+    training_log: TrainingLog = field(default_factory=TrainingLog)
+
+    @property
+    def family(self) -> str:
+        """Registry key of the sessions this agent serves (``"ea"``/``"aa"``)."""
+        return self.session_class.family
+
+    def new_session(
+        self, rng: RngLike = None, epsilon: float | None = None
+    ) -> RLPolicy:
+        """A fresh session; ``epsilon`` overrides the training threshold."""
+        return self.session_class(self, rng=rng, epsilon=epsilon)
+
+
+def train_policy(
+    session_class: type[RLPolicy],
+    dataset: Dataset,
+    utilities: np.ndarray,
+    config: Any,
+    dqn_config: DQNConfig | None = None,
+    rng: RngLike = None,
+    updates_per_episode: int = 4,
+) -> TrainedAgent:
+    """Train one RL family (Algorithm 1 or 3) and return its agent.
+
+    :func:`train_agent` runs on ``session_class.environment_class`` over
+    ``dataset`` with the family's ``config``; ``dqn_config`` defaults
+    follow the paper's Section V, and ``rng`` is the master seed from
+    which the environment's and the learner's streams are spawned.
+    """
+    env_rng, dqn_rng = spawn_rngs(rng, 2)
+    environment = session_class.environment_class(dataset, config, rng=env_rng)
+    dqn = DQNAgent(
+        state_dim=environment.state_dim,
+        action_dim=environment.action_dim,
+        config=dqn_config,
+        rng=dqn_rng,
+    )
+    log = train_agent(
+        environment, dqn, utilities, updates_per_episode=updates_per_episode
+    )
+    return TrainedAgent(session_class, dataset, config, dqn, training_log=log)
 
 
 def train_agent(

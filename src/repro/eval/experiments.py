@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from repro.registry import (
     make_config,
     make_session,
     make_trainer,
+    session_needs_agent,
 )
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 
@@ -164,22 +166,20 @@ def build_method(
     def session_rng() -> np.random.Generator:
         return ensure_rng(int(session_seed_rng.integers(2**63 - 1)))
 
-    if key in ("ea", "aa"):
+    extra: dict[str, Any] = {}
+    if session_needs_agent(key):
         if train_utilities is None:
             train_utilities = sample_training_utilities(
                 dataset.dimension, scale.train_episodes, rng=train_rng
             )
-        agent = make_trainer(key)(
+        extra["agent"] = make_trainer(key)(
             dataset,
             train_utilities,
             config=make_config(key, epsilon=epsilon),
             rng=train_rng,
             updates_per_episode=scale.updates_per_episode,
         )
-        return lambda: make_session(
-            key, dataset, epsilon, rng=session_rng(), agent=agent
-        )
-    return lambda: make_session(key, dataset, epsilon, rng=session_rng())
+    return lambda: make_session(key, dataset, epsilon, rng=session_rng(), **extra)
 
 
 def compare_methods(

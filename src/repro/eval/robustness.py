@@ -227,28 +227,23 @@ def _family_factories(
     """Per-family session constructors; RL families train one agent each."""
     out: dict[str, Any] = {}
     for index, family in enumerate(families):
+        extra: dict[str, Any] = {}
         if session_needs_agent(family):
             train_rng = _cell_seed(seed, 11, index)
             utilities = sample_training_utilities(
                 dataset.dimension, train_episodes, rng=train_rng
             )
-            agent = make_trainer(family)(
+            extra["agent"] = make_trainer(family)(
                 dataset,
                 utilities,
                 config=make_config(family, epsilon=epsilon),
                 rng=train_rng,
             )
-            out[family] = (
-                lambda session_seed, f=family, a=agent: make_session(
-                    f, dataset, epsilon, rng=session_seed, agent=a
-                )
+        out[family] = (
+            lambda session_seed, f=family, k=extra: make_session(
+                f, dataset, epsilon, rng=session_seed, **k
             )
-        else:
-            out[family] = (
-                lambda session_seed, f=family: make_session(
-                    f, dataset, epsilon, rng=session_seed
-                )
-            )
+        )
     return out
 
 

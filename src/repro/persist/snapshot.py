@@ -68,19 +68,6 @@ _LENGTH = struct.Struct("<I")
 #: File-name suffix of a stored snapshot.
 SNAPSHOT_SUFFIX = ".snap"
 
-#: Session classes shipped by this package -> registry family names.
-#: Custom registered families must pass ``family=`` to
-#: :func:`capture_session` explicitly.
-_FAMILY_BY_CLASS = {
-    "EASession": "ea",
-    "AASession": "aa",
-    "UHRandomSession": "uh-random",
-    "UHSimplexSession": "uh-simplex",
-    "SinglePassSession": "single-pass",
-    "UtilityApproxSession": "utility-approx",
-    "AdaptiveSession": "adaptive",
-}
-
 
 @dataclass(frozen=True)
 class SessionSnapshot:
@@ -139,49 +126,27 @@ class SessionSnapshot:
 # -- capture / restore --------------------------------------------------------
 
 
-def _session_epsilon(algorithm: InteractiveAlgorithm) -> float:
-    """The session's epsilon (baselines keep it; RL policies via config)."""
-    epsilon = getattr(algorithm, "epsilon", None)
-    if epsilon is None:
-        environment = getattr(algorithm, "environment", None)
-        config = getattr(environment, "config", None)
-        epsilon = getattr(config, "epsilon", None)
-    if epsilon is None:
-        raise PersistenceError(
-            f"cannot determine epsilon for {type(algorithm).__name__}"
-        )
-    return float(epsilon)
-
-
 def capture_session(
     algorithm: InteractiveAlgorithm,
     *,
     session_id: str,
-    family: str | None = None,
     transcript: tuple[TranscriptEntry, ...] | list[TranscriptEntry] = (),
     agent_ref: str | None = None,
     user: "User | None" = None,
 ) -> SessionSnapshot:
     """Snapshot a live session.
 
-    ``family`` is inferred from the session class for the seven shipped
-    families; custom registered families must name theirs.  The RL
-    families store only the dataset header (the agent carries the
-    dataset); pass ``agent_ref`` so the restore side knows which agent
-    to load.  Pass ``user`` to also capture the simulated user's state
-    (best-effort: users without ``get_state`` are silently skipped), so
-    :func:`resumed_spec` can replay against the same human.
+    The family is the session class's ``family`` and the threshold its
+    ``epsilon``.  The RL families store only the dataset header (the
+    agent carries the dataset); pass ``agent_ref`` so the restore side
+    knows which agent to load.  Pass ``user`` to also capture the
+    simulated user's state (best-effort: users without ``get_state``
+    are silently skipped), so :func:`resumed_spec` can replay against
+    the same human.
     """
-    from repro.registry import canonical_session_name, session_needs_agent
+    from repro.registry import session_needs_agent
 
-    if family is None:
-        family = _FAMILY_BY_CLASS.get(type(algorithm).__name__)
-        if family is None:
-            raise PersistenceError(
-                f"cannot infer the registry family of "
-                f"{type(algorithm).__name__}; pass family= explicitly"
-            )
-    family = canonical_session_name(family)
+    family = algorithm.family
     dataset = algorithm.dataset
     stored_dataset = None if session_needs_agent(family) else dataset
     user_state = None
@@ -192,7 +157,7 @@ def capture_session(
     return SessionSnapshot(
         session_id=str(session_id),
         family=family,
-        epsilon=_session_epsilon(algorithm),
+        epsilon=float(algorithm.epsilon),
         rounds=int(algorithm.rounds),
         state=algorithm.get_state(),
         transcript=tuple(transcript),
@@ -228,7 +193,8 @@ def restore_session(
     from repro.registry import make_session, session_needs_agent
 
     meta = snapshot.dataset_meta
-    if session_needs_agent(snapshot.family):
+    needs_agent = session_needs_agent(snapshot.family)
+    if needs_agent:
         if agent is None:
             raise PersistenceError(
                 f"snapshot {snapshot.session_id!r} is an RL session "
@@ -252,9 +218,7 @@ def restore_session(
             f"does not match snapshot {snapshot.session_id!r} "
             f"({meta['n']} x {meta['dimension']})"
         )
-    kwargs: dict[str, Any] = {}
-    if session_needs_agent(snapshot.family):
-        kwargs["agent"] = agent
+    kwargs = {"agent": agent} if needs_agent else {}
     # rng=0 is a throwaway seed: set_state overwrites the stream.
     algorithm = make_session(
         snapshot.family, target, snapshot.epsilon, rng=0, **kwargs

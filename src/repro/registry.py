@@ -1,26 +1,27 @@
 """One construction surface for the seven interactive algorithm families.
 
-Historically every call site (CLI, experiment harness, benchmarks) kept
-its own if/elif ladder mapping method names to bespoke constructor
-signatures.  This module centralises that mapping:
+Every call site (CLI, experiment harness, benchmarks, server, persist)
+resolves a family through this module's one table, keyed by the name
+each session class declares as its ``family``:
 
 * :func:`make_session` — build a fresh session from a registry name;
 * :func:`make_trainer` / :func:`make_config` — the training entry point
   and config class for the RL families;
+* :func:`agents_by_family` — ``{name: agent}`` keyed by canonical family;
 * :func:`register_session` — extension hook for new algorithms.
 
 Registry names are short kebab-case strings; :func:`canonical_session_name`
 also accepts the historical display names (``"EA"``, ``"UH-Random"``,
-``"SinglePass"``, ...), so existing method tuples keep working.
-
-The original constructors remain public — the registry is a front door,
-not a replacement.
+``"SinglePass"``, ...), so existing method tuples keep working.  An
+agent serves only its own ``family``: ``make_session("aa", ...,
+agent=<EA agent>)`` raises :class:`~repro.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+from typing import Any
 
 from repro.baselines import (
     AdaptiveSession,
@@ -29,7 +30,7 @@ from repro.baselines import (
     UHSimplexSession,
     UtilityApproxSession,
 )
-from repro.core import AAConfig, EAConfig, train_aa, train_ea
+from repro.core import AAConfig, AASession, EAConfig, EASession, train_aa, train_ea
 from repro.core.session import InteractiveAlgorithm, validate_epsilon
 from repro.data.datasets import Dataset
 from repro.errors import ConfigurationError
@@ -43,17 +44,32 @@ class SessionSpec:
     ``factory`` is called as ``factory(dataset, epsilon=..., rng=...,
     **kwargs)`` (``rng`` omitted when ``takes_rng`` is false).  Families
     with ``needs_agent`` set are RL policies: their factory is the
-    agent's ``new_session`` and ``make_session`` requires an ``agent=``
-    keyword argument.
+    session class, called as ``factory(agent, rng=..., epsilon=...)``,
+    and ``make_session`` requires an ``agent=`` keyword argument.  Only
+    RL families carry a ``trainer`` (``train_ea`` / ``train_aa``) and a
+    ``config`` class.
     """
 
     name: str
     factory: Callable[..., InteractiveAlgorithm]
     needs_agent: bool = False
     takes_rng: bool = True
+    trainer: Callable[..., Any] | None = None
+    config: type | None = None
 
 
-_REGISTRY: dict[str, SessionSpec] = {}
+_REGISTRY: dict[str, SessionSpec] = {
+    spec.name: spec
+    for spec in (
+        SessionSpec("ea", EASession, True, trainer=train_ea, config=EAConfig),
+        SessionSpec("aa", AASession, True, trainer=train_aa, config=AAConfig),
+        SessionSpec("uh-random", UHRandomSession),
+        SessionSpec("uh-simplex", UHSimplexSession),
+        SessionSpec("single-pass", SinglePassSession),
+        SessionSpec("utility-approx", UtilityApproxSession, takes_rng=False),
+        SessionSpec("adaptive", AdaptiveSession),
+    )
+}
 
 #: Historical display names (and their squashed forms) -> registry names.
 _ALIASES = {
@@ -74,7 +90,9 @@ def register_session(
     """Register a session family under ``name`` (kebab-case).
 
     Returns the stored :class:`SessionSpec`.  Registering an existing
-    name replaces it, which is how tests stub families out.
+    name replaces it, which is how tests stub families out.  The
+    factory's sessions should declare ``family = name`` so snapshots
+    of them restore through this entry.
     """
     spec = SessionSpec(
         name=name,
@@ -113,9 +131,37 @@ def canonical_session_name(name: str) -> str:
     return key
 
 
+def session_spec(name: str) -> SessionSpec:
+    """The registry entry of family ``name`` (aliases accepted)."""
+    return _REGISTRY[canonical_session_name(name)]
+
+
 def session_needs_agent(name: str) -> bool:
     """Whether family ``name`` is an RL policy requiring a trained agent."""
-    return _REGISTRY[canonical_session_name(name)].needs_agent
+    return session_spec(name).needs_agent
+
+
+def _check_agent_family(family: str, agent: Any) -> None:
+    """Reject an agent trained for a family other than ``family``."""
+    if agent.family != family:
+        raise ConfigurationError(
+            f"agent serves family {agent.family!r}, not {family!r}"
+        )
+
+
+def agents_by_family(agents: Mapping[str, Any] | None) -> dict[str, Any]:
+    """``agents`` re-keyed by canonical family name, each key checked.
+
+    Accepts display-name keys (``{"EA": agent}``); raises
+    :class:`~repro.errors.ConfigurationError` for an unknown name or an
+    agent whose ``family`` is not its key.
+    """
+    out: dict[str, Any] = {}
+    for name, agent in (agents or {}).items():
+        family = canonical_session_name(name)
+        _check_agent_family(family, agent)
+        out[family] = agent
+    return out
 
 
 def make_session(
@@ -141,9 +187,11 @@ def make_session(
         deterministic ``"utility-approx"`` family.
     kwargs:
         Family-specific extras.  The RL families (``"ea"``, ``"aa"``)
-        require ``agent=<trained EAAgent/AAAgent>`` — training is a
+        require ``agent=<trained agent of that family>`` — training is a
         separate, much heavier step (:func:`make_trainer`); the session
-        is then ``agent.new_session(rng=rng, epsilon=epsilon)``.
+        is then ``agent.new_session(rng=rng, epsilon=epsilon)``.  An
+        agent of the other family raises
+        :class:`~repro.errors.ConfigurationError`.
     """
     key = canonical_session_name(name)
     spec = _REGISTRY[key]
@@ -155,6 +203,7 @@ def make_session(
                 f"session family {key!r} is an RL policy and needs a "
                 f"trained agent: make_session({key!r}, ..., agent=agent)"
             )
+        _check_agent_family(key, agent)
         agent_dataset = agent.dataset
         if (
             dataset is not None
@@ -175,22 +224,20 @@ def make_session(
     return spec.factory(dataset, epsilon=epsilon, rng=rng, **kwargs)
 
 
-def make_trainer(name: str) -> Callable[..., object]:
+def make_trainer(name: str) -> Callable[..., Any]:
     """The training entry point for RL family ``name``.
 
     Returns :func:`repro.core.ea.train_ea` or
     :func:`repro.core.aa.train_aa`; baselines need no training and raise
     :class:`~repro.errors.ConfigurationError`.
     """
-    key = canonical_session_name(name)
-    if key == "ea":
-        return train_ea
-    if key == "aa":
-        return train_aa
-    raise ConfigurationError(
-        f"session family {key!r} needs no training; "
-        "only 'ea' and 'aa' have trainers"
-    )
+    spec = session_spec(name)
+    if spec.trainer is None:
+        raise ConfigurationError(
+            f"session family {spec.name!r} needs no training; "
+            "only 'ea' and 'aa' have trainers"
+        )
+    return spec.trainer
 
 
 def make_config(name: str, **kwargs: object) -> EAConfig | AAConfig:
@@ -199,28 +246,10 @@ def make_config(name: str, **kwargs: object) -> EAConfig | AAConfig:
     ``make_config("ea", epsilon=0.05)`` is ``EAConfig(epsilon=0.05)``;
     likewise for ``"aa"``.  Raises for families without a config.
     """
-    key = canonical_session_name(name)
-    if key == "ea":
-        return EAConfig(**kwargs)
-    if key == "aa":
-        return AAConfig(**kwargs)
-    raise ConfigurationError(
-        f"session family {key!r} has no trainer config; "
-        "only 'ea' and 'aa' do"
-    )
-
-
-def _rl_factory(
-    agent: object, rng: RngLike = None, epsilon: float | None = None
-) -> InteractiveAlgorithm:
-    """Adapter: build an RL session from a trained agent."""
-    return agent.new_session(rng=rng, epsilon=epsilon)
-
-
-register_session("ea", _rl_factory, needs_agent=True)
-register_session("aa", _rl_factory, needs_agent=True)
-register_session("uh-random", UHRandomSession)
-register_session("uh-simplex", UHSimplexSession)
-register_session("single-pass", SinglePassSession)
-register_session("utility-approx", UtilityApproxSession, takes_rng=False)
-register_session("adaptive", AdaptiveSession)
+    spec = session_spec(name)
+    if spec.config is None:
+        raise ConfigurationError(
+            f"session family {spec.name!r} has no trainer config; "
+            "only 'ea' and 'aa' do"
+        )
+    return spec.config(**kwargs)

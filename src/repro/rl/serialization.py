@@ -3,9 +3,12 @@
 Training an interactive agent is the expensive step (Section V trains on
 10,000 utility vectors); a deployment answers many user sessions with one
 trained Q-function.  This module persists a trained
-:class:`~repro.core.ea.EAAgent` / :class:`~repro.core.aa.AAAgent` to a
-single ``.npz`` file: network weights and dataset as arrays, the
-algorithm configuration as JSON in a string array.
+:class:`~repro.core.trainer.TrainedAgent` (EA's or AA's) to a single
+``.npz`` file: network weights and dataset as arrays, the algorithm
+configuration as JSON in a string array.  The agent's ``family``
+round-trips through the ``algorithm`` field (upper-cased, ``"EA"`` /
+``"AA"``); loading resolves the family's session and config classes
+through :mod:`repro.registry`.
 
 Format (npz keys)
 -----------------
@@ -28,36 +31,30 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.data.datasets import Dataset
-from repro.errors import DataError
+from repro.errors import ConfigurationError, DataError
 from repro.rl.dqn import DQNAgent, DQNConfig
 from repro.rl.network import MLP
 from repro.rl.schedules import ConstantSchedule
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.aa import AAAgent
-    from repro.core.ea import EAAgent
+    from repro.core.trainer import TrainedAgent
 
 _FORMAT_VERSION = 1
 
 
-def save_agent(agent: "EAAgent | AAAgent", path: str | Path) -> Path:
+def save_agent(agent: "TrainedAgent", path: str | Path) -> Path:
     """Persist a trained agent to ``path`` (``.npz`` appended if missing).
 
     Returns the path actually written.
     """
-    from repro.core.aa import AAAgent
-    from repro.core.ea import EAAgent
+    from repro.core.trainer import TrainedAgent
 
-    if isinstance(agent, EAAgent):
-        algorithm = "EA"
-    elif isinstance(agent, AAAgent):
-        algorithm = "AA"
-    else:
+    if not isinstance(agent, TrainedAgent):
         raise TypeError(f"cannot serialise {type(agent).__name__}")
     network = agent.dqn.network
     meta = {
         "format_version": _FORMAT_VERSION,
-        "algorithm": algorithm,
+        "algorithm": agent.family.upper(),
         "config": dataclasses.asdict(agent.config),
         "dataset_name": agent.dataset.name,
         "layer_sizes": list(network.layer_sizes),
@@ -83,10 +80,10 @@ def save_agent(agent: "EAAgent | AAAgent", path: str | Path) -> Path:
     return path
 
 
-def load_agent(path: str | Path) -> "EAAgent | AAAgent":
+def load_agent(path: str | Path) -> "TrainedAgent":
     """Load an agent previously written by :func:`save_agent`."""
-    from repro.core.aa import AAAgent, AAConfig
-    from repro.core.ea import EAAgent, EAConfig
+    from repro.core.trainer import TrainedAgent
+    from repro.registry import session_spec
 
     path = Path(path)
     with np.load(path, allow_pickle=False) as archive:
@@ -118,18 +115,20 @@ def load_agent(path: str | Path) -> "EAAgent | AAAgent":
         ),
         rng=0,
     )
+    try:
+        spec = session_spec(meta["algorithm"])
+    except ConfigurationError:
+        spec = None
+    if spec is None or spec.config is None:
+        raise DataError(
+            f"unknown algorithm {meta['algorithm']!r} in agent file"
+        )
     _install_parameters(dqn.network, weights, biases)
     dqn.sync_target()
-    if meta["algorithm"] == "EA":
-        fields = dict(meta["config"])
-        # Older headers carry the retired range-policy block; drop it.
-        fields.pop("range_config", None)
-        return EAAgent(dataset=dataset, config=EAConfig(**fields), dqn=dqn)
-    if meta["algorithm"] == "AA":
-        return AAAgent(
-            dataset=dataset, config=AAConfig(**meta["config"]), dqn=dqn
-        )
-    raise DataError(f"unknown algorithm {meta['algorithm']!r} in agent file")
+    fields = dict(meta["config"])
+    # Older EA headers carry the retired range-policy block; drop it.
+    fields.pop("range_config", None)
+    return TrainedAgent(spec.factory, dataset, spec.config(**fields), dqn)
 
 
 def _install_parameters(

@@ -72,6 +72,7 @@ from repro.core.session import DEFAULT_MAX_ROUNDS, SessionResult
 from repro.errors import ConfigurationError, InteractionError, PersistenceError
 from repro.obs.export import aggregate_report
 from repro.obs.tracer import Tracer, use_tracer
+from repro.registry import agents_by_family
 from repro.serve.metrics import EngineMetrics, SessionError, SessionMetrics
 from repro.serve.scheduler import ContinuousEngine
 from repro.serve.spec import SessionSpec, require_spec
@@ -124,17 +125,6 @@ class _WorkerState:
     items: dict[int, _WorkItem]
     unfinished: set[int] = field(default_factory=set)
     done: bool = False
-
-
-def _agent_for(options: _WorkerOptions, family: str) -> Any | None:
-    """The trained agent a crash-resumed ``family`` session needs."""
-    agent = options.agents.get(family)
-    if agent is None and len(options.agents) == 1:
-        # Single-agent deployments (serve-bench) register under the
-        # bench's algorithm key; accept it for any resumed family
-        # rather than forcing callers to guess canonical names.
-        agent = next(iter(options.agents.values()))
-    return agent
 
 
 def _flush_completed(
@@ -190,7 +180,7 @@ def _worker_main(
                     spec = resumed_spec(
                         snapshot,
                         item.user,
-                        agent=_agent_for(options, snapshot.family),
+                        agent=options.agents.get(snapshot.family),
                         dataset=options.dataset,
                     )
                 else:
@@ -238,6 +228,10 @@ class ShardedDispatcher:
         Context for rebuilding crash-resumed sessions
         (:func:`~repro.persist.restore_session` needs the trained agent
         for RL families and the dataset when snapshots omit points).
+        ``agents`` is keyed by family name (display names accepted, as
+        in :class:`~repro.server.app.SessionService`); an agent filed
+        under another family's name raises
+        :class:`~repro.errors.ConfigurationError` before any fork.
     collect_obs:
         Install a per-worker :class:`~repro.obs.tracer.Tracer` and
         aggregate the workers' span reports into
@@ -270,6 +264,7 @@ class ShardedDispatcher:
         if procs < 1:
             raise ConfigurationError(f"procs must be >= 1, got {procs}")
         ContinuousEngine.check_options(max_rounds, max_in_flight)
+        agents = agents_by_family(agents)
         if "fork" not in multiprocessing.get_all_start_methods():
             raise ConfigurationError(
                 "ShardedDispatcher needs the 'fork' start method (session "
@@ -285,7 +280,7 @@ class ShardedDispatcher:
             recover=bool(recover),
             store=store,
             collect_obs=bool(collect_obs),
-            agents=dict(agents or {}),
+            agents=agents,
             dataset=dataset,
         )
         self._lock = threading.RLock()
@@ -433,7 +428,7 @@ class ShardedDispatcher:
             snapshot,
             user,
             agent=agent if agent is not None
-            else _agent_for(self._options, snapshot.family),
+            else self._options.agents.get(snapshot.family),
             dataset=dataset if dataset is not None
             else self._options.dataset,
         )

@@ -732,21 +732,27 @@ class ContinuousEngine:
     ) -> None:
         """Resolve parked candidate batches, stacked per scorer.
 
-        Tasks whose algorithm exposes a ``dqn`` with ``q_values_many``
-        (the RL policies) are grouped by scorer identity and scored in
-        one stacked pass; others fall back to their own sequential
-        selection.  A scorer that raises (or violates the
-        one-score-row-per-session contract) fails every task in its
-        group.  Scoring is one matmul chain per scorer, the thing
-        batching exists to amortise; each task then resolves its own
-        choice into a question.
+        A candidate batch comes with a ``dqn`` exposing
+        ``q_values_many`` (the RL policies); tasks are grouped by scorer
+        identity and scored in one stacked pass.  A batch without such a
+        scorer fails its own task, and a scorer that raises (or
+        violates the one-score-row-per-session contract) fails every
+        task in its group.  Scoring is one matmul chain per scorer, the
+        thing batching exists to amortise; each task then resolves its
+        own choice into a question.
         """
         groups: dict[int, tuple[Any, list[_Task]]] = {}
-        singles: list[_Task] = []
         for task in batchable:
             scorer = getattr(task.algorithm, "dqn", None)
-            if scorer is None or not hasattr(scorer, "q_values_many"):
-                singles.append(task)
+            if not hasattr(scorer, "q_values_many"):
+                self._fail(
+                    task,
+                    InteractionError(
+                        f"ticket {task.ticket} exposed a candidate batch "
+                        "without a dqn.q_values_many scorer"
+                    ),
+                    replacements,
+                )
                 continue
             groups.setdefault(id(scorer), (scorer, []))[1].append(task)
         tracer = self._tracer
@@ -798,26 +804,12 @@ class ContinuousEngine:
                     continue
                 task.metrics.batched_rounds += 1
                 task.batch = None
-        for task, error in zip(
-            singles, self._map(self._select_single, singles), strict=True
-        ):
-            if error is not None:
-                self._fail(task, error, replacements)
-                continue
-            task.batch = None
 
     def _resolve(self, task: _Task, choice: int) -> None:
         """Resolve ``task``'s batched choice into a question."""
         with self._task_op(task, "select"):
             task.watch.start()
             task.question = task.algorithm.next_question_from(choice)
-            task.watch.stop()
-
-    def _select_single(self, task: _Task) -> None:
-        """Sequential selection for a batch with no shared scorer."""
-        with self._task_op(task, "select"):
-            task.watch.start()
-            task.question = task.algorithm.next_question()
             task.watch.stop()
 
     # -- outcomes ------------------------------------------------------------

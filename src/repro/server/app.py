@@ -61,6 +61,7 @@ from repro.errors import PersistenceError, ReproError
 from repro.obs.tracer import span
 from repro.persist import SessionStore, capture_session, restore_session
 from repro.registry import (
+    agents_by_family,
     canonical_session_name,
     make_session,
     session_needs_agent,
@@ -131,8 +132,10 @@ class SessionService:
     dataset:
         The dataset every served session searches.
     agents:
-        Trained agents by family name (``{"ea": agent}``) for the RL
-        families; baselines need none.
+        Trained agents by family name (``{"ea": agent}``, display names
+        accepted) for the RL families; baselines need none.  An agent
+        filed under another family's name raises
+        :class:`~repro.errors.ConfigurationError` here.
     agent_refs:
         Optional provenance by family (typically the agent npz path),
         recorded into snapshots so a fresh process knows which agent to
@@ -172,10 +175,7 @@ class SessionService:
         runtime: Runtime | None = None,
     ) -> None:
         self.dataset = dataset
-        self.agents = {
-            canonical_session_name(name): agent
-            for name, agent in (agents or {}).items()
-        }
+        self.agents = agents_by_family(agents)
         self.agent_refs = {
             canonical_session_name(name): ref
             for name, ref in (agent_refs or {}).items()

@@ -19,8 +19,8 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             AdaptiveSession(small_anti_3d, epsilon=0.0)
 
-    def test_name(self, small_anti_3d):
-        assert AdaptiveSession(small_anti_3d, rng=0).name == "Adaptive"
+    def test_family(self, small_anti_3d):
+        assert AdaptiveSession(small_anti_3d, rng=0).family == "adaptive"
 
 
 class TestBehaviour:

@@ -17,8 +17,8 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             UHSimplexSession(small_anti_3d, epsilon=1.0)
 
-    def test_name(self, small_anti_3d):
-        assert UHSimplexSession(small_anti_3d, rng=0).name == "UH-Simplex"
+    def test_family(self, small_anti_3d):
+        assert UHSimplexSession(small_anti_3d, rng=0).family == "uh-simplex"
 
 
 class TestExactness:

@@ -6,9 +6,18 @@ import numpy as np
 import pytest
 
 from repro.core.environment import EnvObservation, RLPolicy
+from repro.core.trainer import TrainedAgent
+from repro.data.datasets import toy_database
 from repro.errors import InteractionError
 from repro.rl.dqn import DQNAgent, DQNConfig
-from tests.core.test_trainer import LineEnvironment
+from tests.core.test_trainer import LineConfig, LineEnvironment, line_environment
+
+
+class LineSession(RLPolicy):
+    """RLPolicy over the toy MDP (unregistered, so any family name)."""
+
+    family = "line"
+    environment_class = LineEnvironment
 
 
 class TestEnvObservation:
@@ -31,13 +40,13 @@ class TestEnvObservation:
 
 class TestActionFeatures:
     def test_canonical_order(self):
-        env = LineEnvironment()
+        env = line_environment()
         np.testing.assert_array_equal(
             env.action_features(0, 1), env.action_features(1, 0)
         )
 
     def test_concatenation_layout(self):
-        env = LineEnvironment()
+        env = line_environment()
         features = env.action_features(0, 1)
         points = env.dataset.points
         np.testing.assert_array_equal(
@@ -47,11 +56,13 @@ class TestActionFeatures:
 
 class TestRLPolicy:
     def make_policy(self, length: int = 2) -> RLPolicy:
-        env = LineEnvironment(length=length)
         dqn = DQNAgent(
             state_dim=1, action_dim=4, config=DQNConfig(batch_size=4), rng=0
         )
-        return RLPolicy(env, dqn)
+        agent = TrainedAgent(
+            LineSession, toy_database(), LineConfig(length=length), dqn
+        )
+        return agent.new_session()
 
     def test_follows_protocol(self):
         policy = self.make_policy(length=2)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -11,26 +13,31 @@ from repro.data.datasets import toy_database
 from repro.rl.dqn import DQNAgent, DQNConfig
 
 
+@dataclass(frozen=True)
+class LineConfig:
+    """The toy's config: episode length plus the fields the skeleton reads."""
+
+    length: int = 3
+    epsilon: float = 0.1
+    reward_constant: float = 100.0
+    step_penalty: float = 0.0
+
+
 class LineEnvironment(InteractiveEnvironment):
     """A tiny deterministic MDP: reach the terminal in `length` steps.
 
     Candidate pairs are always (0, 1); the episode ends after a fixed
     number of steps regardless of answers — enough to exercise the
-    trainer's bookkeeping deterministically.
+    trainer's bookkeeping and the shared step/reward skeleton
+    deterministically.  It keeps no utility range.
     """
 
-    def __init__(self, length: int = 3):
-        super().__init__(toy_database())
-        self.length = length
-        self._position = 0
+    def _new_range(self) -> None:
+        return None
 
     @property
     def state_dim(self) -> int:
         return 1
-
-    @property
-    def action_dim(self) -> int:
-        return 4
 
     def reset(self) -> EnvObservation:
         self._position = 0
@@ -38,18 +45,21 @@ class LineEnvironment(InteractiveEnvironment):
 
     def _observe(self) -> EnvObservation:
         state = np.array([float(self._position)])
-        if self._position >= self.length:
-            return EnvObservation(state, None, None, terminal=True)
-        actions = np.array([self.action_features(0, 1)])
-        return EnvObservation(state, actions, [(0, 1)], terminal=False)
+        if self._position >= self.config.length:
+            return self._terminal_observation(state)
+        return self._live_observation(state, [(0, 1)])
 
-    def step(self, choice, prefers_first):
+    def _transition(self, index_i, index_j, halfspace) -> EnvObservation:
         self._position += 1
-        obs = self._observe()
-        return obs, (100.0 if obs.terminal else 0.0)
+        return self._observe()
 
     def recommend(self) -> int:
         return 0
+
+
+def line_environment(length: int = 3) -> LineEnvironment:
+    """A :class:`LineEnvironment` over the toy database."""
+    return LineEnvironment(toy_database(), LineConfig(length=length))
 
 
 class TestTrainAgent:
@@ -62,20 +72,20 @@ class TestTrainAgent:
         )
 
     def test_episode_count(self):
-        env = LineEnvironment(length=2)
+        env = line_environment(2)
         utilities = np.tile([0.3, 0.7], (5, 1))
         log = train_agent(env, self.make_dqn(), utilities)
         assert log.episodes == 5
         assert log.rounds_per_episode == [2] * 5
 
     def test_replay_filled(self):
-        env = LineEnvironment(length=3)
+        env = line_environment(3)
         dqn = self.make_dqn()
         train_agent(env, dqn, np.tile([0.3, 0.7], (4, 1)))
         assert len(dqn.memory) == 12
 
     def test_losses_recorded(self):
-        env = LineEnvironment(length=2)
+        env = line_environment(2)
         log = train_agent(
             env,
             self.make_dqn(),
@@ -85,7 +95,7 @@ class TestTrainAgent:
         assert len(log.losses) == 6
 
     def test_round_cap_truncates(self):
-        env = LineEnvironment(length=50)
+        env = line_environment(50)
         log = train_agent(
             env, self.make_dqn(), np.tile([0.3, 0.7], (2, 1)), round_cap=5
         )
@@ -93,7 +103,7 @@ class TestTrainAgent:
         assert log.rounds_per_episode == [5, 5]
 
     def test_on_episode_callback(self):
-        env = LineEnvironment(length=1)
+        env = line_environment(1)
         seen = []
         train_agent(
             env,
@@ -104,7 +114,7 @@ class TestTrainAgent:
         assert seen == [(0, 1), (1, 1), (2, 1)]
 
     def test_invalid_updates_rejected(self):
-        env = LineEnvironment()
+        env = line_environment()
         with pytest.raises(ValueError):
             train_agent(
                 env, self.make_dqn(), np.zeros((1, 2)), updates_per_episode=-1

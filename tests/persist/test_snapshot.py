@@ -372,6 +372,46 @@ class TestArrayRoundTrip:
         assert snapshot_from_bytes(blob).state["points"][0, 0] == 0.0
 
 
+#: Key order of an RL session's ``get_state`` tree, pinned: snapshot
+#: bytes depend on it.  Structure only, so it holds on any BLAS.
+RL_STATE_KEYS = ["class", "rounds", "abstentions", "done", "pending", "extra"]
+RL_EXTRA_KEYS = ["choice", "observation", "environment"]
+OBSERVATION_KEYS = ["state", "actions", "pairs", "terminal"]
+ENVIRONMENT_KEYS = {
+    "ea": ["kind", "rng", "range", "pairs", "recommendation", "terminal", "state"],
+    "aa": [
+        "kind", "rng", "range", "pairs", "asked", "midpoint", "terminal", "state",
+    ],
+}
+
+
+class TestRLStateLayout:
+    @pytest.mark.parametrize(
+        ("family", "session_class"), [("ea", "EASession"), ("aa", "AASession")]
+    )
+    def test_layout_and_identity(
+        self, family, session_class, trained_ea_3d, trained_aa_3d
+    ):
+        agent = {"ea": trained_ea_3d, "aa": trained_aa_3d}[family]
+        session = agent.new_session(rng=5)
+        utility = sample_training_utilities(3, 1, rng=12)[0]
+        transcript = _drive(session, OracleUser(utility), 2)
+        assert len(transcript) == 2
+        snapshot = snapshot_from_bytes(
+            snapshot_to_bytes(capture_session(session, session_id=family))
+        )
+        assert snapshot.family == family
+        assert snapshot.dataset is None
+        state = snapshot.state
+        assert state["class"] == session_class
+        assert list(state) == RL_STATE_KEYS
+        assert list(state["extra"]) == RL_EXTRA_KEYS
+        assert list(state["extra"]["observation"]) == OBSERVATION_KEYS
+        environment = state["extra"]["environment"]
+        assert list(environment) == ENVIRONMENT_KEYS[family]
+        assert environment["kind"] == family
+
+
 class TestRestoreGuards:
     def test_rl_restore_requires_agent(self):
         snapshot = SessionSnapshot(

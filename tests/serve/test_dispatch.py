@@ -401,6 +401,14 @@ class TestLifecycle:
         with pytest.raises(ConfigurationError):
             ShardedDispatcher(procs=0)
 
+    def test_wrong_family_agent_fails_before_fork(self, trained_ea_3d):
+        from repro.errors import ConfigurationError
+
+        before = set(multiprocessing.active_children())
+        with pytest.raises(ConfigurationError, match="family"):
+            ShardedDispatcher(procs=2, agents={"aa": trained_ea_3d})
+        assert set(multiprocessing.active_children()) == before
+
 
 class TestAffinity:
     def test_shard_is_stable_across_dispatchers(self):

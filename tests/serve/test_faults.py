@@ -322,6 +322,22 @@ class TestFaultIsolation:
             assert "score rows" in result.error
         assert engine.last_metrics.failed == 2
 
+    def test_batch_without_scorer_fails_only_its_session(self, toy):
+        engine = ContinuousEngine()
+        results = engine.run(
+            [
+                _spec(lambda: BatchableSession(toy, None), _always_true_user()),
+                _spec(lambda: ScriptedSession(toy, total=3), _always_true_user()),
+            ]
+        )
+        assert results[0].failed
+        assert results[0].rounds == 0
+        assert "InteractionError" in results[0].error
+        assert "q_values_many" in results[0].error
+        assert results[1].status == "completed"
+        assert results[1].rounds == 3
+        assert engine.last_metrics.failed == 1
+
 
 # -- recovery -------------------------------------------------------------------
 

@@ -672,6 +672,14 @@ class TestFaultMapping:
         assert status == 400
         assert "error" in body
 
+    def test_agent_under_wrong_family_rejected_at_construction(
+        self, small_anti_3d, trained_ea_3d
+    ):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="family"):
+            SessionService(small_anti_3d, agents={"aa": trained_ea_3d})
+
     def test_rl_family_without_agent_is_400(self, small_anti_3d):
         async def main():
             async with serving(small_anti_3d) as (_, host, port):

@@ -63,3 +63,15 @@ class TestExamples:
             assert f"examples/{script.name}" in doc, (
                 f"{script.name} docstring should show the run command"
             )
+
+    def test_csv_workflow_runs_end_to_end(self, tmp_path, monkeypatch, capsys):
+        """train_ea -> save_agent -> load_agent -> session, as shipped."""
+        module = _load(EXAMPLES_DIR / "csv_workflow.py")
+        monkeypatch.setattr(
+            module.tempfile, "mkdtemp", lambda prefix="": str(tmp_path)
+        )
+        module.main()
+        out = capsys.readouterr().out
+        assert (tmp_path / "laptops_ea.npz").exists()
+        assert "trained agent saved to" in out
+        assert "answered" in out and "regret ratio" in out

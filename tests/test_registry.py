@@ -13,12 +13,15 @@ from repro.baselines import (
 )
 from repro.core import AAConfig, AASession, EAConfig, EASession, train_aa, train_ea
 from repro.errors import ConfigurationError
+from repro.persist import capture_session
 from repro.registry import (
+    agents_by_family,
     canonical_session_name,
     make_config,
     make_session,
     make_trainer,
     session_names,
+    session_needs_agent,
 )
 
 BASELINE_TYPES = {
@@ -76,6 +79,14 @@ class TestMakeSession:
         with pytest.raises(ConfigurationError, match="agent"):
             make_session("ea", small_anti_3d, 0.1, rng=0)
 
+    @pytest.mark.parametrize(("family", "other"), [("aa", "ea"), ("ea", "aa")])
+    def test_wrong_family_agent_raises(
+        self, family, other, trained_ea_3d, trained_aa_3d, small_anti_3d
+    ):
+        agent = {"ea": trained_ea_3d, "aa": trained_aa_3d}[other]
+        with pytest.raises(ConfigurationError, match="family"):
+            make_session(family, small_anti_3d, 0.1, rng=0, agent=agent)
+
     def test_agent_dataset_mismatch_raises(self, trained_ea_3d, small_anti_4d):
         with pytest.raises(ConfigurationError, match="does not match"):
             make_session("ea", small_anti_4d, 0.1, rng=0, agent=trained_ea_3d)
@@ -102,3 +113,37 @@ class TestTrainerAndConfig:
     def test_baseline_has_no_config(self):
         with pytest.raises(ConfigurationError, match="no trainer config"):
             make_config("single-pass")
+
+
+class TestAgentsByFamily:
+    def test_display_names_are_canonicalised(self, trained_ea_3d, trained_aa_3d):
+        agents = agents_by_family({"EA": trained_ea_3d, "AA": trained_aa_3d})
+        assert agents == {"ea": trained_ea_3d, "aa": trained_aa_3d}
+
+    def test_agent_under_other_family_raises(self, trained_ea_3d):
+        with pytest.raises(ConfigurationError, match="family"):
+            agents_by_family({"aa": trained_ea_3d})
+
+    def test_none_is_empty(self):
+        assert agents_by_family(None) == {}
+
+
+class TestFamilyContract:
+    """Each session class names its registry key once, and snapshots use it."""
+
+    @pytest.mark.parametrize("name", sorted(session_names()))
+    def test_session_class_declares_its_key(
+        self, name, small_anti_3d, trained_ea_3d, trained_aa_3d
+    ):
+        extra = {}
+        if session_needs_agent(name):
+            extra["agent"] = {"ea": trained_ea_3d, "aa": trained_aa_3d}[name]
+        session = make_session(name, small_anti_3d, 0.1, rng=3, **extra)
+        assert type(session).family == name
+        snapshot = capture_session(session, session_id=f"contract-{name}")
+        assert snapshot.family == name
+        assert snapshot.state["class"] == type(session).__name__
+
+    def test_agents_name_their_family(self, trained_ea_3d, trained_aa_3d):
+        assert trained_ea_3d.family == "ea"
+        assert trained_aa_3d.family == "aa"
