@@ -115,8 +115,8 @@ def test_micro_lp_solve_raw_direct(chebyshev_system, benchmark):
 
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_micro_hit_and_run(benchmark, d):
-    """64 draws (370 chain steps) from a mid-session range; d=3 is the
-    ladder's EA workload."""
+    """64 draws (64 chains of 55 steps) from a mid-session range; d=3 is
+    the ladder's EA workload."""
     poly = _narrowed_polytope(d, answers=6)
     samples = benchmark(lambda: poly.sample(64, rng=0))
     assert samples.shape == (64, d)

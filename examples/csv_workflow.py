@@ -50,8 +50,21 @@ def write_catalogue(path: Path, n: int = 3_000, seed: int = 0) -> None:
             writer.writerow([f"{value:.2f}" for value in row])
 
 
-def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="repro_csv_"))
+def main(workdir: Path | None = None) -> None:
+    """Run the workflow, writing its files under ``workdir``.
+
+    With no ``workdir`` the files go to a temporary directory that is
+    removed when the run ends.
+    """
+    if workdir is None:
+        with tempfile.TemporaryDirectory(prefix="repro_csv_") as scratch:
+            run_workflow(Path(scratch))
+    else:
+        run_workflow(Path(workdir))
+
+
+def run_workflow(workdir: Path) -> None:
+    """Steps 1-5 of the module docstring, with files under ``workdir``."""
     csv_path = workdir / "laptops.csv"
     agent_path = workdir / "laptops_ea.npz"
 

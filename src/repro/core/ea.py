@@ -7,7 +7,9 @@ EA maintains the utility range ``R`` as an explicit polytope.  Its MDP:
 * **Action** — one of ``m_h`` random pairs of *anchor points* (points
   top-1 somewhere in ``R``; each anchors a constructible terminal
   polyhedron, :mod:`repro.core.terminal`).  By Lemma 7 every such
-  question strictly narrows ``R``.
+  question narrows ``R``; in floating point only pairs whose plane cuts
+  ``R``'s vertex set on both sides are offered
+  (:func:`~repro.core.terminal.anchor_pairs`).
 * **Transition** — intersect ``R`` with the answer's half-space.
 * **Reward** — ``c`` when ``R`` becomes a terminal polyhedron (Lemma 6),
   0 otherwise; with discounting, maximising return minimises rounds.
@@ -125,7 +127,9 @@ class EAEnvironment(InteractiveEnvironment):
                 "Use algorithm AA for high-dimensional data."
             )
         super().__init__(dataset, config, rng)
-        self._recommendation = 0
+        #: A settled answer (terminal or single-anchor) or ``None``: the
+        #: best-effort point of the current range, computed on demand.
+        self._recommendation: int | None = 0
 
     def _new_range(self) -> ExactRange:
         return ExactRange(self.dataset.dimension)
@@ -152,7 +156,18 @@ class EAEnvironment(InteractiveEnvironment):
         return self._terminal_observation(self._last_state())
 
     def recommend(self) -> int:
-        return self._recommendation
+        """The settled answer, or the current range's best-effort point.
+
+        While the session is live no answer is settled, and the point
+        with the highest utility at the range's Chebyshev centre is
+        returned.  It is computed here rather than every round, so a
+        round solves no Chebyshev LP; the value is the one an eager
+        per-round computation would give for the same range.
+        """
+        if self._recommendation is not None:
+            return self._recommendation
+        center, _ = self._range.chebyshev_center()
+        return top_point_index(self.dataset.points, center)
 
     @property
     def polytope(self) -> UtilityPolytope:
@@ -160,7 +175,7 @@ class EAEnvironment(InteractiveEnvironment):
         return self._range.polytope
 
     def _extra_state(self) -> dict:
-        return {"recommendation": int(self._recommendation)}
+        return {"recommendation": int(self.recommend())}
 
     def _restore_extra(self, state: dict) -> None:
         self._recommendation = int(state["recommendation"])
@@ -186,9 +201,8 @@ class EAEnvironment(InteractiveEnvironment):
         if anchor is not None:
             self._recommendation = anchor
             return self._terminal_observation(state)
-        # Track a best-effort recommendation for mid-session traces.
-        center, _ = self._range.chebyshev_center()
-        self._recommendation = top_point_index(points, center)
+        # Live: recommend() derives a best-effort point on demand.
+        self._recommendation = None
         vectors = terminal.build_action_vectors(
             self._range, config.n_samples, rng=self._rng
         )
@@ -204,6 +218,7 @@ class EAEnvironment(InteractiveEnvironment):
             config.m_h,
             self._rng,
             counts=counts if config.weighted_actions else None,
+            vertex_scores=vertices @ points[anchors].T,
         )
         return self._live_observation(
             state, [tuple(sorted(pair)) for pair in pairs]

@@ -22,16 +22,12 @@ large-volume terminal polyhedra with high probability).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.geometry.polytope import UtilityPolytope
+from repro.geometry.range import SPLIT_TOL, ExactRange
 from repro.utils.rng import RngLike
 from repro.utils.validation import require_matrix
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.geometry.range import ExactRange
 
 #: Numerical slack when testing the epsilon-domination inequalities.
 #: Vertex enumeration rounds coordinates at ~1e-8, so boundary vertices
@@ -116,7 +112,7 @@ def terminal_anchor(
 
 
 def build_action_vectors(
-    region: "UtilityPolytope | ExactRange", n_samples: int, rng: RngLike = None
+    region: UtilityPolytope | ExactRange, n_samples: int, rng: RngLike = None
 ) -> np.ndarray:
     """The utility-vector set ``V`` of Section IV-B: samples + vertices.
 
@@ -141,19 +137,38 @@ def anchor_pairs(
     m_h: int,
     rng: np.random.Generator,
     counts: np.ndarray | None = None,
+    vertex_scores: np.ndarray | None = None,
 ) -> list[tuple[int, int]]:
     """Select ``m_h`` distinct pairs of anchors (the EA action space).
 
-    Every returned pair ``(i, j)`` has ``i != j``; by construction both
-    points are top-1 somewhere in ``R``, so asking about them strictly
-    narrows the range whatever the answer (Lemma 7).
+    Every returned pair ``(i, j)`` has ``i != j`` and both points are
+    top-1 somewhere in the scored vectors, so Lemma 7 says asking about
+    them narrows ``R``.  In floating point that can fail: a pair's plane
+    may only touch ``R``, or cut it by a few 1e-9, and then the answer
+    leaves the vertex set as it was and the same question comes back
+    (ROADMAP item 1 traces such a stall).  ``vertex_scores``, the
+    ``(v, n)`` utilities of the anchors at the vertices of ``R``, guards
+    against that: only pairs whose plane has vertices more than
+    :data:`~repro.geometry.range.SPLIT_TOL` inside on both sides are
+    offered, unless no pair splits ``R`` that clearly (then every pair
+    is a candidate, as without ``vertex_scores``).
 
-    With ``counts`` given, anchors are drawn with probability proportional
-    to how often they topped the sampled utility vectors — i.e. to the
-    (estimated) volume of their terminal polyhedra.  Questions then
-    discriminate between the *likely* winners first, which is the
-    volume-sensitivity Lemma 5 motivates.  Without ``counts`` the choice
-    is uniform over pairs, as in the paper's plain description.
+    With ``counts`` given (all positive), anchors are weighted
+    proportionally to how often they topped the sampled utility vectors,
+    i.e. to the (estimated) volume of their terminal polyhedra.
+    Questions then discriminate between the *likely* winners first,
+    which is the volume-sensitivity Lemma 5 motivates.  Without
+    ``counts`` the choice is uniform over pairs, as in the paper's plain
+    description.
+
+    The pairs come from one draw: pair ``{i, j}`` gets the probability
+    that two weighted draws without replacement pick it,
+    ``p_i p_j (1 / (1 - p_i) + 1 / (1 - p_j))``, and a single
+    ``rng.choice(n_pairs, m_h, replace=False, p=...)`` over the candidate
+    upper-triangle pairs (row-major, renormalised) picks ``m_h`` of them
+    by successive draws without replacement.  With at most ``m_h``
+    candidates all are returned and nothing is drawn.  The result is
+    sorted.
     """
     anchors = np.asarray(anchors, dtype=int)
     if anchors.shape[0] < 2:
@@ -161,34 +176,35 @@ def anchor_pairs(
     if m_h < 1:
         raise ValueError(f"m_h must be >= 1, got {m_h}")
     n = anchors.shape[0]
-    max_pairs = n * (n - 1) // 2
-    if max_pairs <= m_h:
-        return [
-            (int(anchors[i]), int(anchors[j]))
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
-    if counts is None:
-        probabilities = None
+    first, second = np.triu_indices(n, k=1)
+    if vertex_scores is not None:
+        values = vertex_scores[:, first] - vertex_scores[:, second]
+        splits = (values.max(axis=0) > SPLIT_TOL) & (
+            values.min(axis=0) < -SPLIT_TOL
+        )
+        if splits.any():
+            first, second = first[splits], second[splits]
+    if first.shape[0] <= m_h:
+        chosen = np.arange(first.shape[0])
     else:
-        counts = np.asarray(counts, dtype=float)
-        if counts.shape != anchors.shape:
-            raise ValueError("counts must align with anchors")
-        probabilities = counts / counts.sum()
-    pairs: set[tuple[int, int]] = set()
-    attempts = 0
-    while len(pairs) < m_h and attempts < 50 * m_h:
-        attempts += 1
-        pick = rng.choice(n, size=2, replace=False, p=probabilities)
-        i, j = int(anchors[pick[0]]), int(anchors[pick[1]])
-        pairs.add((min(i, j), max(i, j)))
-    if len(pairs) < m_h:
-        # Heavily skewed weights can starve the sampler; top up uniformly.
-        for i in range(n):
-            for j in range(i + 1, n):
-                pairs.add((int(anchors[i]), int(anchors[j])))
-                if len(pairs) >= m_h:
-                    break
-            if len(pairs) >= m_h:
-                break
-    return sorted(pairs)
+        if counts is None:
+            probabilities = None
+        else:
+            counts = np.asarray(counts, dtype=float)
+            if counts.shape != anchors.shape:
+                raise ValueError("counts must align with anchors")
+            if not np.all(counts > 0):
+                raise ValueError("counts must be positive")
+            weights = counts / counts.sum()
+            p_i, p_j = weights[first], weights[second]
+            probabilities = p_i * p_j * (1.0 / (1.0 - p_i) + 1.0 / (1.0 - p_j))
+            probabilities /= probabilities.sum()
+        chosen = rng.choice(
+            first.shape[0], size=m_h, replace=False, p=probabilities
+        )
+    left, right = anchors[first[chosen]], anchors[second[chosen]]
+    return sorted(
+        zip(
+            np.minimum(left, right).tolist(), np.maximum(left, right).tolist()
+        )
+    )

@@ -413,9 +413,10 @@ class UtilityPolytope:
     def sample(self, n: int, rng: RngLike = None) -> np.ndarray:
         """Draw ``n`` approximately uniform utility vectors from the range.
 
-        Uses hit-and-run from the Chebyshev centre
-        (:mod:`repro.geometry.sampling`).  For flat ranges (radius ~ 0) the
-        walk cannot move, so the centre is returned ``n`` times.
+        Uses hit-and-run (:func:`repro.geometry.sampling.hit_and_run`),
+        ``n`` independent chains that all start at the Chebyshev centre.
+        For flat ranges (radius ~ 0) the walk cannot move, so the centre
+        is returned ``n`` times.
         """
         from repro.geometry import sampling  # local import avoids a cycle
 

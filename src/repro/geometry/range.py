@@ -26,8 +26,8 @@ engine's :class:`~repro.geometry.lp.LPCache`.  :class:`ExactRange`
 keeps its H-representation exactly as a from-scratch polytope would
 (constraints always appended, redundancy-pruned past
 :data:`PRUNE_ABOVE` rows), so every LP-derived quantity — Chebyshev
-centres, hit-and-run samples — is bit-identical to the from-scratch
-path.
+centres, the H-representation hit-and-run walks — is bit-identical to
+the from-scratch path.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from repro.errors import ConfigurationError, EmptyRegionError, PersistenceError
-from repro.geometry import lp, simplex
+from repro.geometry import lp, sampling, simplex
 from repro.geometry.hyperplane import PreferenceHalfspace
 from repro.geometry.polytope import _DEDUP_DECIMALS, UtilityPolytope
 from repro.obs.tracer import NULL_SPAN, active_tracer
@@ -215,8 +215,8 @@ class ExactRange(UtilityRange):
     The H-representation evolves exactly as a from-scratch polytope's —
     every applied half-space is appended (redundant or not) and the
     system is redundancy-pruned once it exceeds :data:`PRUNE_ABOVE`
-    rows — so Chebyshev centres and hit-and-run samples are
-    bit-identical to the from-scratch path.  What changes is
+    rows — so Chebyshev centres and the H-representation hit-and-run
+    walks are bit-identical to the from-scratch path.  What changes is
     the vertex set: it is maintained incrementally by clipping, and a
     full re-enumeration happens only on the first access and when a cut
     is too degenerate to clip reliably (``stats.rebuilds`` counts both).
@@ -300,8 +300,24 @@ class ExactRange(UtilityRange):
         return self.chebyshev_center()[0]
 
     def sample(self, n: int, rng: RngLike = None) -> np.ndarray:
-        """Draw ``n`` approximately uniform utility vectors from the range."""
-        return self._polytope.sample(n, rng=rng)
+        """Draw ``n`` approximately uniform utility vectors from the range.
+
+        Hit-and-run (:func:`repro.geometry.sampling.hit_and_run`) over the
+        range's H-representation.  Once the range holds its vertices, the
+        chains start at the mean of the unrounded vertices, an interior
+        point that costs no LP (a single-point range returns that point
+        ``n`` times).  A range with no vertex set yet (fresh, or built by
+        :meth:`from_halfspaces`) never enumerates just to sample: it
+        starts at the Chebyshev centre, exactly as
+        :meth:`UtilityPolytope.sample` does.
+        """
+        if self._reduced is None:
+            return self._polytope.sample(n, rng=rng)
+        a_rows, b_rows = self._polytope.constraints
+        reduced = sampling.hit_and_run(
+            a_rows, b_rows, self._reduced.mean(axis=0), n, rng=rng
+        )
+        return simplex.lift_points(reduced)
 
     def contains(self, u: np.ndarray, tol: float = 1e-9) -> bool:
         """Ambient membership test ``u in R`` (up to ``tol``)."""

@@ -10,6 +10,7 @@ from repro.core.ea import EAEnvironment, MAX_EA_DIMENSION
 from repro.data import synthetic_dataset
 from repro.errors import ConfigurationError
 from repro.eval.metrics import session_regret
+from repro.geometry.vectors import top_point_index
 from repro.users import OracleUser
 
 
@@ -56,6 +57,19 @@ class TestEAEnvironment:
         constraints_before = env.polytope.n_constraints
         env.step(0, prefers_first=True)
         assert env.polytope.n_constraints >= constraints_before
+
+    def test_live_recommendation_is_lazy(self, small_anti_3d):
+        """A live round solves no Chebyshev LP; recommend() and the
+        state derive the centre's best point from the current range."""
+        env = EAEnvironment(small_anti_3d, EAConfig(n_samples=32), rng=0)
+        obs = env.reset()
+        obs, _ = env.step(0, prefers_first=True)
+        assert not obs.terminal
+        assert "_chebyshev" not in vars(env.polytope)
+        center, _ = env.utility_range.chebyshev_center()
+        expected = top_point_index(small_anti_3d.points, center)
+        assert env.recommend() == expected
+        assert env.get_state()["recommendation"] == expected
 
     def test_episode_terminates_with_oracle(self, small_anti_3d):
         """With any fixed utility the episode ends in finite rounds."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.stats import chi2_contingency
 
 from repro.core import terminal
 from repro.geometry.hyperplane import epsilon_halfspace, preference_halfspace
@@ -154,6 +155,77 @@ class TestAnchorPairs:
         with pytest.raises(ValueError):
             terminal.anchor_pairs(np.array([1]), m_h=1, rng=rng)
 
+    def test_output_sorted(self, rng):
+        anchors = np.array([9, 2, 7, 4, 5])
+        counts = np.array([3, 1, 4, 1, 5])
+        for _ in range(20):
+            pairs = terminal.anchor_pairs(anchors, m_h=5, rng=rng, counts=counts)
+            assert pairs == sorted(pairs)
+            assert all(i < j for i, j in pairs)
+
+    def test_pairs_that_do_not_split_the_vertices_are_not_offered(self, rng):
+        # Anchors 0 and 1 at the traced stall's vertices: their plane has
+        # a vertex 7.2e-10 on the far side, below SPLIT_TOL, so asking it
+        # leaves the vertex set unchanged.  Anchor 2 splits against both.
+        plane = np.array([1.692e-9, 0.1187, -7.233e-10, 0.06945])
+        third = np.array([0.5, -0.5, 0.5, -0.5])
+        scores = np.stack([plane, np.zeros(4), third], axis=1)
+        anchors = np.array([14, 92, 41])
+        for _ in range(20):
+            pairs = terminal.anchor_pairs(
+                anchors, m_h=1, rng=rng, vertex_scores=scores
+            )
+            assert pairs[0] != (14, 92)
+        assert terminal.anchor_pairs(
+            anchors, m_h=5, rng=rng, vertex_scores=scores
+        ) == [(14, 41), (41, 92)]
+
+    def test_all_pairs_are_candidates_when_none_splits(self, rng):
+        scores = np.zeros((4, 3))
+        pairs = terminal.anchor_pairs(
+            np.array([1, 2, 3]), m_h=5, rng=rng, vertex_scores=scores
+        )
+        assert pairs == [(1, 2), (1, 3), (2, 3)]
+
+    def test_non_positive_counts_rejected(self, rng):
+        with pytest.raises(ValueError, match="positive"):
+            terminal.anchor_pairs(
+                np.arange(4), m_h=2, rng=rng, counts=np.array([3, 0, 1, 1])
+            )
+
+    @pytest.mark.parametrize("weights", ["none", "uniform", "skewed"])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+    def test_pair_draw_matches_successive_draws(self, n, weights):
+        """One weighted draw over pairs picks each pair as often as the
+        loop of weighted two-point draws it replaced (chi-square test of
+        homogeneity on how often each pair is offered)."""
+        anchors = np.arange(10, 10 + n)
+        counts = {
+            "none": None,
+            "uniform": np.full(n, 4),
+            "skewed": np.array([40, 17, 9, 4, 2, 1, 1, 1])[:n],
+        }[weights]
+        m_h = min(5, n * (n - 1) // 2 - 1)
+        index = {
+            pair: k
+            for k, pair in enumerate(
+                (int(anchors[i]), int(anchors[j]))
+                for i in range(n)
+                for j in range(i + 1, n)
+            )
+        }
+        trials = 2_000
+        table = np.zeros((2, len(index)), dtype=int)
+        new_rng = np.random.default_rng(n)
+        old_rng = np.random.default_rng(100 + n)
+        for _ in range(trials):
+            for pair in terminal.anchor_pairs(anchors, m_h, new_rng, counts):
+                table[0, index[pair]] += 1
+            for pair in _successive_pairs(anchors, m_h, old_rng, counts):
+                table[1, index[pair]] += 1
+        assert table.sum(axis=1).tolist() == [trials * m_h] * 2
+        assert chi2_contingency(table).pvalue > 1e-3
+
     def test_lemma7_pairs_split_range(self, corner_points, rng):
         """Both sides of an anchor-pair plane intersect R (Lemma 7)."""
         poly = UtilityPolytope.simplex(3)
@@ -164,3 +236,15 @@ class TestAnchorPairs:
             h = preference_halfspace(corner_points[i], corner_points[j])
             assert not poly.with_halfspace(h).is_empty()
             assert not poly.with_halfspace(h.flipped()).is_empty()
+
+
+def _successive_pairs(anchors, m_h, rng, counts=None):
+    """The rejection loop ``anchor_pairs`` replaced: draw two distinct
+    anchors (weighted by ``counts``) until ``m_h`` distinct pairs are in."""
+    probabilities = None if counts is None else counts / counts.sum()
+    pairs: set[tuple[int, int]] = set()
+    while len(pairs) < m_h:
+        pick = rng.choice(anchors.shape[0], size=2, replace=False, p=probabilities)
+        i, j = int(anchors[pick[0]]), int(anchors[pick[1]])
+        pairs.add((min(i, j), max(i, j)))
+    return sorted(pairs)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, EmptyRegionError
-from repro.geometry import lp
+from repro.geometry import lp, sampling, simplex
 from repro.geometry.hyperplane import PreferenceHalfspace, preference_halfspace
 from repro.geometry.polytope import UtilityPolytope
 from repro.geometry.range import (
@@ -116,14 +116,24 @@ class TestExactRangeBasics:
             assert urange.contains(sample, tol=1e-6)
 
     def test_matches_polytope_sample_bitwise(self):
-        """Hit-and-run through the range equals the from-scratch polytope."""
+        """Hit-and-run through the range runs on the from-scratch
+        polytope's H-representation: from the Chebyshev centre while no
+        vertex set is held, and from the mean of the unrounded vertices
+        (the state's ``reduced``) once it is."""
         spaces = random_halfspaces(3, 3, seed=4)
+        fresh = ExactRange.from_halfspaces(3, spaces)
         urange = ExactRange(3)
         poly = UtilityPolytope.simplex(3)
         for halfspace in spaces:
             urange.update(halfspace)
             poly = poly.with_halfspace(halfspace)
-        assert np.array_equal(urange.sample(8, rng=7), poly.sample(8, rng=7))
+        assert np.array_equal(fresh.sample(8, rng=7), poly.sample(8, rng=7))
+        a, b = poly.constraints
+        start = urange.get_state()["reduced"].mean(axis=0)
+        expected = simplex.lift_points(
+            sampling.hit_and_run(a, b, start, 8, rng=7)
+        )
+        assert np.array_equal(urange.sample(8, rng=7), expected)
         ours = urange.chebyshev_center()
         theirs = poly.chebyshev_center()
         assert np.array_equal(ours[0], theirs[0]) and ours[1] == theirs[1]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -64,14 +65,18 @@ class TestExamples:
                 f"{script.name} docstring should show the run command"
             )
 
-    def test_csv_workflow_runs_end_to_end(self, tmp_path, monkeypatch, capsys):
+    def test_csv_workflow_runs_end_to_end(self, tmp_path, capsys):
         """train_ea -> save_agent -> load_agent -> session, as shipped."""
         module = _load(EXAMPLES_DIR / "csv_workflow.py")
-        monkeypatch.setattr(
-            module.tempfile, "mkdtemp", lambda prefix="": str(tmp_path)
-        )
-        module.main()
+        module.main(workdir=tmp_path)
         out = capsys.readouterr().out
         assert (tmp_path / "laptops_ea.npz").exists()
         assert "trained agent saved to" in out
         assert "answered" in out and "regret ratio" in out
+
+    def test_csv_workflow_removes_its_temp_dir(self, tmp_path, monkeypatch):
+        """With no workdir, the run leaves nothing in the temp dir."""
+        module = _load(EXAMPLES_DIR / "csv_workflow.py")
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        module.main()
+        assert list(tmp_path.iterdir()) == []
