@@ -342,6 +342,24 @@ def _micro_batched_bounds(repeats: int) -> tuple[dict, dict]:
     return counters, timings
 
 
+def _mismatches(served: list, reference: list) -> int:
+    """Sessions whose outcome differs between two equal-length runs.
+
+    A session mismatches when its ``(recommendation index, rounds,
+    truncated, status)`` or its recommended point differ; the lists are
+    zipped strictly, so a short result list raises instead of passing.
+    """
+    import numpy as np
+
+    return sum(
+        1
+        for ours, ref in zip(served, reference, strict=True)
+        if (ours.recommendation_index, ours.rounds, ours.truncated, ours.status)
+        != (ref.recommendation_index, ref.rounds, ref.truncated, ref.status)
+        or not np.array_equal(ours.recommendation, ref.recommendation)
+    )
+
+
 def _continuous_gate() -> tuple[dict, dict]:
     """Counters/timings for the continuous-scheduler workload.
 
@@ -349,9 +367,8 @@ def _continuous_gate() -> tuple[dict, dict]:
     rebuilds the identical fixed-seed spec set with
     :func:`~repro.serve.bench.bench_workload` and replays it through
     sequential ``run_session``, counting per-session outcome mismatches
-    — ``(recommendation index, rounds, truncated, status)`` must agree
-    session by session.  Both the occupancy and the mismatch count are
-    seed-deterministic.
+    (:func:`_mismatches`).  Both the occupancy and the mismatch count
+    are seed-deterministic.
     """
     from repro.cli import _resolve_dataset
     from repro.core.session import run_session
@@ -385,12 +402,7 @@ def _continuous_gate() -> tuple[dict, dict]:
         for spec in workload.specs
     ]
     sequential_seconds = time.perf_counter() - started
-    mismatches = sum(
-        1
-        for ours, ref in zip(continuous.results, sequential, strict=True)
-        if (ours.recommendation_index, ours.rounds, ours.truncated, ours.status)
-        != (ref.recommendation_index, ref.rounds, ref.truncated, ref.status)
-    )
+    mismatches = _mismatches(continuous.results, sequential)
     m = continuous.metrics
     counters = {
         "continuous_occupancy": round(m.occupancy, 6),
@@ -410,15 +422,13 @@ def _dispatch_gate() -> tuple[dict, dict]:
     """Counters/timings for the multi-process dispatcher workload.
 
     Serves :data:`DISPATCH_CONFIG` through ``ShardedDispatcher`` and
-    through a single ``ContinuousEngine``, comparing ``(recommendation
-    index, rounds, truncated, status)`` and the recommended point per
-    session.  Mismatch and failure counts are seed-deterministic and
-    must be zero; the dispatch wall clock is ratio-gated only.  For the
-    merged worker spans as a ``BENCH_dispatch.json`` snapshot, run
-    ``python -m repro serve-bench --procs N --snapshot``.
+    through a single ``ContinuousEngine``, counting per-session outcome
+    mismatches (:func:`_mismatches`).  Mismatch and failure counts are
+    seed-deterministic and must be zero; the dispatch wall clock is
+    ratio-gated only.  For the merged worker spans as a
+    ``BENCH_dispatch.json`` snapshot, run ``python -m repro serve-bench
+    --procs N --snapshot``.
     """
-    import numpy as np
-
     from repro.cli import _resolve_dataset
     from repro.serve import run_serve_bench
 
@@ -435,13 +445,7 @@ def _dispatch_gate() -> tuple[dict, dict]:
     )
     single = run_serve_bench(dataset, **common)
     dispatched = run_serve_bench(dataset, procs=cfg["procs"], **common)
-    mismatches = sum(
-        1
-        for ours, ref in zip(dispatched.results, single.results)
-        if (ours.recommendation_index, ours.rounds, ours.truncated, ours.status)
-        != (ref.recommendation_index, ref.rounds, ref.truncated, ref.status)
-        or not np.array_equal(ours.recommendation, ref.recommendation)
-    )
+    mismatches = _mismatches(dispatched.results, single.results)
     m = dispatched.metrics
     counters = {
         "dispatch_failed": m.failed,
@@ -463,11 +467,9 @@ def _aa_gate() -> tuple[dict, dict]:
     counting the LP solves routed through its cache, the cache hits and
     the raw HiGHS runs (``lp.solve_count()`` before and after serving),
     then replays identically built specs through sequential
-    ``run_session`` and counts sessions whose ``(recommendation index,
-    rounds, truncated, status)`` or recommended point differ.
+    ``run_session`` and counts per-session outcome mismatches
+    (:func:`_mismatches`).
     """
-    import numpy as np
-
     from repro.cli import _resolve_dataset
     from repro.core.session import run_session
     from repro.geometry import lp
@@ -501,13 +503,7 @@ def _aa_gate() -> tuple[dict, dict]:
         )
         for spec in bench_workload(dataset, **common).specs
     ]
-    mismatches = sum(
-        1
-        for ours, ref in zip(served, sequential, strict=True)
-        if (ours.recommendation_index, ours.rounds, ours.truncated, ours.status)
-        != (ref.recommendation_index, ref.rounds, ref.truncated, ref.status)
-        or not np.array_equal(ours.recommendation, ref.recommendation)
-    )
+    mismatches = _mismatches(served, sequential)
     counters = {
         "aa_lp_cache_hits": metrics.lp_cache_hits,
         "aa_lp_solves": metrics.lp_solves,

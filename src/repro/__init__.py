@@ -63,7 +63,6 @@ from repro.registry import (
     make_config,
     make_session,
     make_trainer,
-    register_session,
     session_names,
 )
 from repro.rl.serialization import load_agent, save_agent
@@ -102,7 +101,6 @@ __all__ = [
     "make_session",
     "make_trainer",
     "max_regret_ratio",
-    "register_session",
     "regret_ratio",
     "run_serve_bench",
     "run_session",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,9 +17,6 @@ from repro.core.session import InteractiveAlgorithm, SessionResult, run_session
 from repro.data.datasets import Dataset
 from repro.eval.metrics import session_regret
 from repro.users.oracle import OracleUser
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.serve.scheduler import ContinuousEngine
 
 #: A fresh algorithm instance per user session.
 AlgorithmFactory = Callable[[], InteractiveAlgorithm]
@@ -51,7 +47,6 @@ def evaluate_algorithm(
     utilities: np.ndarray,
     name: str = "",
     max_rounds: int = 2_000,
-    engine: "ContinuousEngine | None" = None,
 ) -> EvaluationSummary:
     """Run one session per hidden utility vector and aggregate.
 
@@ -66,29 +61,15 @@ def evaluate_algorithm(
     name:
         Label used in reports.
     max_rounds:
-        Per-session safety cap (ignored when ``engine`` is given: the
-        engine's own ``max_rounds`` applies).
-    engine:
-        Optional :class:`~repro.serve.scheduler.ContinuousEngine`.  When
-        given, all user sessions are driven concurrently through it
-        (batched Q-scoring, LP memoisation) instead of sequentially;
-        results are bit-identical to the sequential path.
+        Per-session safety cap.
     """
     users = [
         OracleUser(utility)
         for utility in np.atleast_2d(np.asarray(utilities, dtype=float))
     ]
-    if engine is not None:
-        from repro.serve.spec import SessionSpec
-
-        sessions = engine.run(
-            [SessionSpec(factory=factory, user=user) for user in users]
-        )
-    else:
-        sessions = [
-            run_session(factory(), user, max_rounds=max_rounds)
-            for user in users
-        ]
+    sessions = [
+        run_session(factory(), user, max_rounds=max_rounds) for user in users
+    ]
     regrets = [
         session_regret(dataset, result, user)
         for result, user in zip(sessions, users)

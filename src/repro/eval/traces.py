@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.session import InteractiveAlgorithm
+from repro.core.session import InteractiveAlgorithm, RoundRecord, run_session
 from repro.data.datasets import Dataset
 from repro.errors import EmptyRegionError
 from repro.eval.metrics import max_regret_ratio
 from repro.users.oracle import User
 from repro.utils.rng import RngLike
-from repro.utils.timing import Stopwatch
 
 
 @dataclass(frozen=True)
@@ -31,6 +30,10 @@ class TracePoint:
     recommendation_index: int
 
 
+class _StopTrace(Exception):
+    """Ends a traced run once the max-regret metric has no region left."""
+
+
 def trace_session(
     algorithm: InteractiveAlgorithm,
     user: User,
@@ -41,9 +44,13 @@ def trace_session(
 ) -> list[TracePoint]:
     """Run a session collecting the max-regret/time series per round.
 
-    The stopwatch accumulates *agent* time only — measuring the
-    max-regret metric itself is evaluation bookkeeping and is excluded,
-    matching the paper's methodology.
+    The session runs through :func:`~repro.core.session.run_session`
+    (so an abstaining user is re-asked, as on every other path), and
+    each round's :class:`~repro.core.session.RoundRecord` gets its
+    max-regret measurement in the ``on_round`` callback.  The elapsed
+    time is *agent* time only — measuring the max-regret metric itself
+    is evaluation bookkeeping and is excluded, matching the paper's
+    methodology.
 
     Parameters
     ----------
@@ -59,40 +66,40 @@ def trace_session(
         it is *not* run to completion beyond the trace).
     n_samples:
         Utility vectors sampled per round for the max-regret estimate.
+
+    Noisy answers can empty the region mid-trace; the metric then
+    raises :class:`~repro.errors.EmptyRegionError`, the worst-case
+    exposure is undefined, and tracing stops with the rounds measured
+    so far.  The same error raised by the algorithm itself propagates.
     """
     if not hasattr(algorithm, "halfspaces"):
         raise TypeError(
             f"{type(algorithm).__name__} does not expose learned half-spaces"
         )
-    watch = Stopwatch()
     points: list[TracePoint] = []
-    while not algorithm.finished and algorithm.rounds < max_rounds:
-        watch.start()
-        question = algorithm.next_question()
-        watch.stop()
-        answer = user.prefers(question.p_i, question.p_j)
-        watch.start()
-        algorithm.observe(answer)
-        watch.stop()
-        recommendation = algorithm.recommend()
+
+    def measure(record: RoundRecord) -> None:
         try:
             regret = max_regret_ratio(
                 dataset,
-                recommendation,
+                record.recommendation_index,
                 list(algorithm.halfspaces),
                 n_samples=n_samples,
                 rng=rng,
             )
-        except EmptyRegionError:
-            # Noisy answers can empty the region mid-trace; the worst-case
-            # exposure is then undefined — stop tracing.
-            break
+        except EmptyRegionError as error:
+            raise _StopTrace from error
         points.append(
             TracePoint(
-                round_number=algorithm.rounds,
+                round_number=record.round_number,
                 max_regret=regret,
-                elapsed_seconds=watch.elapsed,
-                recommendation_index=recommendation,
+                elapsed_seconds=record.elapsed_seconds,
+                recommendation_index=record.recommendation_index,
             )
         )
+
+    try:
+        run_session(algorithm, user, max_rounds=max_rounds, on_round=measure)
+    except _StopTrace:
+        pass
     return points

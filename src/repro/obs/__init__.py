@@ -6,9 +6,9 @@ against.  It has three parts:
 * :mod:`repro.obs.tracer` — a context-local :class:`Tracer` with
   ``span("lp.solve/...")`` / ``counter(...)`` APIs that compile to a
   no-op when no tracer is installed (the default), an in-memory span
-  tree with per-span wall time, and incremental per-name / per-phase
-  aggregates.  Installation mirrors the LP cache's ``ContextVar``
-  isolation semantics.
+  tree with per-span wall time, and incremental per-name aggregates.
+  Installation mirrors the LP cache's ``ContextVar`` isolation
+  semantics.
 * :mod:`repro.obs.export` — aggregate JSON and Chrome ``trace_event``
   exporters (loadable in ``chrome://tracing`` / Perfetto).
 * :mod:`repro.obs.snapshot` — the versioned ``BENCH_<name>.json``
@@ -53,7 +53,6 @@ from repro.obs.tracer import (
     Tracer,
     active_tracer,
     counter,
-    phase_of,
     span,
     use_tracer,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "load_snapshot",
     "machine_info",
     "merge_aggregate_reports",
-    "phase_of",
     "snapshot_path",
     "snapshot_payload",
     "span",

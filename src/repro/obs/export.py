@@ -3,9 +3,9 @@
 Two formats:
 
 * **Aggregate JSON** — per-span-name totals (calls, total seconds,
-  self seconds), counters and per-phase self-time; the machine-readable
-  summary embedded in ``BENCH_*.json`` snapshots and printed by
-  ``python -m repro profile``.
+  self seconds) and counters; the machine-readable summary embedded
+  in ``BENCH_*.json`` snapshots and printed by ``python -m repro
+  profile``.
 * **Chrome ``trace_event``** — the ``{"traceEvents": [...]}`` JSON
   consumed by ``chrome://tracing`` and https://ui.perfetto.dev: one
   complete (``"ph": "X"``) event per span, micro-second timestamps,
@@ -27,17 +27,13 @@ from repro.obs.tracer import SpanNode, Tracer
 
 
 def aggregate_report(tracer: Tracer) -> dict[str, Any]:
-    """Aggregate view of a tracer: spans, counters, phases (key-sorted)."""
+    """Aggregate view of a tracer: spans and counters (key-sorted)."""
     return {
         "spans": {
             name: agg.as_dict() for name, agg in tracer.aggregate().items()
         },
         "counters": {
             name: tracer.counters[name] for name in sorted(tracer.counters)
-        },
-        "phase_seconds": {
-            phase: seconds
-            for phase, seconds in sorted(tracer.phase_seconds().items())
         },
         "spans_recorded": tracer.spans_recorded,
         "dropped_spans": tracer.dropped_spans,
@@ -53,14 +49,13 @@ def merge_aggregate_reports(
     :class:`~repro.serve.dispatch.ShardedDispatcher` worker ships its
     own tracer's aggregate report over the result pipe, and this folds
     them into a single report of the same shape — span calls and
-    seconds summed per name, counters summed, phase self-time summed
-    per phase.  Keys stay sorted so snapshots remain diffable.  An
-    empty input merges to an empty report.
+    seconds summed per name, counters summed.  Keys stay sorted so
+    snapshots remain diffable.  An empty input merges to an empty
+    report.
     """
     reports = list(reports)
     spans: dict[str, dict[str, Any]] = {}
     counters: dict[str, int] = {}
-    phases: dict[str, float] = {}
     spans_recorded = 0
     dropped = 0
     for report in reports:
@@ -73,16 +68,11 @@ def merge_aggregate_reports(
             merged["self_seconds"] += agg.get("self_seconds", 0.0)
         for name, value in report.get("counters", {}).items():
             counters[name] = counters.get(name, 0) + value
-        for phase, seconds in report.get("phase_seconds", {}).items():
-            phases[phase] = phases.get(phase, 0.0) + seconds
         spans_recorded += report.get("spans_recorded", 0)
         dropped += report.get("dropped_spans", 0)
     return {
         "spans": {name: spans[name] for name in sorted(spans)},
         "counters": {name: counters[name] for name in sorted(counters)},
-        "phase_seconds": {
-            phase: phases[phase] for phase in sorted(phases)
-        },
         "spans_recorded": spans_recorded,
         "dropped_spans": dropped,
         "workers": len(reports),

@@ -1,4 +1,4 @@
-"""Context-local hierarchical tracing: spans, counters, phase totals.
+"""Context-local hierarchical tracing: spans and counters.
 
 The tracer answers "where does the time go?" inside a tick: Q-scoring
 vs LP solves vs vertex clipping.  Design constraints, in order:
@@ -17,15 +17,14 @@ vs LP solves vs vertex clipping.  Design constraints, in order:
    exiting one ``use_tracer`` block can never clobber a concurrent
    thread's installation.
 3. **Cheap when on.**  Closing a span updates an incremental per-name
-   aggregate (calls, total seconds, self seconds) and a per-phase
-   self-time total, so exporters and the engine's per-phase breakdown
-   never walk the span tree; the tree itself is bounded by
-   ``max_spans`` (aggregates keep counting after the cap).
+   aggregate (calls, total seconds, self seconds), so exporters never
+   walk the span tree; the tree itself is bounded by ``max_spans``
+   (aggregates keep counting after the cap).
 
 Span names are dotted-and-slashed paths, e.g.
-``lp.solve/chebyshev/hit``: the first dotted component selects the
-*phase* (see :data:`PHASE_BY_PREFIX`), the slash components split the
-aggregate (LP kind, cache hit/miss) without exploding tag cardinality.
+``lp.solve/chebyshev/hit``: the first dotted component names the
+layer, the slash components split the aggregate (LP kind, cache
+hit/miss) without exploding tag cardinality.
 """
 
 from __future__ import annotations
@@ -35,27 +34,6 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Any, Iterator
-
-#: Maps a span name's first dotted component to the phase charged with
-#: its *self* time (time inside the span minus time inside child spans,
-#: so nested phases never double-count).
-PHASE_BY_PREFIX = {
-    "lp": "lp",
-    "dqn": "score",
-    "range": "range",
-    "engine": "interact",
-    "train": "train",
-}
-
-#: Phase charged when a span's prefix is not listed above.
-OTHER_PHASE = "other"
-
-
-def phase_of(name: str) -> str:
-    """The phase a span name's self-time is charged to."""
-    prefix = name.partition(".")[0]
-    return PHASE_BY_PREFIX.get(prefix, OTHER_PHASE)
-
 
 class SpanNode:
     """One finished (or in-flight) span in the trace tree."""
@@ -168,20 +146,20 @@ class Tracer:
     ----------
     max_spans:
         Upper bound on :class:`SpanNode` objects kept in the tree.
-        Opening a span past the cap still *times* it — aggregates,
-        phase totals and counters stay exact — but no node is recorded
-        and ``dropped_spans`` is incremented, so a pathological
+        Opening a span past the cap still *times* it — aggregates and
+        counters stay exact — but no node is recorded and
+        ``dropped_spans`` is incremented, so a pathological
         tracing-enabled run degrades to aggregate-only instead of
         exhausting memory.
 
     Thread safety: span *nesting* is tracked per thread (a worker
     thread's spans root their own subtree rather than splicing into
     the driver's open span), and the shared structures — tree roots,
-    aggregates, phase totals, counters — are mutated under an internal
-    lock, so the same tracer instance can be propagated to worker
-    threads the way the serving layer propagates its LP cache.  The
-    lock is uncontended (and the thread-local lookup is one dict probe)
-    in the single-threaded case, keeping tracing-on overhead flat.
+    aggregates, counters — are mutated under an internal lock, so the
+    same tracer instance can be propagated to worker threads the way
+    the serving layer propagates its LP cache.  The lock is uncontended
+    (and the thread-local lookup is one dict probe) in the
+    single-threaded case, keeping tracing-on overhead flat.
     """
 
     def __init__(self, max_spans: int = 1_000_000) -> None:
@@ -199,7 +177,6 @@ class Tracer:
         self._frames = _OpenFrames()
         self._lock = threading.Lock()
         self._aggregates: dict[str, SpanAggregate] = {}
-        self._phase_self: dict[str, float] = {}
 
     # -- recording -----------------------------------------------------------
 
@@ -224,25 +201,6 @@ class Tracer:
         return {
             name: self._aggregates[name] for name in sorted(self._aggregates)
         }
-
-    def phase_seconds(self) -> dict[str, float]:
-        """Self-time per phase (``lp``, ``score``, ``range``, ...)."""
-        with self._lock:
-            return dict(self._phase_self)
-
-    def phase_snapshot(self) -> dict[str, float]:
-        """A snapshot for :meth:`phases_since` (cheap: a few floats)."""
-        with self._lock:
-            return dict(self._phase_self)
-
-    def phases_since(self, snapshot: dict[str, float]) -> dict[str, float]:
-        """Per-phase self-seconds accumulated after ``snapshot``."""
-        delta: dict[str, float] = {}
-        for phase, total in self.phase_seconds().items():
-            grown = total - snapshot.get(phase, 0.0)
-            if grown > 0.0:
-                delta[phase] = grown
-        return delta
 
     # -- internals used by _SpanHandle ---------------------------------------
 
@@ -283,10 +241,6 @@ class Tracer:
             aggregate.calls += 1
             aggregate.total_seconds += duration
             aggregate.self_seconds += self_seconds
-            phase = phase_of(name)
-            self._phase_self[phase] = (
-                self._phase_self.get(phase, 0.0) + self_seconds
-            )
             if node is not None:
                 node.duration = duration
                 if parent is not None:

@@ -7,8 +7,7 @@ each session class declares as its ``family``:
 * :func:`make_session` — build a fresh session from a registry name;
 * :func:`make_trainer` / :func:`make_config` — the training entry point
   and config class for the RL families;
-* :func:`agents_by_family` — ``{name: agent}`` keyed by canonical family;
-* :func:`register_session` — extension hook for new algorithms.
+* :func:`agents_by_family` — ``{name: agent}`` keyed by canonical family.
 
 Registry names are short kebab-case strings; :func:`canonical_session_name`
 also accepts the historical display names (``"EA"``, ``"UH-Random"``,
@@ -79,29 +78,6 @@ _ALIASES = {
     "single": "single-pass",
     "utilityapprox": "utility-approx",
 }
-
-
-def register_session(
-    name: str,
-    factory: Callable[..., InteractiveAlgorithm],
-    needs_agent: bool = False,
-    takes_rng: bool = True,
-) -> SessionSpec:
-    """Register a session family under ``name`` (kebab-case).
-
-    Returns the stored :class:`SessionSpec`.  Registering an existing
-    name replaces it, which is how tests stub families out.  The
-    factory's sessions should declare ``family = name`` so snapshots
-    of them restore through this entry.
-    """
-    spec = SessionSpec(
-        name=name,
-        factory=factory,
-        needs_agent=needs_agent,
-        takes_rng=takes_rng,
-    )
-    _REGISTRY[name] = spec
-    return spec
 
 
 def session_names() -> tuple[str, ...]:

@@ -135,9 +135,6 @@ def _flush_completed(
     """Send every newly finished session up the pipe, ticket-remapped."""
     for result in engine.poll_completed():
         item = by_local[result.metrics.session_id]
-        # Remap to the dispatcher-wide ticket; the same SessionMetrics
-        # object sits in engine.metrics.per_session, so the done-message
-        # summary is remapped too.
         result.metrics.session_id = item.ticket
         conn.send(("result", item.ticket, result))
 
@@ -492,7 +489,6 @@ class ShardedDispatcher:
             "exhausted"
         )
         for ticket in sorted(tickets):
-            metrics = SessionMetrics(session_id=ticket)
             result = SessionResult(
                 recommendation_index=-1,
                 recommendation=np.empty(0),
@@ -503,7 +499,7 @@ class ShardedDispatcher:
                 status="failed",
                 error=f"WorkerDied: {message}",
             )
-            result.metrics = metrics
+            result.metrics = SessionMetrics(session_id=ticket)
             self.metrics.sessions += 1
             self.metrics.failed += 1
             self.metrics.errors.append(
@@ -514,7 +510,6 @@ class ShardedDispatcher:
                     message=message,
                 )
             )
-            self.metrics.per_session.append(metrics)
             self._results[ticket] = result
             self._finished.append(result)
 

@@ -3,9 +3,11 @@
 Two layers of measurement, both cheap enough to stay on by default:
 
 * :class:`SessionMetrics` — one per served session, attached to the
-  session's :class:`~repro.core.session.SessionResult` (``.metrics``):
-  rounds, completion latency, agent-side compute seconds and how many of
-  the session's rounds were scored through a shared network batch.
+  session's :class:`~repro.core.session.SessionResult` (``.metrics``)
+  and kept nowhere else: completion latency, how many of the session's
+  rounds were scored through a shared network batch, recovery retries,
+  withheld answers and range-update counts.  Rounds and agent seconds
+  live on the result itself (``rounds``, ``elapsed_seconds``).
 * :class:`EngineMetrics` — one per
   :class:`~repro.serve.scheduler.ContinuousEngine` (accumulated over
   its lifetime) or :class:`~repro.serve.dispatch.ShardedDispatcher`
@@ -30,16 +32,10 @@ class SessionMetrics:
     ----------
     session_id:
         The session's submission ticket.
-    rounds:
-        Questions answered before the session stopped.
     wall_seconds:
         Latency from submission to this session's completion (what an
         interactive user would experience, minus answer time which is
         simulated instantaneously).
-    agent_seconds:
-        Agent-side compute attributed to this session: its own candidate
-        generation and updates, plus an equal share of every shared
-        scoring batch it participated in.
     batched_rounds:
         Rounds whose question was selected through a shared scoring batch
         rather than a per-session network pass.
@@ -57,25 +53,16 @@ class SessionMetrics:
         redundancy short-circuit instead of a from-scratch enumeration.
     range_rebuilds:
         Updates that fell back to a full vertex re-enumeration.
-    phase_seconds:
-        Per-phase self-time breakdown of this session's agent work
-        (``lp``, ``score``, ``range``, ``interact``), attributed from
-        the active :class:`~repro.obs.tracer.Tracer`'s spans.  Empty
-        unless a tracer was installed during the engine run — with
-        tracing off the engine records nothing here, at zero cost.
     """
 
     session_id: int
-    rounds: int = 0
     wall_seconds: float = 0.0
-    agent_seconds: float = 0.0
     batched_rounds: int = 0
     retries: int = 0
     abstentions: int = 0
     range_updates: int = 0
     range_clips: int = 0
     range_rebuilds: int = 0
-    phase_seconds: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -158,10 +145,6 @@ class EngineMetrics:
         Range updates that re-enumerated vertices from scratch.
     wall_seconds:
         End-to-end duration of the run.
-    phase_seconds:
-        Per-phase self-time over the whole run (``lp``, ``score``,
-        ``range``, ``interact``), read off the active
-        :class:`~repro.obs.tracer.Tracer`.  Empty with tracing off.
     """
 
     sessions: int = 0
@@ -184,8 +167,6 @@ class EngineMetrics:
     range_clips: int = 0
     range_rebuilds: int = 0
     wall_seconds: float = 0.0
-    phase_seconds: dict[str, float] = field(default_factory=dict)
-    per_session: list[SessionMetrics] = field(default_factory=list)
 
     def merge(self, other: "EngineMetrics") -> "EngineMetrics":
         """Fold another engine's metrics into this one, in place.
@@ -193,14 +174,14 @@ class EngineMetrics:
         The aggregation the multi-process
         :class:`~repro.serve.dispatch.ShardedDispatcher` uses to combine
         per-worker :class:`EngineMetrics` into one report.  Counters
-        sum, ``peak_batch`` takes the max, ``errors``/``per_session``
-        concatenate, and ``phase_seconds`` adds per phase.  Workers run
-        *concurrently*, so ``wall_seconds`` takes the max of the two
-        (the dispatcher overwrites it with its own end-to-end
-        measurement anyway) and ``in_flight_cap`` takes the max: with
-        every worker provisioned at the same cap, summed ``ticks``
-        times the shared cap is exactly the aggregate capacity
-        :attr:`occupancy` divides by.  Returns ``self`` for chaining.
+        sum, ``peak_batch`` takes the max and ``errors`` concatenate.
+        Workers run *concurrently*, so ``wall_seconds`` takes the max
+        of the two (the dispatcher overwrites it with its own
+        end-to-end measurement anyway) and ``in_flight_cap`` takes the
+        max: with every worker provisioned at the same cap, summed
+        ``ticks`` times the shared cap is exactly the aggregate
+        capacity :attr:`occupancy` divides by.  Returns ``self`` for
+        chaining.
         """
         self.sessions += other.sessions
         self.completed += other.completed
@@ -222,11 +203,6 @@ class EngineMetrics:
         self.range_clips += other.range_clips
         self.range_rebuilds += other.range_rebuilds
         self.wall_seconds = max(self.wall_seconds, other.wall_seconds)
-        for phase, seconds in other.phase_seconds.items():
-            self.phase_seconds[phase] = (
-                self.phase_seconds.get(phase, 0.0) + seconds
-            )
-        self.per_session.extend(other.per_session)
         return self
 
     @property
@@ -301,16 +277,6 @@ class EngineMetrics:
                 f"{self.range_rebuilds} rebuilt, "
                 f"clip rate {self.range_clip_rate:.1%})"
             )
-        if self.phase_seconds:
-            breakdown = ", ".join(
-                f"{phase} {seconds:.3f}s"
-                for phase, seconds in sorted(
-                    self.phase_seconds.items(),
-                    key=lambda item: item[1],
-                    reverse=True,
-                )
-            )
-            lines.append(f"phase breakdown (traced): {breakdown}")
         if self.failed or self.retries or self.recovered:
             lines.append(
                 f"faults: {len(self.errors)} errors, "

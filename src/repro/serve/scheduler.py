@@ -47,7 +47,7 @@ from __future__ import annotations
 import threading
 import time
 from collections.abc import Callable, Iterator, Sequence
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -73,7 +73,7 @@ from repro.core.session import (
 from repro.errors import ConfigurationError, InteractionError, PersistenceError
 from repro.geometry.lp import LPCache, use_cache
 from repro.geometry.range import UpdatePreview, prefetch_updates
-from repro.obs.tracer import Tracer, active_tracer
+from repro.obs.tracer import NULL_SPAN, Tracer, active_tracer
 from repro.serve.metrics import EngineMetrics, SessionError, SessionMetrics
 from repro.serve.spec import SessionSpec, require_spec
 from repro.utils.timing import Stopwatch
@@ -454,7 +454,6 @@ class ContinuousEngine:
         cache = self.lp_cache
         tracer = active_tracer()
         self._tracer = tracer
-        phases_before = tracer.phase_snapshot() if tracer else None
         started = time.perf_counter()
         self.metrics.ticks += 1
         tick_span = (
@@ -475,12 +474,6 @@ class ContinuousEngine:
             self.metrics.wall_seconds += time.perf_counter() - started
             self.metrics.lp_cache_hits = cache.hits
             self.metrics.lp_solves = cache.hits + cache.misses
-            if tracer is not None and phases_before is not None:
-                phases = self.metrics.phase_seconds
-                for phase, seconds in tracer.phases_since(
-                    phases_before
-                ).items():
-                    phases[phase] = phases.get(phase, 0.0) + seconds
             self._tracer = None
 
     def _admit(self) -> None:
@@ -553,7 +546,6 @@ class ContinuousEngine:
             if error is not None:
                 self._fail(task, error, replacements)
                 continue
-            task.metrics.rounds = task.algorithm.rounds
             self.metrics.rounds_total += 1
             try:
                 if task.algorithm.finished:
@@ -597,29 +589,13 @@ class ContinuousEngine:
                 errors.append(None)
         return errors
 
-    @contextmanager
-    def _task_op(self, task: _Task, op: str) -> Iterator[None]:
-        """Trace one slot interaction and attribute its phase time.
-
-        With tracing off (``self._tracer is None``) this yields
-        immediately.  With tracing on, the block runs inside an
-        ``engine.slot`` span (session and operation tagged) and the
-        per-phase self-seconds it accumulates (``lp``, ``score``,
-        ``range``, and the span's own residual as ``interact``) are
-        added to the task's :class:`SessionMetrics.phase_seconds`.
-        """
+    def _task_op(self, task: _Task, op: str) -> Any:
+        """An ``engine.slot`` span (session and operation tagged) around
+        one slot interaction; the shared no-op span with tracing off."""
         tracer = self._tracer
         if tracer is None:
-            yield
-            return
-        before = tracer.phase_snapshot()
-        try:
-            with tracer.span("engine.slot", session=task.ticket, op=op):
-                yield
-        finally:
-            phases = task.metrics.phase_seconds
-            for phase, seconds in tracer.phases_since(before).items():
-                phases[phase] = phases.get(phase, 0.0) + seconds
+            return NULL_SPAN
+        return tracer.span("engine.slot", session=task.ticket, op=op)
 
     def _select(self, task: _Task) -> None:
         """Pick the task's next question, or park a candidate batch."""
@@ -792,9 +768,6 @@ class ContinuousEngine:
             choices: list[int] = []
             for task, scores in zip(group, scores_per_task, strict=True):
                 task.shared_seconds += share
-                if tracer is not None:
-                    phases = task.metrics.phase_seconds
-                    phases["score"] = phases.get("score", 0.0) + share
                 choices.append(int(np.argmax(scores)))
             for task, error in zip(
                 group, self._map(self._resolve, group, choices), strict=True
@@ -849,9 +822,7 @@ class ContinuousEngine:
             self._retry_task(task, replacements)
             return
         self.metrics.failed += 1
-        task.metrics.rounds = rounds
         task.metrics.wall_seconds = time.perf_counter() - task.submitted_at
-        task.metrics.agent_seconds = task.agent_seconds
         self._record_range(task)
         if task.algorithm is not None:
             result = _failed_session_result(
@@ -920,9 +891,7 @@ class ContinuousEngine:
             index = task.algorithm.recommend()
             task.watch.stop()
         task.dead = True
-        task.metrics.rounds = task.algorithm.rounds
         task.metrics.wall_seconds = time.perf_counter() - task.submitted_at
-        task.metrics.agent_seconds = task.agent_seconds
         self._record_range(task)
         if truncated:
             self.metrics.truncated += 1
@@ -949,7 +918,6 @@ class ContinuousEngine:
 
     def _deliver(self, task: _Task, result: SessionResult) -> None:
         """File a finished result for :meth:`as_completed` and :meth:`drain`."""
-        self.metrics.per_session.append(task.metrics)
         self.metrics.abstentions += task.metrics.abstentions
         self._results[task.ticket] = result
         self._completed.append(result)

@@ -34,9 +34,11 @@ Endpoints (all JSON)::
 Fault isolation is per request: a handler error maps to a JSON error
 response (400/404/409/500) on that request only — the connection, the
 service and every other session keep going, mirroring the engines'
-per-slot fault boundaries.  Every request runs inside a
-``server.request`` span (plus per-phase child spans) when a
-:mod:`repro.obs` tracer is installed.
+per-slot fault boundaries.  When a :mod:`repro.obs` tracer is
+installed, every request runs inside a ``server.request`` span, with
+``server.create``, ``server.question``, ``server.answer``,
+``server.recommend``, ``server.resume`` and ``server.checkpoint`` child
+spans around the handler work they name.
 """
 
 from __future__ import annotations

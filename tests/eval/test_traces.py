@@ -6,8 +6,36 @@ import numpy as np
 import pytest
 
 from repro.baselines import UHRandomSession
+from repro.errors import EmptyRegionError
+from repro.eval import traces
 from repro.eval.traces import TracePoint, trace_session
 from repro.users import OracleUser
+
+
+class _HesitantUser(OracleUser):
+    """Abstains on the first ask of every question; never forced."""
+
+    def __init__(self, utility) -> None:
+        super().__init__(utility)
+        self.compares = 0
+
+    def compare(self, p_i, p_j):
+        self.compares += 1
+        if self.compares % 2:
+            return None
+        return super().prefers(p_i, p_j)
+
+    def prefers(self, p_i, p_j):
+        raise AssertionError("an abstaining user must be re-asked")
+
+
+class _CollapsingSession(UHRandomSession):
+    """Raises ``EmptyRegionError`` from its own update in round 2."""
+
+    def observe(self, prefers_first):
+        if self.rounds == 1:
+            raise EmptyRegionError("collapsed by the algorithm")
+        super().observe(prefers_first)
 
 
 class TestTraceSession:
@@ -63,3 +91,47 @@ class TestTraceSession:
         point = TracePoint(1, 0.5, 0.1, 7)
         assert point.round_number == 1
         assert point.recommendation_index == 7
+
+    def test_abstaining_user_is_re_asked(self, small_anti_3d):
+        user = _HesitantUser(np.array([0.3, 0.4, 0.3]))
+        session = UHRandomSession(small_anti_3d, rng=0)
+        points = trace_session(
+            session, user, small_anti_3d, max_rounds=4, n_samples=50
+        )
+        assert points
+        assert user.compares == 2 * len(points)
+        assert session.abstentions == len(points)
+
+    def test_algorithm_empty_region_propagates(self, small_anti_3d):
+        session = _CollapsingSession(small_anti_3d, rng=0)
+        with pytest.raises(EmptyRegionError, match="by the algorithm"):
+            trace_session(
+                session,
+                OracleUser(np.array([0.3, 0.4, 0.3])),
+                small_anti_3d,
+                max_rounds=5,
+                n_samples=50,
+            )
+
+    def test_metric_empty_region_stops_tracing(
+        self, small_anti_3d, monkeypatch
+    ):
+        real = traces.max_regret_ratio
+        calls = []
+
+        def collapsing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise EmptyRegionError("metric region emptied")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(traces, "max_regret_ratio", collapsing)
+        session = UHRandomSession(small_anti_3d, rng=0)
+        points = trace_session(
+            session,
+            OracleUser(np.array([0.3, 0.4, 0.3])),
+            small_anti_3d,
+            max_rounds=6,
+            n_samples=50,
+        )
+        assert [p.round_number for p in points] == [1, 2]

@@ -1,8 +1,8 @@
 """Tracing the serving hot path: visibility without perturbation.
 
 Two contracts at once: with a tracer installed the engine (and the LP /
-range / DQN layers under it) produce the promised spans and per-phase
-breakdowns, and the traced run remains bit-identical to the untraced
+range / DQN layers under it) produce the promised spans, and the traced
+run remains bit-identical to the untraced
 one — observation must never change behaviour.
 """
 
@@ -95,37 +95,6 @@ class TestTracedEngineRun:
         assert "range.update" in names
         assert "range.clip" in names
 
-    def test_engine_phase_breakdown_populated(self, traced):
-        tracer, engine, _ = traced
-        phases = engine.last_metrics.phase_seconds
-        assert phases, "tracing was on but no phase breakdown recorded"
-        assert set(phases) <= {"lp", "score", "range", "interact", "other"}
-        assert all(seconds >= 0.0 for seconds in phases.values())
-        assert "lp" in phases and "interact" in phases
-
-    def test_per_session_phase_breakdown_populated(self, traced):
-        _, engine, _ = traced
-        per_session = engine.last_metrics.per_session
-        assert per_session
-        assert any(metrics.phase_seconds for metrics in per_session)
-        for metrics in per_session:
-            for phase, seconds in metrics.phase_seconds.items():
-                assert seconds >= 0.0
-                assert phase in {"lp", "score", "range", "interact", "other"}
-
-    def test_summary_lines_include_breakdown(self, traced):
-        _, engine, _ = traced
-        lines = engine.last_metrics.summary_lines()
-        assert any("phase breakdown (traced)" in line for line in lines)
-
     def test_tracer_detached_after_run(self, traced):
         _, engine, _ = traced
         assert engine._tracer is None
-
-
-class TestUntracedEngineRun:
-    def test_no_phase_breakdown_without_tracer(self, trained_ea_3d):
-        engine, _ = _run(trained_ea_3d, 3, None)
-        assert engine.last_metrics.phase_seconds == {}
-        lines = engine.last_metrics.summary_lines()
-        assert not any("phase breakdown" in line for line in lines)

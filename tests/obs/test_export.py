@@ -45,7 +45,6 @@ class TestAggregateReport:
         assert set(report) == {
             "spans",
             "counters",
-            "phase_seconds",
             "spans_recorded",
             "dropped_spans",
         }
@@ -53,7 +52,6 @@ class TestAggregateReport:
         assert report["dropped_spans"] == 0
         assert report["counters"] == {"lp.cache.hits": 1}
         assert report["spans"]["lp.solve/chebyshev/hit"]["calls"] == 1
-        assert set(report["phase_seconds"]) == {"lp", "interact"}
 
     def test_span_keys_sorted(self):
         report = aggregate_report(_worked_tracer())
@@ -77,11 +75,6 @@ class TestMergeAggregateReports:
             left["spans"]["lp.solve/chebyshev/hit"]["total_seconds"]
             + right["spans"]["lp.solve/chebyshev/hit"]["total_seconds"]
         )
-        for phase in merged["phase_seconds"]:
-            assert merged["phase_seconds"][phase] == pytest.approx(
-                left["phase_seconds"].get(phase, 0.0)
-                + right["phase_seconds"].get(phase, 0.0)
-            )
 
     def test_disjoint_span_names_union(self):
         solo = Tracer()
@@ -99,7 +92,6 @@ class TestMergeAggregateReports:
         assert merged == {
             "spans": {},
             "counters": {},
-            "phase_seconds": {},
             "spans_recorded": 0,
             "dropped_spans": 0,
             "workers": 0,

@@ -14,11 +14,9 @@ import pytest
 
 from repro.obs.tracer import (
     NULL_SPAN,
-    OTHER_PHASE,
     Tracer,
     active_tracer,
     counter,
-    phase_of,
     span,
     use_tracer,
 )
@@ -52,7 +50,6 @@ class TestDisabledByDefault:
         assert tracer.spans_recorded == 0
         assert tracer.counters == {}
         assert tracer.aggregate() == {}
-        assert tracer.phase_seconds() == {}
 
     def test_engine_hot_loop_records_nothing_without_install(
         self, trained_ea_3d
@@ -86,22 +83,6 @@ class TestDisabledByDefault:
         )
         assert tracer.spans_recorded == 0
         assert tracer.counters == {}
-        assert engine.last_metrics.phase_seconds == {}
-        for per_session in engine.last_metrics.per_session:
-            assert per_session.phase_seconds == {}
-
-
-class TestPhaseMapping:
-    def test_known_prefixes(self):
-        assert phase_of("lp.solve/chebyshev/hit") == "lp"
-        assert phase_of("dqn.q_values_many") == "score"
-        assert phase_of("range.clip") == "range"
-        assert phase_of("engine.tick") == "interact"
-        assert phase_of("train.episode") == "train"
-
-    def test_unknown_prefix_falls_back(self):
-        assert phase_of("custom.thing") == OTHER_PHASE
-        assert phase_of("noprefix") == OTHER_PHASE
 
 
 class TestSpanTree:
@@ -148,10 +129,6 @@ class TestSpanTree:
         assert update.self_seconds == pytest.approx(
             update.total_seconds - solve.total_seconds
         )
-        # And the phase totals see the same disjoint attribution.
-        phases = tracer.phase_seconds()
-        assert phases["range"] == pytest.approx(update.self_seconds)
-        assert phases["lp"] == pytest.approx(solve.self_seconds)
 
     def test_aggregate_is_name_sorted_and_counts_calls(self):
         tracer = Tracer()
@@ -179,17 +156,6 @@ class TestCountersAndSnapshots:
         tracer.counter("lp.cache.hits")
         tracer.counter("lp.cache.hits", 2)
         assert tracer.counters == {"lp.cache.hits": 3}
-
-    def test_phases_since_returns_only_growth(self):
-        tracer = Tracer()
-        with tracer.span("lp.solve/chebyshev/miss"):
-            time.sleep(0.001)
-        before = tracer.phase_snapshot()
-        with tracer.span("range.clip"):
-            time.sleep(0.001)
-        delta = tracer.phases_since(before)
-        assert set(delta) == {"range"}
-        assert delta["range"] > 0.0
 
 
 class TestMaxSpansCap:

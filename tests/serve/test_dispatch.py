@@ -38,6 +38,7 @@ from repro.serve import (
 )
 from repro.serve.dispatch import _WorkItem
 from repro.users import NoisyUser, OracleUser
+from repro.users.models import AbstainingUser
 from tests.persist.test_golden_resume import (
     BASELINE_SEEDS,
     BASELINES,
@@ -47,6 +48,7 @@ from tests.persist.test_golden_resume import (
     USER_KINDS,
     _make_user,
 )
+from tests.serve.test_faults import PeriodicFlipUser, StrictConsistencySession
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -459,7 +461,6 @@ class TestMetricsMerge:
         left.batches = 10
         left.lp_solves = 5
         left.wall_seconds = 1.0
-        left.phase_seconds = {"lp": 0.5, "score": 0.1}
         right = EngineMetrics()
         right.sessions = 2
         right.completed = 2
@@ -471,7 +472,6 @@ class TestMetricsMerge:
         right.batches = 7
         right.lp_solves = 3
         right.wall_seconds = 2.0
-        right.phase_seconds = {"lp": 0.25, "interact": 0.2}
 
         merged = left.merge(right)
         assert merged is left
@@ -488,11 +488,6 @@ class TestMetricsMerge:
         assert merged.lp_solves == 8
         # Concurrent workers overlap in time.
         assert merged.wall_seconds == 2.0
-        assert merged.phase_seconds == {
-            "lp": 0.75,
-            "score": 0.1,
-            "interact": 0.2,
-        }
 
     def test_merge_preserves_occupancy_identity(self):
         left = EngineMetrics()
@@ -507,7 +502,7 @@ class TestMetricsMerge:
         assert merged.occupancy == 42 / (16 * 4)
 
     def test_merge_extends_errors_and_per_session(self):
-        from repro.serve import SessionError, SessionMetrics
+        from repro.serve import SessionError
 
         left = EngineMetrics()
         left.errors.append(
@@ -515,14 +510,78 @@ class TestMetricsMerge:
                 session_id=0, round=1, error_type="X", message="m"
             )
         )
-        left.per_session.append(SessionMetrics(session_id=0))
         right = EngineMetrics()
         right.errors.append(
             SessionError(
                 session_id=1, round=2, error_type="Y", message="n"
             )
         )
-        right.per_session.append(SessionMetrics(session_id=1))
         merged = left.merge(right)
         assert [e.session_id for e in merged.errors] == [0, 1]
-        assert [m.session_id for m in merged.per_session] == [0, 1]
+
+    def test_result_metrics_add_up_to_merged_metrics(
+        self, small_anti_3d, trained_ea_3d, toy
+    ):
+        """Each result's ``metrics`` is the only per-session record that
+        crosses the pipe, so the per-result counters must sum to the
+        merged worker totals."""
+        specs = []
+        for seed in range(6):
+            utility = np.random.default_rng(seed).dirichlet(np.ones(3))
+            specs.append(
+                SessionSpec(
+                    factory=lambda seed=seed: make_session(
+                        "uh-random", small_anti_3d, EPSILON, rng=seed
+                    ),
+                    user=AbstainingUser(utility, margin=0.02),
+                    seed=seed,
+                )
+            )
+            specs.append(
+                SessionSpec(
+                    factory=lambda seed=seed: trained_ea_3d.new_session(
+                        rng=seed
+                    ),
+                    user=AbstainingUser(utility, margin=0.02),
+                    seed=seed,
+                )
+            )
+        # Contradicted by every 4th answer: dies once, then recovers
+        # under the majority-vote retry.
+        for total in (4, 5):
+            specs.append(
+                SessionSpec(
+                    factory=lambda total=total: StrictConsistencySession(
+                        toy, total=total
+                    ),
+                    user=PeriodicFlipUser(period=4),
+                )
+            )
+        with ShardedDispatcher(
+            procs=2, max_rounds=ROUND_CAP, recover=True
+        ) as dispatcher:
+            for spec in specs:
+                dispatcher.submit(spec)
+            results = dispatcher.drain()
+            metrics = dispatcher.last_metrics
+
+        assert metrics is not None
+        assert [r.metrics.session_id for r in results] == list(
+            range(len(specs))
+        )
+        per_result = [r.metrics for r in results]
+        for name in (
+            "abstentions",
+            "range_updates",
+            "range_clips",
+            "range_rebuilds",
+            "retries",
+        ):
+            assert sum(getattr(m, name) for m in per_result) == getattr(
+                metrics, name
+            ), name
+        assert metrics.abstentions > 0
+        assert metrics.range_updates > 0
+        assert metrics.range_clips > 0
+        assert metrics.retries == 2
+        assert metrics.rounds_total >= sum(r.rounds for r in results)

@@ -131,7 +131,6 @@ class TestProfileCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "chrome trace written to" in out
-        assert "phase breakdown (traced):" in out
         trace = json.loads(trace_path.read_text())
         names = {event["name"] for event in trace["traceEvents"]}
         assert "engine.tick" in names
