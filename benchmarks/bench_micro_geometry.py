@@ -13,6 +13,10 @@ are caught independently of end-to-end session times:
 * ambient inner sphere + bounds (AA: once per round),
 * AA's split-margin probes, one LP at a time vs one stacked call vs
   the range's witness certificates,
+* one AA candidate round (pool, ranking and split-margin scan) on a
+  mid-session d=8 range,
+* a 64-system bounds stack through one ``lp.solve_stacked`` call (the
+  HiGHS model hand-off),
 * incremental range clipping vs from-scratch re-enumeration (the
   :class:`~repro.geometry.range.ExactRange` fast path),
 * skyline preprocessing (dataset construction).
@@ -27,6 +31,8 @@ import pytest
 from scipy.optimize import linprog
 
 import _common as C
+from repro.core.aa import AAConfig, AAEnvironment
+from repro.data import synthetic_dataset
 from repro.data.skyline import skyline_indices
 from repro.data.synthetic import anti_correlated
 from repro.geometry import lp
@@ -34,6 +40,7 @@ from repro.geometry.hyperplane import preference_halfspace
 from repro.geometry.polytope import UtilityPolytope
 from repro.geometry.range import SPLIT_TOL, AmbientRange, ExactRange
 from repro.geometry.sphere import minimum_enclosing_sphere
+from repro.utils import rng as rng_state
 
 
 def _narrowed_polytope(d: int, answers: int, seed: int = 0) -> UtilityPolytope:
@@ -315,6 +322,40 @@ def test_micro_split_margin_certified(aa_round_margins, benchmark):
     assert margins.shape == (10,)
     expected = lp.ambient_split_margins(list(urange.halfspaces), d, normals)
     assert np.array_equal(margins > SPLIT_TOL, expected > SPLIT_TOL)
+
+
+def test_micro_bounds_stack_64(benchmark):
+    """64 bounds probes (four d=8 ranges, ``2d`` each) in one
+    ``lp.solve_stacked`` call: one HiGHS model hand-off."""
+    systems = _stacked_bounds_systems(sessions=4, d=8, answers=10)
+    assert len(systems) == 64
+    results = benchmark(lambda: lp.solve_stacked(systems))
+    assert all(isinstance(outcome, lp.LPResult) for outcome in results)
+
+
+def test_micro_aa_candidate_round(benchmark):
+    """One AA candidate round eight answers into a d=8 session: the pair
+    pool, its ranking by plane distance and the split-margin scan, from
+    the same generator state on every call."""
+    dataset = synthetic_dataset("anti", 2000, 8, rng=8)
+    env = AAEnvironment(dataset, AAConfig(epsilon=0.1), rng=0)
+    utility = np.random.default_rng(8).dirichlet(np.ones(8))
+    obs = env.reset()
+    for _ in range(8):
+        # The pool's draws are the only use of the generator in a step.
+        state = rng_state.get_state(env._rng)
+        i, j = obs.pairs[0]
+        prefers = utility @ dataset.points[i] >= utility @ dataset.points[j]
+        obs, _ = env.step(0, bool(prefers))
+    assert not obs.terminal
+    center = env._state[:8]
+
+    def round_():
+        rng_state.set_state(env._rng, state)
+        return env._candidate_pairs(center)
+
+    pairs = benchmark(round_)
+    assert pairs == obs.pairs
 
 
 def test_micro_skyline(benchmark):

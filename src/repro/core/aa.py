@@ -25,10 +25,21 @@ consisting of (a) all pairs among the current top-``k`` points w.r.t.
 ``B_c`` — the points whose separating planes pass near the centre of the
 remaining range — and (b) uniformly random pairs for coverage.  DESIGN.md
 lists this as the one under-specified implementation detail.
+
+A round is array work.  The pool is an ``(m, 2)`` int array of unasked
+pairs ``i < j``, deduplicated and in ascending ``(i, j)`` order.  The
+random pairs come from one ``integers(0, n, size=(random_pool, 2))``
+draw, which yields the same values and leaves the generator in the same
+state as one size-2 draw per pair.  The pool is ranked by
+``|N c| / ||N||`` over its plane normals ``N`` with one stable argsort,
+so pairs at exactly the same distance keep ascending ``(i, j)`` order,
+and a pair of duplicate points (zero normal) is dropped.  The nearest
+pairs then go through the range's stacked split-margin checks.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +53,7 @@ from repro.errors import ConfigurationError, EmptyRegionError
 from repro.geometry.hyperplane import PreferenceHalfspace
 from repro.geometry.range import SPLIT_TOL, AmbientRange
 from repro.geometry.vectors import top_point_index
+from repro.obs.tracer import NULL_SPAN, active_tracer
 from repro.rl.dqn import DQNConfig
 from repro.utils.rng import RngLike
 
@@ -160,7 +172,9 @@ class AAEnvironment(InteractiveEnvironment):
         width = float(np.linalg.norm(e_max - e_min))
         if width <= 2.0 * np.sqrt(d) * config.epsilon:
             return self._terminal_observation(state)
-        pairs = self._candidate_pairs(center)
+        tracer = active_tracer()
+        with NULL_SPAN if tracer is None else tracer.span("aa.candidates"):
+            pairs = self._candidate_pairs(center)
         if not pairs:
             # No question can narrow the range further; stop rather than
             # loop (the rectangle criterion may be unreachable when the
@@ -171,21 +185,18 @@ class AAEnvironment(InteractiveEnvironment):
     def _candidate_pairs(self, center: np.ndarray) -> list[tuple[int, int]]:
         """Top-``m_h`` centre-near pairs whose plane splits the range."""
         points = self.dataset.points
-        n = points.shape[0]
         config = self.config
-        pool = self._pair_pool(center, n)
-        if not pool:
-            return []
-        # Rank by distance from the inner-sphere centre to the plane.
-        scored: list[tuple[float, tuple[int, int]]] = []
-        for i, j in pool:
-            normal = points[i] - points[j]
-            norm = float(np.linalg.norm(normal))
-            if norm < 1e-12:
-                continue
-            distance = abs(float(center @ normal)) / norm
-            scored.append((distance, (i, j)))
-        scored.sort(key=lambda item: item[0])
+        pool = self._pair_pool(center)
+        # Rank by distance from the inner-sphere centre to the plane; a
+        # pair of duplicate points has no plane and is dropped.
+        normals = points[pool[:, 0]] - points[pool[:, 1]]
+        norms = np.linalg.norm(normals, axis=1)
+        keep = norms >= 1e-12
+        pool, normals = pool[keep], normals[keep]
+        distances = np.abs(normals @ center) / norms[keep]
+        # Stable over a pool in ascending (i, j) order: exact ties keep it.
+        order = np.argsort(distances, kind="stable")
+        pool, normals = pool[order], normals[order]
         # Keep the nearest pairs whose plane cuts R on both sides.  Each
         # chunk holds no more candidates than are still needed, so
         # checking a whole chunk in one stacked LP call accepts exactly
@@ -193,37 +204,52 @@ class AAEnvironment(InteractiveEnvironment):
         # negative probe of a pair whose positive side already failed.
         accepted: list[tuple[int, int]] = []
         start = 0
-        while start < len(scored) and len(accepted) < config.m_h:
+        while start < len(pool) and len(accepted) < config.m_h:
             stop = start + config.m_h - len(accepted)
-            chunk = [pair for _, pair in scored[start:stop]]
-            start = stop
-            normals = np.array([points[i] - points[j] for i, j in chunk])
+            chunk = normals[start:stop]
             # Rows n_0, -n_0, n_1, -n_1, ...
-            probes = np.stack([normals, -normals], axis=1)
+            probes = np.stack([chunk, -chunk], axis=1)
             margins = self._range.split_margin(
                 probes.reshape(-1, points.shape[1])
             ).reshape(-1, 2)
-            for pair, (positive, negative) in zip(chunk, margins):
-                if positive > SPLIT_TOL and negative > SPLIT_TOL:
-                    accepted.append(pair)
+            splits = (margins > SPLIT_TOL).all(axis=1)
+            accepted.extend(
+                (int(i), int(j)) for i, j in pool[start:stop][splits]
+            )
+            start = stop
         return accepted
 
-    def _pair_pool(self, center: np.ndarray, n: int) -> list[tuple[int, int]]:
-        """Candidate pool: top-k pairs plus random pairs, deduplicated."""
+    def _pair_pool(self, center: np.ndarray) -> np.ndarray:
+        """Candidate pool: top-k pairs plus random pairs, deduplicated.
+
+        An ``(m, 2)`` int array of unasked pairs ``i < j`` in ascending
+        ``(i, j)`` order.
+        """
         config = self.config
-        scores = self.dataset.points @ center
+        points = self.dataset.points
+        n = points.shape[0]
         k = min(config.top_k, n)
-        top = np.argpartition(-scores, k - 1)[:k]
-        pool: set[tuple[int, int]] = set()
-        for a in range(k):
-            for b in range(a + 1, k):
-                i, j = int(top[a]), int(top[b])
-                pool.add((min(i, j), max(i, j)))
-        for _ in range(config.random_pool):
-            i, j = self._rng.integers(0, n, size=2)
-            if i != j:
-                pool.add((min(int(i), int(j)), max(int(i), int(j))))
-        return [pair for pair in pool if pair not in self._asked]
+        top = np.argpartition(-(points @ center), k - 1)[:k]
+        # One draw of every random pair: the same values, and the same
+        # generator state after, as one size-2 draw per pair.
+        drawn = self._rng.integers(0, n, size=(config.random_pool, 2))
+        pairs = np.concatenate([top[_upper_pairs(k)], drawn])
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        pairs.sort(axis=1)
+        codes = np.unique(pairs[:, 0] * n + pairs[:, 1])
+        if self._asked:
+            asked = np.array(list(self._asked), dtype=np.int64)
+            asked_codes = asked[:, 0] * n + asked[:, 1]
+            codes = codes[~(codes[:, None] == asked_codes).any(axis=1)]
+        return np.stack([codes // n, codes % n], axis=1)
+
+
+@functools.cache
+def _upper_pairs(k: int) -> np.ndarray:
+    """``(a, b)`` rows with ``a < b < k``, row-major (read-only)."""
+    pairs = np.stack(np.triu_indices(k, 1), axis=1)
+    pairs.flags.writeable = False
+    return pairs
 
 
 class AASession(RLPolicy):

@@ -20,12 +20,13 @@ the package exception hierarchy.
 
 The solver call: :func:`_highs_solve` hands HiGHS
 (``scipy.optimize._highspy._core``) the same model, with the same
-options, that ``scipy.optimize.linprog(method="highs")`` builds, on a
-fresh solver instance, and keeps ``linprog``'s status mapping and
-post-solve feasibility check.  Solutions are byte-equal to ``linprog``'s
-(``tests/geometry/test_lp.py`` compares them), without ``linprog``'s
-per-call Python overhead: one raw solve of a mid-session Chebyshev LP
-costs about 0.85 ms instead of 2.3-2.8 ms on a 2-vCPU host.
+options, that ``scipy.optimize.linprog(method="highs")`` builds, as
+arrays through ``passModel``, on a fresh solver instance, and keeps
+``linprog``'s status mapping and post-solve feasibility check.
+Solutions are byte-equal to ``linprog``'s (``tests/geometry/test_lp.py``
+compares them), without ``linprog``'s per-call Python overhead: one
+raw solve of a mid-session Chebyshev LP costs about 0.85 ms instead of
+2.3-2.8 ms on a 2-vCPU host.
 
 Memoisation: identical constraint systems recur heavily when many
 interactive sessions run over one dataset (every fresh session starts
@@ -331,6 +332,10 @@ def _default_highs_options() -> Any:
 #: it.
 _HIGHS_OPTIONS = _default_highs_options()
 
+#: ``passModel``'s matrix-format and objective-sense codes.
+_COLWISE = int(_highs.MatrixFormat.kColwise)
+_MINIMIZE = int(_highs.ObjSense.kMinimize)
+
 #: ``linprog``'s post-solve feasibility tolerance, ``sqrt(tol) * 10`` at
 #: its default ``tol = 1e-9``.
 _CHECK_TOL = float(np.sqrt(1e-9) * 10)
@@ -419,6 +424,12 @@ def _highs_solve(systems: Sequence[LPSystem]) -> np.ndarray:
     * :data:`_HIGHS_OPTIONS`, on a fresh solver instance per call, so
       no basis or solution state carries from one solve to the next.
 
+    The model goes in as arrays through ``passModel``'s array overload,
+    with an all-continuous integrality vector, which HiGHS treats as
+    the plain LP a ``HighsLp`` without integrality is; the byte-equality
+    tests against ``linprog`` cover this path.  Setting ``HighsLp``
+    attributes instead converts the matrix one element at a time.
+
     Statuses map as ``linprog`` maps them, and an optimal solution
     passes ``linprog``'s post-check before it is returned: no NaNs, ``x``
     within its bounds and every row within ``_CHECK_TOL``.
@@ -466,26 +477,22 @@ def _highs_solve(systems: Sequence[LPSystem]) -> np.ndarray:
     ):
         raise ValueError("LP data must not contain inf or nan")
 
-    model = _highs.HighsLp()
-    model.num_col_ = c.size
-    model.num_row_ = rhs.size
-    model.a_matrix_.num_col_ = c.size
-    model.a_matrix_.num_row_ = rhs.size
-    model.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    model.col_cost_ = c
-    model.col_lower_ = _highs_inf(bounds[:, 0])
-    model.col_upper_ = _highs_inf(bounds[:, 1])
-    model.row_lower_ = _highs_inf(
-        np.concatenate((np.full(n_ub, -np.inf), b_eq))
-    )
-    model.row_upper_ = rhs
-    model.a_matrix_.start_ = start
-    model.a_matrix_.index_ = np.concatenate(index).astype(np.int32)
-    model.a_matrix_.value_ = values
-
     highs = _highs._Highs()
     highs.passOptions(_HIGHS_OPTIONS)
-    if highs.passModel(model) == _highs.HighsStatus.kError:
+    passed = highs.passModel(
+        c.size, rhs.size, values.size,
+        _COLWISE, _MINIMIZE, 0.0,
+        c,
+        _highs_inf(bounds[:, 0]),
+        _highs_inf(bounds[:, 1]),
+        _highs_inf(np.concatenate((np.full(n_ub, -np.inf), b_eq))),
+        rhs,
+        start,
+        np.concatenate(index).astype(np.int32),
+        values,
+        np.zeros(c.size, dtype=np.int32),
+    )
+    if passed == _highs.HighsStatus.kError:
         status = _highs.HighsModelStatus.kModelError
     else:
         highs.run()
@@ -851,17 +858,24 @@ def ambient_bounds_systems(
     return systems
 
 
+def ambient_feasible_point(
+    halfspaces: Sequence[PreferenceHalfspace], d: int
+) -> np.ndarray | None:
+    """A point of the utility range defined by ``halfspaces``, or ``None``
+    if the range is empty: the optimiser of its feasibility LP."""
+    try:
+        return solve(
+            ambient_feasibility_system(halfspaces, d), kind="ambient.feasible"
+        ).x
+    except InfeasibleLP:
+        return None
+
+
 def ambient_is_feasible(
     halfspaces: Sequence[PreferenceHalfspace], d: int
 ) -> bool:
     """Whether the utility range defined by ``halfspaces`` is non-empty."""
-    try:
-        solve(
-            ambient_feasibility_system(halfspaces, d), kind="ambient.feasible"
-        )
-    except InfeasibleLP:
-        return False
-    return True
+    return ambient_feasible_point(halfspaces, d) is not None
 
 
 def ambient_bounds(

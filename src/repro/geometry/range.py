@@ -483,8 +483,9 @@ class AmbientRange(UtilityRange):
     answer.
 
     The range also keeps a *witness set*: the ``2d`` optimisers of the
-    last :meth:`bounds` call and the last :meth:`inner_sphere` centre,
-    each re-checked against every constraint of the current working set
+    last :meth:`bounds` call, the last :meth:`inner_sphere` centre and
+    the optimiser of the last update's feasibility probe, each
+    re-checked against every constraint of the current working set
     within :data:`~repro.geometry.lp.FEASIBILITY_TOL`.  A witness ``u``
     with ``u . n >= CERT_TOL`` proves that ``R`` reaches the positive
     side of ``n`` without an LP (:meth:`split_margin`, and the
@@ -504,7 +505,8 @@ class AmbientRange(UtilityRange):
         self._max_halfspaces = max_halfspaces
         self._halfspaces: list[PreferenceHalfspace] = []
         #: Valid witness points of the current working set, keyed by the
-        #: surrogate that produced them (``"bounds"``, ``"centre"``).
+        #: LP that produced them (``"bounds"``, ``"centre"``,
+        #: ``"feasible"``).
         self._witnesses: dict[str, np.ndarray] = {}
 
     @property
@@ -532,17 +534,21 @@ class AmbientRange(UtilityRange):
         # A witness on the answered side lies in R ∩ H, and the trial
         # set is R's working set plus H, at most relaxed by the cap
         # rotation: the update is feasible with no LP.
+        point = None
         if not self._certifies(halfspace):
             tracer = active_tracer()
             probe_span = (
                 NULL_SPAN if tracer is None else tracer.span("range.feasible")
             )
             with probe_span:
-                feasible = lp.ambient_is_feasible(trial, self._dimension)
-            if not feasible:
+                point = lp.ambient_feasible_point(trial, self._dimension)
+            if point is None:
                 return False
         self._halfspaces = trial
         self._witnesses = {}
+        if point is not None:
+            # The probe's optimiser is a point of the new range.
+            self._add_witnesses("feasible", point[None, :])
         return True
 
     def inner_sphere(self) -> tuple[np.ndarray, float]:

@@ -44,7 +44,9 @@ class SessionMetrics:
         (0 for sessions that never failed).
     abstentions:
         Answers the user withheld (three-valued ``compare`` returned
-        ``None``) before a forced or re-asked choice resolved the round.
+        ``None``) before a forced or re-asked choice resolved the round,
+        over every attempt: a recovery retry starts from the failed
+        attempt's count.
     range_updates:
         Half-space updates the session's utility range received (0 for
         algorithms that do not expose a range).

@@ -815,10 +815,6 @@ class ContinuousEngine:
         )
         if retryable:
             self.metrics.retries += 1
-            # The replacement starts fresh metrics; bank the failed
-            # attempt's abstentions now so the engine total counts
-            # every abstention the user made.
-            self.metrics.abstentions += task.metrics.abstentions
             self._retry_task(task, replacements)
             return
         self.metrics.failed += 1
@@ -857,7 +853,13 @@ class ContinuousEngine:
             spec=task.spec,
             # Placeholder until the factory below returns.
             algorithm=None,  # type: ignore[arg-type]
-            metrics=SessionMetrics(session_id=task.ticket, retries=attempt),
+            # The failed attempt's abstentions carry over, so the result
+            # counts every abstention the user made in this session.
+            metrics=SessionMetrics(
+                session_id=task.ticket,
+                retries=attempt,
+                abstentions=task.metrics.abstentions,
+            ),
             trace=task.trace,
             attempt=attempt,
             submitted_at=task.submitted_at,

@@ -170,17 +170,44 @@ def _scalar_margin(halfspaces, d: int, normal: np.ndarray) -> float:
         return float("-inf")
 
 
-def _reference_candidate_pairs(env: AAEnvironment, center: np.ndarray):
+def _reference_pool(env: AAEnvironment, center: np.ndarray):
+    """The candidate pool built one pair at a time, as a sorted list.
+
+    Top-k pairs and random pairs go through a set, the random pairs drawn
+    with one ``integers(0, n, size=2)`` call each; asked pairs are
+    skipped.  Advances ``env._rng`` exactly as the environment must.
+    """
+    config = env.config
+    points = env.dataset.points
+    n = points.shape[0]
+    k = min(config.top_k, n)
+    top = np.argpartition(-(points @ center), k - 1)[:k]
+    pool: set[tuple[int, int]] = set()
+    for a in range(k):
+        for b in range(a + 1, k):
+            i, j = int(top[a]), int(top[b])
+            pool.add((min(i, j), max(i, j)))
+    for _ in range(config.random_pool):
+        i, j = env._rng.integers(0, n, size=2)
+        if i != j:
+            pool.add((min(int(i), int(j)), max(int(i), int(j))))
+    return sorted(pair for pair in pool if pair not in env._asked)
+
+
+def _reference_candidate_pairs(
+    env: AAEnvironment, center: np.ndarray, pool
+):
     """The one-candidate-at-a-time scan with scalar margin LPs.
 
-    Returns the accepted pairs and how many scored candidates the scan
-    rejected before it stopped.
+    Ranks ``pool`` (from :func:`_reference_pool`) by per-pair plane
+    distance, exact ties in ascending ``(i, j)`` order.  Returns the
+    accepted pairs and how many scored candidates the scan rejected
+    before it stopped.
     """
     from repro.geometry.range import SPLIT_TOL
 
     points = env.dataset.points
     d = points.shape[1]
-    pool = env._pair_pool(center, points.shape[0])
     scored = []
     for i, j in pool:
         normal = points[i] - points[j]
@@ -188,7 +215,7 @@ def _reference_candidate_pairs(env: AAEnvironment, center: np.ndarray):
         if norm < 1e-12:
             continue
         scored.append((abs(float(center @ normal)) / norm, (i, j)))
-    scored.sort(key=lambda item: item[0])
+    scored.sort()
     halfspaces = env.halfspaces
     accepted, rejected = [], 0
     for _, (i, j) in scored:
@@ -206,11 +233,14 @@ def _reference_candidate_pairs(env: AAEnvironment, center: np.ndarray):
 
 
 def _checked_session(env: AAEnvironment, utility: np.ndarray, max_rounds=60):
-    """Drive one oracle session, checking every round's candidate list.
+    """Drive one oracle session, checking every round's pool and candidates.
 
-    Each ``_candidate_pairs`` call is replayed through the reference
-    scan from the same generator state (the pool draws random pairs).
-    Returns per-round ``(rejected, scored)`` counts of the reference.
+    Each ``_candidate_pairs`` call is replayed through the reference pool
+    and scan from the same generator state (the pool draws random
+    pairs): the array pool must hold the same pairs and leave the same
+    generator state, and the stacked scan must accept the same pairs in
+    the same order.  Returns per-round ``(rejected, scored)`` counts of
+    the reference.
     """
     from repro.utils import rng as rng_state
 
@@ -219,10 +249,18 @@ def _checked_session(env: AAEnvironment, utility: np.ndarray, max_rounds=60):
 
     def checked(center):
         saved = rng_state.get_state(env._rng)
-        expected, rejected, scored = _reference_candidate_pairs(env, center)
+        pool = _reference_pool(env, center)
+        after = rng_state.get_state(env._rng)
+        rng_state.set_state(env._rng, saved)
+        assert env._pair_pool(center).tolist() == [list(pair) for pair in pool]
+        assert rng_state.get_state(env._rng) == after
+        expected, rejected, scored = _reference_candidate_pairs(
+            env, center, pool
+        )
         rng_state.set_state(env._rng, saved)
         actual = stacked(center)
         assert actual == expected
+        assert rng_state.get_state(env._rng) == after
         rounds.append((rejected, scored))
         return actual
 
@@ -277,3 +315,68 @@ class TestStackedCandidateScan:
         rounds = _checked_session(env, np.array([0.5, 0.2, 0.3]))
         assert rounds
         assert all(scored < config.m_h for _, scored in rounds)
+
+
+class TestPairPool:
+    """The array pool: one draw, asked pairs dropped, planeless pairs
+    dropped, exact ties in ascending ``(i, j)`` order."""
+
+    @pytest.mark.parametrize("n", [1738, 3_000_000_000])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_draw_matches_per_pair_draws(self, n, seed):
+        one = np.random.default_rng(seed)
+        each = np.random.default_rng(seed)
+        drawn = one.integers(0, n, size=(64, 2))
+        expected = np.array([each.integers(0, n, size=2) for _ in range(64)])
+        np.testing.assert_array_equal(drawn, expected)
+        assert one.bit_generator.state == each.bit_generator.state
+
+    def test_asked_pairs_excluded(self, small_anti_3d):
+        from repro.utils import rng as rng_state
+
+        env = AAEnvironment(small_anti_3d, AAConfig(), rng=11)
+        env.reset()
+        center = np.full(3, 1.0 / 3)
+        saved = rng_state.get_state(env._rng)
+        pool = [tuple(pair) for pair in env._pair_pool(center).tolist()]
+        asked = set(pool[::3])
+        env._asked = asked
+        rng_state.set_state(env._rng, saved)
+        remaining = [tuple(pair) for pair in env._pair_pool(center).tolist()]
+        assert remaining == [pair for pair in pool if pair not in asked]
+        assert remaining and len(remaining) < len(pool)
+
+    @staticmethod
+    def _duplicate_env():
+        from repro.data.datasets import Dataset
+
+        points = np.array(
+            [[0.9, 0.2], [0.9, 0.2], [0.2, 0.9], [0.5, 0.7], [0.7, 0.3]]
+        )
+        config = AAConfig(m_h=10, top_k=5, random_pool=0)
+        env = AAEnvironment(Dataset(points), config, rng=0)
+        env.reset()
+        return env
+
+    def test_duplicate_points_have_no_plane(self):
+        env = self._duplicate_env()
+        center = np.array([0.5, 0.5])
+        pool = env._pair_pool(center).tolist()
+        assert [0, 1] in pool
+        pairs = env._candidate_pairs(center)
+        assert (0, 1) not in pairs
+        assert len(pairs) == len(pool) - 1
+
+    def test_exact_ties_rank_in_pair_order(self):
+        env = self._duplicate_env()
+        # Points 0 and 1 coincide, so (0, k) and (1, k) have one plane
+        # and exactly the same distance from any centre; no other two
+        # planes are parallel.
+        center = np.array([0.3, 0.7])
+        pairs = env._candidate_pairs(center)
+        for k in (2, 3, 4):
+            assert pairs.index((0, k)) + 1 == pairs.index((1, k))
+        reference = _reference_candidate_pairs(
+            env, center, _reference_pool(env, center)
+        )
+        assert pairs == reference[0]

@@ -417,6 +417,22 @@ class TestWitnessCertificates:
         assert urange.update(halfspace)
         assert lp.solve_count() == solves
 
+    def test_feasibility_optimiser_joins_witnesses(self):
+        urange = AmbientRange(3)
+        answered = PreferenceHalfspace(np.array([1.0, -1.0, 0.0]))
+        assert not urange._certifies(answered)
+        assert urange.update(answered)
+        (point,) = urange._witnesses["feasible"]
+        assert float(point @ answered.normal) >= -lp.FEASIBILITY_TOL
+        # A later answer that point clears by CERT_TOL runs no LP.
+        normal = np.zeros(3)
+        normal[np.argmax(point)], normal[np.argmin(point)] = 1.0, -1.0
+        follow = PreferenceHalfspace(normal)
+        assert float(point @ follow.normal) >= CERT_TOL
+        solves = lp.solve_count()
+        assert urange.update(follow)
+        assert lp.solve_count() == solves
+
     def test_contradictory_answer_dropped_with_witnesses(self):
         base = AmbientRange(3)
         answered = PreferenceHalfspace(np.array([1.0, -1.0, 0.0]))
@@ -566,7 +582,7 @@ class TestStateCompatibility:
 class TestPrefetchUpdates:
     """Batch priming must be invisible except for speed."""
 
-    def _twin_ambient(self, d=5, answers=6, seed=31):
+    def _twin_ambient(self, d=5, answers=6, seed=31, uncertified=False):
         spaces = random_halfspaces(d, answers * 4, seed=seed)
         plain = AmbientRange(d)
         primed = AmbientRange(d)
@@ -574,9 +590,13 @@ class TestPrefetchUpdates:
             plain.update(halfspace)
             primed.update(halfspace)
         # Pick a final half-space whose trial stays feasible, so the
-        # update really applies (and its bound probes are prefetchable).
+        # update really applies (and its bound probes are prefetchable);
+        # with ``uncertified``, one no witness certifies, so the update
+        # runs its feasibility probe.
         kept = list(primed.halfspaces)
         for candidate in spaces[answers - 1 :]:
+            if uncertified and primed._certifies(candidate):
+                continue
             if lp.ambient_is_feasible(kept + [candidate], d):
                 return plain, primed, candidate
         raise AssertionError("no feasible final half-space found")
@@ -593,7 +613,7 @@ class TestPrefetchUpdates:
         assert primed.halfspaces == plain.halfspaces
 
     def test_ambient_prefetch_primes_cache(self):
-        _, primed, new = self._twin_ambient()
+        _, primed, new = self._twin_ambient(uncertified=True)
         cache = lp.LPCache()
         with lp.use_cache(cache):
             prefetch_updates([UpdatePreview(primed, new, bounds=True)])

@@ -152,6 +152,22 @@ class PeriodicFlipUser:
         return self.calls % self.period != 0
 
 
+class AbstainingFlipUser(PeriodicFlipUser):
+    """A :class:`PeriodicFlipUser` that abstains on every other ask."""
+
+    def __init__(self, period: int) -> None:
+        super().__init__(period)
+        self.compares = 0
+        self.abstentions = 0
+
+    def compare(self, p_i, p_j) -> bool | None:
+        self.compares += 1
+        if self.compares % 2:
+            self.abstentions += 1
+            return None
+        return self.prefers(p_i, p_j)
+
+
 class CrashingUser:
     """A user whose callback itself dies."""
 
@@ -365,6 +381,37 @@ class TestRecovery:
         assert len(metrics.errors) == 1
         assert metrics.errors[0].retried
         assert metrics.errors[0].error_type == "EmptyRegionError"
+
+    def test_retried_result_counts_every_abstention(self, toy):
+        # The first attempt abstains, then dies on a flipped answer; the
+        # result must count its abstentions as the engine total does.
+        user = AbstainingFlipUser(period=4)
+        engine = ContinuousEngine(recover=True)
+        (result,) = engine.run(
+            [_spec(lambda: StrictConsistencySession(toy, total=5), user)]
+        )
+        assert result.status == "recovered"
+        assert result.metrics.abstentions == user.abstentions
+        assert engine.last_metrics.abstentions == user.abstentions
+
+    def test_retried_result_abstentions_cross_the_pipe(self, toy):
+        specs = [
+            _spec(
+                lambda total=total: StrictConsistencySession(toy, total=total),
+                AbstainingFlipUser(period=4),
+            )
+            for total in (5, 6)
+        ]
+        with ShardedDispatcher(procs=1, recover=True) as dispatcher:
+            for spec in specs:
+                dispatcher.submit(spec)
+            results = dispatcher.drain()
+            metrics = dispatcher.last_metrics
+        assert [r.status for r in results] == ["recovered", "recovered"]
+        assert metrics.retries == 2
+        assert sum(r.metrics.abstentions for r in results) == (
+            metrics.abstentions
+        )
 
     def test_sequential_majority_vote_control(self, toy):
         # The recovery mechanism really is MajorityVoteSession: the same
