@@ -17,6 +17,8 @@ are caught independently of end-to-end session times:
   mid-session d=8 range,
 * a 64-system bounds stack through one ``lp.solve_stacked`` call (the
   HiGHS model hand-off),
+* AA's outer-rectangle refresh one answer after a ``bounds()`` call:
+  re-solving only the probes the answer cuts vs all ``2d``,
 * incremental range clipping vs from-scratch re-enumeration (the
   :class:`~repro.geometry.range.ExactRange` fast path),
 * skyline preprocessing (dataset construction).
@@ -36,7 +38,7 @@ from repro.data import synthetic_dataset
 from repro.data.skyline import skyline_indices
 from repro.data.synthetic import anti_correlated
 from repro.geometry import lp
-from repro.geometry.hyperplane import preference_halfspace
+from repro.geometry.hyperplane import PreferenceHalfspace, preference_halfspace
 from repro.geometry.polytope import UtilityPolytope
 from repro.geometry.range import SPLIT_TOL, AmbientRange, ExactRange
 from repro.geometry.sphere import minimum_enclosing_sphere
@@ -331,6 +333,44 @@ def test_micro_bounds_stack_64(benchmark):
     assert len(systems) == 64
     results = benchmark(lambda: lp.solve_stacked(systems))
     assert all(isinstance(outcome, lp.LPResult) for outcome in results)
+
+
+@pytest.mark.parametrize("probes", ["reuse", "full"])
+def test_micro_aa_bounds_refresh(probes, benchmark):
+    """``AmbientRange.bounds()`` on a d=8 range one answer after its last
+    call: ``reuse`` starts from that call's probes and re-solves only
+    those the answer cuts, ``full`` starts from none and solves all
+    ``2d`` (the same code with every probe stale).  The answer's plane
+    passes through the inner-sphere centre, as AA's questions do."""
+    d = 8
+    urange = AmbientRange(d)
+    for halfspace in _session_halfspaces(d, answers=10, seed=12):
+        urange.update(halfspace)
+    reference = lp.ambient_bounds(list(urange.halfspaces), d)
+    center, _ = urange.inner_sphere()
+    urange.bounds()
+    last = urange._bound_probes if probes == "reuse" else None
+    normal = np.random.default_rng(13).uniform(-1.0, 1.0, d)
+    normal -= (normal @ center) / (center @ center) * center
+    assert urange.update(PreferenceHalfspace(normal))
+    urange._bound_probes = last
+    stale = urange._stale_probes(list(urange.halfspaces))
+    if probes == "reuse":
+        assert 0 < stale.sum() < 2 * d
+    else:
+        assert stale.all()
+
+    def refresh():
+        urange._bound_probes = last
+        return urange.bounds()
+
+    e_min, e_max = benchmark(refresh)
+    fresh_min, fresh_max, _ = lp.ambient_bounds(list(urange.halfspaces), d)
+    np.testing.assert_allclose(e_min, fresh_min, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(e_max, fresh_max, rtol=0, atol=1e-12)
+    # The answer narrowed the rectangle.
+    assert np.all(e_min >= reference[0] - 1e-12)
+    assert np.all(e_max <= reference[1] + 1e-12)
 
 
 def test_micro_aa_candidate_round(benchmark):

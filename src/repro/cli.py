@@ -88,7 +88,7 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.tracer import Tracer, use_tracer
-from repro.registry import make_config, make_trainer
+from repro.registry import train_agent
 from repro.rl.serialization import load_agent, save_agent
 from repro.serve import run_serve_bench
 from repro.users import OracleUser, user_model_names
@@ -135,11 +135,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
         f"training {args.algorithm} on {dataset.name} "
         f"({args.episodes} episodes, eps={args.epsilon}) ..."
     )
-    trainer = make_trainer(args.algorithm)
-    agent = trainer(
-        dataset, utilities,
-        config=make_config(args.algorithm, epsilon=args.epsilon),
-        rng=args.seed + 1, updates_per_episode=args.updates,
+    agent = train_agent(
+        args.algorithm, dataset, args.epsilon,
+        rng=args.seed + 1, utilities=utilities,
+        updates_per_episode=args.updates,
     )
     written = save_agent(agent, args.out)
     log = agent.training_log

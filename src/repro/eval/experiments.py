@@ -27,10 +27,9 @@ from repro.data.utility import sample_training_utilities
 from repro.eval.runner import AlgorithmFactory, EvaluationSummary, evaluate_algorithm
 from repro.registry import (
     canonical_session_name,
-    make_config,
     make_session,
-    make_trainer,
     session_needs_agent,
+    train_agent,
 )
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 
@@ -168,15 +167,13 @@ def build_method(
 
     extra: dict[str, Any] = {}
     if session_needs_agent(key):
-        if train_utilities is None:
-            train_utilities = sample_training_utilities(
-                dataset.dimension, scale.train_episodes, rng=train_rng
-            )
-        extra["agent"] = make_trainer(key)(
+        extra["agent"] = train_agent(
+            key,
             dataset,
-            train_utilities,
-            config=make_config(key, epsilon=epsilon),
+            epsilon,
             rng=train_rng,
+            episodes=scale.train_episodes,
+            utilities=train_utilities,
             updates_per_episode=scale.updates_per_episode,
         )
     return lambda: make_session(key, dataset, epsilon, rng=session_rng(), **extra)

@@ -33,10 +33,9 @@ from repro.eval.reporting import format_table
 from repro.obs.snapshot import write_snapshot
 from repro.registry import (
     canonical_session_name,
-    make_config,
     make_session,
-    make_trainer,
     session_needs_agent,
+    train_agent,
 )
 from repro.serve.scheduler import ContinuousEngine
 from repro.serve.spec import SessionSpec
@@ -229,15 +228,12 @@ def _family_factories(
     for index, family in enumerate(families):
         extra: dict[str, Any] = {}
         if session_needs_agent(family):
-            train_rng = _cell_seed(seed, 11, index)
-            utilities = sample_training_utilities(
-                dataset.dimension, train_episodes, rng=train_rng
-            )
-            extra["agent"] = make_trainer(family)(
+            extra["agent"] = train_agent(
+                family,
                 dataset,
-                utilities,
-                config=make_config(family, epsilon=epsilon),
-                rng=train_rng,
+                epsilon,
+                rng=_cell_seed(seed, 11, index),
+                episodes=train_episodes,
             )
         out[family] = (
             lambda session_seed, f=family, k=extra: make_session(

@@ -840,22 +840,24 @@ def ambient_feasibility_system(
 
 
 def ambient_bounds_systems(
-    halfspaces: Sequence[PreferenceHalfspace], d: int
+    halfspaces: Sequence[PreferenceHalfspace],
+    d: int,
+    probes: np.ndarray | None = None,
 ) -> list[LPSystem]:
-    """The ``2d`` probe systems behind :func:`ambient_bounds`.
+    """The probe systems behind :func:`ambient_bounds`.
 
-    Ordered ``min_0, max_0, min_1, max_1, ...``; the ``max`` probes are
-    spelled as negated-objective minimisations, so their values negate
-    back.
+    The ``2d`` probes are ordered ``min_0, max_0, min_1, max_1, ...``;
+    the ``max`` probes are spelled as negated-objective minimisations,
+    so their values negate back.  ``probes``, a boolean mask over those
+    ``2d``, keeps only the selected systems, in the same order; ``None``
+    keeps all of them.
     """
     base = ambient_feasibility_system(halfspaces, d)
-    systems: list[LPSystem] = []
-    for i in range(d):
-        c = np.zeros(d)
-        c[i] = 1.0
-        systems.append(dataclasses.replace(base, c=c))
-        systems.append(dataclasses.replace(base, c=-c))
-    return systems
+    objectives = np.repeat(np.eye(d), 2, axis=0)
+    objectives[1::2] *= -1.0
+    if probes is not None:
+        objectives = objectives[probes]
+    return [dataclasses.replace(base, c=c) for c in objectives]
 
 
 def ambient_feasible_point(
@@ -878,19 +880,18 @@ def ambient_is_feasible(
     return ambient_feasible_point(halfspaces, d) is not None
 
 
-def ambient_bounds(
-    halfspaces: Sequence[PreferenceHalfspace], d: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Outer rectangle ``(e_min, e_max)`` of the ambient utility range,
-    plus the ``(2d, d)`` stack of the probes' optimisers.
+def ambient_bound_probes(
+    halfspaces: Sequence[PreferenceHalfspace], d: int, probes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values and optimisers of the bound probes selected by ``probes``.
 
-    Solves two LPs per dimension, exactly as Section IV-C prescribes —
-    issued through :func:`solve_many`, so the uncached probes of one
-    call stack into a single HiGHS solve.  Row ``k`` of the optimiser
-    stack is probe ``k``'s ``x``, in :func:`ambient_bounds_systems`
-    order: points of the range that
-    :class:`~repro.geometry.range.AmbientRange` keeps as split-margin
-    witnesses.
+    ``probes`` is a boolean mask over the ``2d`` probes of
+    :func:`ambient_bounds_systems`.  Returns ``(values (k,), optimisers
+    (k, d))`` for the ``k`` selected probes, in probe order: each value
+    is the probe's ``c . x`` as :func:`solve_many` returned it (the
+    ``max`` probes still negated).  The selected probes go through one
+    :func:`solve_many` call, so the uncached ones stack into a single
+    HiGHS solve; an all-false mask solves nothing.
 
     Raises
     ------
@@ -898,24 +899,52 @@ def ambient_bounds(
         If the utility range is empty (inconsistent answers).
     """
     outcomes = solve_many(
-        ambient_bounds_systems(halfspaces, d), kind="ambient.bounds"
+        ambient_bounds_systems(halfspaces, d, probes), kind="ambient.bounds"
     )
-    e_min = np.empty(d)
-    e_max = np.empty(d)
-    for i in range(d):
-        for outcome in (outcomes[2 * i], outcomes[2 * i + 1]):
-            if isinstance(outcome, InfeasibleLP):
-                raise EmptyRegionError(
-                    "utility range is empty; user answers are inconsistent"
-                ) from outcome
-            if isinstance(outcome, LPError):
-                raise outcome
-        e_min[i] = outcomes[2 * i].value  # type: ignore[union-attr]
-        e_max[i] = -outcomes[2 * i + 1].value  # type: ignore[union-attr]
+    for outcome in outcomes:
+        if isinstance(outcome, InfeasibleLP):
+            raise EmptyRegionError(
+                "utility range is empty; user answers are inconsistent"
+            ) from outcome
+        if isinstance(outcome, LPError):
+            raise outcome
+    values = np.array(
+        [outcome.value for outcome in outcomes],  # type: ignore[union-attr]
+        dtype=float,
+    )
     optimisers = np.array(
-        [outcome.x for outcome in outcomes]  # type: ignore[union-attr]
+        [outcome.x for outcome in outcomes],  # type: ignore[union-attr]
+        dtype=float,
+    ).reshape(len(outcomes), d)
+    return values, optimisers
+
+
+def ambient_bounds(
+    halfspaces: Sequence[PreferenceHalfspace], d: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Outer rectangle ``(e_min, e_max)`` of the ambient utility range,
+    plus the ``(2d, d)`` stack of the probes' optimisers.
+
+    Solves two LPs per dimension, exactly as Section IV-C prescribes:
+    all ``2d`` probes of :func:`ambient_bound_probes`.  Row ``k`` of the
+    optimiser stack is probe ``k``'s ``x``, in
+    :func:`ambient_bounds_systems` order.
+
+    :meth:`AmbientRange.bounds
+    <repro.geometry.range.AmbientRange.bounds>` re-solves only the
+    probes a newly added half-space cuts: a probe's optimiser that
+    still satisfies every added half-space is still an optimiser, so
+    its value carries over unchanged (see docs/geometry.md).
+
+    Raises
+    ------
+    EmptyRegionError
+        If the utility range is empty (inconsistent answers).
+    """
+    values, optimisers = ambient_bound_probes(
+        halfspaces, d, np.ones(2 * d, dtype=bool)
     )
-    return e_min, e_max, optimisers
+    return values[0::2], -values[1::2], optimisers
 
 
 def ambient_inner_sphere(

@@ -468,6 +468,18 @@ SPLIT_TOL = 1e-7
 CERT_TOL = 1e-4
 
 
+@dataclass(frozen=True)
+class _BoundProbes:
+    """The ``2d`` bound probes of one :meth:`AmbientRange.bounds` call."""
+
+    #: The working set the probes were solved on.
+    halfspaces: tuple[PreferenceHalfspace, ...]
+    #: ``(2d,)`` probe values ``c . x``, ``max`` probes negated.
+    values: np.ndarray
+    #: ``(2d, d)`` probe optimisers.
+    optimisers: np.ndarray
+
+
 class AmbientRange(UtilityRange):
     """Half-space-list range summarised by LP surrogates (Section IV-C).
 
@@ -492,6 +504,14 @@ class AmbientRange(UtilityRange):
     feasibility probe of an update).  Like the LP cache, the set is an
     execution cache: any change to the half-space list drops it, and
     it is never part of :meth:`get_state`.
+
+    Separately, the range keeps the *bound probes* of its last
+    :meth:`bounds` call: the ``2d`` values and optimisers, and the
+    working set they were solved on.  The next :meth:`bounds` call
+    re-solves only the probes whose optimiser a half-space added since
+    then cuts.  These do decide values, so they are part of
+    :meth:`get_state`: a resumed session reuses exactly what an
+    uninterrupted one would.
     """
 
     def __init__(
@@ -508,6 +528,8 @@ class AmbientRange(UtilityRange):
         #: LP that produced them (``"bounds"``, ``"centre"``,
         #: ``"feasible"``).
         self._witnesses: dict[str, np.ndarray] = {}
+        #: The last :meth:`bounds` call's probes, or ``None`` before it.
+        self._bound_probes: _BoundProbes | None = None
 
     @property
     def halfspaces(self) -> tuple[PreferenceHalfspace, ...]:
@@ -563,15 +585,64 @@ class AmbientRange(UtilityRange):
         return center, radius
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Outer rectangle ``(e_min, e_max)`` of the range (``2d`` LPs).
+        """Outer rectangle ``(e_min, e_max)`` of the range (up to ``2d``
+        LPs).
 
-        The ``2d`` optimisers join the witness set.
+        Re-solves only the probes :meth:`_stale_probes` marks: those
+        whose last optimiser some half-space added since the last call
+        cuts, or all ``2d`` when the working set is not that call's set
+        with half-spaces appended (the first call, a cap rotation, a
+        restore without probes).  Adding a half-space only shrinks the
+        range, so an optimiser that still satisfies every added
+        half-space is still optimal, and its probe keeps the value the
+        solver returned for it.  The ``2d`` optimisers join the witness
+        set.
         """
-        e_min, e_max, optimisers = lp.ambient_bounds(
-            self._halfspaces, self._dimension
+        stale = self._stale_probes(self._halfspaces)
+        d = self._dimension
+        last = self._bound_probes
+        values = np.empty(2 * d) if last is None else last.values.copy()
+        optimisers = (
+            np.empty((2 * d, d)) if last is None else last.optimisers.copy()
+        )
+        values[stale], optimisers[stale] = lp.ambient_bound_probes(
+            self._halfspaces, d, stale
+        )
+        self._bound_probes = _BoundProbes(
+            tuple(self._halfspaces), values, optimisers
         )
         self._add_witnesses("bounds", optimisers)
-        return e_min, e_max
+        return values[0::2].copy(), -values[1::2]
+
+    def _stale_probes(
+        self, working: Sequence[PreferenceHalfspace]
+    ) -> np.ndarray:
+        """Which of the ``2d`` bound probes a :meth:`bounds` call on the
+        working set ``working`` must solve, as a boolean mask.
+
+        :func:`prefetch_updates` calls this with an update's trial set
+        to stack exactly the probes the session's own call will solve.
+        """
+        last = self._reusable_probes(working)
+        if last is None:
+            return np.ones(2 * self._dimension, dtype=bool)
+        added = working[len(last.halfspaces):]
+        if not added:
+            return np.zeros(2 * self._dimension, dtype=bool)
+        normals = np.array([h.normal for h in added])
+        return (last.optimisers @ normals.T < 0.0).any(axis=1)
+
+    def _reusable_probes(
+        self, working: Sequence[PreferenceHalfspace]
+    ) -> _BoundProbes | None:
+        """The last :meth:`bounds` call's probes if ``working`` is their
+        working set with half-spaces appended, else ``None``."""
+        last = self._bound_probes
+        if last is None or len(working) < len(last.halfspaces):
+            return None
+        if any(old is not new for old, new in zip(last.halfspaces, working)):
+            return None
+        return last
 
     def split_margin(self, normals: np.ndarray) -> np.ndarray:
         """How far ``R`` crosses each row ``n`` of a ``(k, d)`` stack.
@@ -651,10 +722,17 @@ class AmbientRange(UtilityRange):
         normals, winners, losers = halfspaces_to_arrays(
             self._halfspaces, self._dimension
         )
+        # Probes no later bounds() call can reuse are not written.
+        last = self._reusable_probes(self._halfspaces)
         return {
             "hs_normals": normals,
             "hs_winners": winners,
             "hs_losers": losers,
+            "bounds_base": None if last is None else len(last.halfspaces),
+            "bounds_values": None if last is None else last.values.copy(),
+            "bounds_optimisers": (
+                None if last is None else last.optimisers.copy()
+            ),
         }
 
     def _restore_body(self, state: dict[str, Any]) -> None:
@@ -664,6 +742,13 @@ class AmbientRange(UtilityRange):
             )
         )
         self._witnesses = {}
+        # States written before the probes were kept carry none.
+        base = state.get("bounds_base")
+        self._bound_probes = None if base is None else _BoundProbes(
+            tuple(self._halfspaces[:int(base)]),
+            np.array(state["bounds_values"], dtype=float),
+            np.array(state["bounds_optimisers"], dtype=float),
+        )
 
     def __repr__(self) -> str:
         return (
@@ -700,10 +785,15 @@ def prefetch_updates(previews: Sequence[UpdatePreview]) -> None:
 
     * :class:`AmbientRange` previews — the trial-set feasibility probes
       of the whole tick stack into one
-      :func:`~repro.geometry.lp.solve_many` call, then the ``2d``
+      :func:`~repro.geometry.lp.solve_many` call, then the
       outer-rectangle probes of every feasible trial marked ``bounds``
-      stack into a second.  A preview whose answered side a witness
-      point certifies (see :class:`AmbientRange`) submits no
+      stack into a second: exactly the probes the session's own
+      :meth:`AmbientRange.bounds` call will solve, those whose last
+      optimiser the answer cuts (all ``2d`` after a cap rotation or
+      with no earlier call).  The mask comes from the same
+      :meth:`AmbientRange._stale_probes` call on the same trial set,
+      so the two agree bit for bit.  A preview whose answered side a
+      witness point certifies (see :class:`AmbientRange`) submits no
       feasibility probe, exactly as its update will run none, but its
       bounds are still stacked.  Results land in the active
       :class:`~repro.geometry.lp.LPCache` (required — without one the
@@ -769,14 +859,19 @@ def _prefetch_ambient(previews: Sequence[UpdatePreview]) -> None:
     outcomes = iter(lp.solve_many(systems, kind="ambient.feasible"))
     bound_systems: list[lp.LPSystem] = []
     for preview, trial, probe in zip(previews, trials, probed):
-        # Infeasible trials are dropped by the session without a bounds
-        # refresh (its current-set probes were cached last round), and
-        # unexpected LP failures will re-raise inside the session's own
-        # update — either way, no bounds to prefetch.
+        urange = preview.urange
+        assert isinstance(urange, AmbientRange)
+        # An infeasible trial is dropped, and a bounds() call on the
+        # unchanged set reuses all its probes; an unexpected LP failure
+        # will re-raise inside the session's own update.  Either way,
+        # no bounds to prefetch.
         feasible = isinstance(next(outcomes), lp.LPResult) if probe else True
         if preview.bounds and feasible:
+            # Only the probes the session's own bounds() will solve.
             bound_systems.extend(
-                lp.ambient_bounds_systems(trial, preview.urange.dimension)
+                lp.ambient_bounds_systems(
+                    trial, urange.dimension, urange._stale_probes(trial)
+                )
             )
     if bound_systems:
         lp.solve_many(bound_systems, kind="ambient.bounds")

@@ -6,7 +6,8 @@ each session class declares as its ``family``:
 
 * :func:`make_session` — build a fresh session from a registry name;
 * :func:`make_trainer` / :func:`make_config` — the training entry point
-  and config class for the RL families;
+  and config class for the RL families, and :func:`train_agent`, which
+  trains one with both;
 * :func:`agents_by_family` — ``{name: agent}`` keyed by canonical family.
 
 Registry names are short kebab-case strings; :func:`canonical_session_name`
@@ -32,6 +33,7 @@ from repro.baselines import (
 from repro.core import AAConfig, AASession, EAConfig, EASession, train_aa, train_ea
 from repro.core.session import InteractiveAlgorithm, validate_epsilon
 from repro.data.datasets import Dataset
+from repro.data.utility import sample_training_utilities
 from repro.errors import ConfigurationError
 from repro.utils.rng import RngLike
 
@@ -229,3 +231,41 @@ def make_config(name: str, **kwargs: object) -> EAConfig | AAConfig:
             "only 'ea' and 'aa' do"
         )
     return spec.config(**kwargs)
+
+
+def train_agent(
+    name: str,
+    dataset: Dataset,
+    epsilon: float,
+    *,
+    rng: RngLike,
+    episodes: int | None = None,
+    utilities: Any = None,
+    **kwargs: object,
+) -> Any:
+    """Train an agent of RL family ``name`` on ``dataset``.
+
+    Trains on ``utilities`` when given, else on ``episodes`` utility
+    vectors from :func:`~repro.data.utility.sample_training_utilities`
+    drawn with ``rng``.  The trainer is ``make_trainer(name)``, called
+    with ``config=make_config(name, epsilon=epsilon)``, the same
+    ``rng`` and ``kwargs`` (``updates_per_episode``, ...).  Baselines
+    raise :class:`~repro.errors.ConfigurationError` before anything is
+    sampled.
+    """
+    trainer = make_trainer(name)
+    if utilities is None:
+        if episodes is None:
+            raise ConfigurationError(
+                "train_agent needs utilities or an episode count"
+            )
+        utilities = sample_training_utilities(
+            dataset.dimension, episodes, rng=rng
+        )
+    return trainer(
+        dataset,
+        utilities,
+        config=make_config(name, epsilon=epsilon),
+        rng=rng,
+        **kwargs,
+    )

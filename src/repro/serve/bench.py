@@ -33,7 +33,7 @@ from repro.errors import ConfigurationError
 from repro.obs.export import aggregate_report, merge_aggregate_reports
 from repro.obs.snapshot import write_snapshot
 from repro.obs.tracer import active_tracer
-from repro.registry import make_config, make_session, make_trainer
+from repro.registry import make_session, train_agent
 from repro.serve.dispatch import ShardedDispatcher
 from repro.serve.metrics import EngineMetrics
 from repro.serve.scheduler import ContinuousEngine
@@ -209,17 +209,10 @@ def bench_workload(
         # Historical behaviour: --noise alone serves NoisyUser fleets.
         user_model = "noisy"
     epsilon = validate_epsilon(epsilon)
-    trainer = make_trainer(algorithm)
     train_rng, user_rng, session_rng = spawn_rngs(seed, 3)
-    utilities = sample_training_utilities(
-        dataset.dimension, episodes, rng=train_rng
-    )
     train_started = time.perf_counter()
-    agent = trainer(
-        dataset,
-        utilities,
-        config=make_config(algorithm, epsilon=epsilon),
-        rng=train_rng,
+    agent = train_agent(
+        algorithm, dataset, epsilon, rng=train_rng, episodes=episodes
     )
     train_seconds = time.perf_counter() - train_started
     hidden = sample_training_utilities(dataset.dimension, sessions, rng=user_rng)

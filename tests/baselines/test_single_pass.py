@@ -132,3 +132,42 @@ class TestWitnessReplay:
         assert len(rows) > 10
         assert rows == ref_rows and best == ref_best
         assert solves < ref_solves
+
+    def test_capped_bounds_never_reuse_across_a_rotation(
+        self, highd_anti_8d, monkeypatch
+    ):
+        """With cap 3 the oldest answer rotates out every answer; a
+        bounds() call after a rotation solves all 2d probes."""
+        monkeypatch.setattr(single_pass, "_MAX_WORKING_HALFSPACES", 3)
+        user = OracleUser(np.random.default_rng(5).dirichlet(np.ones(8)))
+        calls = []
+        solved = []
+        bounds = AmbientRange.bounds
+        probes = lp.ambient_bound_probes
+
+        def recording_bounds(self):
+            last = self._bound_probes
+            calls.append(
+                (None if last is None else last.halfspaces, self.halfspaces)
+            )
+            return bounds(self)
+
+        def recording_probes(halfspaces, d, mask):
+            solved.append(int(mask.sum()))
+            return probes(halfspaces, d, mask)
+
+        monkeypatch.setattr(AmbientRange, "bounds", recording_bounds)
+        monkeypatch.setattr(lp, "ambient_bound_probes", recording_probes)
+        session = SinglePassSession(highd_anti_8d, epsilon=0.05, rng=6)
+        while not session.finished and session.rounds < 300:
+            question = session.next_question()
+            session.observe(user.prefers(question.p_i, question.p_j))
+        assert len(calls) == len(solved)
+        rotated = 0
+        for (base, working), count in zip(calls, solved):
+            if base is None:
+                assert count == 16
+            elif any(old is not new for old, new in zip(base, working)):
+                rotated += 1
+                assert count == 16
+        assert rotated > 10

@@ -499,6 +499,136 @@ class TestWitnessCertificates:
         assert not urange.update(contradiction)
 
 
+def in_range(points: np.ndarray, halfspaces) -> np.ndarray:
+    """Which rows of ``points`` lie in the ambient range within
+    ``FEASIBILITY_TOL`` (the witness check of ``AmbientRange``)."""
+    tol = lp.FEASIBILITY_TOL
+    valid = (points >= -tol).all(axis=1)
+    valid &= np.abs(points.sum(axis=1) - 1.0) <= tol
+    if halfspaces:
+        normals = np.array([h.normal for h in halfspaces])
+        valid &= (points @ normals.T >= -tol).all(axis=1)
+    return valid
+
+
+class TestBoundProbeReuse:
+    """``bounds()`` re-solves only the probes a new half-space cuts."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(3, 8),
+        first=st.integers(0, 6),
+        added=st.integers(0, 4),
+        cap=st.sampled_from([None, 3, 6]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_reused_bounds_match_fresh_solve(self, d, first, added, cap, seed):
+        spaces = random_halfspaces(d, first + added, seed)
+        urange = AmbientRange(d, max_halfspaces=cap)
+        for halfspace in spaces[:first]:
+            urange.update(halfspace)
+        urange.bounds()
+        for halfspace in spaces[first:]:
+            urange.update(halfspace)
+        kept = list(urange.halfspaces)
+        stale = urange._stale_probes(kept)
+        e_min, e_max = urange.bounds()
+        ref_min, ref_max, _ = lp.ambient_bounds(kept, d)
+        np.testing.assert_allclose(e_min, ref_min, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(e_max, ref_max, rtol=0, atol=1e-12)
+        reused = urange._bound_probes.optimisers[~stale]
+        assert in_range(reused, kept).all()
+
+    def test_reuse_solves_only_cut_probes(self):
+        urange = narrowed_ambient(8, 4, seed=17)
+        before = urange._bound_probes
+        new = next(
+            h for h in random_halfspaces(8, 12, seed=18)
+            if lp.ambient_is_feasible(list(urange.halfspaces) + [h], 8)
+        )
+        assert urange.update(new)
+        cut = before.optimisers @ new.normal < 0.0
+        stale = urange._stale_probes(list(urange.halfspaces))
+        assert np.array_equal(stale, cut)
+        # Not vacuous: some probes carry over and some are re-solved.
+        assert 0 < stale.sum() < 16
+        cache = lp.LPCache()
+        with lp.use_cache(cache):
+            urange.bounds()
+        assert cache.misses == stale.sum()
+        after = urange._bound_probes
+        # A reused probe keeps its value and optimiser bit for bit.
+        assert np.array_equal(after.values[~stale], before.values[~stale])
+        assert np.array_equal(
+            after.optimisers[~stale], before.optimisers[~stale]
+        )
+
+    def test_unchanged_set_reuses_every_probe(self):
+        urange = narrowed_ambient(4, 3, seed=19)
+        first = urange.bounds()
+        # A contradiction of the first answer is rejected.
+        (answer, *_) = urange.halfspaces
+        assert not urange.update(PreferenceHalfspace(-answer.normal - 0.01))
+        solves = lp.solve_count()
+        second = urange.bounds()
+        assert lp.solve_count() == solves
+        assert np.array_equal(first[0], second[0])
+        assert np.array_equal(first[1], second[1])
+
+    def test_rotation_resolves_every_probe(self):
+        spaces = random_halfspaces(5, 10, seed=23)
+        urange = AmbientRange(5, max_halfspaces=3)
+        applied = [h for h in spaces if urange.update(h)]
+        assert len(applied) > 3
+        urange.bounds()
+        base = urange._bound_probes.halfspaces
+        # Rotating the oldest answer out relaxes the range: the old
+        # optimisers need not be optimal any more.
+        new = next(
+            h for h in random_halfspaces(5, 20, seed=24)
+            if urange.update(h)
+        )
+        assert urange.halfspaces[0] is base[1]
+        assert urange.halfspaces[-1] is new
+        assert urange._stale_probes(list(urange.halfspaces)).all()
+
+    def test_probes_round_trip_through_state(self):
+        urange = narrowed_ambient(6, 5, seed=27)
+        state = urange.get_state()
+        assert state["bounds_base"] == len(urange.halfspaces)
+        restored = AmbientRange(6)
+        restored.set_state(state)
+        for key in ("values", "optimisers"):
+            assert np.array_equal(
+                getattr(restored._bound_probes, key),
+                getattr(urange._bound_probes, key),
+            )
+        for halfspace in random_halfspaces(6, 3, seed=28):
+            assert restored.update(halfspace) == urange.update(halfspace)
+        kept = list(urange.halfspaces)
+        assert np.array_equal(
+            restored._stale_probes(list(restored.halfspaces)),
+            urange._stale_probes(kept),
+        )
+        got, want = restored.bounds(), urange.bounds()
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_state_without_probes_restores_with_none(self):
+        urange = narrowed_ambient(4, 4, seed=29)
+        state = urange.get_state()
+        for key in ("bounds_base", "bounds_values", "bounds_optimisers"):
+            del state[key]
+        restored = AmbientRange(4)
+        restored.set_state(state)
+        assert restored._bound_probes is None
+        assert restored._stale_probes(list(restored.halfspaces)).all()
+        # A range that never solved its bounds writes none either.
+        fresh = AmbientRange(4).get_state()
+        assert fresh["bounds_base"] is None
+        assert fresh["bounds_values"] is None
+
+
 class TestBackendSeam:
     """Range LPs are visible to ``lp.solve_count()`` and the LP cache."""
 
@@ -518,7 +648,8 @@ class TestBackendSeam:
         with lp.use_cache(cache):
             first = urange.bounds()
             hits, solves = cache.hits, lp.solve_count()
-            second = urange.bounds()
+            # A twin range: the range itself would reuse its own probes.
+            second = AmbientRange(4).bounds()
         assert cache.hits == hits + 2 * urange.dimension
         assert lp.solve_count() == solves
         assert np.array_equal(first[0], second[0])

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.data.utility import sample_training_utilities
+from repro.geometry import lp
 from repro.persist import FileSessionStore, capture_session, restore_session
 from repro.registry import make_session
 from repro.rl.serialization import load_agent, save_agent
@@ -61,7 +62,9 @@ def _drive(session, user, *, rounds=None, cap=ROUND_CAP):
     return transcript
 
 
-def _assert_identical_resume(make_fresh, user_kind, seed, tmp_path, **restore):
+def _assert_identical_resume(
+    make_fresh, user_kind, seed, tmp_path, at=CHECKPOINT_AT, **restore
+):
     dimension = restore.get("dimension", 3)
     reference = make_fresh(seed)
     reference_log = _drive(reference, _make_user(user_kind, dimension, seed))
@@ -70,7 +73,7 @@ def _assert_identical_resume(make_fresh, user_kind, seed, tmp_path, **restore):
     # Replay: same construction, stop at round k, checkpoint to disk.
     replay = make_fresh(seed)
     user = _make_user(user_kind, dimension, seed)
-    head = _drive(replay, user, rounds=CHECKPOINT_AT)
+    head = _drive(replay, user, rounds=at)
     store = FileSessionStore(tmp_path / "store")
     store.put(
         capture_session(
@@ -147,6 +150,71 @@ def test_rl_resume_is_bit_identical(
         user_kind,
         seed,
         tmp_path,
+        agent=fresh_agent,
+        ref=ref,
+    )
+
+
+def _find_key(tree, key):
+    """The first value stored under ``key`` anywhere in a state tree."""
+    if isinstance(tree, dict):
+        if key in tree:
+            return tree[key]
+        for value in tree.values():
+            found = _find_key(value, key)
+            if found is not None:
+                return found
+    return None
+
+
+@pytest.mark.parametrize("user_kind", USER_KINDS)
+def test_aa_resume_after_bound_reuse_is_bit_identical(
+    user_kind, trained_aa_3d, reloaded_agents, tmp_path, monkeypatch
+):
+    """Checkpoint right after a round whose bounds() call reused probes:
+    the snapshot carries the probes, so the resumed session reuses
+    exactly what the uninterrupted one does."""
+    ref, fresh_agent = reloaded_agents["aa"]
+    seed = 0
+
+    def make_fresh(seed):
+        return trained_aa_3d.new_session(rng=100 + seed)
+
+    # How many probes each bounds() call solves: one call at the start,
+    # then one per answered round.
+    solved: list[int] = []
+    probes = lp.ambient_bound_probes
+
+    def recording(halfspaces, d, mask):
+        solved.append(int(mask.sum()))
+        return probes(halfspaces, d, mask)
+
+    monkeypatch.setattr(lp, "ambient_bound_probes", recording)
+    reference = make_fresh(seed)
+    _drive(reference, _make_user(user_kind, 3, seed))
+    reference_solved = list(solved)
+    at = next(
+        k for k, count in enumerate(reference_solved) if 0 < k and count < 6
+    )
+    assert at < reference.rounds
+
+    # The resumed session solves exactly the probes the reference does.
+    user = _make_user(user_kind, 3, seed)
+    replay = make_fresh(seed)
+    _drive(replay, user, rounds=at)
+    snapshot = capture_session(replay, session_id="reuse")
+    assert _find_key(snapshot.state, "bounds_base") is not None
+    resumed = restore_session(snapshot, agent=fresh_agent)
+    del solved[:]
+    _drive(resumed, user)
+    assert solved == reference_solved[at + 1:]
+
+    _assert_identical_resume(
+        make_fresh,
+        user_kind,
+        seed,
+        tmp_path,
+        at=at,
         agent=fresh_agent,
         ref=ref,
     )

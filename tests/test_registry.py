@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.baselines import (
@@ -12,6 +13,7 @@ from repro.baselines import (
     UtilityApproxSession,
 )
 from repro.core import AAConfig, AASession, EAConfig, EASession, train_aa, train_ea
+from repro.data.utility import sample_training_utilities
 from repro.errors import ConfigurationError
 from repro.persist import capture_session
 from repro.registry import (
@@ -22,7 +24,9 @@ from repro.registry import (
     make_trainer,
     session_names,
     session_needs_agent,
+    train_agent,
 )
+from repro.rl.serialization import save_agent
 
 BASELINE_TYPES = {
     "uh-random": UHRandomSession,
@@ -113,6 +117,38 @@ class TestTrainerAndConfig:
     def test_baseline_has_no_config(self):
         with pytest.raises(ConfigurationError, match="no trainer config"):
             make_config("single-pass")
+
+    @pytest.mark.parametrize("family", ["ea", "aa"])
+    def test_train_agent_is_the_written_out_recipe(
+        self, family, small_anti_3d, tmp_path
+    ):
+        def trained_bytes(agent, name):
+            return save_agent(agent, tmp_path / f"{name}.npz").read_bytes()
+
+        rng = np.random.default_rng(4)
+        utilities = sample_training_utilities(3, 3, rng=rng)
+        recipe = make_trainer(family)(
+            small_anti_3d,
+            utilities,
+            config=make_config(family, epsilon=0.2),
+            rng=rng,
+            updates_per_episode=1,
+        )
+        helper = train_agent(
+            family,
+            small_anti_3d,
+            0.2,
+            rng=np.random.default_rng(4),
+            episodes=3,
+            updates_per_episode=1,
+        )
+        assert trained_bytes(helper, "helper") == trained_bytes(
+            recipe, "recipe"
+        )
+
+    def test_train_agent_rejects_baselines(self, small_anti_3d):
+        with pytest.raises(ConfigurationError, match="needs no training"):
+            train_agent("uh-random", small_anti_3d, 0.1, rng=0, episodes=2)
 
 
 class TestAgentsByFamily:
