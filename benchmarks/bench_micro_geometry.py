@@ -4,8 +4,8 @@ Not a paper figure.  These time the building blocks that dominate the
 algorithms' execution time, so performance regressions in the substrate
 are caught independently of end-to-end session times:
 
-* polytope vertex enumeration (EA, UH-*: once per round),
-* Chebyshev centre LP (every polytope operation),
+* from-scratch vertex enumeration of an exact range,
+* Chebyshev centre LP (every exact-range operation),
 * one raw LP solve through ``linprog`` vs the direct HiGHS call
   ``repro.geometry.lp`` makes (the per-call wrapper overhead),
 * hit-and-run sampling (EA's anchor discovery),
@@ -38,50 +38,59 @@ from repro.data import synthetic_dataset
 from repro.data.skyline import skyline_indices
 from repro.data.synthetic import anti_correlated
 from repro.geometry import lp
+from repro.errors import EmptyRegionError
 from repro.geometry.hyperplane import PreferenceHalfspace, preference_halfspace
-from repro.geometry.polytope import UtilityPolytope
 from repro.geometry.range import SPLIT_TOL, AmbientRange, ExactRange
 from repro.geometry.sphere import minimum_enclosing_sphere
 from repro.utils import rng as rng_state
 
 
-def _narrowed_polytope(d: int, answers: int, seed: int = 0) -> UtilityPolytope:
+def _feasible(d: int, halfspaces: list) -> bool:
+    """Whether ``halfspaces`` leave a non-empty range (one Chebyshev LP)."""
+    try:
+        ExactRange.from_halfspaces(d, halfspaces)
+    except EmptyRegionError:
+        return False
+    return True
+
+
+def _narrowed_range(d: int, answers: int, seed: int = 0) -> ExactRange:
     """A realistic mid-session utility range."""
     rng = np.random.default_rng(seed)
-    poly = UtilityPolytope.simplex(d)
+    spaces: list[PreferenceHalfspace] = []
     for _ in range(answers):
         a, b = rng.uniform(0.05, 1.0, size=(2, d))
         if np.allclose(a, b):
             continue
-        candidate = poly.with_halfspace(preference_halfspace(a, b))
-        if not candidate.is_empty():
-            poly = candidate
-    return poly
+        halfspace = preference_halfspace(a, b)
+        if _feasible(d, spaces + [halfspace]):
+            spaces.append(halfspace)
+    return ExactRange.from_halfspaces(d, spaces)
 
 
 @pytest.fixture(scope="module")
-def mid_session_polytope():
-    return _narrowed_polytope(4, answers=6)
+def mid_session_range():
+    return _narrowed_range(4, answers=6)
 
 
-def test_micro_vertex_enumeration(mid_session_polytope, benchmark):
-    poly = mid_session_polytope
+def test_micro_vertex_enumeration(mid_session_range, benchmark):
+    urange = mid_session_range
 
     def enumerate_vertices():
         # Rebuild to bypass the instance cache; this is the real per-round
         # cost an algorithm pays.
-        fresh = UtilityPolytope(*poly.constraints, poly.dimension)
+        fresh = ExactRange.from_halfspaces(4, urange.halfspaces)
         return fresh.vertices()
 
     vertices = benchmark(enumerate_vertices)
     assert vertices.shape[1] == 4
 
 
-def test_micro_chebyshev_center(mid_session_polytope, benchmark):
-    poly = mid_session_polytope
+def test_micro_chebyshev_center(mid_session_range, benchmark):
+    urange = mid_session_range
 
     def chebyshev():
-        fresh = UtilityPolytope(*poly.constraints, poly.dimension)
+        fresh = ExactRange.from_halfspaces(4, urange.halfspaces)
         return fresh.chebyshev_center()
 
     center, radius = benchmark(chebyshev)
@@ -89,10 +98,11 @@ def test_micro_chebyshev_center(mid_session_polytope, benchmark):
 
 
 @pytest.fixture(scope="module")
-def chebyshev_system(mid_session_polytope):
-    """The mid-session polytope's Chebyshev LP, as ``chebyshev_center``
+def chebyshev_system(mid_session_range):
+    """The mid-session range's Chebyshev LP, as ``chebyshev_center``
     builds it: ``max r`` over ``(x, r)`` with ``A x + ||A_i|| r <= b``."""
-    a, b = mid_session_polytope.constraints
+    state = mid_session_range.get_state()
+    a, b = state["a"], state["b"]
     a_ext = np.hstack([a, np.linalg.norm(a, axis=1)[:, None]])
     c = np.zeros(a.shape[1] + 1)
     c[-1] = -1.0
@@ -126,13 +136,13 @@ def test_micro_lp_solve_raw_direct(chebyshev_system, benchmark):
 def test_micro_hit_and_run(benchmark, d):
     """64 draws (64 chains of 55 steps) from a mid-session range; d=3 is
     the ladder's EA workload."""
-    poly = _narrowed_polytope(d, answers=6)
-    samples = benchmark(lambda: poly.sample(64, rng=0))
+    urange = _narrowed_range(d, answers=6)
+    samples = benchmark(lambda: urange.sample(64, rng=0))
     assert samples.shape == (64, d)
 
 
-def test_micro_enclosing_sphere(mid_session_polytope, benchmark):
-    vertices = mid_session_polytope.vertices()
+def test_micro_enclosing_sphere(mid_session_range, benchmark):
+    vertices = mid_session_range.vertices()
     sphere = benchmark(lambda: minimum_enclosing_sphere(vertices, rng=0))
     assert sphere.radius > 0
 
@@ -162,8 +172,7 @@ def test_micro_ambient_bounds(benchmark):
 def _session_halfspaces(d: int, answers: int, seed: int = 0) -> list:
     """A feasible mid-session answer sequence (shared by both range benches)."""
     rng = np.random.default_rng(seed)
-    poly = UtilityPolytope.simplex(d)
-    spaces = []
+    spaces: list[PreferenceHalfspace] = []
     for _ in range(answers * 6):
         if len(spaces) >= answers:
             break
@@ -171,9 +180,7 @@ def _session_halfspaces(d: int, answers: int, seed: int = 0) -> list:
         if np.allclose(a, b):
             continue
         halfspace = preference_halfspace(a, b)
-        candidate = poly.with_halfspace(halfspace)
-        if not candidate.is_empty():
-            poly = candidate
+        if _feasible(d, spaces + [halfspace]):
             spaces.append(halfspace)
     return spaces
 
@@ -196,21 +203,18 @@ def test_micro_range_clip_update(benchmark, d):
 
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_micro_range_rebuild_update(benchmark, d):
-    """The pre-refactor baseline: re-enumerate vertices from scratch each round."""
+    """The pre-refactor baseline: re-enumerate vertices from scratch each
+    round (one emptiness LP and one full enumeration per answer)."""
     spaces = _session_halfspaces(d, answers=8, seed=4)
 
     def rebuild_session():
-        poly = UtilityPolytope.simplex(d)
-        for halfspace in spaces:
-            narrowed = poly.with_halfspace(halfspace)
-            if narrowed.is_empty():
-                continue
-            poly = narrowed
-            poly.vertices()
-        return poly
+        for count in range(1, len(spaces) + 1):
+            fresh = ExactRange.from_halfspaces(d, spaces[:count])
+            fresh.vertices()
+        return fresh
 
-    poly = benchmark(rebuild_session)
-    assert poly.vertices().shape[1] == d
+    fresh = benchmark(rebuild_session)
+    assert fresh.vertices().shape[1] == d
 
 
 def _stacked_bounds_systems(

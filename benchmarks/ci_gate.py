@@ -220,22 +220,22 @@ def _micro_clip_vs_rebuild(d: int, answers: int, repeats: int) -> dict:
     """Best-of-``repeats`` seconds for incremental clips vs full rebuilds."""
     import numpy as np
 
+    from repro.errors import EmptyRegionError
     from repro.geometry.hyperplane import preference_halfspace
-    from repro.geometry.polytope import UtilityPolytope
     from repro.geometry.range import ExactRange
 
     rng = np.random.default_rng(4)
-    poly = UtilityPolytope.simplex(d)
     spaces = []
     while len(spaces) < answers:
         a, b = rng.uniform(0.05, 1.0, size=(2, d))
         if np.allclose(a, b):
             continue
         halfspace = preference_halfspace(a, b)
-        candidate = poly.with_halfspace(halfspace)
-        if not candidate.is_empty():
-            poly = candidate
-            spaces.append(halfspace)
+        try:
+            ExactRange.from_halfspaces(d, spaces + [halfspace])
+        except EmptyRegionError:
+            continue
+        spaces.append(halfspace)
 
     def clip_session() -> None:
         urange = ExactRange(d)
@@ -244,13 +244,9 @@ def _micro_clip_vs_rebuild(d: int, answers: int, repeats: int) -> dict:
             urange.vertices()
 
     def rebuild_session() -> None:
-        fresh = UtilityPolytope.simplex(d)
-        for halfspace in spaces:
-            narrowed = fresh.with_halfspace(halfspace)
-            if narrowed.is_empty():
-                continue
-            fresh = narrowed
-            fresh.vertices()
+        # Per answer: one emptiness LP and one full enumeration.
+        for count in range(1, len(spaces) + 1):
+            ExactRange.from_halfspaces(d, spaces[:count]).vertices()
 
     def best_of(work) -> float:
         best = float("inf")

@@ -8,7 +8,8 @@ Reproduces the paper's geometric intuition (Figures 2-5) on a live
 session: a 3-attribute search where, after every answered question, the
 current utility range is rendered into an SVG — the yellow region
 shrinking around the user's hidden utility vector until the stopping
-condition fires.  Output lands in ``./range_snapshots/``.
+condition fires.  Output lands in ``./range_snapshots/`` (``main``
+takes another ``out_dir``).
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from repro import (
 from repro.eval.svg import save_range_svg
 
 
-def main() -> None:
-    out_dir = Path("range_snapshots")
+def main(out_dir: str | Path = "range_snapshots") -> None:
+    out_dir = Path(out_dir)
     out_dir.mkdir(exist_ok=True)
 
     dataset = synthetic_dataset("anti", 2_000, 3, rng=0)
@@ -47,7 +48,7 @@ def main() -> None:
     session = agent.new_session(rng=3)
 
     snapshot = save_range_svg(
-        session.environment.polytope,
+        session.environment.utility_range,
         out_dir / "round_00.svg",
         truth=hidden,
         title="round 0: the whole utility simplex",
@@ -57,16 +58,11 @@ def main() -> None:
     while not session.finished:
         question = session.next_question()
         session.observe(user.prefers(question.p_i, question.p_j))
-        polytope = session.environment.polytope
-        samples = (
-            polytope.sample(150, rng=session.rounds)
-            if not polytope.is_empty()
-            else None
-        )
+        urange = session.environment.utility_range
         snapshot = save_range_svg(
-            polytope,
+            urange,
             out_dir / f"round_{session.rounds:02d}.svg",
-            samples=samples,
+            samples=urange.sample(150, rng=session.rounds),
             truth=hidden,
             title=(
                 f"round {session.rounds}: asked p{question.index_i} "

@@ -31,7 +31,6 @@ from repro.errors import (
     EmptyRegionError,
     VertexEnumerationError,
 )
-from repro.geometry.polytope import UtilityPolytope
 from repro.geometry.range import ExactRange, UpdatePreview
 from repro.geometry.vectors import top_point_index
 from repro.utils import rng as rng_state
@@ -138,11 +137,6 @@ class UHBaseSession(InteractiveAlgorithm):
     def utility_range(self) -> ExactRange:
         """The incremental range object (counters, vertices, sampling)."""
         return self._range
-
-    @property
-    def polytope(self) -> UtilityPolytope:
-        """The current utility range."""
-        return self._range.polytope
 
     @property
     def halfspaces(self) -> tuple:

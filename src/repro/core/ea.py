@@ -41,9 +41,9 @@ from repro.errors import (
     VertexEnumerationError,
 )
 from repro.geometry.hyperplane import PreferenceHalfspace
-from repro.geometry.polytope import UtilityPolytope
 from repro.geometry.range import ExactRange
 from repro.geometry.vectors import top_point_index
+from repro.obs.tracer import NULL_SPAN, active_tracer
 from repro.rl.dqn import DQNConfig
 from repro.utils.rng import RngLike
 
@@ -169,11 +169,6 @@ class EAEnvironment(InteractiveEnvironment):
         center, _ = self._range.chebyshev_center()
         return top_point_index(self.dataset.points, center)
 
-    @property
-    def polytope(self) -> UtilityPolytope:
-        """The current utility range (read-only view for tests/metrics)."""
-        return self._range.polytope
-
     def _extra_state(self) -> dict:
         return {"recommendation": int(self.recommend())}
 
@@ -203,26 +198,30 @@ class EAEnvironment(InteractiveEnvironment):
             return self._terminal_observation(state)
         # Live: recommend() derives a best-effort point on demand.
         self._recommendation = None
-        vectors = terminal.build_action_vectors(
-            self._range, config.n_samples, rng=self._rng
-        )
-        anchors, counts = terminal.anchor_indices_with_counts(points, vectors)
-        if anchors.shape[0] < 2:
-            # All discovered vectors agree on one winner: numerically this
-            # implies the terminal test above was within tolerance of
-            # passing; accept that winner.
-            self._recommendation = int(anchors[0])
-            return self._terminal_observation(state)
-        pairs = terminal.anchor_pairs(
-            anchors,
-            config.m_h,
-            self._rng,
-            counts=counts if config.weighted_actions else None,
-            vertex_scores=vertices @ points[anchors].T,
-        )
-        return self._live_observation(
-            state, [tuple(sorted(pair)) for pair in pairs]
-        )
+        tracer = active_tracer()
+        with NULL_SPAN if tracer is None else tracer.span("ea.candidates"):
+            vectors = terminal.build_action_vectors(
+                self._range, config.n_samples, rng=self._rng
+            )
+            anchors, counts = terminal.anchor_indices_with_counts(
+                points, vectors
+            )
+            if anchors.shape[0] < 2:
+                # All discovered vectors agree on one winner: numerically
+                # this implies the terminal test above was within
+                # tolerance of passing; accept that winner.
+                self._recommendation = int(anchors[0])
+                return self._terminal_observation(state)
+            pairs = terminal.anchor_pairs(
+                anchors,
+                config.m_h,
+                self._rng,
+                counts=counts if config.weighted_actions else None,
+                vertex_scores=vertices @ points[anchors].T,
+            )
+            return self._live_observation(
+                state, [tuple(sorted(pair)) for pair in pairs]
+            )
 
 
 class EASession(RLPolicy):

@@ -96,8 +96,3 @@ class MajorityVoteSession(InteractiveAlgorithm):
     def halfspaces(self) -> tuple:
         """Half-spaces learned by the wrapped algorithm."""
         return getattr(self.inner, "halfspaces", ())
-
-    @property
-    def inner_rounds(self) -> int:
-        """Decisions made by the wrapped algorithm (its own round count)."""
-        return self.inner.rounds

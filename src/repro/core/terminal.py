@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry.polytope import UtilityPolytope
 from repro.geometry.range import SPLIT_TOL, ExactRange
 from repro.utils.rng import RngLike
 from repro.utils.validation import require_matrix
@@ -36,38 +35,14 @@ from repro.utils.validation import require_matrix
 _TERMINAL_TOL = 1e-7
 
 
-def epsilon_dominates(
-    scores: np.ndarray, anchor: int, epsilon: float
-) -> bool:
-    """Whether the anchor point eps-dominates at the scored vectors.
-
-    ``scores`` is a ``(m, n)`` matrix of utilities (one row per utility
-    vector, one column per dataset point).  Returns ``True`` iff the
-    anchor's utility is at least ``(1 - eps)`` times the best utility in
-    every row — i.e. its regret ratio is ``< eps`` at every vector, hence
-    (by convexity) on the whole hull of those vectors.
-    """
-    scores = require_matrix(scores, "scores")
-    best = scores.max(axis=1)
-    return bool(
-        np.all(scores[:, anchor] >= (1.0 - epsilon) * best - _TERMINAL_TOL)
-    )
-
-
-def anchor_indices(points: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Distinct top-1 point indices over a batch of utility vectors.
-
-    This is the anchor set ``P_R`` (each anchor is the ``p_T`` of one
-    constructible terminal polyhedron): a point appears iff it has the
-    highest utility for at least one of ``vectors``.
-    """
-    return anchor_indices_with_counts(points, vectors)[0]
-
-
 def anchor_indices_with_counts(
     points: np.ndarray, vectors: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Anchor set ``P_R`` plus how many of ``vectors`` each anchor tops.
+
+    The anchor set is every point with the highest utility for at least
+    one of ``vectors``; each anchor is the ``p_T`` of one constructible
+    terminal polyhedron.
 
     The counts estimate each terminal polyhedron's volume share of ``R``
     (Lemma 5: uniform samples land in a polyhedron proportionally to its
@@ -112,14 +87,12 @@ def terminal_anchor(
 
 
 def build_action_vectors(
-    region: UtilityPolytope | ExactRange, n_samples: int, rng: RngLike = None
+    region: ExactRange, n_samples: int, rng: RngLike = None
 ) -> np.ndarray:
     """The utility-vector set ``V`` of Section IV-B: samples + vertices.
 
-    ``region`` is anything exposing ``vertices()`` and
-    ``sample(n, rng=...)`` — a :class:`~repro.geometry.polytope.UtilityPolytope`
-    or an :class:`~repro.geometry.range.ExactRange` (EA passes its range so
-    the incrementally maintained vertex set is reused).
+    EA passes its :class:`~repro.geometry.range.ExactRange`, so the
+    incrementally maintained vertex set is reused.
 
     The sampled part makes large-volume terminal polyhedra likely to be
     discovered (Lemma 5); the extreme vectors provide the side information

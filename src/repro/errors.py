@@ -37,10 +37,6 @@ class DataError(ReproError):
     """A dataset is malformed (wrong shape, values outside (0, 1], ...)."""
 
 
-class NotTrainedError(ReproError):
-    """An RL-based interactive algorithm was used before training."""
-
-
 class InteractionError(ReproError):
     """The interaction protocol was violated.
 

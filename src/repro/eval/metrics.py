@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.core.session import SessionResult
 from repro.data.datasets import Dataset
 from repro.geometry.hyperplane import PreferenceHalfspace
@@ -61,11 +59,3 @@ def max_regret_ratio(
         dataset.points, dataset.points[recommendation_index], samples
     )
     return float(values.max())
-
-
-def mean_and_max(values: Sequence[float]) -> tuple[float, float]:
-    """Convenience aggregate used by the reporting code."""
-    array = np.asarray(list(values), dtype=float)
-    if array.size == 0:
-        return float("nan"), float("nan")
-    return float(array.mean()), float(array.max())

@@ -47,11 +47,3 @@ def format_table(
     for row in cells:
         lines.append(" | ".join(v.ljust(w) for v, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def print_table(
-    headers: Sequence[str], rows: Sequence[Sequence[object]], title: str = ""
-) -> None:
-    """Print :func:`format_table` output, preceded by a blank line."""
-    print()
-    print(format_table(headers, rows, title=title))

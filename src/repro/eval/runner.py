@@ -36,10 +36,6 @@ class EvaluationSummary:
     sessions: list[SessionResult] = field(default_factory=list)
     regrets: list[float] = field(default_factory=list)
 
-    def within_threshold(self, epsilon: float) -> bool:
-        """Whether every session's actual regret ratio stayed below eps."""
-        return bool(self.regret_max <= epsilon + 1e-9)
-
 
 def evaluate_algorithm(
     factory: AlgorithmFactory,

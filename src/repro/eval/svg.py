@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import GeometryError
-from repro.geometry.polytope import UtilityPolytope
+from repro.geometry.range import ExactRange
 from repro.utils.validation import require_vector
 
 _WIDTH = 480
@@ -83,7 +83,7 @@ def _ordered_hull(points_2d: np.ndarray) -> np.ndarray:
 
 
 def render_range(
-    polytope: UtilityPolytope,
+    urange: ExactRange,
     samples: np.ndarray | None = None,
     truth: np.ndarray | None = None,
     title: str = "utility range",
@@ -97,11 +97,11 @@ def render_range(
     Raises
     ------
     GeometryError
-        If the polytope is not 3-dimensional.
+        If the range is not 3-dimensional.
     """
-    if polytope.dimension != 3:
+    if urange.dimension != 3:
         raise GeometryError(
-            f"SVG rendering supports d = 3 only, got d = {polytope.dimension}"
+            f"SVG rendering supports d = 3 only, got d = {urange.dimension}"
         )
     parts: list[str] = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
@@ -116,25 +116,23 @@ def render_range(
         _text(_CORNERS[2][0] - 8, _CORNERS[2][1] - 8, "e3"),
         _text(_MARGIN, 20, title),
     ]
-    if not polytope.is_empty():
-        vertices = polytope.vertices()
-        page = np.array([barycentric_to_page(v) for v in vertices])
-        if page.shape[0] >= 3:
-            ordered = _ordered_hull(page)
-            parts.append(
-                _polygon(
-                    [tuple(p) for p in ordered],
-                    fill="#f5c542", stroke="#b38600", opacity=0.55,
-                )
+    page = np.array([barycentric_to_page(v) for v in urange.vertices()])
+    if page.shape[0] >= 3:
+        ordered = _ordered_hull(page)
+        parts.append(
+            _polygon(
+                [tuple(p) for p in ordered],
+                fill="#f5c542", stroke="#b38600", opacity=0.55,
             )
-        elif page.shape[0] == 2:
-            (x1, y1), (x2, y2) = page
-            parts.append(
-                f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" '
-                f'y2="{y2:.1f}" stroke="#b38600" stroke-width="3"/>'
-            )
-        else:
-            parts.append(_circle(page[0][0], page[0][1], 4, "#b38600"))
+        )
+    elif page.shape[0] == 2:
+        (x1, y1), (x2, y2) = page
+        parts.append(
+            f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" '
+            f'y2="{y2:.1f}" stroke="#b38600" stroke-width="3"/>'
+        )
+    else:
+        parts.append(_circle(page[0][0], page[0][1], 4, "#b38600"))
     if samples is not None:
         for sample in np.atleast_2d(samples):
             x, y = barycentric_to_page(np.asarray(sample))
@@ -148,7 +146,7 @@ def render_range(
 
 
 def save_range_svg(
-    polytope: UtilityPolytope,
+    urange: ExactRange,
     path: str | Path,
     samples: np.ndarray | None = None,
     truth: np.ndarray | None = None,
@@ -157,6 +155,6 @@ def save_range_svg(
     """Render and write the SVG to ``path`` (returns the path)."""
     path = Path(path)
     path.write_text(
-        render_range(polytope, samples=samples, truth=truth, title=title)
+        render_range(urange, samples=samples, truth=truth, title=title)
     )
     return path

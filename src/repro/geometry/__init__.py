@@ -11,20 +11,19 @@ Public surface:
 
 * :class:`~repro.geometry.hyperplane.PreferenceHalfspace` — the half-space
   ``u . (winner - loser) >= 0`` learned from one user answer (Lemma 1).
-* :class:`~repro.geometry.polytope.UtilityPolytope` — the utility range
-  ``R`` as an H-polytope with vertex enumeration and sampling.
 * :mod:`~repro.geometry.sphere` — the paper's iterative outer sphere
   (Lemma 3) and the LP inner sphere used by algorithm AA.
 * :mod:`~repro.geometry.range` — the incremental :class:`UtilityRange`
-  abstraction (:class:`ExactRange` / :class:`AmbientRange`) every
-  algorithm maintains its learned information behind.
+  abstraction every algorithm maintains its learned information behind:
+  :class:`ExactRange`, the utility range ``R`` as an H-polytope with its
+  Chebyshev centre, vertex set and sampler, and :class:`AmbientRange`,
+  its LP-surrogate counterpart.
 * :mod:`~repro.geometry.lp` — typed wrappers over scipy's bundled HiGHS
   (the model and options of ``linprog(method="highs")``, called directly),
   with the LP cache and block-diagonal batching in front of the solver.
 """
 
 from repro.geometry.hyperplane import PreferenceHalfspace, preference_halfspace
-from repro.geometry.polytope import UtilityPolytope
 from repro.geometry.range import (
     AmbientRange,
     ExactRange,
@@ -42,7 +41,6 @@ from repro.geometry.sampling import sample_simplex
 __all__ = [
     "PreferenceHalfspace",
     "preference_halfspace",
-    "UtilityPolytope",
     "UtilityRange",
     "ExactRange",
     "AmbientRange",

@@ -68,14 +68,6 @@ class PreferenceHalfspace:
         u = require_vector(u, "u", size=self.dimension)
         return bool(float(u @ self.normal) >= -tol)
 
-    def signed_distance(self, u: np.ndarray) -> float:
-        """Signed Euclidean distance from ``u`` to the boundary plane.
-
-        Positive values lie inside the half-space.
-        """
-        u = require_vector(u, "u", size=self.dimension)
-        return float(u @ self._unit)
-
     def flipped(self) -> "PreferenceHalfspace":
         """The opposite answer: the half-space of ``loser > winner``."""
         return PreferenceHalfspace(
@@ -121,19 +113,3 @@ def answer_halfspace(
         winner_index=winner, loser_index=loser,
     )
 
-
-def epsilon_halfspace(
-    best: np.ndarray, other: np.ndarray, epsilon: float
-) -> PreferenceHalfspace:
-    """The relaxed half-space :math:`\\epsilon h_{i,j}` of Lemma 4.
-
-    ``{u : u . (best - (1 - eps) * other) >= 0}`` — utility vectors for
-    which ``best`` loses to ``other`` by at most a factor ``eps`` in regret.
-    The intersection of these half-spaces over all ``other`` points is a
-    *terminal polyhedron* for ``best``.
-    """
-    best = require_vector(best, "best")
-    other = require_vector(other, "other", size=best.shape[0])
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    return PreferenceHalfspace(best - (1.0 - epsilon) * other)

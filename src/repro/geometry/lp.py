@@ -3,7 +3,7 @@
 Two families of helpers live here:
 
 * *Reduced-space* LPs over H-polytopes ``{x : A x <= b}`` used by
-  :class:`repro.geometry.polytope.UtilityPolytope` (Chebyshev centre,
+  :class:`repro.geometry.range.ExactRange` (Chebyshev centre,
   feasibility, support functions, redundancy tests).
 * *Ambient-space* LPs over a list of
   :class:`~repro.geometry.hyperplane.PreferenceHalfspace` plus the simplex
@@ -225,12 +225,6 @@ class LPCache:
     def solves(self) -> int:
         """Total systems routed through this cache."""
         return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of routed solves answered from the cache."""
-        total = self.solves
-        return self.hits / total if total else 0.0
 
     def __len__(self) -> int:
         return len(self._store)

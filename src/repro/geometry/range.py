@@ -7,15 +7,18 @@ This module keeps that state for all of them:
 * :class:`UtilityRange` — the protocol: one documented
   :meth:`~UtilityRange.update` (a half-space that would empty ``R`` is
   dropped), plus per-instance :class:`RangeStats` counters.
-* :class:`ExactRange` — vertex-maintaining (EA, UH-Random, UH-Simplex).
-  Adding a half-space *clips* the current vertex set against the new
-  plane (keep the satisfied vertices, intersect every kept–cut segment
-  with the plane, take the extreme points of the cut face) instead of
-  re-running Qhull from scratch; the full enumeration of
-  :class:`~repro.geometry.polytope.UtilityPolytope` is kept as a
-  cross-checked fallback for degenerate cuts.  Emptiness is read off the
-  vertex signs — an LP is solved only to *confirm* a suspected empty
-  update, so tolerance slivers resolve exactly as the LP says.
+* :class:`ExactRange` — vertex-maintaining (EA, UH-Random, UH-Simplex),
+  the one exact type: it holds the reduced H-representation ``A x <= b``
+  (see :mod:`repro.geometry.simplex`), its Chebyshev centre and its
+  vertex set.  Adding a half-space *clips* the current vertex set
+  against the new plane (keep the satisfied vertices, intersect every
+  kept–cut segment with the plane, take the extreme points of the cut
+  face) instead of re-enumerating from scratch; the from-scratch
+  enumeration (1-d interval, Qhull half-space intersection, or the
+  combinatorial fallback) stays as the cross-checked fallback for
+  degenerate cuts.  Emptiness is read off the vertex signs — an LP is
+  solved only to *confirm* a suspected empty update, so tolerance
+  slivers resolve exactly as the LP says.
 * :class:`AmbientRange` — half-space list summarised by LP surrogates
   (inner sphere, outer rectangle, split margins) for AA, SinglePass and
   Adaptive, with an optional working-set cap on the constraint list.
@@ -23,30 +26,37 @@ This module keeps that state for all of them:
 All LP work routes through :func:`repro.geometry.lp.solve` and
 :func:`~repro.geometry.lp.solve_many`, and therefore composes with the
 engine's :class:`~repro.geometry.lp.LPCache`.  :class:`ExactRange`
-keeps its H-representation exactly as a from-scratch polytope would
-(constraints always appended, redundancy-pruned past
-:data:`PRUNE_ABOVE` rows), so every LP-derived quantity — Chebyshev
-centres, the H-representation hit-and-run walks — is bit-identical to
-the from-scratch path.
+keeps its H-representation exactly as a from-scratch range built by
+:meth:`ExactRange.from_halfspaces` would (constraints always appended,
+redundancy-pruned past :data:`PRUNE_ABOVE` rows), so every LP-derived
+quantity — Chebyshev centres, the H-representation hit-and-run walks —
+is bit-identical to the from-scratch path.
 """
 
 from __future__ import annotations
 
 import abc
 import dataclasses
+import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
-from repro.errors import ConfigurationError, EmptyRegionError, PersistenceError
+from repro.errors import (
+    ConfigurationError,
+    EmptyRegionError,
+    PersistenceError,
+    VertexEnumerationError,
+)
 from repro.geometry import lp, sampling, simplex
 from repro.geometry.hyperplane import PreferenceHalfspace
-from repro.geometry.polytope import _DEDUP_DECIMALS, UtilityPolytope
 from repro.obs.tracer import NULL_SPAN, active_tracer
 from repro.utils.rng import RngLike
+from repro.utils.validation import require_vector
 
 #: Sign tolerance classifying vertices against a new cutting plane.
 #: Deliberately tiny (float-noise scale): from-scratch enumeration treats
@@ -65,6 +75,15 @@ _RANK_TOL = 1e-9
 #: :class:`ExactRange` redundancy-prunes its H-system whenever it grows
 #: beyond this many rows, keeping per-round geometry cost flat.
 PRUNE_ABOVE = 24
+#: Minimum Chebyshev radius for Qhull to be trusted with the body.
+_QHULL_MIN_RADIUS = 1e-7
+#: Decimal places used to deduplicate enumerated vertices.
+_DEDUP_DECIMALS = 8
+#: Guard against combinatorial blow-up in the fallback enumerator.
+_MAX_COMBINATIONS = 250_000
+#: :attr:`ExactRange._center` before its LP is solved (``None`` is the
+#: LP's answer for an empty system).
+_UNSOLVED: Any = object()
 
 
 @dataclass
@@ -126,10 +145,6 @@ class UtilityRange(abc.ABC):
     @abc.abstractmethod
     def halfspaces(self) -> tuple[PreferenceHalfspace, ...]:
         """Half-spaces currently constraining the range (provenance)."""
-
-    @abc.abstractmethod
-    def interior_point(self) -> np.ndarray:
-        """A representative utility vector inside the range (ambient)."""
 
     @abc.abstractmethod
     def _apply(self, halfspace: PreferenceHalfspace) -> bool:
@@ -212,19 +227,24 @@ class UtilityRange(abc.ABC):
 class ExactRange(UtilityRange):
     """Vertex-maintaining range: one clip per answer, not one rebuild.
 
-    The H-representation evolves exactly as a from-scratch polytope's —
-    every applied half-space is appended (redundant or not) and the
-    system is redundancy-pruned once it exceeds :data:`PRUNE_ABOVE`
-    rows — so Chebyshev centres and the H-representation hit-and-run
-    walks are bit-identical to the from-scratch path.  What changes is
-    the vertex set: it is maintained incrementally by clipping, and a
-    full re-enumeration happens only on the first access and when a cut
-    is too degenerate to clip reliably (``stats.rebuilds`` counts both).
+    The range holds the reduced H-representation ``A x <= b``: the
+    simplex facets, then one row per applied half-space, appended in
+    order (redundant or not) and redundancy-pruned once the system
+    exceeds :data:`PRUNE_ABOVE` rows.  So Chebyshev centres and the
+    H-representation hit-and-run walks are bit-identical to a range
+    built from scratch by :meth:`from_halfspaces`.  What changes is the
+    vertex set: it is maintained incrementally by clipping, and a full
+    re-enumeration happens only on the first access and when a cut is
+    too degenerate to clip reliably (``stats.rebuilds`` counts both).
     """
 
     def __init__(self, dimension: int) -> None:
         super().__init__(dimension)
-        self._polytope = UtilityPolytope.simplex(dimension)
+        self._a, self._b = simplex.simplex_constraints(dimension)
+        self._halfspaces: tuple[PreferenceHalfspace, ...] = ()
+        #: Chebyshev centre and radius of ``A x <= b`` (reduced), solved
+        #: at most once per H-system; ``None`` if the LP finds it empty.
+        self._center: tuple[np.ndarray, float] | None = _UNSOLVED
         self._reduced: np.ndarray | None = None
         self._ambient: np.ndarray | None = None
         #: One-shot clip precomputation stashed by :func:`prefetch_updates`;
@@ -240,9 +260,10 @@ class ExactRange(UtilityRange):
     ) -> "ExactRange":
         """A range constrained by ``halfspaces``, without enumeration.
 
-        Vertices stay lazy (first :meth:`vertices` call enumerates), so
-        this stays usable in high dimensions for sampling-only workloads
-        such as :func:`repro.eval.metrics.max_regret_ratio`.
+        Vertices stay lazy (the first :meth:`vertices` call enumerates
+        from scratch), so this stays usable in high dimensions for
+        sampling-only workloads such as
+        :func:`repro.eval.metrics.max_regret_ratio`.
 
         Raises
         ------
@@ -252,37 +273,30 @@ class ExactRange(UtilityRange):
             to fall back to.
         """
         urange = cls(dimension)
-        polytope = UtilityPolytope.simplex(dimension).with_halfspaces(
-            halfspaces
-        )
-        if polytope.is_empty():
+        for halfspace in halfspaces:
+            urange._a, urange._b = _with_row(urange._a, urange._b, halfspace)
+        urange._halfspaces = tuple(halfspaces)
+        if urange._chebyshev() is None:
             raise EmptyRegionError(
                 "half-spaces are inconsistent: the range is empty"
             )
-        urange._polytope = polytope
         return urange
 
     # -- views ---------------------------------------------------------------
 
     @property
-    def polytope(self) -> UtilityPolytope:
-        """The current range as an immutable H-polytope."""
-        return self._polytope
-
-    @property
     def halfspaces(self) -> tuple[PreferenceHalfspace, ...]:
         """Half-spaces applied so far (rejected updates excluded)."""
-        return self._polytope.halfspaces
+        return self._halfspaces
 
     def vertices(self) -> np.ndarray:
         """Extreme utility vectors of the range, ambient, ``(m, d)``.
 
         Maintained incrementally across :meth:`update` calls; the first
-        access triggers the one full enumeration.  Output is rounded and
-        deduplicated exactly like
-        :meth:`~repro.geometry.polytope.UtilityPolytope.vertices` (the
-        range stores unrounded representatives internally so clip error
-        does not compound).
+        access triggers the one full enumeration.  Output is rounded to
+        :data:`_DEDUP_DECIMALS` places and deduplicated; the range
+        stores unrounded representatives internally so clip error does
+        not compound.
         """
         if self._ambient is None:
             reduced = np.unique(
@@ -292,36 +306,51 @@ class ExactRange(UtilityRange):
         return self._ambient.copy()
 
     def chebyshev_center(self) -> tuple[np.ndarray, float]:
-        """Ambient Chebyshev centre and reduced-space inscribed radius."""
-        return self._polytope.chebyshev_center()
+        """Ambient Chebyshev centre and reduced-space inscribed radius.
 
-    def interior_point(self) -> np.ndarray:
-        """The Chebyshev centre of the range (ambient coordinates)."""
-        return self.chebyshev_center()[0]
+        Raises
+        ------
+        EmptyRegionError
+            If the range is empty.
+        """
+        center = self._chebyshev()
+        if center is None:
+            raise EmptyRegionError("utility range is empty")
+        x, radius = center
+        return simplex.lift_point(x), radius
 
     def sample(self, n: int, rng: RngLike = None) -> np.ndarray:
         """Draw ``n`` approximately uniform utility vectors from the range.
 
         Hit-and-run (:func:`repro.geometry.sampling.hit_and_run`) over the
-        range's H-representation.  Once the range holds its vertices, the
-        chains start at the mean of the unrounded vertices, an interior
-        point that costs no LP (a single-point range returns that point
-        ``n`` times).  A range with no vertex set yet (fresh, or built by
+        range's H-representation, ``n`` independent chains from one
+        start.  Once the range holds its vertices, the chains start at
+        the mean of the unrounded vertices, an interior point that costs
+        no LP (a single-point range returns that point ``n`` times).  A
+        range with no vertex set yet (fresh, or built by
         :meth:`from_halfspaces`) never enumerates just to sample: it
-        starts at the Chebyshev centre, exactly as
-        :meth:`UtilityPolytope.sample` does.
+        starts at the Chebyshev centre, and a flat range (radius ~ 0),
+        where the walk cannot move, returns the centre ``n`` times.
         """
-        if self._reduced is None:
-            return self._polytope.sample(n, rng=rng)
-        a_rows, b_rows = self._polytope.constraints
-        reduced = sampling.hit_and_run(
-            a_rows, b_rows, self._reduced.mean(axis=0), n, rng=rng
-        )
+        if self._reduced is not None:
+            start = self._reduced.mean(axis=0)
+        else:
+            center = self._chebyshev()
+            if center is None:
+                raise EmptyRegionError("utility range is empty")
+            start, radius = center
+            if radius < 1e-12 or n == 0:
+                return simplex.lift_points(np.tile(start, (max(n, 0), 1)))
+        reduced = sampling.hit_and_run(self._a, self._b, start, n, rng=rng)
         return simplex.lift_points(reduced)
 
     def contains(self, u: np.ndarray, tol: float = 1e-9) -> bool:
         """Ambient membership test ``u in R`` (up to ``tol``)."""
-        return self._polytope.contains(u, tol=tol)
+        u = require_vector(u, "u", size=self._dimension)
+        if abs(float(u.sum()) - 1.0) > max(tol, 1e-7):
+            return False
+        x = simplex.reduce_point(u)
+        return bool(np.all(self._a @ x <= self._b + tol))
 
     # -- update --------------------------------------------------------------
 
@@ -332,7 +361,8 @@ class ExactRange(UtilityRange):
         )
         memo, self._clip_memo = self._clip_memo, None
         with update_span:
-            narrowed = self._polytope.with_halfspace(halfspace)
+            a_rows, b_rows = _with_row(self._a, self._b, halfspace)
+            halfspaces = self._halfspaces + (halfspace,)
             reduced = self._reduced_vertices()
             normal, offset = halfspace.reduced()
             if not (
@@ -353,17 +383,20 @@ class ExactRange(UtilityRange):
                 self.stats.clips += 1
                 if tracer is not None:
                     tracer.counter("range.clips")
-                self._commit(narrowed, reduced)
+                self._commit(a_rows, b_rows, halfspaces, reduced)
                 return True
             if not bool(keep.any()):
                 # Every vertex violates: the clip says empty.  Confirm
                 # with an exact emptiness LP, so tolerance slivers
                 # resolve as the LP says.
-                if narrowed.is_empty():
+                center = _chebyshev_lp(a_rows, b_rows)
+                if center is None:
                     return False
-                self._commit(narrowed, self._enumerate(narrowed))
+                self._commit(
+                    a_rows, b_rows, halfspaces,
+                    *self._enumerate(a_rows, b_rows, center),
+                )
                 return True
-            a_rows, b_rows = self._polytope.constraints
             clip_span = (
                 NULL_SPAN if tracer is None else tracer.span("range.clip")
             )
@@ -374,18 +407,21 @@ class ExactRange(UtilityRange):
                     face = _clip_face(
                         reduced[keep], reduced[~keep],
                         values[keep], values[~keep],
-                        a_rows, b_rows,
+                        self._a, self._b,
                     )
             if face is None:
                 # Degenerate cut: fall back to the cross-checked full
                 # enumeration rather than risk a wrong vertex set.
-                self._commit(narrowed, self._enumerate(narrowed))
+                self._commit(
+                    a_rows, b_rows, halfspaces,
+                    *self._enumerate(a_rows, b_rows, _UNSOLVED),
+                )
                 return True
             clipped = _unique_raw(np.vstack([reduced[keep], face]))
             self.stats.clips += 1
             if tracer is not None:
                 tracer.counter("range.clips")
-            self._commit(narrowed, clipped)
+            self._commit(a_rows, b_rows, halfspaces, clipped)
             return True
 
     # -- state ---------------------------------------------------------------
@@ -393,13 +429,12 @@ class ExactRange(UtilityRange):
     _STATE_KIND = "exact"
 
     def _body_state(self) -> dict[str, Any]:
-        a_rows, b_rows = self._polytope.constraints
         normals, winners, losers = halfspaces_to_arrays(
-            self._polytope.halfspaces, self._dimension
+            self._halfspaces, self._dimension
         )
         return {
-            "a": a_rows,
-            "b": b_rows,
+            "a": self._a.copy(),
+            "b": self._b.copy(),
             "hs_normals": normals,
             "hs_winners": winners,
             "hs_losers": losers,
@@ -409,15 +444,19 @@ class ExactRange(UtilityRange):
         }
 
     def _restore_body(self, state: dict[str, Any]) -> None:
-        halfspaces = halfspaces_from_arrays(
+        self._a = np.array(state["a"], dtype=float)
+        self._b = np.array(state["b"], dtype=float)
+        if self._b.ndim != 1 or self._a.shape != (
+            self._b.shape[0], self._dimension - 1
+        ):
+            raise PersistenceError(
+                f"exact range state has A of shape {self._a.shape} and b "
+                f"of shape {self._b.shape} for dimension {self._dimension}"
+            )
+        self._halfspaces = halfspaces_from_arrays(
             state["hs_normals"], state["hs_winners"], state["hs_losers"]
         )
-        self._polytope = UtilityPolytope(
-            np.array(state["a"], dtype=float),
-            np.array(state["b"], dtype=float),
-            self._dimension,
-            halfspaces=halfspaces,
-        )
+        self._center = _UNSOLVED
         reduced = state["reduced"]
         self._reduced = None if reduced is None else np.array(
             reduced, dtype=float
@@ -429,26 +468,59 @@ class ExactRange(UtilityRange):
 
     # -- internals -----------------------------------------------------------
 
-    def _commit(self, polytope: UtilityPolytope, reduced: np.ndarray) -> None:
-        if polytope.n_constraints > PRUNE_ABOVE:
-            polytope = polytope.pruned()
-        self._polytope = polytope
+    def _chebyshev(self) -> tuple[np.ndarray, float] | None:
+        """The Chebyshev LP of the current system, solved once."""
+        if self._center is _UNSOLVED:
+            self._center = _chebyshev_lp(self._a, self._b)
+        return self._center
+
+    def _commit(
+        self,
+        a_rows: np.ndarray,
+        b_rows: np.ndarray,
+        halfspaces: tuple[PreferenceHalfspace, ...],
+        reduced: np.ndarray,
+        center: tuple[np.ndarray, float] | None = _UNSOLVED,
+    ) -> None:
+        """Make ``A x <= b`` (with its vertices and Chebyshev LP, if
+        solved) the range, redundancy-pruned past :data:`PRUNE_ABOVE`
+        rows.  Pruning first checks emptiness (one Chebyshev LP unless
+        solved), and the pruned system's own centre is solved afresh."""
+        if a_rows.shape[0] > PRUNE_ABOVE:
+            if center is _UNSOLVED:
+                center = _chebyshev_lp(a_rows, b_rows)
+            if center is not None:
+                a_rows, b_rows = _prune(a_rows, b_rows)
+                center = _UNSOLVED
+        self._a, self._b = a_rows, b_rows
+        self._halfspaces = halfspaces
+        self._center = center
         self._reduced = reduced
         self._ambient = None
         self._clip_memo = None
 
-    def _enumerate(self, polytope: UtilityPolytope) -> np.ndarray:
+    def _enumerate(
+        self,
+        a_rows: np.ndarray,
+        b_rows: np.ndarray,
+        center: tuple[np.ndarray, float] | None,
+    ) -> tuple[np.ndarray, tuple[np.ndarray, float] | None]:
+        """From-scratch vertices of ``A x <= b`` and its Chebyshev LP
+        (solved here if ``center`` is unsolved)."""
         self.stats.rebuilds += 1
         tracer = active_tracer()
-        if tracer is None:
-            return polytope.raw_vertices()
-        tracer.counter("range.rebuilds")
-        with tracer.span("range.rebuild"):
-            return polytope.raw_vertices()
+        if tracer is not None:
+            tracer.counter("range.rebuilds")
+        with NULL_SPAN if tracer is None else tracer.span("range.rebuild"):
+            if center is _UNSOLVED:
+                center = _chebyshev_lp(a_rows, b_rows)
+            return _raw_vertices(a_rows, b_rows, center), center
 
     def _reduced_vertices(self) -> np.ndarray:
         if self._reduced is None:
-            self._reduced = self._enumerate(self._polytope)
+            self._reduced, self._center = self._enumerate(
+                self._a, self._b, self._center
+            )
         return self._reduced
 
     def __repr__(self) -> str:
@@ -710,10 +782,6 @@ class AmbientRange(UtilityRange):
         else:
             self._witnesses.pop(source, None)
 
-    def interior_point(self) -> np.ndarray:
-        """The inner-sphere centre of the range (ambient coordinates)."""
-        return self.inner_sphere()[0]
-
     # -- state ---------------------------------------------------------------
 
     _STATE_KIND = "ambient"
@@ -905,9 +973,8 @@ def _prefetch_exact(previews: Sequence[UpdatePreview]) -> None:
             pairs = _expand_pairs(
                 reduced[keep], reduced[~keep], values[keep], values[~keep]
             )
-            a_rows, b_rows = urange._polytope.constraints
             staged.append(
-                (urange, memo, pairs[0].shape[0], a_rows, b_rows)
+                (urange, memo, pairs[0].shape[0], urange._a, urange._b)
             )
             expanded.append(pairs)
         else:
@@ -972,13 +1039,157 @@ def halfspaces_from_arrays(
     )
 
 
+def _with_row(
+    a_rows: np.ndarray, b_rows: np.ndarray, halfspace: PreferenceHalfspace
+) -> tuple[np.ndarray, np.ndarray]:
+    """``A x <= b`` with ``halfspace``'s reduced row appended."""
+    normal, offset = halfspace.reduced()
+    # a . x >= b  ->  (-a) . x <= -b
+    return np.vstack([a_rows, -normal[None, :]]), np.append(b_rows, -offset)
+
+
+def _chebyshev_lp(
+    a_rows: np.ndarray, b_rows: np.ndarray
+) -> tuple[np.ndarray, float] | None:
+    """Reduced Chebyshev centre and radius of ``A x <= b``, ``None`` if
+    the system is empty."""
+    try:
+        return lp.chebyshev_center(a_rows, b_rows)
+    except lp.InfeasibleLP:
+        return None
+
+
+def _prune(
+    a_rows: np.ndarray, b_rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``A x <= b`` without its redundant rows (one LP per row tested).
+
+    Keeping the H-system minimal keeps every later LP, Qhull call and
+    hit-and-run step cheap as the interaction accumulates answers.
+    """
+    keep = np.ones(a_rows.shape[0], dtype=bool)
+    for i in range(a_rows.shape[0]):
+        if int(keep.sum()) <= a_rows.shape[1] + 1:
+            break
+        selected = np.flatnonzero(keep)
+        position = int(np.searchsorted(selected, i))
+        if lp.constraint_is_redundant(
+            a_rows[keep], b_rows[keep], index=position
+        ):
+            keep[i] = False
+    return a_rows[keep], b_rows[keep]
+
+
+def _raw_vertices(
+    a_rows: np.ndarray,
+    b_rows: np.ndarray,
+    center: tuple[np.ndarray, float] | None,
+) -> np.ndarray:
+    """From-scratch reduced vertices of ``A x <= b``, unrounded.
+
+    ``center`` is the system's Chebyshev LP (``None``: empty).  One
+    representative per rounded-dedup class, ordered by its rounded key
+    (see :func:`_unique_raw`).  A 1-d system is an interval; otherwise
+    Qhull's half-space intersection runs when the body has a positive
+    Chebyshev radius, and the combinatorial enumeration when Qhull
+    cannot (flat ranges, Qhull failure).  The property tests cross-check
+    the two paths.
+
+    Raises
+    ------
+    EmptyRegionError
+        If the system is empty.
+    VertexEnumerationError
+        If no vertex is found, or the combinatorial fallback is too
+        large.
+    """
+    if center is None:
+        raise EmptyRegionError("utility range is empty")
+    if a_rows.shape[1] == 1:
+        reduced = _interval_vertices(a_rows, b_rows)
+    else:
+        qhull = _qhull_vertices(a_rows, b_rows, center)
+        reduced = (
+            _combinatorial_vertices(a_rows, b_rows, center)
+            if qhull is None else qhull
+        )
+    if reduced.shape[0] == 0:
+        raise VertexEnumerationError("no vertices found for polytope")
+    return _unique_raw(reduced)
+
+
+def _interval_vertices(a_rows: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
+    """1-d special case: the range is an interval."""
+    lower, upper = -np.inf, np.inf
+    for coeff, bound in zip(a_rows[:, 0], b_rows):
+        if coeff > 0:
+            upper = min(upper, bound / coeff)
+        elif coeff < 0:
+            lower = max(lower, bound / coeff)
+        elif bound < 0:
+            raise EmptyRegionError("utility range is empty")
+    if lower > upper + 1e-12:
+        raise EmptyRegionError("utility range is empty")
+    return np.array([[lower], [upper]])
+
+
+def _qhull_vertices(
+    a_rows: np.ndarray,
+    b_rows: np.ndarray,
+    center: tuple[np.ndarray, float],
+) -> np.ndarray | None:
+    """Qhull half-space intersection; ``None`` if unusable here."""
+    if center[1] < _QHULL_MIN_RADIUS:
+        return None
+    # Qhull expects rows (a_i, -b_i) meaning a_i . x - b_i <= 0.
+    system = np.hstack([a_rows, -b_rows[:, None]])
+    try:
+        intersection = HalfspaceIntersection(system, center[0])
+    except (QhullError, ValueError):
+        return None
+    points = intersection.intersections
+    points = points[np.all(np.isfinite(points), axis=1)]
+    if points.shape[0] == 0:
+        return None
+    return points
+
+
+def _combinatorial_vertices(
+    a_rows: np.ndarray,
+    b_rows: np.ndarray,
+    center: tuple[np.ndarray, float],
+) -> np.ndarray:
+    """Exact fallback: intersect every ``k``-subset of facet planes."""
+    a, b = _prune(a_rows, b_rows)
+    m, k = a.shape
+    n_combos = math.comb(m, k)
+    if n_combos > _MAX_COMBINATIONS:
+        raise VertexEnumerationError(
+            f"combinatorial enumeration too large: C({m}, {k}) = {n_combos}"
+        )
+    found: list[np.ndarray] = []
+    for rows in itertools.combinations(range(m), k):
+        sub_a = a[list(rows)]
+        sub_b = b[list(rows)]
+        try:
+            point = np.linalg.solve(sub_a, sub_b)
+        except np.linalg.LinAlgError:
+            continue
+        if np.all(a @ point <= b + 1e-8):
+            found.append(point)
+    if not found:
+        # A flat range may be a single point defined by > k planes in
+        # near-degenerate position; use the Chebyshev centre.
+        found.append(center[0])
+    return np.array(found)
+
+
 def _unique_raw(points: np.ndarray) -> np.ndarray:
     """One unrounded representative per rounded-dedup class, key-sorted.
 
-    Mirrors the ``round``/``unique`` dedup of
-    :class:`~repro.geometry.polytope.UtilityPolytope` while preserving the
-    unrounded coordinates, so repeated clipping does not accumulate grid
-    error.
+    Mirrors the ``round``/``unique`` dedup of :meth:`ExactRange.vertices`
+    while preserving the unrounded coordinates, so repeated clipping does
+    not accumulate grid error.
     """
     rounded = np.round(points, _DEDUP_DECIMALS)
     _, index = np.unique(rounded, axis=0, return_index=True)

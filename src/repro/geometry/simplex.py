@@ -89,24 +89,6 @@ def simplex_constraints(d: int) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack([a_nonneg, a_sum]), np.concatenate([b_nonneg, b_sum])
 
 
-def simplex_vertices(d: int) -> np.ndarray:
-    """Ambient corners of the utility simplex: the d unit vectors.
-
-    >>> simplex_vertices(3).shape
-    (3, 3)
-    """
-    if d < 2:
-        raise ValueError(f"utility dimension must be >= 2, got {d}")
-    return np.eye(d)
-
-
-def simplex_centroid(d: int) -> np.ndarray:
-    """The barycentre ``(1/d, ..., 1/d)`` of the utility simplex."""
-    if d < 2:
-        raise ValueError(f"utility dimension must be >= 2, got {d}")
-    return np.full(d, 1.0 / d)
-
-
 def project_onto_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection of an arbitrary vector onto the utility simplex.
 

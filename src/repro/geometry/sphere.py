@@ -135,13 +135,6 @@ def ritter_sphere(points: np.ndarray) -> Sphere:
     return Sphere(center, radius)
 
 
-def enclosing_radius(points: np.ndarray, center: np.ndarray) -> float:
-    """Smallest radius for which the ball at ``center`` encloses ``points``."""
-    points = require_matrix(points, "points")
-    center = np.asarray(center, dtype=float)
-    return float(np.max(np.linalg.norm(points - center, axis=1)))
-
-
 def inner_sphere(
     halfspaces: Sequence[PreferenceHalfspace], dimension: int
 ) -> Sphere:

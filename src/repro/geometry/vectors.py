@@ -29,13 +29,6 @@ def top_point_index(points: np.ndarray, u: np.ndarray) -> int:
     return int(np.argmax(utilities(points, u)))
 
 
-def top_point_indices(points: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`top_point_index` for a batch ``(m, d)`` of vectors."""
-    points = require_matrix(points, "points")
-    us = require_matrix(us, "us", columns=points.shape[1])
-    return np.argmax(us @ points.T, axis=1)
-
-
 def regret_ratio(points: np.ndarray, q: np.ndarray, u: np.ndarray) -> float:
     """Regret ratio of point ``q`` over ``points`` w.r.t. ``u`` (Section III).
 

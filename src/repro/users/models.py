@@ -192,13 +192,7 @@ class DriftingUser(OracleUser):
         if drift < 0:
             raise ValueError(f"drift must be >= 0, got {drift}")
         self.drift = drift
-        self._initial_utility = self._utility.copy()
         self._rng = ensure_rng(rng)
-
-    @property
-    def initial_utility(self) -> np.ndarray:
-        """The utility the session started from (evaluation only)."""
-        return self._initial_utility.copy()
 
     def prefers(self, p_i: np.ndarray, p_j: np.ndarray) -> bool:
         step = self._rng.normal(0.0, self.drift, size=self.dimension)

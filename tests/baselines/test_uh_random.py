@@ -88,6 +88,6 @@ class TestFallbackRecommendation:
         index = session.recommend()
         assert 0 <= index < small_anti_3d.n
         # It should be the best point w.r.t. the Chebyshev centre.
-        center, _ = session.polytope.chebyshev_center()
+        center, _ = session.utility_range.chebyshev_center()
         scores = small_anti_3d.points @ center
         assert index == int(np.argmax(scores))

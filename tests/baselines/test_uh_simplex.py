@@ -43,7 +43,7 @@ class TestGreedySelection:
         """The chosen pair's hyper-plane passes near the range centre."""
         session = UHSimplexSession(small_anti_3d, rng=3)
         question = session.next_question()
-        center, _ = session.polytope.chebyshev_center()
+        center, _ = session.utility_range.chebyshev_center()
         normal = question.p_i - question.p_j
         distance = abs(float(center @ normal)) / float(np.linalg.norm(normal))
         # The centre of the full simplex is at distance ~0.57 from corners;

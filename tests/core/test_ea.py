@@ -10,6 +10,7 @@ from repro.core.ea import EAEnvironment, MAX_EA_DIMENSION
 from repro.data import synthetic_dataset
 from repro.errors import ConfigurationError
 from repro.eval.metrics import session_regret
+from repro.geometry import range as geometry_range
 from repro.geometry.vectors import top_point_index
 from repro.users import OracleUser
 
@@ -54,9 +55,10 @@ class TestEAEnvironment:
     def test_step_narrows_polytope(self, small_anti_3d):
         env = EAEnvironment(small_anti_3d, EAConfig(n_samples=32), rng=0)
         obs = env.reset()
-        constraints_before = env.polytope.n_constraints
+        constraints_before = env.utility_range.get_state()["a"].shape[0]
         env.step(0, prefers_first=True)
-        assert env.polytope.n_constraints >= constraints_before
+        constraints_after = env.utility_range.get_state()["a"].shape[0]
+        assert constraints_after >= constraints_before
 
     def test_live_recommendation_is_lazy(self, small_anti_3d):
         """A live round solves no Chebyshev LP; recommend() and the
@@ -65,7 +67,7 @@ class TestEAEnvironment:
         obs = env.reset()
         obs, _ = env.step(0, prefers_first=True)
         assert not obs.terminal
-        assert "_chebyshev" not in vars(env.polytope)
+        assert env.utility_range._center is geometry_range._UNSOLVED
         center, _ = env.utility_range.chebyshev_center()
         expected = top_point_index(small_anti_3d.points, center)
         assert env.recommend() == expected

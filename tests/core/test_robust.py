@@ -48,7 +48,7 @@ class TestWithTruthfulUser:
             UHRandomSession(small_anti_3d, rng=8), repeats=3
         )
         result = run_session(session, OracleUser(u))
-        assert result.rounds == 2 * session.inner_rounds
+        assert result.rounds == 2 * session.inner.rounds
 
     def test_same_recommendation_as_inner(self, small_anti_3d):
         u = np.array([0.25, 0.45, 0.3])
@@ -101,7 +101,7 @@ class TestWithNoisyUser:
         result = run_session(
             session, NoisyUser(u, error_rate=0.2, rng=0), max_rounds=2_000
         )
-        assert result.rounds <= 5 * session.inner_rounds
+        assert result.rounds <= 5 * session.inner.rounds
 
 
 class _EmptyOnFirstAnswer(UHRandomSession):

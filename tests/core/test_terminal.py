@@ -7,9 +7,10 @@ import pytest
 from scipy.stats import chi2_contingency
 
 from repro.core import terminal
-from repro.geometry.hyperplane import epsilon_halfspace, preference_halfspace
-from repro.geometry.polytope import UtilityPolytope
+from repro.geometry.hyperplane import preference_halfspace
+from repro.geometry.range import ExactRange
 from repro.geometry.vectors import regret_ratio
+from tests.integration.test_lemmas import epsilon_halfspace
 
 
 @pytest.fixture
@@ -25,30 +26,36 @@ def corner_points():
 
 
 class TestEpsilonDominates:
+    """The eps-domination inequality behind :func:`terminal_anchor`:
+    an anchor's utility is at least ``(1 - eps)`` times the best at
+    every vertex."""
+
     def test_winner_dominates_itself(self, corner_points):
+        # Each point tops one vertex but loses badly at the others.
         vertices = np.eye(3)
-        scores = vertices @ corner_points.T
-        # Point 0 tops vertex 0 but loses badly at the others.
-        assert not terminal.epsilon_dominates(scores, 0, epsilon=0.1)
+        assert terminal.terminal_anchor(corner_points, vertices, 0.1) is None
 
     def test_dominates_when_within_epsilon(self):
+        # Both points are within eps of the best at every vertex; the
+        # one with the larger worst-case margin is returned.
         points = np.array([[1.0, 1.0], [0.95, 0.95]])
-        vertices = np.eye(2)
-        scores = vertices @ points.T
-        assert terminal.epsilon_dominates(scores, 0, epsilon=0.1)
-        assert terminal.epsilon_dominates(scores, 1, epsilon=0.1)
+        assert terminal.terminal_anchor(points, np.eye(2), 0.1) == 0
+        assert terminal.terminal_anchor(points[::-1], np.eye(2), 0.1) == 1
 
     def test_not_within_small_epsilon(self):
+        # Point 1 misses by 20%, so only point 0 qualifies...
         points = np.array([[1.0, 1.0], [0.8, 0.8]])
-        vertices = np.eye(2)
-        scores = vertices @ points.T
-        assert not terminal.epsilon_dominates(scores, 1, epsilon=0.1)
+        assert terminal.terminal_anchor(points, np.eye(2), 0.1) == 0
+        # ...and without point 0 to compare against, point 1 does too.
+        assert terminal.terminal_anchor(points[1:], np.eye(2), 0.1) == 0
 
 
 class TestAnchorIndices:
     def test_finds_all_corner_winners(self, corner_points):
         vectors = np.eye(3)
-        anchors = terminal.anchor_indices(corner_points, vectors)
+        anchors, _ = terminal.anchor_indices_with_counts(
+            corner_points, vectors
+        )
         np.testing.assert_array_equal(anchors, [0, 1, 2])
 
     def test_counts_reflect_frequency(self, corner_points):
@@ -81,17 +88,13 @@ class TestTerminalAnchor:
     def test_lemma4_regret_bound(self, corner_points):
         """Any point of a terminal polyhedron gives regret < eps (Lemma 4)."""
         epsilon = 0.15
-        poly = UtilityPolytope.simplex(3)
         best = 0
-        for j in range(corner_points.shape[0]):
-            if j != best:
-                poly = poly.with_halfspace(
-                    epsilon_halfspace(
-                        corner_points[best], corner_points[j], epsilon
-                    )
-                )
-        assert not poly.is_empty()
-        for u in poly.sample(100, rng=0):
+        terminal_region = ExactRange.from_halfspaces(3, [
+            epsilon_halfspace(corner_points[best], corner_points[j], epsilon)
+            for j in range(corner_points.shape[0])
+            if j != best
+        ])
+        for u in terminal_region.sample(100, rng=0):
             assert (
                 regret_ratio(corner_points, corner_points[best], u)
                 <= epsilon + 1e-9
@@ -100,12 +103,11 @@ class TestTerminalAnchor:
     def test_terminal_anchor_agrees_with_lemma4_region(self, corner_points):
         """Inside a terminal polyhedron, the terminal test must fire."""
         epsilon = 0.2
-        poly = UtilityPolytope.simplex(3)
-        for j in (1, 2):
-            poly = poly.with_halfspace(
-                epsilon_halfspace(corner_points[0], corner_points[j], epsilon)
-            )
-        vertices = poly.vertices()
+        terminal_region = ExactRange.from_halfspaces(3, [
+            epsilon_halfspace(corner_points[0], corner_points[j], epsilon)
+            for j in (1, 2)
+        ])
+        vertices = terminal_region.vertices()
         anchor = terminal.terminal_anchor(corner_points, vertices, epsilon)
         assert anchor == 0
 
@@ -116,13 +118,15 @@ class TestTerminalAnchor:
 
 class TestBuildActionVectors:
     def test_includes_vertices(self):
-        poly = UtilityPolytope.simplex(3)
-        vectors = terminal.build_action_vectors(poly, n_samples=10, rng=0)
+        vectors = terminal.build_action_vectors(
+            ExactRange(3), n_samples=10, rng=0
+        )
         assert vectors.shape == (13, 3)
 
     def test_zero_samples_only_vertices(self):
-        poly = UtilityPolytope.simplex(3)
-        vectors = terminal.build_action_vectors(poly, n_samples=0, rng=0)
+        vectors = terminal.build_action_vectors(
+            ExactRange(3), n_samples=0, rng=0
+        )
         assert vectors.shape == (3, 3)
 
 
@@ -228,14 +232,18 @@ class TestAnchorPairs:
 
     def test_lemma7_pairs_split_range(self, corner_points, rng):
         """Both sides of an anchor-pair plane intersect R (Lemma 7)."""
-        poly = UtilityPolytope.simplex(3)
-        vectors = terminal.build_action_vectors(poly, n_samples=50, rng=rng)
-        anchors = terminal.anchor_indices(corner_points, vectors)
+        vectors = terminal.build_action_vectors(
+            ExactRange(3), n_samples=50, rng=rng
+        )
+        anchors, _ = terminal.anchor_indices_with_counts(
+            corner_points, vectors
+        )
         pairs = terminal.anchor_pairs(anchors, m_h=3, rng=rng)
         for i, j in pairs:
             h = preference_halfspace(corner_points[i], corner_points[j])
-            assert not poly.with_halfspace(h).is_empty()
-            assert not poly.with_halfspace(h.flipped()).is_empty()
+            # Neither side is empty: from_halfspaces raises if it is.
+            ExactRange.from_halfspaces(3, [h])
+            ExactRange.from_halfspaces(3, [h.flipped()])
 
 
 def _successive_pairs(anchors, m_h, rng, counts=None):

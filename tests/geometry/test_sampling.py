@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import GeometryError
+from repro.errors import EmptyRegionError, GeometryError
 from repro.geometry import simplex
 from repro.geometry.hyperplane import preference_halfspace
-from repro.geometry.polytope import UtilityPolytope
+from repro.geometry.range import ExactRange
 from repro.geometry.sampling import DEFAULT_STEPS, hit_and_run, sample_simplex
+from tests.geometry.test_polytope import system
 
 
 class TestSampleSimplex:
@@ -154,16 +155,21 @@ def _narrowed_ranges(draw):
     EA samples, as ``(A, b, interior start)``."""
     d = draw(st.integers(min_value=2, max_value=6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    poly = UtilityPolytope.simplex(d)
+    kept = []
     for _ in range(draw(st.integers(min_value=0, max_value=8))):
         p, q = rng.uniform(0.05, 1.0, size=(2, d))
         if np.allclose(p, q):
             continue
-        candidate = poly.with_halfspace(preference_halfspace(p, q))
-        if not candidate.is_empty() and candidate.chebyshev_center()[1] > 1e-9:
-            poly = candidate
-    a, b = poly.constraints
-    start = simplex.reduce_point(poly.chebyshev_center()[0])
+        halfspace = preference_halfspace(p, q)
+        try:
+            candidate = ExactRange.from_halfspaces(d, kept + [halfspace])
+        except EmptyRegionError:
+            continue
+        if candidate.chebyshev_center()[1] > 1e-9:
+            kept.append(halfspace)
+    urange = ExactRange.from_halfspaces(d, kept)
+    a, b = system(urange)
+    start = simplex.reduce_point(urange.chebyshev_center()[0])
     return a, b, start
 
 
@@ -233,7 +239,7 @@ class TestHitAndRunBitIdentity:
 
     def test_default_controls(self):
         a, b = simplex.simplex_constraints(4)
-        start = simplex.reduce_point(simplex.simplex_centroid(4))
+        start = simplex.reduce_point(np.full(4, 0.25))
         assert DEFAULT_STEPS == 55
         default = _outcome(a, b, start, 64, 11)
         assert default == _outcome(a, b, start, 64, 11, steps=DEFAULT_STEPS)
@@ -268,31 +274,33 @@ def _user_range(d, seed, cuts=3):
     each answered in favour of one hidden utility vector."""
     rng = np.random.default_rng(seed)
     utility = rng.dirichlet(np.ones(d))
-    poly = UtilityPolytope.simplex(d)
+    spaces = []
     for _ in range(cuts):
         p, q = rng.uniform(0.05, 1.0, size=(2, d))
         if utility @ p < utility @ q:
             p, q = q, p
-        poly = poly.with_halfspace(preference_halfspace(p, q))
-    return poly
+        spaces.append(preference_halfspace(p, q))
+    return ExactRange.from_halfspaces(d, spaces)
 
 
-def _exact_moments(poly, draws=100_000):
-    """Mean and sd of the uniform distribution on ``poly`` (reduced
+def _exact_moments(urange, draws=100_000):
+    """Mean and sd of the uniform distribution on ``urange`` (reduced
     coordinates), by rejection from exact simplex samples."""
-    a, b = poly.constraints
-    reduced = sample_simplex(poly.dimension, draws, rng=0)[:, :-1]
+    a, b = system(urange)
+    reduced = sample_simplex(urange.dimension, draws, rng=0)[:, :-1]
     inside = reduced[np.all(reduced @ a.T <= b, axis=1)]
     assert inside.shape[0] > 5_000
     return inside.mean(axis=0), inside.std(axis=0)
 
 
-def _start(poly, rule):
-    """The chains' start: the Chebyshev centre (``UtilityPolytope.sample``)
-    or the mean of the unrounded vertices (``ExactRange.sample``)."""
+def _start(urange, rule):
+    """The chains' start in ``ExactRange.sample``: the Chebyshev centre
+    before the range holds its vertices, the mean of the unrounded
+    vertices once it does."""
     if rule == "chebyshev":
-        return simplex.reduce_point(poly.chebyshev_center()[0])
-    return poly.raw_vertices().mean(axis=0)
+        return simplex.reduce_point(urange.chebyshev_center()[0])
+    urange.vertices()
+    return urange.get_state()["reduced"].mean(axis=0)
 
 
 def _side_by_side(a, b, start, n_samples, rng):
@@ -306,10 +314,10 @@ def _errors(d, sampler, rule, ranges=6, calls=20):
     the exact mean over the coordinates, in units of their sd."""
     per_call, pooled = [], []
     for seed in range(ranges):
-        poly = _user_range(d, seed)
-        a, b = poly.constraints
-        start = _start(poly, rule)
-        mean, sd = _exact_moments(poly)
+        urange = _user_range(d, seed)
+        a, b = system(urange)
+        start = _start(urange, rule)
+        mean, sd = _exact_moments(urange)
         generator = np.random.default_rng(0)
         batches = [sampler(a, b, start, 64, generator) for _ in range(calls)]
         per_call.append(

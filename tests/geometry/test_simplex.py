@@ -81,13 +81,13 @@ class TestSimplexConstraints:
 
     def test_unit_vectors_feasible(self):
         a, b = simplex.simplex_constraints(3)
-        for vertex in simplex.simplex_vertices(3):
+        for vertex in np.eye(3):
             x = simplex.reduce_point(vertex)
             assert np.all(a @ x <= b + 1e-12)
 
     def test_centroid_strictly_feasible(self):
         a, b = simplex.simplex_constraints(5)
-        x = simplex.reduce_point(simplex.simplex_centroid(5))
+        x = simplex.reduce_point(np.full(5, 0.2))
         assert np.all(a @ x < b)
 
     def test_outside_point_infeasible(self):
@@ -101,10 +101,15 @@ class TestSimplexConstraints:
 
 class TestHelpers:
     def test_vertices_are_identity(self):
-        np.testing.assert_array_equal(simplex.simplex_vertices(3), np.eye(3))
+        # The reduced corners (unit vectors and the origin) lift to the
+        # ambient corners, the unit vectors.
+        corners = np.vstack([np.eye(2), np.zeros(2)])
+        np.testing.assert_array_equal(simplex.lift_points(corners), np.eye(3))
 
     def test_centroid_sums_to_one(self):
-        assert simplex.simplex_centroid(7).sum() == pytest.approx(1.0)
+        centroid = simplex.lift_point(np.full(6, 1.0 / 7.0))
+        assert centroid.sum() == pytest.approx(1.0)
+        np.testing.assert_allclose(centroid, np.full(7, 1.0 / 7.0))
 
     def test_on_simplex_accepts_valid(self):
         assert simplex.on_simplex(np.array([0.25, 0.75]))

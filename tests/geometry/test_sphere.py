@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from repro.geometry.hyperplane import preference_halfspace
 from repro.geometry.sphere import (
     Sphere,
-    enclosing_radius,
     inner_sphere,
     minimum_enclosing_sphere,
     ritter_sphere,
 )
+from tests.integration.test_lemmas import enclosing_radius
 
 
 def point_clouds(d: int, max_points: int = 12):

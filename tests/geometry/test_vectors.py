@@ -11,7 +11,6 @@ from repro.geometry.vectors import (
     regret_ratio,
     regret_ratios,
     top_point_index,
-    top_point_indices,
     utilities,
 )
 
@@ -46,7 +45,7 @@ class TestUtilities:
     def test_batch_top_points(self):
         points = np.array([[1.0, 0.0], [0.0, 1.0]])
         us = np.array([[0.9, 0.1], [0.1, 0.9]])
-        np.testing.assert_array_equal(top_point_indices(points, us), [0, 1])
+        assert [top_point_index(points, u) for u in us] == [0, 1]
 
 
 class TestRegretRatio:

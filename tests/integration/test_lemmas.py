@@ -11,11 +11,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import terminal
+from repro.errors import EmptyRegionError
 from repro.geometry import lp
-from repro.geometry.hyperplane import epsilon_halfspace, preference_halfspace
-from repro.geometry.polytope import UtilityPolytope
-from repro.geometry.sphere import enclosing_radius
+from repro.geometry.hyperplane import PreferenceHalfspace, preference_halfspace
+from repro.geometry.range import ExactRange
 from repro.geometry.vectors import regret_ratio
+
+
+def epsilon_halfspace(
+    best: np.ndarray, other: np.ndarray, epsilon: float
+) -> PreferenceHalfspace:
+    """The relaxed half-space of Lemma 4.
+
+    ``{u : u . (best - (1 - eps) * other) >= 0}``: the utility vectors
+    at which ``best``'s regret against ``other`` is at most ``eps``.
+    Their intersection over every ``other`` is a terminal polyhedron
+    for ``best``.
+    """
+    return PreferenceHalfspace(best - (1.0 - epsilon) * other)
+
+
+def enclosing_radius(points: np.ndarray, center: np.ndarray) -> float:
+    """Smallest radius for which the ball at ``center`` holds ``points``."""
+    return float(np.max(np.linalg.norm(points - center, axis=1)))
 
 
 def simplex_vectors(d: int):
@@ -78,15 +96,16 @@ class TestLemma4:
     @settings(max_examples=40, deadline=None)
     def test_terminal_polyhedron_regret(self, points, epsilon):
         best = 0
-        poly = UtilityPolytope.simplex(3)
-        for j in range(points.shape[0]):
-            if j != best:
-                poly = poly.with_halfspace(
-                    epsilon_halfspace(points[best], points[j], epsilon)
-                )
-        if poly.is_empty():
+        spaces = [
+            epsilon_halfspace(points[best], points[j], epsilon)
+            for j in range(points.shape[0])
+            if j != best
+        ]
+        try:
+            terminal_region = ExactRange.from_halfspaces(3, spaces)
+        except EmptyRegionError:
             return
-        for u in poly.sample(30, rng=0):
+        for u in terminal_region.sample(30, rng=0):
             assert regret_ratio(points, points[best], u) <= epsilon + 1e-7
 
 
@@ -100,8 +119,7 @@ class TestLemma5:
         # Win region of point 0: u_1 * 1.0 + u_2 * 0.45 >= u_1 * 0.45 + u_2,
         # i.e. u_1 >= u_2 -> exactly half.  Skew it:
         points = np.array([[1.0, 0.2], [0.9, 0.5]])
-        poly = UtilityPolytope.simplex(2)
-        samples = poly.sample(2_000, rng=0)
+        samples = ExactRange(2).sample(2_000, rng=0)
         tops = np.argmax(samples @ points.T, axis=1)
         counts = np.bincount(tops, minlength=2)
         # Analytic crossover: u (1.0, 0.2) vs (0.9, 0.5): u_1 * 0.1 = u_2 * 0.3
@@ -115,16 +133,14 @@ class TestLemma6:
     def test_terminal_detection_consistency(self):
         points = np.array([[1.0, 0.1, 0.1], [0.1, 1.0, 0.1], [0.1, 0.1, 1.0]])
         epsilon = 0.15
-        poly = UtilityPolytope.simplex(3)
-        for j in (1, 2):
-            poly = poly.with_halfspace(
-                epsilon_halfspace(points[0], points[j], epsilon)
-            )
-        vertices = poly.vertices()
+        terminal_region = ExactRange.from_halfspaces(3, [
+            epsilon_halfspace(points[0], points[j], epsilon) for j in (1, 2)
+        ])
+        vertices = terminal_region.vertices()
         anchor = terminal.terminal_anchor(points, vertices, epsilon)
         assert anchor == 0
         # Verify the claim: regret of the anchor < eps on dense samples.
-        for u in poly.sample(200, rng=1):
+        for u in terminal_region.sample(200, rng=1):
             assert regret_ratio(points, points[anchor], u) <= epsilon + 1e-7
 
 
@@ -134,24 +150,22 @@ class TestLemma7AndTheorem1:
     def test_anchor_questions_reduce_anchor_count(self, small_anti_3d):
         rng = np.random.default_rng(0)
         points = small_anti_3d.points
-        poly = UtilityPolytope.simplex(3)
+        urange = ExactRange(3)
         u = np.array([0.4, 0.25, 0.35])
         for _ in range(20):
-            vectors = terminal.build_action_vectors(poly, 64, rng=rng)
-            anchors = terminal.anchor_indices(points, vectors)
+            vectors = terminal.build_action_vectors(urange, 64, rng=rng)
+            anchors, _ = terminal.anchor_indices_with_counts(points, vectors)
             if anchors.shape[0] < 2:
                 break
             pairs = terminal.anchor_pairs(anchors, 1, rng)
             i, j = pairs[0]
             prefers = float(u @ points[i]) >= float(u @ points[j])
             winner, loser = (i, j) if prefers else (j, i)
-            narrowed = poly.with_halfspace(
-                preference_halfspace(points[winner], points[loser])
-            )
             # Strict narrowing: the loser can no longer be an anchor at
             # the sampled vectors that preferred it.
-            assert not narrowed.is_empty()
-            poly = narrowed
+            assert urange.update(
+                preference_halfspace(points[winner], points[loser])
+            )
         # In n = small dataset, far fewer than n rounds were needed.
         assert True
 

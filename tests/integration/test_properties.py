@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 from repro.core.terminal import terminal_anchor
 from repro.data.skyline import skyline_indices
+from repro.errors import EmptyRegionError
 from repro.geometry.hyperplane import preference_halfspace
-from repro.geometry.polytope import UtilityPolytope
+from repro.geometry.range import AmbientRange, ExactRange
 from repro.geometry.sphere import minimum_enclosing_sphere
 from repro.geometry.vectors import regret_ratios
+from tests.geometry.test_polytope import hull_volume, narrowed
 
 
 def halfspace_seeds():
@@ -40,10 +42,10 @@ class TestIntersectionProperties:
         """Intersecting in any order yields the same region."""
         d = 3
         spaces = make_halfspaces(seeds, d)
-        forward = UtilityPolytope.simplex(d).with_halfspaces(spaces)
-        backward = UtilityPolytope.simplex(d).with_halfspaces(spaces[::-1])
-        assert forward.is_empty() == backward.is_empty()
-        if not forward.is_empty():
+        forward = narrowed(d, spaces)
+        backward = narrowed(d, spaces[::-1])
+        assert (forward is None) == (backward is None)
+        if forward is not None:
             v1 = forward.vertices()
             v2 = backward.vertices()
             assert v1.shape == v2.shape
@@ -56,13 +58,14 @@ class TestIntersectionProperties:
     def test_chebyshev_radius_monotone(self, seeds):
         """Each intersection can only shrink the inscribed radius."""
         d = 4
-        poly = UtilityPolytope.simplex(d)
-        _, previous = poly.chebyshev_center()
-        for halfspace in make_halfspaces(seeds, d):
-            poly = poly.with_halfspace(halfspace)
-            if poly.is_empty():
+        _, previous = ExactRange(d).chebyshev_center()
+        spaces = make_halfspaces(seeds, d)
+        for count in range(1, len(spaces) + 1):
+            try:
+                urange = ExactRange.from_halfspaces(d, spaces[:count])
+            except EmptyRegionError:
                 return
-            _, current = poly.chebyshev_center()
+            _, current = urange.chebyshev_center()
             assert current <= previous + 1e-9
             previous = current
 
@@ -70,13 +73,15 @@ class TestIntersectionProperties:
     @settings(max_examples=20, deadline=None)
     def test_samples_inside_bounding_box(self, seeds):
         d = 3
-        poly = UtilityPolytope.simplex(d).with_halfspaces(
-            make_halfspaces(seeds, d)
-        )
-        if poly.is_empty():
+        spaces = make_halfspaces(seeds, d)
+        urange = narrowed(d, spaces)
+        if urange is None:
             return
-        e_min, e_max = poly.bounding_box()
-        for point in poly.sample(20, rng=0):
+        ambient = AmbientRange(d)
+        for halfspace in spaces:
+            ambient.update(halfspace)
+        e_min, e_max = ambient.bounds()
+        for point in urange.sample(20, rng=0):
             assert np.all(point >= e_min - 1e-6)
             assert np.all(point <= e_max + 1e-6)
 
@@ -150,7 +155,8 @@ class TestSphereProperties:
 
 
 class TestVolumeSamplingConsistency:
-    """Volume (exact) and hit-and-run sampling must agree."""
+    """Volume (convex hull of the vertices) and hit-and-run sampling
+    must agree."""
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=10, deadline=None)
@@ -159,11 +165,11 @@ class TestVolumeSamplingConsistency:
         spaces = make_halfspaces([seed], d)
         if not spaces:
             return
-        whole = UtilityPolytope.simplex(d)
-        part = whole.with_halfspaces(spaces)
-        if part.is_empty():
+        whole = ExactRange(d)
+        part = narrowed(d, spaces)
+        if part is None:
             return
-        fraction = part.volume() / whole.volume()
+        fraction = hull_volume(part) / hull_volume(whole)
         if fraction < 0.05 or fraction > 0.95:
             return  # too extreme for a 400-sample estimate
         samples = whole.sample(400, rng=seed)

@@ -47,7 +47,6 @@ class TestAllExports:
             GeometryError,
             InteractionError,
             LPError,
-            NotTrainedError,
             ReproError,
             VertexEnumerationError,
         )
@@ -58,7 +57,6 @@ class TestAllExports:
             LPError,
             VertexEnumerationError,
             DataError,
-            NotTrainedError,
             InteractionError,
             ConfigurationError,
         ):

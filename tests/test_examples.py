@@ -80,3 +80,15 @@ class TestExamples:
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         module.main()
         assert list(tmp_path.iterdir()) == []
+
+    def test_visualize_session_runs_end_to_end(self, tmp_path, capsys):
+        """One SVG per answered round, plus the round-0 simplex."""
+        module = _load(EXAMPLES_DIR / "visualize_session.py")
+        module.main(out_dir=tmp_path)
+        out = capsys.readouterr().out
+        rounds = int(out.split("done in ")[1].split()[0])
+        assert rounds >= 1
+        names = sorted(path.name for path in tmp_path.glob("*.svg"))
+        assert names == [f"round_{k:02d}.svg" for k in range(rounds + 1)]
+        for path in tmp_path.glob("*.svg"):
+            assert path.read_text().startswith("<svg")

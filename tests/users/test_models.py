@@ -113,11 +113,13 @@ class TestDriftingUser:
             assert float(u.sum()) == pytest.approx(1.0)
 
     def test_initial_utility_is_preserved(self):
-        user = DriftingUser(np.array([0.9, 0.1]), drift=0.3, rng=5)
+        # The drift walks a copy: the caller's starting vector stays.
+        initial = np.array([0.9, 0.1])
+        user = DriftingUser(initial, drift=0.3, rng=5)
         for _ in range(20):
             user.prefers(LEFT, RIGHT)
-        np.testing.assert_allclose(user.initial_utility, [0.9, 0.1])
-        assert not np.allclose(user.utility, user.initial_utility)
+        np.testing.assert_allclose(initial, [0.9, 0.1])
+        assert not np.allclose(user.utility, initial)
 
 
 class TestAbstainingUser:
